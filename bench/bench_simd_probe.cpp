@@ -1,6 +1,6 @@
 // Microbenchmark of the SIMD lane engine, stage by stage: each probe kernel
-// the batch lookup path rewired onto — flat-hash tag-group compare, range
-// lower-bound (rank-select narrow / branchless-vector wide), popcount trie
+// of the batch lookup path — flat-hash tag-group compare, range lower-bound
+// (rank-select narrow / prefetched halving wide), multibit-trie level-array
 // descent, tree-bitmap longest-internal-match — measured on the compiled
 // vector backend and again with the portable SWAR kernels forced, so the
 // vector speedup per stage is visible in isolation from the end-to-end
@@ -44,7 +44,7 @@ constexpr std::size_t kQueries = 4096;
 template <typename Fn>
 void measure_both(std::vector<std::pair<std::string, double>>& results,
                   const std::string& name, std::size_t ops, Fn&& fn) {
-  // Warm both paths (page in structures, resolve the CPUID probe).
+  // Warm both paths (page in structures).
   fn();
   {
     const double ms = bench::time_ms(fn);
@@ -110,7 +110,7 @@ int main() {
     });
   }
 
-  // --- range matcher: narrow (rank-select) and wide (vector search) ---------
+  // --- range matcher: narrow (rank-select) and wide (halving search) --------
   for (const unsigned width : {16U, 32U}) {
     const std::uint64_t max = low_mask(width);
     RangeMatcher ranges(width);
@@ -132,7 +132,7 @@ int main() {
                  });
   }
 
-  // --- multibit trie: popcount descent + flat-table probes ------------------
+  // --- multibit trie: level-array descent + parent chains -------------------
   {
     MultibitTrie trie = MultibitTrie::partition16();
     for (int i = 0; i < 2000; ++i) {
@@ -141,16 +141,15 @@ int main() {
                                   << (16 - len);
       trie.insert(Prefix{U128{value}, len, 16}, static_cast<Label>(i % 512));
     }
-    trie.seal();
     std::vector<std::uint64_t> keys;
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & 0xFFFF);
     std::vector<LabelList> lists(keys.size());
-    std::vector<LabelList*> outs;
-    for (auto& list : lists) outs.push_back(&list);
     constexpr std::size_t kRounds = 100;
     measure_both(results, "trie_batch", kRounds * kQueries, [&] {
       for (std::size_t round = 0; round < kRounds; ++round) {
-        trie.lookup_all_batch(keys, outs);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          trie.lookup_all(keys[i], lists[i]);
+        }
       }
     });
   }

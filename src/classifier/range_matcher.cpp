@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/simd.hpp"
 
 namespace ofmtl {
 
@@ -187,21 +186,12 @@ void RangeMatcher::lookup_batch(
       }
       continue;
     }
-    std::uint32_t lo32[kLanes];
-    if (lanes == kLanes && simd::lower_bound_u64x8(boundaries_.data(),
-                                                   boundaries_.size(),
-                                                   keys.data() + base, lo32)) {
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        out[base + lane] = &interval_labels_[lo32[lane]];
-      }
-      continue;
-    }
-    // Scalar fallback: the same uniform-length halving the AVX2 kernel runs
-    // (every lane advances by `half` or stays, length shrinks identically),
-    // with each round's probes prefetched across the window before any lane
-    // compares — one overlapped memory access per round instead of kLanes
-    // serialized ones. boundaries_[0] == 0 establishes the invariant
-    // boundaries_[lo] <= key, so each lane converges on upper_bound - 1.
+    // Uniform-length halving (every lane advances by `half` or stays, length
+    // shrinks identically), with each round's probes prefetched across the
+    // window before any lane compares — one overlapped memory access per
+    // round instead of kLanes serialized ones. boundaries_[0] == 0
+    // establishes the invariant boundaries_[lo] <= key, so each lane
+    // converges on upper_bound - 1.
     std::size_t lo[kLanes] = {};
     std::size_t len = boundaries_.size();
     while (len > 1) {

@@ -11,7 +11,7 @@
 // additionally lays the boundaries out as a rank-select bitmap: a point
 // lookup is then one word load + popcount, no search at all. Wider fields
 // keep the sorted array and a branchless uniform-length binary search
-// (vectorized with AVX2 gathers in batch mode).
+// (software-prefetched across an 8-lane window in batch mode).
 #pragma once
 
 #include <bit>
@@ -55,9 +55,8 @@ class RangeMatcher {
   /// Batched lookup: out[i] = &lookup(keys[i]) (pointers into the sealed
   /// interval index; valid until the next seal()). Narrow fields resolve
   /// every lane with the rank-select bitmap (compare-free); wide fields run
-  /// a uniform-length branchless binary search across the lane window —
-  /// 8 lanes per AVX2 gather step when the CPU has it, otherwise a
-  /// software-prefetched scalar window.
+  /// a uniform-length branchless binary search across an 8-lane window,
+  /// each round's probes software-prefetched before any lane compares.
   void lookup_batch(std::span<const std::uint64_t> keys,
                     std::span<const std::vector<std::uint32_t>*> out) const;
 

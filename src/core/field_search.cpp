@@ -199,7 +199,6 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
 
 void FieldSearch::seal() {
   if (ranges_) ranges_->seal();
-  for (auto& trie : tries_) trie.seal();
 }
 
 void FieldSearch::search(const PacketHeader& header,
@@ -283,17 +282,12 @@ void FieldSearch::search_batch(std::span<const PacketHeader* const> headers,
       return;
     }
     case MatchMethod::kLongestPrefix: {
-      auto& keys = ctx.batch_keys();
-      auto& outs = ctx.batch_outs();
       for (std::size_t p = 0; p < tries_.size(); ++p) {
-        keys.clear();
-        outs.clear();
         for (std::size_t i = 0; i < headers.size(); ++i) {
-          keys.push_back(
-              headers[i]->partition16(field_, static_cast<unsigned>(p)));
-          outs.push_back(&ctx.slot(i, slot_base + p));
+          tries_[p].lookup_all(
+              headers[i]->partition16(field_, static_cast<unsigned>(p)),
+              ctx.slot(i, slot_base + p));
         }
-        tries_[p].lookup_all_batch(keys, outs);
       }
       return;
     }

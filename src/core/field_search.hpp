@@ -56,8 +56,8 @@ class FieldSearch {
   /// constraint was never registered.
   std::vector<Label> remove_rule(const FieldMatch& match);
 
-  /// Finish building (seals the range matcher and the partition tries'
-  /// flat query tables).
+  /// Finish building (seals the range matcher; the partition tries answer
+  /// queries from their level arrays and need no sealing).
   void seal();
 
   /// Search a packet: one candidate list per algorithm, appended to `out`.
@@ -68,9 +68,9 @@ class FieldSearch {
   void search(const PacketHeader& header, SearchContext& ctx, std::size_t lane,
               std::size_t slot_base) const;
 
-  /// Batched search: fills each packet's slots, interleaving the partition-
-  /// trie descents across packets with software prefetch (lane i's slots
-  /// start at ctx.slot(i, slot_base)).
+  /// Batched search: fills each packet's slots (lane i's slots start at
+  /// ctx.slot(i, slot_base)). Exact and range fields probe as a batch; each
+  /// partition trie answers one key at a time.
   void search_batch(std::span<const PacketHeader* const> headers,
                     SearchContext& ctx, std::size_t slot_base) const;
 

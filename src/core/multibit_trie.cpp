@@ -1,25 +1,10 @@
 #include "core/multibit_trie.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 
-#include "core/flat_hash.hpp"
-
 namespace ofmtl {
-
-namespace {
-
-/// Non-last levels this stride-wide can use the 32-bit compact child bitmap.
-constexpr unsigned kCompactMaxStride = 5;
-
-/// Mix of a (length, value) prefix key for the sealed table.
-[[nodiscard]] std::uint64_t mix_prefix_key(unsigned len, std::uint64_t value) {
-  return detail::mix64(value + (std::uint64_t{len} << 56));
-}
-
-}  // namespace
 
 std::string_view to_string(TrieStorage policy) {
   switch (policy) {
@@ -48,10 +33,6 @@ MultibitTrie::MultibitTrie(unsigned width, std::vector<unsigned> strides)
     levels_[i].cum_before = cum;
     cum += strides_[i];
   }
-  compact_supported_ = true;
-  for (std::size_t i = 0; i + 1 < strides_.size(); ++i) {
-    if (strides_[i] > kCompactMaxStride) compact_supported_ = false;
-  }
   allocate_block(0);  // root block always exists
 }
 
@@ -60,17 +41,7 @@ std::int32_t MultibitTrie::allocate_block(std::size_t level_index) {
   const auto block = static_cast<std::int32_t>(level.blocks);
   level.entries.resize(level.entries.size() + (std::size_t{1} << level.stride));
   ++level.blocks;
-  // The only structural mutation: child arrays grew, so the contiguous
-  // compact layout is stale. (Label rewrites — including every remove() —
-  // leave the structure intact and never invalidate.)
-  compact_valid_ = false;
   return block;
-}
-
-std::size_t MultibitTrie::total_blocks() const {
-  std::size_t blocks = 0;
-  for (const Level& level : levels_) blocks += level.blocks;
-  return blocks;
 }
 
 void MultibitTrie::check_prefix(const Prefix& prefix) const {
@@ -79,60 +50,86 @@ void MultibitTrie::check_prefix(const Prefix& prefix) const {
   }
 }
 
+MultibitTrie::Expansion MultibitTrie::expand(const Prefix& prefix) {
+  std::size_t block = 0;
+  for (std::size_t li = 0;; ++li) {
+    Level& level = levels_[li];
+    if (prefix.length() <= level.cum_before + level.stride) {
+      // The prefix ends within this level: controlled prefix expansion over
+      // the remaining stride bits.
+      const unsigned bits_here = prefix.length() - level.cum_before;
+      const std::uint64_t base =
+          bits_here == 0 ? 0
+                         : prefix.slice(level.cum_before, bits_here)
+                               << (level.stride - bits_here);
+      return {li, entry_index(level, block, base),
+              std::size_t{1} << (level.stride - bits_here)};
+    }
+    // Descend: this level's chunk is fully specified by the prefix.
+    const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
+    const std::size_t index = entry_index(level, block, chunk);
+    if (level.entries[index].child < 0) {
+      level.entries[index].child = allocate_block(li + 1);
+      ++writes_;  // pointer store
+    }
+    block = static_cast<std::size_t>(level.entries[index].child);
+  }
+}
+
+std::int32_t MultibitTrie::link_new(const Expansion& span, unsigned len,
+                                    Label label) {
+  Level& level = levels_[span.level];
+  auto& nodes = level.nodes;
+  // Every chain through the first cell lists all stored prefixes covering
+  // it in this level; the first one shorter than `len` covers the new prefix
+  // too and is its parent.
+  std::int32_t parent = level.entries[span.first].prefix;
+  while (parent >= 0 && nodes[parent].plen >= len) {
+    parent = nodes[parent].parent;
+  }
+  std::int32_t id = level.free_nodes;
+  const PrefixNode node{label, parent, static_cast<std::uint8_t>(len)};
+  if (id < 0) {
+    id = static_cast<std::int32_t>(nodes.size());
+    nodes.push_back(node);
+  } else {
+    level.free_nodes = nodes[id].parent;
+    nodes[id] = node;
+  }
+  // Longer prefixes inside the span that hung off `parent` now hang off the
+  // new prefix, which sits between them.
+  for (std::size_t cell = span.first; cell < span.first + span.fan; ++cell) {
+    for (std::int32_t n = level.entries[cell].prefix;
+         n >= 0 && nodes[n].plen > len; n = nodes[n].parent) {
+      if (nodes[n].parent == parent) {
+        nodes[n].parent = id;
+        break;
+      }
+    }
+  }
+  return id;
+}
+
 void MultibitTrie::insert(const Prefix& prefix, Label label) {
   check_prefix(prefix);
-  matches_valid_ = false;  // precomputed terminal lists now stale
+  const unsigned len = prefix.length();
   const auto [it, inserted] =
-      prefixes_.try_emplace({prefix.length(), prefix.value64()}, label);
-  if (!inserted) it->second = label;
-  if (sealed_) {
-    // Keep the flat query table current instead of unsealing: an update is
-    // one probe chain, never an O(prefixes) rebuild.
-    if (inserted) {
-      flat_insert(prefix.length(), prefix.value64(), label);
-    } else {
-      flat_labels_[find_flat_slot(prefix.length(), prefix.value64())] = label;
+      prefixes_.try_emplace({len, prefix.value64()}, -1);
+  const Expansion span = expand(prefix);
+  if (inserted) it->second = link_new(span, len, label);
+  const std::int32_t id = it->second;
+  Level& level = levels_[span.level];
+  auto& nodes = level.nodes;
+  for (std::size_t cell = span.first; cell < span.first + span.fan; ++cell) {
+    Entry& entry = level.entries[cell];
+    if (entry.prefix == id) {
+      if (nodes[id].label != label) ++writes_;  // relabel in place
+    } else if (entry.prefix < 0 || nodes[entry.prefix].plen < len) {
+      entry.prefix = id;
+      ++writes_;
     }
   }
-
-  std::size_t block = 0;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    if (prefix.length() > cum_after) {
-      // Descend: this level's chunk is fully specified by the prefix.
-      const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
-      const std::size_t index = entry_index(level, block, chunk);
-      if (level.entries[index].child < 0) {
-        level.entries[index].child = allocate_block(li + 1);
-        ++writes_;  // pointer store
-      }
-      block = static_cast<std::size_t>(level.entries[index].child);
-      continue;
-    }
-    // The prefix ends within this level: controlled prefix expansion over
-    // the remaining stride bits.
-    const unsigned bits_here = prefix.length() - level.cum_before;
-    const std::uint64_t base =
-        bits_here == 0 ? 0
-                       : prefix.slice(level.cum_before, bits_here)
-                             << (level.stride - bits_here);
-    const std::size_t fan = std::size_t{1} << (level.stride - bits_here);
-    for (std::size_t j = 0; j < fan; ++j) {
-      Entry& entry = level.entries[entry_index(level, block, base + j)];
-      const bool overwrite =
-          entry.label == kNoLabel || entry.plen <= prefix.length();
-      if (overwrite &&
-          (entry.label != label ||
-           entry.plen != static_cast<std::uint8_t>(prefix.length()))) {
-        entry.label = label;
-        entry.plen = static_cast<std::uint8_t>(prefix.length());
-        ++writes_;
-      }
-    }
-    return;
-  }
-  throw std::logic_error("prefix length exceeded stride coverage");
+  nodes[id].label = label;
 }
 
 std::uint64_t MultibitTrie::insert_cost(const Prefix& prefix) const {
@@ -174,509 +171,77 @@ std::uint64_t MultibitTrie::insert_cost(const Prefix& prefix) const {
 
 bool MultibitTrie::remove(const Prefix& prefix) {
   check_prefix(prefix);
-  const auto it = prefixes_.find({prefix.length(), prefix.value64()});
+  const unsigned len = prefix.length();
+  const auto it = prefixes_.find({len, prefix.value64()});
   if (it == prefixes_.end()) return false;
-  matches_valid_ = false;  // precomputed terminal lists now stale
+  const std::int32_t id = it->second;
   prefixes_.erase(it);
-  if (sealed_) flat_erase(prefix.length(), prefix.value64());
 
-  // Walk to the expansion block, then recompute every entry the removed
-  // prefix owned from the remaining prefixes ending at the same level.
-  std::size_t block = 0;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    if (prefix.length() > cum_after) {
-      const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
-      const std::size_t index = entry_index(level, block, chunk);
-      if (level.entries[index].child < 0) return true;  // nothing expanded
-      block = static_cast<std::size_t>(level.entries[index].child);
+  // A stored prefix's path exists, so this allocates nothing.
+  const Expansion span = expand(prefix);
+  Level& level = levels_[span.level];
+  auto& nodes = level.nodes;
+  const std::int32_t parent = nodes[id].parent;
+  for (std::size_t cell = span.first; cell < span.first + span.fan; ++cell) {
+    Entry& entry = level.entries[cell];
+    if (entry.prefix == id) {
+      // Fallback: the longest remaining prefix covering the cell in this
+      // level is the removed one's parent (shorter ones at earlier levels
+      // stay on the lookup path).
+      entry.prefix = parent;
+      ++writes_;
       continue;
     }
-    const unsigned bits_here = prefix.length() - level.cum_before;
-    const std::uint64_t base =
-        bits_here == 0 ? 0
-                       : prefix.slice(level.cum_before, bits_here)
-                             << (level.stride - bits_here);
-    const std::size_t fan = std::size_t{1} << (level.stride - bits_here);
-    const std::uint64_t path_high =
-        level.cum_before == 0
-            ? 0
-            : (prefix.value64() >> (width_ - level.cum_before))
-                  << (width_ - level.cum_before);
-    for (std::size_t j = 0; j < fan; ++j) {
-      Entry& entry = level.entries[entry_index(level, block, base + j)];
-      if (entry.plen != prefix.length() || entry.label == kNoLabel) continue;
-      const std::uint64_t path =
-          path_high | ((base + j) << (width_ - cum_after));
-      entry.label = kNoLabel;
-      entry.plen = 0;
-      ++writes_;
-      // Fallback: longest remaining prefix ending at this same level
-      // (shorter ones live at earlier levels and stay on the lookup path).
-      for (unsigned len = prefix.length(); len > level.cum_before; --len) {
-        if (len == prefix.length()) continue;  // the removed one
-        const std::uint64_t truncated = (path >> (width_ - len)) << (width_ - len);
-        const auto fallback = prefixes_.find({len, truncated});
-        if (fallback != prefixes_.end()) {
-          entry.label = fallback->second;
-          entry.plen = static_cast<std::uint8_t>(len);
-          break;
-        }
+    // Longer prefixes that hung off the removed one now hang off its parent.
+    for (std::int32_t n = entry.prefix; n >= 0 && nodes[n].plen > len;
+         n = nodes[n].parent) {
+      if (nodes[n].parent == id) {
+        nodes[n].parent = parent;
+        break;
       }
     }
-    return true;
   }
+  nodes[id].parent = level.free_nodes;
+  level.free_nodes = id;
   return true;
 }
 
 std::optional<Label> MultibitTrie::lookup(std::uint64_t key) const {
-  std::optional<Label> best;
+  const Level* found = nullptr;
+  std::int32_t best = -1;
   std::size_t block = 0;
   for (const Level& level : levels_) {
-    const std::uint64_t chunk =
-        (key >> (width_ - level.cum_before - level.stride)) &
-        low_mask(level.stride);
-    const Entry& entry = level.entries[entry_index(level, block, chunk)];
-    if (entry.label != kNoLabel) best = entry.label;
+    const Entry& entry = level.entries[key_cell(level, block, key)];
+    if (entry.prefix >= 0) {
+      found = &level;
+      best = entry.prefix;
+    }
     if (entry.child < 0) break;
     block = static_cast<std::size_t>(entry.child);
   }
-  return best;
-}
-
-unsigned MultibitTrie::descend_depth(std::uint64_t key) const {
-  if (compact_valid_) return descend_depth_compact(key);
-  unsigned deepest_cum_after = 0;
-  std::size_t block = 0;
-  for (const Level& level : levels_) {
-    deepest_cum_after = level.cum_before + level.stride;
-    const std::uint64_t chunk =
-        (key >> (width_ - deepest_cum_after)) & low_mask(level.stride);
-    const Entry& entry = level.entries[entry_index(level, block, chunk)];
-    if (entry.child < 0) break;
-    block = static_cast<std::size_t>(entry.child);
-  }
-  return deepest_cum_after;
-}
-
-unsigned MultibitTrie::descend_depth_compact(std::uint64_t key) const {
-  std::size_t node = 0;
-  unsigned deepest_cum_after = 0;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    deepest_cum_after = level.cum_before + level.stride;
-    if (li + 1 == levels_.size()) break;  // last level never descends
-    const SealedNode& sn = compact_levels_[li][node];
-    const auto chunk = static_cast<std::uint32_t>(
-        (key >> (width_ - deepest_cum_after)) & low_mask(level.stride));
-    if (!(sn.child_bits >> chunk & 1U)) break;
-    node = sn.child_base +
-           std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-  }
-  return deepest_cum_after;
-}
-
-Label MultibitTrie::probe_flat(unsigned len, std::uint64_t value) const {
-  const std::size_t index = detail::tag_find(
-      flat_tags_.data(), flat_mask_, mix_prefix_key(len, value),
-      [&](std::size_t slot) {
-        return flat_lens_[slot] == len && flat_values_[slot] == value;
-      });
-  return index == SIZE_MAX ? kNoLabel : flat_labels_[index];
-}
-
-void MultibitTrie::collect_sealed(std::uint64_t key,
-                                  unsigned deepest_cum_after,
-                                  std::vector<Label>& out) const {
-  for (unsigned len = deepest_cum_after + 1; len-- > 0;) {
-    if (!length_present(len)) continue;
-    const std::uint64_t truncated =
-        len == 0 ? 0 : (key >> (width_ - len)) << (width_ - len);
-    const Label label = probe_flat(len, truncated);
-    if (label != kNoLabel) out.push_back(label);
-  }
-}
-
-void MultibitTrie::collect_matches(std::uint64_t key,
-                                   unsigned deepest_cum_after,
-                                   std::vector<Label>& out) const {
-  // Report every stored prefix of the key whose length falls within a
-  // visited level's range, longest first. (Entry labels alone under-report
-  // when two prefixes end in the same level: controlled prefix expansion
-  // keeps only the longest. Hardware stores a per-node ancestor bitmap; the
-  // prefix table plays that role here.)
-  if (sealed_) {
-    collect_sealed(key, deepest_cum_after, out);
-    return;
-  }
-  for (unsigned len = deepest_cum_after + 1; len-- > 0;) {
-    const std::uint64_t truncated =
-        len == 0 ? 0 : (key >> (width_ - len)) << (width_ - len);
-    const auto it = prefixes_.find({len, truncated});
-    if (it != prefixes_.end()) out.push_back(it->second);
-  }
-}
-
-void MultibitTrie::compact_cell(std::uint64_t key, std::size_t* level_out,
-                                std::uint32_t* cell_out) const {
-  std::size_t node = 0;
-  for (std::size_t li = 0;; ++li) {
-    const Level& level = levels_[li];
-    const auto chunk = static_cast<std::uint32_t>(
-        (key >> (width_ - level.cum_before - level.stride)) &
-        low_mask(level.stride));
-    const auto cell =
-        static_cast<std::uint32_t>((node << level.stride) | chunk);
-    if (li + 1 == levels_.size()) {
-      *level_out = li;
-      *cell_out = cell;
-      return;
-    }
-    const SealedNode& sn = compact_levels_[li][node];
-    if (!(sn.child_bits >> chunk & 1U)) {
-      *level_out = li;
-      *cell_out = cell;
-      return;
-    }
-    node = sn.child_base +
-           std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-  }
+  if (found == nullptr) return std::nullopt;
+  return found->nodes[static_cast<std::size_t>(best)].label;
 }
 
 void MultibitTrie::lookup_all(std::uint64_t key, std::vector<Label>& out) const {
   out.clear();
-  if (compact_valid_ && matches_valid_) {
-    std::size_t li;
-    std::uint32_t cell;
-    compact_cell(key, &li, &cell);
-    const auto& off = match_off_[li];
-    detail::reserve_for_append(out, off[cell + 1] - off[cell]);
-    out.insert(out.end(), match_pool_.begin() + off[cell],
-               match_pool_.begin() + off[cell + 1]);
-    return;
-  }
-  collect_matches(key, descend_depth(key), out);
+  append_matches(0, 0, key, out);
 }
 
-void MultibitTrie::seal() {
-  if (!sealed_) {
-    rebuild_flat();
-    rebuild_compact();
-    sealed_ = true;
-    return;
+void MultibitTrie::append_matches(std::size_t level_index, std::size_t block,
+                                  std::uint64_t key,
+                                  std::vector<Label>& out) const {
+  // Deeper levels first; then this cell's parent chain, which lists the
+  // stored prefixes of `key` ending in this level, longest first.
+  const Level& level = levels_[level_index];
+  const Entry& entry = level.entries[key_cell(level, block, key)];
+  if (entry.child >= 0) {
+    append_matches(level_index + 1, static_cast<std::size_t>(entry.child), key,
+                   out);
   }
-  // Re-seal after incremental updates: the flat table is already current;
-  // only the compact descent may be stale, and only after enough structural
-  // growth to amortize the rebuild.
-  maybe_rebuild_compact();
-}
-
-void MultibitTrie::rebuild_flat() {
-  present_lengths_ = 0;
-  length64_present_ = false;
-  length_counts_.fill(0);
-  const std::size_t capacity = detail::flat_tag_capacity(prefixes_.size());
-  flat_values_.assign(capacity, 0);
-  flat_lens_.assign(capacity, 0);
-  flat_labels_.assign(capacity, kNoLabel);
-  flat_tags_.assign(capacity, detail::kTagEmpty);
-  flat_mask_ = capacity - 1;
-  flat_live_ = prefixes_.size();
-  flat_tombstones_ = 0;
-  for (const auto& [key, label] : prefixes_) {
-    const auto [len, value] = key;
-    note_length_added(len);
-    const std::uint64_t hash = mix_prefix_key(len, value);
-    const std::size_t index =
-        detail::tag_insert_slot(flat_tags_.data(), flat_mask_, hash);
-    flat_tags_[index] = detail::tag_of(hash);
-    flat_values_[index] = value;
-    flat_lens_[index] = static_cast<std::uint8_t>(len);
-    flat_labels_[index] = label;
-  }
-}
-
-void MultibitTrie::rebuild_compact() {
-  if (!compact_supported_) return;
-  // Seal the mutable Entry blocks into contiguous popcount nodes: a BFS per
-  // level keeps children in chunk order, so a node's k-th set child bit maps
-  // to compact index child_base + k at the next level. Only live (reachable)
-  // blocks get nodes — the compact arrays are usually smaller than the
-  // allocated block count.
-  compact_levels_.assign(levels_.empty() ? 0 : levels_.size() - 1, {});
-  std::vector<std::size_t> current{0};  // legacy block ids, root first
-  std::vector<std::size_t> next;
-  for (std::size_t li = 0; li + 1 < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    auto& nodes = compact_levels_[li];
-    nodes.reserve(current.size());
-    next.clear();
-    for (const std::size_t block : current) {
-      SealedNode node;
-      node.child_base = static_cast<std::uint32_t>(next.size());
-      const std::size_t fan = std::size_t{1} << level.stride;
-      for (std::size_t chunk = 0; chunk < fan; ++chunk) {
-        const Entry& entry = level.entries[entry_index(level, block, chunk)];
-        if (entry.child < 0) continue;
-        node.child_bits |= std::uint32_t{1} << chunk;
-        next.push_back(static_cast<std::size_t>(entry.child));
-      }
-      nodes.push_back(node);
-    }
-    current.swap(next);
-  }
-  compact_blocks_ = total_blocks();
-  compact_valid_ = true;
-  rebuild_matches();
-}
-
-void MultibitTrie::rebuild_matches() {
-  // The path to a terminal cell IS the key prefix every per-length probe
-  // would truncate to, so each reachable cell's full match list can be
-  // materialized up front. BFS in the same (node, chunk) order as
-  // rebuild_compact, so cell indices line up with the compact descent.
-  match_off_.assign(levels_.size(), {});
-  match_pool_.clear();
-  std::vector<std::size_t> current{0};       // legacy block ids
-  std::vector<std::uint64_t> cur_prefix{0};  // path bits (cum_before of level)
-  std::vector<std::size_t> next;
-  std::vector<std::uint64_t> next_prefix;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    const std::size_t fan = std::size_t{1} << level.stride;
-    const bool last = li + 1 == levels_.size();
-    auto& off = match_off_[li];
-    off.clear();
-    off.reserve(current.size() * fan + 1);
-    off.push_back(static_cast<std::uint32_t>(match_pool_.size()));
-    next.clear();
-    next_prefix.clear();
-    for (std::size_t n = 0; n < current.size(); ++n) {
-      const std::size_t block = current[n];
-      for (std::size_t chunk = 0; chunk < fan; ++chunk) {
-        const std::uint64_t cell_prefix = (cur_prefix[n] << level.stride) | chunk;
-        const Entry& entry = level.entries[entry_index(level, block, chunk)];
-        if (last || entry.child < 0) {
-          // Descents can end here; precompute the list they'd collect.
-          collect_sealed(cell_prefix << (width_ - cum_after), cum_after,
-                         match_pool_);
-        } else {
-          next.push_back(static_cast<std::size_t>(entry.child));
-          next_prefix.push_back(cell_prefix);
-        }
-        off.push_back(static_cast<std::uint32_t>(match_pool_.size()));
-      }
-    }
-    current.swap(next);
-    cur_prefix.swap(next_prefix);
-  }
-  std::size_t bytes = match_pool_.size() * sizeof(Label);
-  for (const auto& off : match_off_) bytes += off.size() * sizeof(std::uint32_t);
-  for (const auto& nodes : compact_levels_) {
-    bytes += nodes.size() * sizeof(SealedNode);
-  }
-  compact_resident_ = bytes <= 32768;
-  matches_valid_ = true;
-}
-
-void MultibitTrie::maybe_rebuild_compact() {
-  if (compact_valid_ || !compact_supported_) return;
-  // Rebuild only after the structure grew by ~12% (min 16 blocks) since the
-  // last seal: the rebuild is O(blocks), so amortized cost per allocated
-  // block stays O(1) and per-publish seal() latency stays flat. Until then
-  // descend_depth falls back to the legacy Entry walk — correct, just the
-  // pre-compact speed.
-  const std::size_t blocks = total_blocks();
-  if (blocks >= compact_blocks_ +
-                    std::max<std::size_t>(16, compact_blocks_ / 8)) {
-    rebuild_compact();
-  }
-}
-
-void MultibitTrie::note_length_added(unsigned len) {
-  if (length_counts_[len]++ != 0) return;
-  if (len < 64) {
-    present_lengths_ |= std::uint64_t{1} << len;
-  } else {
-    length64_present_ = true;
-  }
-}
-
-void MultibitTrie::note_length_removed(unsigned len) {
-  if (--length_counts_[len] != 0) return;
-  if (len < 64) {
-    present_lengths_ &= ~(std::uint64_t{1} << len);
-  } else {
-    length64_present_ = false;
-  }
-}
-
-std::size_t MultibitTrie::find_flat_slot(unsigned len,
-                                         std::uint64_t value) const {
-  return detail::tag_find(flat_tags_.data(), flat_mask_,
-                          mix_prefix_key(len, value), [&](std::size_t slot) {
-                            return flat_lens_[slot] == len &&
-                                   flat_values_[slot] == value;
-                          });
-}
-
-void MultibitTrie::flat_insert(unsigned len, std::uint64_t value, Label label) {
-  // The rebuild reads prefixes_, which already contains the new prefix.
-  if (detail::flat_needs_rebuild(flat_live_ + flat_tombstones_,
-                                 flat_values_.size())) {
-    rebuild_flat();
-    return;
-  }
-  const std::uint64_t hash = mix_prefix_key(len, value);
-  const std::size_t index =
-      detail::tag_insert_slot(flat_tags_.data(), flat_mask_, hash);
-  if (flat_tags_[index] == detail::kTagDeleted) --flat_tombstones_;
-  flat_tags_[index] = detail::tag_of(hash);
-  flat_values_[index] = value;
-  flat_lens_[index] = static_cast<std::uint8_t>(len);
-  flat_labels_[index] = label;
-  ++flat_live_;
-  note_length_added(len);
-}
-
-void MultibitTrie::flat_erase(unsigned len, std::uint64_t value) {
-  const std::size_t index = find_flat_slot(len, value);
-  if (index == SIZE_MAX) return;  // unreachable: caller found it in the map
-  flat_tags_[index] = detail::kTagDeleted;
-  flat_labels_[index] = kNoLabel;
-  --flat_live_;
-  ++flat_tombstones_;
-  note_length_removed(len);
-}
-
-void MultibitTrie::lookup_all_batch(std::span<const std::uint64_t> keys,
-                                    std::span<LabelList* const> outs) const {
-  if (outs.size() < keys.size()) {
-    throw std::invalid_argument("lookup_all_batch: outs span too small");
-  }
-  constexpr std::size_t kLanes = 8;  // keys descended in lock-step per window
-  const bool use_lists = compact_valid_ && matches_valid_;
-  if (use_lists && compact_resident_) {
-    // The whole sealed structure is cache-resident: straight-line per-key
-    // descent + one contiguous copy beats the lockstep/prefetch machinery.
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      std::size_t li;
-      std::uint32_t cell;
-      compact_cell(keys[i], &li, &cell);
-      const auto& off = match_off_[li];
-      auto& out = *outs[i];
-      out.clear();
-      detail::reserve_for_append(out, off[cell + 1] - off[cell]);
-      out.insert(out.end(), match_pool_.begin() + off[cell],
-                 match_pool_.begin() + off[cell + 1]);
-    }
-    return;
-  }
-  for (std::size_t base = 0; base < keys.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, keys.size() - base);
-    unsigned deepest[kLanes] = {};
-    std::size_t term_level[kLanes] = {};
-    std::uint32_t term_cell[kLanes] = {};
-    if (compact_valid_) {
-      // Popcount descent over the sealed 8-byte nodes: a whole level's lane
-      // window is a handful of cache lines, and the child index is one
-      // AND + popcount instead of a strided Entry-array gather.
-      std::size_t node[kLanes] = {};
-      bool active[kLanes];
-      for (std::size_t lane = 0; lane < lanes; ++lane) active[lane] = true;
-      for (std::size_t li = 0; li < levels_.size(); ++li) {
-        const Level& level = levels_[li];
-        const unsigned cum_after = level.cum_before + level.stride;
-        const bool last = li + 1 == levels_.size();
-        const SealedNode* nodes = last ? nullptr : compact_levels_[li].data();
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          deepest[lane] = cum_after;
-          const auto chunk = static_cast<std::uint32_t>(
-              (keys[base + lane] >> (width_ - cum_after)) &
-              low_mask(level.stride));
-          if (last) {
-            term_level[lane] = li;
-            term_cell[lane] = static_cast<std::uint32_t>(
-                (node[lane] << level.stride) | chunk);
-            continue;
-          }
-          const SealedNode& sn = nodes[node[lane]];
-          if (!(sn.child_bits >> chunk & 1U)) {
-            term_level[lane] = li;
-            term_cell[lane] = static_cast<std::uint32_t>(
-                (node[lane] << level.stride) | chunk);
-            active[lane] = false;
-            continue;
-          }
-          node[lane] =
-              sn.child_base +
-              std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-          if (li + 2 < levels_.size()) {
-            __builtin_prefetch(compact_levels_[li + 1].data() + node[lane]);
-          }
-        }
-        if (last) break;
-      }
-      if (use_lists) {
-        // One precomputed contiguous copy per lane instead of per-length
-        // flat-table probes: prefetch every lane's CSR row, then emit.
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          __builtin_prefetch(match_off_[term_level[lane]].data() +
-                             term_cell[lane]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const auto& off = match_off_[term_level[lane]];
-          __builtin_prefetch(match_pool_.data() + off[term_cell[lane]]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const auto& off = match_off_[term_level[lane]];
-          auto& out = *outs[base + lane];
-          out.clear();
-          detail::reserve_for_append(
-              out, off[term_cell[lane] + 1] - off[term_cell[lane]]);
-          out.insert(out.end(), match_pool_.begin() + off[term_cell[lane]],
-                     match_pool_.begin() + off[term_cell[lane] + 1]);
-        }
-        continue;
-      }
-    } else {
-      std::size_t block[kLanes] = {};
-      std::size_t index[kLanes] = {};
-      bool active[kLanes];
-      for (std::size_t lane = 0; lane < lanes; ++lane) active[lane] = true;
-      // Level-synchronous descent: compute and prefetch every lane's entry
-      // for this level before any lane reads it, hiding the dependent-load
-      // latency one packet at a time cannot.
-      for (const Level& level : levels_) {
-        const unsigned cum_after = level.cum_before + level.stride;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          const std::uint64_t chunk =
-              (keys[base + lane] >> (width_ - cum_after)) &
-              low_mask(level.stride);
-          index[lane] = entry_index(level, block[lane], chunk);
-          __builtin_prefetch(level.entries.data() + index[lane]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          const Entry& entry = level.entries[index[lane]];
-          deepest[lane] = cum_after;
-          if (entry.child < 0) {
-            active[lane] = false;
-          } else {
-            block[lane] = static_cast<std::size_t>(entry.child);
-          }
-        }
-      }
-    }
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      auto& out = *outs[base + lane];
-      out.clear();
-      collect_matches(keys[base + lane], deepest[lane], out);
-    }
+  for (std::int32_t n = entry.prefix; n >= 0;
+       n = level.nodes[static_cast<std::size_t>(n)].parent) {
+    out.push_back(level.nodes[static_cast<std::size_t>(n)].label);
   }
 }
 
@@ -686,8 +251,8 @@ TrieLevelStats MultibitTrie::level_stats(std::size_t level_index) const {
   stats.blocks = level.blocks;
   stats.allocated_entries = level.entries.size();
   for (const Entry& entry : level.entries) {
-    if (entry.label != kNoLabel || entry.child >= 0) ++stats.stored_nodes;
-    if (entry.label != kNoLabel) ++stats.labelled_nodes;
+    if (entry.prefix >= 0 || entry.child >= 0) ++stats.stored_nodes;
+    if (entry.prefix >= 0) ++stats.labelled_nodes;
   }
   return stats;
 }

@@ -5,19 +5,19 @@
 //
 // Node data is exactly what the paper costs out: child pointer + label +
 // flag bit, with a different pointer width per level ("each level node
-// requires different child pointer sizes").
+// requires different child pointer sizes"). Queries read only these level
+// arrays plus one in-level parent link per stored prefix, so every matching
+// prefix is reachable without any derived query structure (see
+// docs/ARCHITECTURE.md, "Trie queries: the parent-chain invariant").
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/label.hpp"
-#include "core/search_context.hpp"
 #include "mem/memory_model.hpp"
 #include "net/prefix.hpp"
 
@@ -64,42 +64,22 @@ class MultibitTrie {
   }
 
   /// Insert (or re-insert) a prefix with a label. Re-inserting an existing
-  /// prefix with the same label is a no-op apart from write counting. On a
-  /// sealed trie the flat query table is maintained in place (amortized
-  /// O(1)), so the trie stays sealed — incremental updates never pay an
-  /// O(prefixes) rebuild.
+  /// prefix with the same label is a no-op apart from write counting. Writes
+  /// only the prefix's expansion cells and the parent links of the prefixes
+  /// it covers in the same block, so the cost is independent of table size.
   void insert(const Prefix& prefix, Label label);
 
-  /// Remove a prefix; covered entries fall back to the next-longest stored
-  /// prefix. Returns whether the prefix was present. Sealed tries stay
-  /// sealed (tombstone deletion in the flat table).
+  /// Remove a prefix; its cells fall back to its in-level parent (the
+  /// next-longest stored prefix ending in the same level). Returns whether
+  /// the prefix was present.
   bool remove(const Prefix& prefix);
 
   /// Longest-prefix match.
   [[nodiscard]] std::optional<Label> lookup(std::uint64_t key) const;
 
   /// Labels of all stored prefixes matching `key`, longest first (the label
-  /// set the index-calculation stage consumes). At most one per level.
+  /// set the index-calculation stage consumes).
   void lookup_all(std::uint64_t key, std::vector<Label>& out) const;
-
-  /// Seal for querying: build the flat open-addressing prefix table, the
-  /// present-length mask the sealed lookup_all path probes (replacing the
-  /// per-length ordered-map walk), and the compact popcount descent nodes.
-  /// Once sealed, insert/remove keep the flat table current in place
-  /// (tombstone deletes, amortized-O(1) inserts with occasional load-
-  /// triggered rebuilds), so the trie never unseals; block-allocating
-  /// inserts invalidate only the compact descent, which re-seals here once
-  /// enough structure accreted (amortized) and falls back to the Entry walk
-  /// meanwhile. Unsealed lookups fall back to the ordered map, so sealing
-  /// is purely a fast path.
-  void seal();
-  [[nodiscard]] bool sealed() const { return sealed_; }
-
-  /// Batched lookup_all: level-synchronous descent across up to a cache-lane
-  /// window of keys with software prefetch of the next level's entry, then
-  /// sealed flat-table probes. `outs[i]` receives key i's candidate list.
-  void lookup_all_batch(std::span<const std::uint64_t> keys,
-                        std::span<LabelList* const> outs) const;
 
   [[nodiscard]] unsigned width() const { return width_; }
   [[nodiscard]] const std::vector<unsigned>& strides() const { return strides_; }
@@ -136,10 +116,23 @@ class MultibitTrie {
   [[nodiscard]] std::uint64_t insert_cost(const Prefix& prefix) const;
 
  private:
-  struct Entry {
+  /// One stored prefix, held by the level it ends in.
+  struct PrefixNode {
     Label label = kNoLabel;
+    /// In-level parent: the next-shorter stored prefix that covers this one
+    /// and ends in the same level, or -1. On the free list: the next free
+    /// node.
+    std::int32_t parent = -1;
+    std::uint8_t plen = 0;
+  };
+
+  /// One node of the paper's level array: child pointer + label. `prefix`
+  /// names the longest stored prefix covering this cell that ends in this
+  /// level (the flag bit is `prefix >= 0`); its parent chain lists the
+  /// shorter ones.
+  struct Entry {
     std::int32_t child = -1;   // block index at the next level
-    std::uint8_t plen = 0;     // build-time only: expanded-prefix length
+    std::int32_t prefix = -1;  // index into Level::nodes
   };
 
   struct Level {
@@ -147,116 +140,48 @@ class MultibitTrie {
     unsigned cum_before = 0;   // bits consumed before this level
     std::vector<Entry> entries;
     std::size_t blocks = 0;
+    std::vector<PrefixNode> nodes;
+    std::int32_t free_nodes = -1;  // head of the free list threaded via parent
+  };
+
+  /// The cells a prefix expands to: `fan` consecutive entries from `first`
+  /// in level `level`.
+  struct Expansion {
+    std::size_t level = 0;
+    std::size_t first = 0;
+    std::size_t fan = 0;
   };
 
   [[nodiscard]] std::size_t entry_index(const Level& level, std::size_t block,
                                         std::uint64_t chunk) const {
     return block * (std::size_t{1} << level.stride) + chunk;
   }
+  /// Index of the cell `key` selects in `block` of `level`.
+  [[nodiscard]] std::size_t key_cell(const Level& level, std::size_t block,
+                                     std::uint64_t key) const {
+    return entry_index(level, block,
+                       (key >> (width_ - level.cum_before - level.stride)) &
+                           low_mask(level.stride));
+  }
   std::int32_t allocate_block(std::size_t level_index);
   void check_prefix(const Prefix& prefix) const;
-  /// Deepest level reached for `key` expressed as cumulative bits covered.
-  [[nodiscard]] unsigned descend_depth(std::uint64_t key) const;
-  [[nodiscard]] bool length_present(unsigned len) const {
-    return len < 64 ? (present_lengths_ >> len & 1) != 0 : length64_present_;
-  }
-  /// Sealed-table probe for an exact (len, value) prefix; kNoLabel on miss.
-  [[nodiscard]] Label probe_flat(unsigned len, std::uint64_t value) const;
-  /// Slot index of (len, value) in the flat table, or SIZE_MAX when absent.
-  [[nodiscard]] std::size_t find_flat_slot(unsigned len,
-                                           std::uint64_t value) const;
-  /// Rebuild the whole flat table + length bookkeeping from prefixes_.
-  void rebuild_flat();
-  /// Rebuild the compact popcount descent (see compact_levels_).
-  void rebuild_compact();
-  /// Threshold-gated rebuild after structural growth (amortized O(1) per
-  /// allocated block, so per-publish seal cost stays flat).
-  void maybe_rebuild_compact();
-  [[nodiscard]] unsigned descend_depth_compact(std::uint64_t key) const;
-  /// Compact descent to the terminal cell: the (level, node * fan + chunk)
-  /// where the walk ends. Requires compact_valid_.
-  void compact_cell(std::uint64_t key, std::size_t* level_out,
-                    std::uint32_t* cell_out) const;
-  /// Rebuild the per-terminal-cell precomputed match lists (match_off_ /
-  /// match_pool_). Requires the flat table and compact levels to be current.
-  void rebuild_matches();
-  /// Append (no clear) every stored prefix of `key` with length <=
-  /// `deepest_cum_after`, longest first, via sealed flat-table probes.
-  void collect_sealed(std::uint64_t key, unsigned deepest_cum_after,
-                      std::vector<Label>& out) const;
-  [[nodiscard]] std::size_t total_blocks() const;
-  /// Incremental flat-table maintenance (sealed tries only). The prefix map
-  /// must already reflect the mutation — a load-triggered rebuild reads it.
-  void flat_insert(unsigned len, std::uint64_t value, Label label);
-  void flat_erase(unsigned len, std::uint64_t value);
-  void note_length_added(unsigned len);
-  void note_length_removed(unsigned len);
-  void collect_matches(std::uint64_t key, unsigned deepest_cum_after,
-                       std::vector<Label>& out) const;
+  /// Walk to the block `prefix` ends in, allocating missing blocks on the
+  /// way (one pointer write each), and return its expansion cells.
+  Expansion expand(const Prefix& prefix);
+  /// Store a new prefix node for `prefix` in its level and link it between
+  /// its in-level parent and the stored prefixes it covers.
+  std::int32_t link_new(const Expansion& span, unsigned len, Label label);
+  /// Append the labels of every stored prefix of `key` ending at or below
+  /// `level_index`, reached through `block`, longest first.
+  void append_matches(std::size_t level_index, std::size_t block,
+                      std::uint64_t key, std::vector<Label>& out) const;
 
   unsigned width_;
   std::vector<unsigned> strides_;
   std::vector<Level> levels_;
-  std::map<std::pair<unsigned, std::uint64_t>, Label> prefixes_;  // (len, value)
+  /// Update-side index: (len, value) -> node in the level the prefix ends in.
+  std::map<std::pair<unsigned, std::uint64_t>, std::int32_t> prefixes_;
   std::uint64_t writes_ = 0;
-
-  // Sealed query path: open-addressed (len, value) -> label table with
-  // power-of-two capacity and group-linear tag probing (core/flat_hash.hpp),
-  // plus a bitmask of the prefix lengths actually stored so lookups only
-  // probe live lengths. Incremental mutations keep it current: deletes
-  // tombstone their slot's tag (skipped by probes), inserts reuse
-  // tombstones, and a rebuild runs only when live + tombstoned slots exceed
-  // half the capacity.
-  bool sealed_ = false;
-  std::vector<std::uint64_t> flat_values_;
-  std::vector<std::uint8_t> flat_lens_;  // payload (tag byte carries state)
-  std::vector<Label> flat_labels_;
-  std::vector<std::uint8_t> flat_tags_;  // slot state, tag-group probed
-  std::size_t flat_mask_ = 0;
-  std::size_t flat_live_ = 0;        // live slots
-  std::size_t flat_tombstones_ = 0;  // tombstoned slots
-  std::uint64_t present_lengths_ = 0;  // lengths 0..63
-  bool length64_present_ = false;
-  std::array<std::uint32_t, 65> length_counts_{};  // live prefixes per length
-
-  /// Compact descent node: child bitmap + popcount-indexed base into the
-  /// next level's contiguous node array. 8 bytes against the 2^stride * 12
-  /// bytes of the mutable Entry block it summarizes, so a whole descent
-  /// touches a handful of cache lines.
-  struct SealedNode {
-    std::uint32_t child_bits = 0;  ///< bit c: chunk c has a child block
-    std::uint32_t child_base = 0;  ///< its index: base + popcount(below c)
-  };
-  // Popcount-compressed descent, sealed from the mutable Entry blocks like
-  // the flat table is sealed from prefixes_: one node per live block of
-  // every non-last level, children stored contiguously in chunk order.
-  // Valid only while the trie's *structure* is unchanged — remove() never
-  // frees blocks and only rewrites labels, so the only invalidation is an
-  // insert that allocates a block; seal() then rebuilds once enough blocks
-  // accreted (maybe_rebuild_compact), and the descent falls back to the
-  // Entry walk in between. Requires every non-last stride <= 5 (32-bit
-  // child bitmap); wider strides just keep the legacy walk.
-  std::vector<std::vector<SealedNode>> compact_levels_;
-  bool compact_supported_ = false;
-  bool compact_valid_ = false;
-  std::size_t compact_blocks_ = 0;  // total blocks at the last rebuild
-
-  // Precomputed terminal match lists: a descent's label list is fully
-  // determined by the cell (level, node, chunk) where it ends — the path
-  // bits ARE the key bits every per-length probe would truncate to. Sealing
-  // therefore materializes, for every reachable terminal cell, the exact
-  // list collect_matches would produce (CSR: match_off_[level] holds
-  // cells + 1 absolute offsets into match_pool_), turning the sealed
-  // lookup's per-length hash probes into one contiguous copy. Any label
-  // mutation invalidates the lists (matches_valid_); the probe path serves
-  // as fallback until the next compact rebuild refreshes them.
-  std::vector<std::vector<std::uint32_t>> match_off_;
-  std::vector<Label> match_pool_;
-  bool matches_valid_ = false;
-  // Whole sealed query structure fits in cache: batch descents then probe
-  // key-at-a-time (the lane-lockstep machinery only pays for itself when
-  // the prefetches it issues can actually miss).
-  bool compact_resident_ = false;
 };
 
 /// Worst-case-shared node layouts across several tries (the paper sizes

@@ -62,9 +62,8 @@ class SearchContext {
   [[nodiscard]] std::vector<Label>& combine_next() { return combine_next_; }
   [[nodiscard]] std::vector<std::uint32_t>& matches() { return matches_; }
 
-  /// --- batched-descent scratch (per-trie key/output gathers) ---
+  /// --- batched-probe scratch (range-key and index-key gathers) ---
   [[nodiscard]] std::vector<std::uint64_t>& batch_keys() { return batch_keys_; }
-  [[nodiscard]] std::vector<LabelList*>& batch_outs() { return batch_outs_; }
 
   /// --- batched EM/RM probe scratch (value gathers + probe results) ---
   [[nodiscard]] std::vector<U128>& batch_values() { return batch_values_; }
@@ -102,7 +101,6 @@ class SearchContext {
   std::vector<Label> combine_next_;
   std::vector<std::uint32_t> matches_;
   std::vector<std::uint64_t> batch_keys_;
-  std::vector<LabelList*> batch_outs_;
   std::vector<U128> batch_values_;
   std::vector<Label> batch_labels_;
   std::vector<const LabelList*> batch_lists_;

@@ -1,10 +1,5 @@
 #include "core/simd.hpp"
 
-#include <cstdio>
-#include <mutex>
-
-#include "obs/tracer.hpp"
-
 namespace ofmtl::simd {
 
 const char* to_string(Level level) {
@@ -12,26 +7,12 @@ const char* to_string(Level level) {
     case Level::kSwar: return "swar";
     case Level::kSse2: return "sse2";
     case Level::kNeon: return "neon";
-    case Level::kAvx2: return "avx2";
   }
   return "unknown";
 }
 
-namespace {
-
-Level probe_level() {
+Level detect_level() {
 #if defined(OFMTL_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  // Compiled with the AVX2 kernels but running on an older CPU: degrade to
-  // the SSE2 baseline once, loudly enough to show up in a trace, instead of
-  // SIGILL-ing inside a gather later.
-  static std::once_flag warned;
-  std::call_once(warned, [] {
-    OFMTL_OBS_EMIT(obs::TraceEvent::kSimdFallback, 0,
-                   static_cast<std::uint64_t>(Level::kSse2));
-    std::fprintf(stderr,
-                 "ofmtl: CPU lacks AVX2, SIMD kernels fall back to sse2\n");
-  });
   return Level::kSse2;
 #elif defined(OFMTL_SIMD_NEON)
   return Level::kNeon;
@@ -40,79 +21,8 @@ Level probe_level() {
 #endif
 }
 
-}  // namespace
-
-Level detect_level() {
-  static const Level level = probe_level();
-  return level;
-}
-
 Level active_level() {
   return swar_forced() ? Level::kSwar : detect_level();
-}
-
-#if defined(OFMTL_SIMD_X86)
-namespace {
-
-__attribute__((target("avx2"))) void lower_bound_u64x8_avx2(
-    const std::uint64_t* data, std::size_t n, const std::uint64_t* keys,
-    std::uint32_t* out) {
-  const __m256i bias =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  const __m256i k0 = _mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys)), bias);
-  const __m256i k1 = _mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + 4)), bias);
-  __m256i lo0 = _mm256_setzero_si256();
-  __m256i lo1 = _mm256_setzero_si256();
-  // Uniform-length halving: every lane probes data[lo + half] and advances
-  // lo by half only when that element is <= its key, converging on the
-  // last index with data[index] <= key (identical to upper_bound - 1).
-  std::size_t len = n;
-  while (len > 1) {
-    const std::size_t half = len >> 1;
-    const __m256i vhalf = _mm256_set1_epi64x(static_cast<long long>(half));
-    const __m256i g0 = _mm256_xor_si256(
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(data),
-                               _mm256_add_epi64(lo0, vhalf), 8),
-        bias);
-    const __m256i g1 = _mm256_xor_si256(
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(data),
-                               _mm256_add_epi64(lo1, vhalf), 8),
-        bias);
-    // data[lo+half] <= key  <=>  !(data[lo+half] > key)
-    lo0 = _mm256_add_epi64(lo0,
-                           _mm256_andnot_si256(_mm256_cmpgt_epi64(g0, k0),
-                                               vhalf));
-    lo1 = _mm256_add_epi64(lo1,
-                           _mm256_andnot_si256(_mm256_cmpgt_epi64(g1, k1),
-                                               vhalf));
-    len -= half;
-  }
-  alignas(32) long long lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), lo0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), lo1);
-  for (unsigned i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint32_t>(lanes[i]);
-  }
-}
-
-}  // namespace
-#endif
-
-bool lower_bound_u64x8(const std::uint64_t* data, std::size_t n,
-                       const std::uint64_t* keys, std::uint32_t* out) {
-#if defined(OFMTL_SIMD_X86)
-  if (active_level() == Level::kAvx2) {
-    lower_bound_u64x8_avx2(data, n, keys, out);
-    return true;
-  }
-#endif
-  (void)data;
-  (void)n;
-  (void)keys;
-  (void)out;
-  return false;
 }
 
 }  // namespace ofmtl::simd

@@ -1,11 +1,8 @@
-// Vector shim of the SIMD lane engine: the three innermost probe kernels
-// (flat-hash tag-group compare, branchless lower-bound, popcount trie
-// descent) run on 16-byte groups through the primitives below. The backend
-// is selected at configure time (-DOFMTL_SIMD=ON compiles the x86-64 /
-// aarch64 intrinsics paths, OFF leaves only portable SWAR) and verified at
-// runtime: SSE2/NEON are baseline for their ISAs, AVX2 is probed via CPUID
-// on first use and silently degrades to the 128-bit path — with a one-time
-// traced fallback event — instead of faulting on older hardware.
+// Vector shim of the SIMD lane engine: the flat-hash tag-group compare runs
+// on 16-byte groups through the primitives below. The backend is selected
+// at configure time (-DOFMTL_SIMD=ON compiles the x86-64 / aarch64
+// intrinsics paths, OFF leaves only portable SWAR); SSE2 and NEON are
+// baseline for their ISAs, so no runtime CPU probe is needed.
 //
 // Tests flip force_swar() to run every suite twice; the SWAR kernels are
 // bit-identical to the vector ones by construction, which the extended
@@ -29,20 +26,16 @@
 
 namespace ofmtl::simd {
 
-/// Backend actually driving the kernels (after runtime verification).
+/// Backend driving the kernels.
 enum class Level : std::uint8_t {
   kSwar,  ///< portable 64-bit SWAR (also the -DOFMTL_SIMD=OFF build)
-  kSse2,  ///< x86-64 baseline 128-bit (no CPUID needed)
+  kSse2,  ///< x86-64 baseline 128-bit
   kNeon,  ///< aarch64 baseline 128-bit
-  kAvx2,  ///< x86-64 with CPUID-verified AVX2 (gathered lower-bound)
 };
 
 [[nodiscard]] const char* to_string(Level level);
 
-/// Best level this binary + CPU supports (CPUID-checked once, cached).
-/// On x86-64 without AVX2 the first call emits the one-time fallback
-/// notice (kSimdFallback trace event + stderr line) instead of letting an
-/// AVX2 kernel SIGILL later.
+/// Level this binary was compiled for (the ISA baseline of its target).
 [[nodiscard]] Level detect_level();
 
 /// detect_level(), or kSwar while force_swar(true) is in effect.
@@ -162,9 +155,9 @@ class ScopedForceSwar {
 }
 #endif
 
-/// Dispatch: the 128-bit paths are ISA baseline (no CPUID), so the only
-/// runtime branch is the test-only force_swar flag — absent entirely from
-/// the -DOFMTL_SIMD=OFF build.
+/// Dispatch: the 128-bit paths are ISA baseline, so the only runtime branch
+/// is the test-only force_swar flag — absent entirely from the
+/// -DOFMTL_SIMD=OFF build.
 [[nodiscard]] inline std::uint32_t match_bytes16(const std::uint8_t* group,
                                                  std::uint8_t tag) {
 #if defined(OFMTL_SIMD_X86)
@@ -183,17 +176,5 @@ class ScopedForceSwar {
 #endif
   return match_special16_swar(group);
 }
-
-// --- 8-lane branchless lower-bound ------------------------------------------
-
-/// out[i] = largest index j with data[j] <= keys[i], for 8 keys against the
-/// same sorted array (requires data[0] <= every key, which the interval
-/// index guarantees with boundaries_[0] == 0). AVX2 gathered implementation;
-/// returns false (caller runs the scalar branchless loop) when AVX2 is
-/// unavailable or SWAR is forced. Unsigned order is preserved under signed
-/// 64-bit compares by biasing both sides with 2^63.
-[[nodiscard]] bool lower_bound_u64x8(const std::uint64_t* data, std::size_t n,
-                                     const std::uint64_t* keys,
-                                     std::uint32_t* out);
 
 }  // namespace ofmtl::simd

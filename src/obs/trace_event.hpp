@@ -20,7 +20,8 @@
 namespace ofmtl::obs {
 
 /// Every instrumented hot-path event. Values are part of the on-disk trace
-/// format (tools/trace_export reads raw records), so append only.
+/// format (tools/trace_export reads raw records), so append only; a removed
+/// event's id is retired, never reused, and decodes as "unknown".
 enum class TraceEvent : std::uint16_t {
   kTimeSync = 0,      ///< payload = absolute steady-clock ns (decoder anchor)
   kBatchBegin = 1,    ///< worker dequeued a batch; payload = packet count
@@ -36,13 +37,10 @@ enum class TraceEvent : std::uint16_t {
   kCacheEpochInvalidations = 11,  ///< stale-epoch hits voided; payload = count
   kReplayPassBegin = 12,  ///< trace replay pass; payload = pass index
   kReplayPassEnd = 13,    ///< trace replay pass done; payload = packets
-  kOfpRead = 14,    ///< OFP session ingested bytes; arg = session, payload = n
-  kOfpDecode = 15,  ///< OFP frame decode attempt; arg = session,
-                    ///< payload = (status << 32) | frame bytes
+  // 14 and 15 are retired ids: never reuse them.
   kOfpApplyBegin = 16,  ///< flow-mod batch handed to the sink; payload = mods
   kOfpApplyEnd = 17,    ///< flow-mod batch published; payload = mods
-  kSimdFallback = 18,   ///< CPU lacks the compiled vector ISA; payload =
-                        ///< the simd::Level actually selected (one-shot)
+  // 18 is a retired id: never reuse it.
   kWallClockSync = 19,  ///< payload = realtime (wall) ns; always emitted
                         ///< immediately after a kTimeSync anchor, so the
                         ///< (mono, wall) pair aligns rings from different
@@ -116,11 +114,8 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kCacheEpochInvalidations: return "cache_epoch_inval";
     case TraceEvent::kReplayPassBegin:
     case TraceEvent::kReplayPassEnd: return "replay_pass";
-    case TraceEvent::kOfpRead: return "ofp_read";
-    case TraceEvent::kOfpDecode: return "ofp_decode";
     case TraceEvent::kOfpApplyBegin:
     case TraceEvent::kOfpApplyEnd: return "ofp_apply";
-    case TraceEvent::kSimdFallback: return "simd_fallback";
     case TraceEvent::kWallClockSync: return "wall_clock_sync";
     case TraceEvent::kOfpReadBegin:
     case TraceEvent::kOfpReadEnd: return "ofp_ingest";

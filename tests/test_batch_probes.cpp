@@ -185,8 +185,8 @@ TEST(BatchProbes, RangeMatcherMatchesScalar) {
 }
 
 TEST(BatchProbes, RangeMatcherWideFieldMatchesScalar) {
-  // width 32 exceeds the rank-select limit: covers the branchless search /
-  // AVX2-gather wide path end to end.
+  // width 32 exceeds the rank-select limit: covers the prefetched branchless
+  // halving of the wide path end to end.
   run_both_backends([] { expect_range_batch_matches_scalar(32, 1234); });
 }
 
@@ -352,38 +352,6 @@ TEST(SimdSwarIdentity, TagGroupKernelsRandomAndAdversarial) {
     }
     ASSERT_EQ(simd::match_special16(group.data()),
               simd::match_special16_swar(group.data()));
-  }
-}
-
-TEST(SimdSwarIdentity, LowerBoundKernelMatchesScalar) {
-  if (simd::active_level() != simd::Level::kAvx2) {
-    GTEST_SKIP() << "AVX2 unavailable: vector lower-bound not in play";
-  }
-  Rng rng(909);
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t n = 1 + rng.below(300);
-    std::vector<std::uint64_t> data;
-    data.push_back(0);  // the interval index guarantees data[0] == 0
-    for (std::size_t i = 1; i < n; ++i) data.push_back(rng.next());
-    std::sort(data.begin(), data.end());
-    data.erase(std::unique(data.begin(), data.end()), data.end());
-    std::uint64_t keys[8];
-    for (auto& key : keys) {
-      // Mix interior draws with exact boundaries and extremes.
-      switch (rng.below(4)) {
-        case 0: key = data[rng.below(data.size())]; break;
-        case 1: key = ~std::uint64_t{0}; break;
-        default: key = rng.next(); break;
-      }
-    }
-    std::uint32_t out[8];
-    ASSERT_TRUE(simd::lower_bound_u64x8(data.data(), data.size(), keys, out));
-    for (unsigned i = 0; i < 8; ++i) {
-      const auto it =
-          std::upper_bound(data.begin(), data.end(), keys[i]) - 1;
-      ASSERT_EQ(out[i], static_cast<std::uint32_t>(it - data.begin()))
-          << "round=" << round << " lane=" << i << " key=" << keys[i];
-    }
   }
 }
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "classifier/unibit_trie.hpp"
 #include "core/multibit_trie.hpp"
@@ -100,6 +102,19 @@ TEST(MultibitTrie, RemoveWithinLevelFallsBackToSameLevelPrefix) {
   trie.insert(Prefix::from_value(0b1010100000000000, 5, 16), 2);
   EXPECT_TRUE(trie.remove(Prefix::from_value(0b1010100000000000, 5, 16)));
   EXPECT_EQ(trie.lookup(0b1010100000000000), 1U);
+}
+
+TEST(MultibitTrie, RemoveFallsBackToLengthZeroPrefix) {
+  // The /0 is the only prefix left covering the /3's cells once it goes.
+  auto trie = MultibitTrie::partition16();
+  trie.insert(Prefix::from_value(0, 0, 16), 1);
+  trie.insert(Prefix::from_value(0xE000, 3, 16), 2);
+  EXPECT_TRUE(trie.remove(Prefix::from_value(0xE000, 3, 16)));
+  EXPECT_EQ(trie.lookup(0xE123), 1U);
+  std::vector<Label> labels;
+  trie.lookup_all(0xE123, labels);
+  EXPECT_EQ(labels, std::vector<Label>{1});
+  EXPECT_EQ(trie.level_stats(0).labelled_nodes, 32U);  // every L1 cell
 }
 
 TEST(MultibitTrie, NodeAccountingBasics) {
@@ -286,6 +301,77 @@ TEST_P(MbtOracle, RemovalKeepsOracleEquivalence) {
         const std::uint64_t key = rng.below(0x10000);
         EXPECT_EQ(mbt.lookup(key), oracle.lookup(key))
             << "step " << step << " key " << key;
+        std::vector<Label> mbt_all;
+        mbt.lookup_all(key, mbt_all);
+        auto oracle_all = oracle.lookup_all(key);  // shortest first
+        std::reverse(oracle_all.begin(), oracle_all.end());
+        EXPECT_EQ(mbt_all, oracle_all) << "step " << step << " key " << key;
+      }
+    }
+  }
+}
+
+/// A pool of candidate prefixes churned in and out of one trie.
+struct ChurnSet {
+  const char* name;
+  std::size_t pool;     ///< candidate prefixes
+  unsigned min_len;
+  unsigned max_len;
+  bool pin_default;     ///< a /0 stays live throughout
+  int steps;
+};
+
+TEST_P(MbtOracle, ChurnMatchesOnePassRebuild) {
+  // After every insert/remove/relabel step the churned trie must answer
+  // every key exactly like a trie built in one pass from the surviving
+  // prefixes. The sparse set keeps a few short disjoint-ish prefixes over a
+  // pinned /0, so removals fall back to the /0 alone.
+  const ChurnSet sets[] = {
+      {"dense", 40, 0, 16, false, 80},
+      {"sparse_over_default", 8, 1, 6, true, 40},
+  };
+  workload::Rng rng(0xC4A9);
+  for (const ChurnSet& set : sets) {
+    std::vector<Prefix> pool;
+    for (std::size_t i = 0; i < set.pool; ++i) {
+      const auto len = static_cast<unsigned>(
+          set.min_len + rng.below(set.max_len - set.min_len + 1));
+      pool.push_back(Prefix::from_value(rng.below(0x10000), len, 16));
+    }
+    std::vector<std::optional<Label>> live(pool.size());
+    Label next_label = 0;
+    MultibitTrie churned(16, GetParam().strides);
+    const Prefix default_route = Prefix::from_value(0, 0, 16);
+    if (set.pin_default) churned.insert(default_route, 999);
+    for (int step = 0; step < set.steps; ++step) {
+      const std::size_t pick = rng.below(pool.size());
+      // Duplicates in the pool share one stored prefix, so they change
+      // together.
+      std::optional<Label> now;
+      if (live[pick] && rng.chance(0.6)) {
+        ASSERT_TRUE(churned.remove(pool[pick]));
+      } else {
+        // Fresh insert or in-place relabel of a live prefix.
+        now = next_label++;
+        churned.insert(pool[pick], *now);
+      }
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        if (pool[i] == pool[pick]) live[i] = now;
+      }
+      MultibitTrie rebuilt(16, GetParam().strides);
+      if (set.pin_default) rebuilt.insert(default_route, 999);
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        if (live[i]) rebuilt.insert(pool[i], *live[i]);
+      }
+      ASSERT_EQ(churned.prefix_count(), rebuilt.prefix_count());
+      std::vector<Label> got;
+      std::vector<Label> want;
+      for (std::uint64_t key = 0; key < 0x10000; ++key) {
+        ASSERT_EQ(churned.lookup(key), rebuilt.lookup(key))
+            << set.name << " step " << step << " key " << key;
+        churned.lookup_all(key, got);
+        rebuilt.lookup_all(key, want);
+        ASSERT_EQ(got, want) << set.name << " step " << step << " key " << key;
       }
     }
   }

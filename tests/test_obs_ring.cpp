@@ -78,6 +78,11 @@ TEST(TraceRecordTest, EveryEventHasNameAndBeginEndPairing) {
   for (std::uint16_t raw = 0;
        raw < static_cast<std::uint16_t>(TraceEvent::kEventCount); ++raw) {
     const auto event = static_cast<TraceEvent>(raw);
+    // Ids of removed events stay unused so old dumps still decode.
+    if (raw == 14 || raw == 15 || raw == 18) {
+      EXPECT_STREQ(trace_event_name(event), "unknown") << raw;
+      continue;
+    }
     EXPECT_STRNE(trace_event_name(event), "unknown");
     if (trace_event_kind(event) == TraceEventKind::kBegin) {
       // The matching end is the next enumerator and shares the slice name —

@@ -212,7 +212,10 @@ TEST(ParallelRuntime, SteadyStateWorkerLoopsAllocationFree) {
   const auto app = make_app(FilterApp::kRouting, "yoza");
   constexpr std::size_t kWorkers = 2;
   constexpr std::size_t kBatch = 64;
-  ParallelRuntime rt(app.accelerated.clone(), {.workers = kWorkers});
+  // Stealing off: each queue's batches run on its own worker, so the
+  // per-queue drain check below cannot be defeated by a sibling.
+  ParallelRuntime rt(app.accelerated.clone(),
+                     {.workers = kWorkers, .work_stealing = false});
   // Per-queue dedicated result arrays so every buffer reaches its high-water
   // capacity during the warm passes.
   std::vector<std::vector<ExecutionResult>> results(kWorkers);
