@@ -201,34 +201,6 @@ void FieldSearch::seal() {
   if (ranges_) ranges_->seal();
 }
 
-void FieldSearch::search(const PacketHeader& header,
-                         std::vector<LabelList>& out) const {
-  switch (method()) {
-    case MatchMethod::kExact: {
-      LabelList list;
-      if (const auto label = lut_->lookup(header.get(field_))) {
-        list.push_back(*label);
-      }
-      if (em_any_label_ && em_any_refs_ > 0) list.push_back(*em_any_label_);
-      out.push_back(std::move(list));
-      return;
-    }
-    case MatchMethod::kLongestPrefix: {
-      for (std::size_t p = 0; p < tries_.size(); ++p) {
-        LabelList list;
-        tries_[p].lookup_all(header.partition16(field_, static_cast<unsigned>(p)),
-                             list);
-        out.push_back(std::move(list));
-      }
-      return;
-    }
-    case MatchMethod::kRange: {
-      out.push_back(ranges_->lookup(header.get64(field_)));
-      return;
-    }
-  }
-}
-
 void FieldSearch::search(const PacketHeader& header, SearchContext& ctx,
                          std::size_t lane, std::size_t slot_base) const {
   switch (method()) {

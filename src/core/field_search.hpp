@@ -60,9 +60,6 @@ class FieldSearch {
   /// queries from their level arrays and need no sealing).
   void seal();
 
-  /// Search a packet: one candidate list per algorithm, appended to `out`.
-  void search(const PacketHeader& header, std::vector<LabelList>& out) const;
-
   /// Allocation-free search of one packet (context lane `lane`): fills the
   /// context slots [slot_base, slot_base + algorithm_count()).
   void search(const PacketHeader& header, SearchContext& ctx, std::size_t lane,

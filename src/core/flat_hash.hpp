@@ -1,4 +1,4 @@
-// Shared primitives of the sealed flat open-addressing tables: the
+// Shared primitives of the flat open-addressing tables: the
 // splitmix64 finalizer that spreads dense keys, the power-of-two capacity
 // rule (>= 2x the entry count, so probe chains stay short and always find
 // an empty slot), and the SwissTable-style tag-group probe loops every flat
@@ -44,8 +44,8 @@ inline void reserve_for_append(std::vector<T>& v, std::size_t extra) {
   return capacity;
 }
 
-/// Incremental-insert rebuild rule shared by every tombstoning flat table
-/// (IndexCalculator stages + final table, MultibitTrie prefix table): with
+/// Incremental-insert rebuild rule of IndexCalculator's tombstoning flat
+/// tables (its stages and its final key table): with
 /// `used` non-empty slots (live + tombstoned) in `capacity`, accepting one
 /// more insert must keep at least half the slots truly empty, so probe
 /// chains stay short and always terminate.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/flat_hash.hpp"
 
@@ -13,6 +14,7 @@ using detail::flat_needs_rebuild;
 using detail::flat_tag_capacity;
 using detail::kTagDeleted;
 using detail::kTagEmpty;
+using detail::kTagGroup;
 using detail::mix64;
 using detail::reserve_for_append;
 using detail::tag_find;
@@ -28,8 +30,9 @@ IndexCalculator::IndexCalculator(std::size_t algorithm_count)
     throw std::invalid_argument("index calculator needs >= 1 algorithm");
   }
   stages_.resize(stage_count_);
+  for (FlatStage& stage : stages_) rebuild_stage(stage, kTagGroup);
   next_intermediate_.assign(stage_count_, 0);
-  stage_used_.assign(stage_count_, 0);
+  rebuild_final(kTagGroup);
 }
 
 void IndexCalculator::add_rule(const std::vector<Label>& signature,
@@ -38,19 +41,30 @@ void IndexCalculator::add_rule(const std::vector<Label>& signature,
     throw std::invalid_argument("signature arity mismatch");
   }
   Label accumulated = signature[0];
-  for (std::size_t stage = 0; stage < stage_count_; ++stage) {
-    const PairKey key = pair_key(accumulated, signature[stage + 1]);
-    const auto [it, inserted] = stages_[stage].try_emplace(
-        key, PairEntry{next_intermediate_[stage], 0});
-    if (inserted) {
-      ++next_intermediate_[stage];
-      if (sealed_) flat_stage_insert(stage, key, it->second.label);
+  for (std::size_t s = 0; s < stage_count_; ++s) {
+    FlatStage& stage = stages_[s];
+    const PairKey key = pair_key(accumulated, signature[s + 1]);
+    const std::uint64_t hash = mix64(key);
+    std::size_t index =
+        tag_find(stage.tags.data(), stage.mask, hash,
+                 [&](std::size_t slot) { return stage.keys[slot] == key; });
+    if (index == SIZE_MAX) {
+      if (flat_needs_rebuild(stage.used, stage.tags.size())) {
+        rebuild_stage(stage, flat_tag_capacity(stage.live + 1));
+      }
+      index = tag_insert_slot(stage.tags.data(), stage.mask, hash);
+      if (stage.tags[index] == kTagEmpty) ++stage.used;
+      ++stage.live;
+      stage.tags[index] = tag_of(hash);
+      stage.keys[index] = key;
+      stage.labels[index] = next_intermediate_[s]++;
+      stage.refs[index] = 0;
     }
-    ++it->second.refs;
-    accumulated = it->second.label;
+    ++stage.refs[index];
+    accumulated = stage.labels[index];
   }
-  rules_[accumulated].push_back(rule_index);
-  if (sealed_) final_add(accumulated, rule_index);
+  final_add(accumulated, rule_index);
+  ++rule_count_;
 }
 
 void IndexCalculator::remove_rule(const std::vector<Label>& signature,
@@ -58,70 +72,78 @@ void IndexCalculator::remove_rule(const std::vector<Label>& signature,
   if (signature.size() != stage_count_ + 1) {
     throw std::invalid_argument("signature arity mismatch");
   }
-  // First walk: collect the pair entries along the signature's path.
-  std::vector<std::unordered_map<PairKey, PairEntry>::iterator> path;
+  // Check walk: locate every slot on the signature's path, and the rule in
+  // its final region, before changing anything.
+  std::vector<std::size_t> path(stage_count_);
   Label accumulated = signature[0];
-  for (std::size_t stage = 0; stage < stage_count_; ++stage) {
-    const auto it =
-        stages_[stage].find(pair_key(accumulated, signature[stage + 1]));
-    if (it == stages_[stage].end()) {
+  for (std::size_t s = 0; s < stage_count_; ++s) {
+    const FlatStage& stage = stages_[s];
+    const PairKey key = pair_key(accumulated, signature[s + 1]);
+    path[s] = tag_find(stage.tags.data(), stage.mask, mix64(key),
+                       [&](std::size_t slot) { return stage.keys[slot] == key; });
+    if (path[s] == SIZE_MAX) {
       throw std::invalid_argument("remove_rule: signature not registered");
     }
-    path.push_back(it);
-    accumulated = it->second.label;
+    accumulated = stage.labels[path[s]];
   }
-  const auto rules_it = rules_.find(accumulated);
-  if (rules_it == rules_.end()) {
+  const std::size_t slot = find_final(accumulated, mix64(accumulated));
+  if (slot == SIZE_MAX) {
     throw std::invalid_argument("remove_rule: signature not registered");
   }
-  auto& indices = rules_it->second;
-  const auto pos = std::find(indices.begin(), indices.end(), rule_index);
-  if (pos == indices.end()) {
+  const auto region = final_rules_.begin() + final_offsets_[slot];
+  const std::uint32_t count = final_counts_[slot];
+  const auto pos = std::find(region, region + count, rule_index);
+  if (pos == region + count) {
     throw std::invalid_argument("remove_rule: rule not registered");
   }
-  indices.erase(pos);
-  if (indices.empty()) rules_.erase(rules_it);
-  if (sealed_) final_remove(accumulated, rule_index);
-  // Second walk: release references (reverse order so upstream pairs are
-  // still intact while downstream ones are dropped).
-  for (std::size_t stage = stage_count_; stage-- > 0;) {
-    if (--path[stage]->second.refs == 0) {
-      const PairKey key = path[stage]->first;
-      stages_[stage].erase(path[stage]);
-      if (sealed_) flat_stage_erase(stage, key);
+  *pos = region[count - 1];
+  final_counts_[slot] = count - 1;
+  --rule_count_;
+  if (count == 1) {
+    // Last rule of this label: tombstone the key slot, abandon the region.
+    final_tags_[slot] = kTagDeleted;
+    final_garbage_ += final_caps_[slot];
+    final_caps_[slot] = 0;
+    --final_live_;
+  }
+  // Release the path's references; a pair no rule shares any more becomes
+  // a tombstone, not an empty slot, since it may sit mid-chain for others.
+  for (std::size_t s = 0; s < stage_count_; ++s) {
+    FlatStage& stage = stages_[s];
+    if (--stage.refs[path[s]] == 0) {
+      stage.tags[path[s]] = kTagDeleted;
+      --stage.live;
     }
   }
 }
 
-void IndexCalculator::seal() {
-  if (sealed_) return;
-  flat_stages_.assign(stage_count_, FlatStage{});
-  for (std::size_t stage = 0; stage < stage_count_; ++stage) {
-    rebuild_stage(stage);
-  }
-  rebuild_final();
-  sealed_ = true;
-}
-
-void IndexCalculator::rebuild_stage(std::size_t stage) {
-  FlatStage& flat = flat_stages_[stage];
-  const std::size_t capacity = flat_tag_capacity(stages_[stage].size());
-  flat.keys.assign(capacity, 0);
-  flat.labels.assign(capacity, kNoLabel);
-  flat.tags.assign(capacity, kTagEmpty);
-  flat.mask = capacity - 1;
-  stage_used_[stage] = stages_[stage].size();
-  for (const auto& [key, entry] : stages_[stage]) {
-    const std::uint64_t hash = mix64(key);
-    const std::size_t index = tag_insert_slot(flat.tags.data(), flat.mask, hash);
-    flat.tags[index] = tag_of(hash);
-    flat.keys[index] = key;
-    flat.labels[index] = entry.label;
+void IndexCalculator::rebuild_stage(FlatStage& stage, std::size_t capacity) {
+  const FlatStage old = std::exchange(stage, FlatStage{});
+  stage.keys.assign(capacity, 0);
+  stage.labels.assign(capacity, kNoLabel);
+  stage.tags.assign(capacity, kTagEmpty);
+  stage.refs.assign(capacity, 0);
+  stage.mask = capacity - 1;
+  stage.used = old.live;
+  stage.live = old.live;
+  for (std::size_t i = 0; i < old.tags.size(); ++i) {
+    if (old.tags[i] >= 0x80) continue;  // empty or tombstoned
+    const std::uint64_t hash = mix64(old.keys[i]);
+    const std::size_t index =
+        tag_insert_slot(stage.tags.data(), stage.mask, hash);
+    stage.tags[index] = tag_of(hash);
+    stage.keys[index] = old.keys[i];
+    stage.labels[index] = old.labels[i];
+    stage.refs[index] = old.refs[i];
   }
 }
 
-void IndexCalculator::rebuild_final() {
-  const std::size_t capacity = flat_tag_capacity(rules_.size());
+void IndexCalculator::rebuild_final(std::size_t capacity) {
+  const std::vector<std::uint64_t> old_keys = std::move(final_keys_);
+  const std::vector<std::uint8_t> old_tags = std::move(final_tags_);
+  const std::vector<std::uint32_t> old_offsets = std::move(final_offsets_);
+  const std::vector<std::uint32_t> old_counts = std::move(final_counts_);
+  const std::vector<std::uint32_t> old_rules = std::move(final_rules_);
   final_keys_.assign(capacity, 0);
   final_tags_.assign(capacity, kTagEmpty);
   final_offsets_.assign(capacity, 0);
@@ -129,46 +151,22 @@ void IndexCalculator::rebuild_final() {
   final_caps_.assign(capacity, 0);
   final_mask_ = capacity - 1;
   final_rules_.clear();
-  final_used_ = rules_.size();
+  final_used_ = final_live_;
   final_garbage_ = 0;
-  for (const auto& [label, indices] : rules_) {
-    const std::uint64_t hash = mix64(label);
+  for (std::size_t i = 0; i < old_tags.size(); ++i) {
+    if (old_tags[i] >= 0x80) continue;  // empty or tombstoned
+    const std::uint64_t hash = mix64(old_keys[i]);
     const std::size_t index =
         tag_insert_slot(final_tags_.data(), final_mask_, hash);
     final_tags_[index] = tag_of(hash);
-    final_keys_[index] = label;
+    final_keys_[index] = old_keys[i];
     final_offsets_[index] = static_cast<std::uint32_t>(final_rules_.size());
-    final_counts_[index] = static_cast<std::uint32_t>(indices.size());
-    final_caps_[index] = static_cast<std::uint32_t>(indices.size());
-    final_rules_.insert(final_rules_.end(), indices.begin(), indices.end());
+    final_counts_[index] = old_counts[i];
+    final_caps_[index] = old_counts[i];
+    final_rules_.insert(final_rules_.end(),
+                        old_rules.begin() + old_offsets[i],
+                        old_rules.begin() + old_offsets[i] + old_counts[i]);
   }
-}
-
-void IndexCalculator::flat_stage_insert(std::size_t stage, PairKey key,
-                                        Label label) {
-  FlatStage& flat = flat_stages_[stage];
-  // The rebuild reads stages_[stage], which already contains the new pair.
-  if (flat_needs_rebuild(stage_used_[stage], flat.keys.size())) {
-    rebuild_stage(stage);
-    return;
-  }
-  const std::uint64_t hash = mix64(key);
-  const std::size_t index = tag_insert_slot(flat.tags.data(), flat.mask, hash);
-  if (flat.tags[index] == kTagEmpty) ++stage_used_[stage];
-  flat.tags[index] = tag_of(hash);
-  flat.keys[index] = key;
-  flat.labels[index] = label;
-}
-
-void IndexCalculator::flat_stage_erase(std::size_t stage, PairKey key) {
-  FlatStage& flat = flat_stages_[stage];
-  const std::size_t index =
-      tag_find(flat.tags.data(), flat.mask, mix64(key),
-               [&](std::size_t slot) { return flat.keys[slot] == key; });
-  if (index == SIZE_MAX) return;  // unreachable: key was mapped
-  // Tombstone, not empty: the slot may sit mid-chain for other keys.
-  flat.tags[index] = kTagDeleted;
-  flat.labels[index] = kNoLabel;
 }
 
 std::uint32_t IndexCalculator::append_final_region(std::uint32_t capacity) {
@@ -178,69 +176,41 @@ std::uint32_t IndexCalculator::append_final_region(std::uint32_t capacity) {
 }
 
 void IndexCalculator::final_add(Label final_label, std::uint32_t rule_index) {
-  // Rebuild triggers up front (the rules_ map already holds the new rule):
-  // key-table load past the shared 50% rule, or more than half of
-  // final_rules_ abandoned.
-  if (flat_needs_rebuild(final_used_, final_keys_.size()) ||
-      (final_rules_.size() >= 64 && 2 * final_garbage_ > final_rules_.size())) {
-    rebuild_final();
-    return;
-  }
   const std::uint64_t hash = mix64(final_label);
-  const std::size_t slot =
-      tag_find(final_tags_.data(), final_mask_, hash,
-               [&](std::size_t s) { return final_keys_[s] == final_label; });
-  if (slot == SIZE_MAX) {
+  std::size_t slot = find_final(final_label, hash);
+  const bool fresh = slot == SIZE_MAX;
+  // Rebuild triggers: key-table load past the shared 50% rule for a new
+  // label, or more than half of final_rules_ abandoned.
+  if ((fresh && flat_needs_rebuild(final_used_, final_tags_.size())) ||
+      (final_rules_.size() >= 64 && 2 * final_garbage_ > final_rules_.size())) {
+    rebuild_final(flat_tag_capacity(final_live_ + (fresh ? 1 : 0)));
+    if (!fresh) slot = find_final(final_label, hash);
+  }
+  if (fresh) {
     // New final label: reuse the first empty-or-tombstoned slot on the
     // probe path.
-    const std::size_t target =
-        tag_insert_slot(final_tags_.data(), final_mask_, hash);
-    if (final_tags_[target] == kTagEmpty) ++final_used_;
     constexpr std::uint32_t kInitialCap = 2;
-    final_tags_[target] = tag_of(hash);
-    final_keys_[target] = final_label;
-    final_offsets_[target] = append_final_region(kInitialCap);
-    final_caps_[target] = kInitialCap;
-    final_counts_[target] = 1;
-    final_rules_[final_offsets_[target]] = rule_index;
-    return;
-  }
-  const std::uint32_t count = final_counts_[slot];
-  if (count == final_caps_[slot]) {
+    slot = tag_insert_slot(final_tags_.data(), final_mask_, hash);
+    if (final_tags_[slot] == kTagEmpty) ++final_used_;
+    ++final_live_;
+    final_tags_[slot] = tag_of(hash);
+    final_keys_[slot] = final_label;
+    final_offsets_[slot] = append_final_region(kInitialCap);
+    final_caps_[slot] = kInitialCap;
+    final_counts_[slot] = 0;
+  } else if (final_counts_[slot] == final_caps_[slot]) {
     // Region full: relocate to a doubled region at the tail; the old region
     // becomes garbage until the next compaction.
     const std::uint32_t new_cap = final_caps_[slot] * 2;
     const std::uint32_t new_offset = append_final_region(new_cap);
     std::copy(final_rules_.begin() + final_offsets_[slot],
-              final_rules_.begin() + final_offsets_[slot] + count,
+              final_rules_.begin() + final_offsets_[slot] + final_counts_[slot],
               final_rules_.begin() + new_offset);
     final_garbage_ += final_caps_[slot];
     final_offsets_[slot] = new_offset;
     final_caps_[slot] = new_cap;
   }
-  final_rules_[final_offsets_[slot] + count] = rule_index;
-  final_counts_[slot] = count + 1;
-}
-
-void IndexCalculator::final_remove(Label final_label, std::uint32_t rule_index) {
-  const std::size_t index =
-      tag_find(final_tags_.data(), final_mask_, mix64(final_label),
-               [&](std::size_t s) { return final_keys_[s] == final_label; });
-  if (index == SIZE_MAX) return;  // unreachable: was mapped
-  const std::uint32_t offset = final_offsets_[index];
-  const std::uint32_t count = final_counts_[index];
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (final_rules_[offset + i] != rule_index) continue;
-    final_rules_[offset + i] = final_rules_[offset + count - 1];
-    final_counts_[index] = count - 1;
-    if (count == 1) {
-      // Last rule of this label: tombstone the key slot, abandon the region.
-      final_tags_[index] = kTagDeleted;
-      final_garbage_ += final_caps_[index];
-      final_caps_[index] = 0;
-    }
-    return;
-  }
+  final_rules_[final_offsets_[slot] + final_counts_[slot]++] = rule_index;
 }
 
 Label IndexCalculator::probe_stage(const FlatStage& stage, PairKey key) const {
@@ -248,6 +218,21 @@ Label IndexCalculator::probe_stage(const FlatStage& stage, PairKey key) const {
       tag_find(stage.tags.data(), stage.mask, mix64(key),
                [&](std::size_t slot) { return stage.keys[slot] == key; });
   return index == SIZE_MAX ? kNoLabel : stage.labels[index];
+}
+
+std::size_t IndexCalculator::find_final(Label final_label,
+                                        std::uint64_t hash) const {
+  return tag_find(final_tags_.data(), final_mask_, hash,
+                  [&](std::size_t s) { return final_keys_[s] == final_label; });
+}
+
+void IndexCalculator::append_final_rules(std::size_t slot,
+                                         std::vector<std::uint32_t>& out) const {
+  const std::uint32_t offset = final_offsets_[slot];
+  const std::uint32_t count = final_counts_[slot];
+  reserve_for_append(out, count);
+  out.insert(out.end(), final_rules_.begin() + offset,
+             final_rules_.begin() + offset + count);
 }
 
 void IndexCalculator::combine(std::span<const LabelList> candidates,
@@ -260,56 +245,22 @@ void IndexCalculator::combine(std::span<const LabelList> candidates,
   // Progressive combination; the working set stays bounded by the number of
   // distinct rule signatures compatible with the packet so far.
   current.assign(candidates[0].begin(), candidates[0].end());
-  if (sealed_) {
-    for (std::size_t stage = 0; stage < stage_count_; ++stage) {
-      next.clear();
-      const FlatStage& flat = flat_stages_[stage];
-      for (const Label accumulated : current) {
-        for (const Label candidate : candidates[stage + 1]) {
-          const Label combined =
-              probe_stage(flat, pair_key(accumulated, candidate));
-          if (combined != kNoLabel) next.push_back(combined);
-        }
-      }
-      current.swap(next);
-      if (current.empty()) return;
-    }
-    for (const Label final_label : current) {
-      const std::size_t index = tag_find(
-          final_tags_.data(), final_mask_, mix64(final_label),
-          [&](std::size_t s) { return final_keys_[s] == final_label; });
-      if (index == SIZE_MAX) continue;
-      const std::uint32_t offset = final_offsets_[index];
-      const std::uint32_t count = final_counts_[index];
-      reserve_for_append(out, count);
-      out.insert(out.end(), final_rules_.begin() + offset,
-                 final_rules_.begin() + offset + count);
-    }
-    return;
-  }
-  for (std::size_t stage = 0; stage < stage_count_; ++stage) {
+  for (std::size_t s = 0; s < stage_count_; ++s) {
     next.clear();
     for (const Label accumulated : current) {
-      for (const Label candidate : candidates[stage + 1]) {
-        const auto it = stages_[stage].find(pair_key(accumulated, candidate));
-        if (it != stages_[stage].end()) next.push_back(it->second.label);
+      for (const Label candidate : candidates[s + 1]) {
+        const Label combined =
+            probe_stage(stages_[s], pair_key(accumulated, candidate));
+        if (combined != kNoLabel) next.push_back(combined);
       }
     }
     current.swap(next);
     if (current.empty()) return;
   }
   for (const Label final_label : current) {
-    const auto it = rules_.find(final_label);
-    if (it == rules_.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    const std::size_t slot = find_final(final_label, mix64(final_label));
+    if (slot != SIZE_MAX) append_final_rules(slot, out);
   }
-}
-
-void IndexCalculator::query(const std::vector<LabelList>& candidates,
-                            std::vector<std::uint32_t>& out) const {
-  std::vector<Label> current;
-  std::vector<Label> next;
-  combine({candidates.data(), candidates.size()}, current, next, out);
 }
 
 void IndexCalculator::query(std::span<const LabelList> candidates,
@@ -325,13 +276,6 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
   }
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     ctx.lane_matches(lane).clear();
-  }
-  if (!sealed_) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      combine(ctx.packet_candidates(lane), ctx.combine_current(),
-              ctx.combine_next(), ctx.lane_matches(lane));
-    }
-    return;
   }
   // All lanes' working label sets live in one flat arena (lane i's window is
   // [off[i], off[i+1])); two generations swap per stage. Compared to one
@@ -351,11 +295,11 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
     cur_off.push_back(static_cast<std::uint32_t>(cur.size()));
   }
   // Stage-synchronous progressive combination over lane windows (the same
-  // 8-lane windowing idiom as the trie descents — wider windows would
-  // outrun the hardware's outstanding-fill budget): within a window, pass 1
-  // hashes every lane's (accumulated, candidate) pairs once and prefetches
-  // their probe groups; pass 2 resolves them in the same order with the
-  // stored hashes. The per-lane pair traversal order matches the scalar
+  // 8-lane windowing idiom as ExactMatchLut::lookup_batch — wider windows
+  // would outrun the hardware's outstanding-fill budget): within a window,
+  // pass 1 hashes every lane's (accumulated, candidate) pairs once and
+  // prefetches their probe groups; pass 2 resolves them in the same order
+  // with the stored hashes. The per-lane pair traversal order matches the scalar
   // combine exactly, so each lane's match list is bitwise-identical to a
   // scalar query.
   constexpr std::size_t kLanes = 8;
@@ -366,7 +310,7 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
   auto& keys = ctx.batch_keys();
   auto& hashes = ctx.batch_hashes();
   for (std::size_t stage = 0; stage < stage_count_; ++stage) {
-    const FlatStage& flat = flat_stages_[stage];
+    const FlatStage& flat = stages_[stage];
     nxt.clear();
     nxt_off.clear();
     nxt_off.push_back(0);
@@ -433,16 +377,8 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       auto& out = ctx.lane_matches(lane);
       for (std::uint32_t i = cur_off[lane]; i < cur_off[lane + 1]; ++i) {
-        const Label final_label = cur[i];
-        const std::size_t index = tag_find(
-            final_tags_.data(), final_mask_, mix64(final_label),
-            [&](std::size_t s) { return final_keys_[s] == final_label; });
-        if (index == SIZE_MAX) continue;
-        const std::uint32_t offset = final_offsets_[index];
-        const std::uint32_t count = final_counts_[index];
-        reserve_for_append(out, count);
-        out.insert(out.end(), final_rules_.begin() + offset,
-                   final_rules_.begin() + offset + count);
+        const std::size_t slot = find_final(cur[i], mix64(cur[i]));
+        if (slot != SIZE_MAX) append_final_rules(slot, out);
       }
     }
     return;
@@ -463,16 +399,8 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
     for (std::size_t lane = base; lane < base + window; ++lane) {
       auto& out = ctx.lane_matches(lane);
       for (std::uint32_t i = cur_off[lane]; i < cur_off[lane + 1]; ++i, ++k) {
-        const Label final_label = cur[i];
-        const std::size_t index = tag_find(
-            final_tags_.data(), final_mask_, hashes[k],
-            [&](std::size_t s) { return final_keys_[s] == final_label; });
-        if (index == SIZE_MAX) continue;
-        const std::uint32_t offset = final_offsets_[index];
-        const std::uint32_t count = final_counts_[index];
-        reserve_for_append(out, count);
-        out.insert(out.end(), final_rules_.begin() + offset,
-                   final_rules_.begin() + offset + count);
+        const std::size_t slot = find_final(cur[i], hashes[k]);
+        if (slot != SIZE_MAX) append_final_rules(slot, out);
       }
     }
   }
@@ -482,7 +410,7 @@ mem::MemoryReport IndexCalculator::memory_report(const std::string& prefix) cons
   mem::MemoryReport report;
   for (std::size_t stage = 0; stage < stage_count_; ++stage) {
     // One word per valid pair: two input labels + the combined label.
-    const std::size_t pairs = stages_[stage].size();
+    const std::size_t pairs = stages_[stage].live;
     const unsigned in_bits =
         2 * (next_intermediate_[stage] <= 1
                  ? 1
@@ -492,14 +420,13 @@ mem::MemoryReport IndexCalculator::memory_report(const std::string& prefix) cons
     report.add(prefix + ".stage" + std::to_string(stage), pairs,
                in_bits + out_bits);
   }
-  report.add(prefix + ".final", rules_.size(), 32);
+  report.add(prefix + ".final", final_live_, 32);
   return report;
 }
 
 std::uint64_t IndexCalculator::update_words() const {
-  std::uint64_t words = 0;
-  for (const auto& stage : stages_) words += stage.size();
-  for (const auto& [label, indices] : rules_) words += indices.size();
+  std::uint64_t words = rule_count_;
+  for (const FlatStage& stage : stages_) words += stage.live;
   return words;
 }
 

@@ -6,16 +6,15 @@
 // algorithm-label) pairs, so only label combinations some rule actually uses
 // are ever materialized (no crossproduct explosion).
 //
-// Two states per stage: a mutable build/update path (reference-counted
-// unordered_maps, always current) and a sealed query path (flat open-
-// addressing arrays rebuilt by seal()). Queries probe the flat tables when
-// sealed and fall back to the maps otherwise, so sealing is purely a fast
-// path — LookupTable reseals after every bulk build and incremental update.
+// Each stage is one flat open-addressing table of pair -> label words, and
+// the final label -> rule-indices map is one CSR table behind its own flat
+// key table. These are the only copies: add_rule/remove_rule maintain them
+// in place (tombstone deletion, amortized rehash), and queries read them
+// directly.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/field_search.hpp"
@@ -29,40 +28,30 @@ class IndexCalculator {
   explicit IndexCalculator(std::size_t algorithm_count);
 
   /// Register a rule's signature (one label per algorithm, in order).
-  /// `rule_index` is the position in the table's entry array. On a sealed
-  /// calculator the flat query tables are maintained in place (amortized
-  /// O(signature), never an O(rules) rebuild) and stay sealed.
+  /// `rule_index` is the position in the table's entry array. Amortized
+  /// O(signature): tables grow by doubling, never by an O(rules) rebuild
+  /// per call.
   void add_rule(const std::vector<Label>& signature, std::uint32_t rule_index);
 
-  /// Unregister a rule. Pair entries are reference-counted across rules and
-  /// vanish when the last sharing rule leaves — the incremental-update
-  /// counterpart of add_rule. Throws if the signature was never registered.
-  /// Sealed calculators stay sealed (tombstone deletion).
+  /// Unregister a rule. Pairs are reference-counted across rules and are
+  /// tombstoned when the last sharing rule leaves — the incremental-update
+  /// counterpart of add_rule. Throws std::invalid_argument, leaving the
+  /// calculator unchanged, if the signature or rule was never registered.
   void remove_rule(const std::vector<Label>& signature, std::uint32_t rule_index);
 
-  /// Rebuild the flat query tables from the current pair maps. Once sealed,
-  /// add_rule/remove_rule keep the flat tables current incrementally, so
-  /// this runs once after bulk construction and is a no-op afterwards.
-  void seal();
-  [[nodiscard]] bool sealed() const { return sealed_; }
-
-  /// Query with per-algorithm candidate lists (most specific first). Appends
-  /// the indices of every rule whose signature is covered; order unspecified.
-  void query(const std::vector<LabelList>& candidates,
-             std::vector<std::uint32_t>& out) const;
-
   /// Allocation-free query: candidate lists as a contiguous span (one per
-  /// algorithm), working sets borrowed from `ctx`.
+  /// algorithm, most specific first), working sets borrowed from `ctx`.
+  /// Appends the indices of every rule whose signature is covered; order
+  /// unspecified.
   void query(std::span<const LabelList> candidates, SearchContext& ctx,
              std::vector<std::uint32_t>& out) const;
 
   /// Batched allocation-free query over every lane prepared in `ctx` (the
   /// per-lane candidate slots filled by the field searches): fills
   /// ctx.lane_matches(lane) with exactly what query(ctx.packet_candidates
-  /// (lane), ...) would produce, but probes the sealed flat stages
-  /// interleaved across lanes with software prefetch — stage by stage, every
-  /// lane's pair probes are issued before any lane's are resolved. Unsealed
-  /// calculators fall back to the per-lane scalar combine.
+  /// (lane), ...) would produce, but probes the flat stages interleaved
+  /// across lanes with software prefetch — stage by stage, every lane's pair
+  /// probes are issued before any lane's are resolved.
   void query_batch(SearchContext& ctx) const;
 
   [[nodiscard]] std::size_t algorithm_count() const { return stage_count_ + 1; }
@@ -77,57 +66,53 @@ class IndexCalculator {
     return (std::uint64_t{a} << 32) | b;
   }
 
-  struct PairEntry {
-    Label label = 0;
-    std::uint32_t refs = 0;
-  };
-
-  /// Sealed form of one stage: open-addressed pair-key table, power-of-two
-  /// capacity, group-linear tag probing (core/flat_hash.hpp). Slot state
-  /// lives in the one-byte tags — keys/labels are meaningful only where the
-  /// tag is a live 7-bit hash tag.
+  /// One stage: open-addressed pair-key table, power-of-two capacity,
+  /// group-linear tag probing (core/flat_hash.hpp). Slot state lives in the
+  /// one-byte tags — keys/labels/refs are meaningful only where the tag is a
+  /// live 7-bit hash tag. Queries read tags/keys/labels; only updates touch
+  /// refs.
   struct FlatStage {
     std::vector<PairKey> keys;
     std::vector<Label> labels;
     std::vector<std::uint8_t> tags;
+    std::vector<std::uint32_t> refs;  // rules sharing the pair
     std::uint64_t mask = 0;
+    std::size_t used = 0;  // live + tombstoned slots
+    std::size_t live = 0;  // live pairs
   };
 
   [[nodiscard]] Label probe_stage(const FlatStage& stage, PairKey key) const;
+  /// Live final-table slot of `final_label` (hash = mix64(final_label)), or
+  /// SIZE_MAX.
+  [[nodiscard]] std::size_t find_final(Label final_label,
+                                       std::uint64_t hash) const;
+  /// Append the rule indices stored in final slot `slot` to `out`.
+  void append_final_rules(std::size_t slot,
+                          std::vector<std::uint32_t>& out) const;
   void combine(std::span<const LabelList> candidates, std::vector<Label>& current,
                std::vector<Label>& next, std::vector<std::uint32_t>& out) const;
 
-  /// --- incremental maintenance of the sealed tables (sealed_ only) ---
-  /// The mutable maps must already reflect the mutation: a load- or
-  /// garbage-triggered rebuild reads them.
-  void rebuild_stage(std::size_t stage);
-  void rebuild_final();
-  void flat_stage_insert(std::size_t stage, PairKey key, Label label);
-  void flat_stage_erase(std::size_t stage, PairKey key);
+  /// Rehash a stage's live slots into `capacity` slots (growth or
+  /// tombstone purge).
+  static void rebuild_stage(FlatStage& stage, std::size_t capacity);
+  /// Rehash the final key table's live slots into `capacity` slots and
+  /// compact their regions to the front of final_rules_.
+  void rebuild_final(std::size_t capacity);
   void final_add(Label final_label, std::uint32_t rule_index);
-  void final_remove(Label final_label, std::uint32_t rule_index);
   /// Append a zeroed region of `capacity` slots to final_rules_.
   [[nodiscard]] std::uint32_t append_final_region(std::uint32_t capacity);
 
   std::size_t stage_count_;  // = algorithm_count - 1
-  std::vector<std::unordered_map<PairKey, PairEntry>> stages_;
+  std::vector<FlatStage> stages_;
   std::vector<Label> next_intermediate_;  // per stage
-  // Final combined label -> rule indices (several rules may share a match
-  // signature at different priorities).
-  std::unordered_map<Label, std::vector<std::uint32_t>> rules_;
-  Label next_final_ = 0;
 
-  // Sealed query tables: one flat stage per pair map, plus the final
-  // label -> rule-index map flattened into CSR form behind its own flat
-  // key table. Incremental mutations keep them current without a full
-  // rebuild: stage/final slots tombstone on delete (probes skip tombstones,
-  // inserts reuse them), and each final label owns a slack-capacity region
-  // of final_rules_ that grows by relocation to the tail; abandoned regions
-  // are garbage until a threshold-triggered compaction. Rebuilds therefore
-  // run amortized-O(1) per mutation, never per-publish.
-  bool sealed_ = false;
-  std::vector<FlatStage> flat_stages_;
-  std::vector<std::size_t> stage_used_;        // live + tombstoned slots
+  // Final combined label -> rule indices (several rules may share a match
+  // signature at different priorities), flattened into CSR form behind its
+  // own flat key table. Key slots tombstone on delete (probes skip
+  // tombstones, inserts reuse them); each final label owns a slack-capacity
+  // region of final_rules_ that grows by relocation to the tail, and
+  // abandoned regions are garbage until a threshold-triggered compaction.
+  // Rebuilds therefore run amortized-O(1) per mutation, never per publish.
   std::vector<std::uint64_t> final_keys_;      // slot -> final label
   std::vector<std::uint8_t> final_tags_;       // slot state (tag-group probed)
   std::vector<std::uint32_t> final_offsets_;   // slot -> region offset
@@ -136,7 +121,9 @@ class IndexCalculator {
   std::vector<std::uint32_t> final_rules_;     // region storage
   std::uint64_t final_mask_ = 0;
   std::size_t final_used_ = 0;     // live + tombstoned key slots
+  std::size_t final_live_ = 0;     // live final labels
   std::size_t final_garbage_ = 0;  // abandoned final_rules_ slots
+  std::size_t rule_count_ = 0;     // registered rules
 };
 
 }  // namespace ofmtl

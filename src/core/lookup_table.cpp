@@ -24,7 +24,6 @@ LookupTable::LookupTable(std::vector<FieldId> fields,
     (void)insert_entry_impl(std::move(entry), /*seal_after=*/false);
   }
   for (auto& search : searches_) search.seal();
-  index_->seal();
 }
 
 LookupTable LookupTable::compile(const FlowTable& table, FieldSearchConfig config) {
@@ -64,12 +63,10 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   slots_[slot].seq = next_seq_++;
   slots_[slot].entry = std::move(entry);
   ++live_entries_;
-  // Newly built range/trie/index query structures need sealing before the
-  // next lookup; batch construction seals once at the end, incremental
-  // callers pay it here.
+  // Range matchers need sealing before the next lookup; batch construction
+  // seals once at the end, incremental callers pay it here.
   if (seal_after) {
     for (auto& search : searches_) search.seal();
-    index_->seal();
   }
   return slot;
 }
@@ -90,7 +87,6 @@ bool LookupTable::remove_entry(FlowEntryId id) {
   free_slots_.push_back(slot);
   --live_entries_;
   for (auto& search : searches_) search.seal();
-  index_->seal();
   return true;
 }
 

@@ -37,10 +37,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ofmtl {
 namespace {
@@ -193,7 +198,7 @@ TEST(BatchProbes, RangeMatcherWideFieldMatchesScalar) {
 /// Randomized signatures over a configurable arity; candidates drawn so a
 /// fraction resolves to real rules (nested LPM-style multi-candidate lists).
 void expect_index_batch_matches_scalar(std::size_t algorithms,
-                                       std::uint64_t seed, bool seal) {
+                                       std::uint64_t seed) {
   Rng rng(seed);
   IndexCalculator calc(algorithms);
   constexpr std::size_t kLabelSpace = 12;
@@ -209,7 +214,6 @@ void expect_index_batch_matches_scalar(std::size_t algorithms,
   for (std::uint32_t rule = 0; rule < 160; rule += 5) {
     calc.remove_rule(signatures[rule], rule);  // exercise ref-count drops
   }
-  if (seal) calc.seal();
 
   constexpr std::size_t kLanes = 37;  // deliberately not a lane-window multiple
   SearchContext ctx;
@@ -225,28 +229,22 @@ void expect_index_batch_matches_scalar(std::size_t algorithms,
     }
   }
   calc.query_batch(ctx);
+  SearchContext scalar_ctx;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     std::vector<std::uint32_t> expected;
-    calc.query(std::vector<LabelList>(ctx.packet_candidates(lane).begin(),
-                                      ctx.packet_candidates(lane).end()),
-               expected);
+    calc.query(ctx.packet_candidates(lane), scalar_ctx, expected);
     ASSERT_EQ(ctx.lane_matches(lane), expected)
-        << "algorithms=" << algorithms << " lane=" << lane
-        << " sealed=" << seal;
+        << "algorithms=" << algorithms << " lane=" << lane;
   }
 }
 
 TEST(BatchProbes, IndexCalculatorMatchesScalarSealed) {
   run_both_backends([] {
-    expect_index_batch_matches_scalar(1, 11, true);
-    expect_index_batch_matches_scalar(2, 22, true);
-    expect_index_batch_matches_scalar(4, 33, true);
-    expect_index_batch_matches_scalar(7, 44, true);
+    expect_index_batch_matches_scalar(1, 11);
+    expect_index_batch_matches_scalar(2, 22);
+    expect_index_batch_matches_scalar(4, 33);
+    expect_index_batch_matches_scalar(7, 44);
   });
-}
-
-TEST(BatchProbes, IndexCalculatorMatchesScalarUnsealedFallback) {
-  expect_index_batch_matches_scalar(3, 55, false);
 }
 
 TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
@@ -260,7 +258,6 @@ TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
     }
     calc.add_rule(signature, rule);
   }
-  calc.seal();
   constexpr std::size_t kLanes = 64;
   SearchContext ctx;
   ctx.begin(kLanes, kAlgorithms);

@@ -8,6 +8,17 @@
 namespace ofmtl {
 namespace {
 
+/// Search one packet through a fresh context; returns its candidate list
+/// per algorithm.
+std::vector<LabelList> search_one(const FieldSearch& search,
+                                  const PacketHeader& header) {
+  SearchContext ctx;
+  ctx.begin(1, search.algorithm_count());
+  search.search(header, ctx, 0, 0);
+  const auto candidates = ctx.packet_candidates(0);
+  return {candidates.begin(), candidates.end()};
+}
+
 TEST(FieldSearch, AlgorithmCounts) {
   EXPECT_EQ(FieldSearch(FieldId::kVlanId).algorithm_count(), 1U);
   EXPECT_EQ(FieldSearch(FieldId::kSrcPort).algorithm_count(), 1U);
@@ -27,15 +38,13 @@ TEST(FieldSearch, EmCandidates) {
 
   PacketHeader h;
   h.set_vlan_id(10);
-  std::vector<LabelList> out;
-  search.search(h, out);
+  auto out = search_one(search, h);
   ASSERT_EQ(out.size(), 1U);
   // Exact label first (most specific), wildcard after.
   EXPECT_EQ(out[0], (LabelList{exact[0], any[0]}));
 
   h.set_vlan_id(99);
-  out.clear();
-  search.search(h, out);
+  out = search_one(search, h);
   EXPECT_EQ(out[0], (LabelList{any[0]}));
 }
 
@@ -59,8 +68,7 @@ TEST(FieldSearch, LpmPartitionLabelsAndCandidates) {
 
   PacketHeader h;
   h.set_ipv4_dst(Ipv4Address{0x0A010203});
-  std::vector<LabelList> out;
-  search.search(h, out);
+  auto out = search_one(search, h);
   ASSERT_EQ(out.size(), 2U);
   // High partition: /16 piece of the /24 rule is longer than the /8 piece.
   EXPECT_EQ(out[0], (LabelList{labels24[0], labels8[0]}));
@@ -69,8 +77,7 @@ TEST(FieldSearch, LpmPartitionLabelsAndCandidates) {
 
   // An address only the /8 covers.
   h.set_ipv4_dst(Ipv4Address{0x0AFF0000});
-  out.clear();
-  search.search(h, out);
+  out = search_one(search, h);
   EXPECT_EQ(out[0], (LabelList{labels8[0]}));
   EXPECT_EQ(out[1], (LabelList{labels8[1]}));
 }
@@ -95,8 +102,7 @@ TEST(FieldSearch, RangeCandidatesNarrowestFirst) {
 
   PacketHeader h;
   h.set_dst_port(80);
-  std::vector<LabelList> out;
-  search.search(h, out);
+  auto out = search_one(search, h);
   EXPECT_EQ(out[0], (LabelList{tight[0], wide[0]}));
 }
 

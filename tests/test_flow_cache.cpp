@@ -32,10 +32,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ofmtl {
 namespace {
@@ -275,7 +280,12 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   for (auto& r : results) r.resize(kBatch);
   std::size_t mixed = 0;
   std::size_t rounds = 0;
-  while (rt.epoch() < kToggles || rounds < 8) {
+  // Drain until the churn is over and then 8 publish-free rounds more (each
+  // window twice per queue), so the cache-hit check below holds however
+  // slowly the writer's toggles interleave with the batches.
+  std::size_t settled = 0;
+  while (settled < 8) {
+    const bool churn_done = rt.epoch() == kToggles;
     const std::size_t base = (rounds % (stream.size() / kBatch)) * kBatch;
     for (std::size_t q = 0; q < kWorkers; ++q) {
       while (!rt.try_submit(q, {stream.data() + base, kBatch},
@@ -291,6 +301,7 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
       }
     }
     ++rounds;
+    if (churn_done) ++settled;
   }
   writer.join();
   EXPECT_EQ(mixed, 0u) << "a cached result leaked across a publish";
