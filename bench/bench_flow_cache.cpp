@@ -7,12 +7,20 @@
 // capacity) bounds the worst-case overhead the cache pre-pass adds when it
 // cannot help.
 //
+// Each cell is measured kRepeats times, cache off and on alternating, and
+// the fastest run is kept: interference from other tenants only ever slows
+// a run down, and a single 400-ms window on a shared host swings by tens of
+// percent.
+//
 // Writes BENCH_flow_cache.json (ns/packet per scenario plus hitrate/*
-// fractions). Two properties are CI-gated (scripts/check_bench.py):
+// fractions). Three properties are CI-gated (scripts/check_bench.py):
 //   - trajectory: flow_cache/* ns/packet vs the committed baseline
 //     (hardware-sensitive → --skip-if-hardware-differs)
 //   - invariant: the Zipf s=1.1 hit rate is a property of the stream and
 //     the cache, not the machine, so --min-hit-rate gates it everywhere.
+//   - invariant: on the uniform 65,536-flow rows cache-on is no slower than
+//     cache-off within the same run (--max-ratio), on any machine.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -39,6 +47,7 @@ constexpr std::size_t kInFlight = 4;
 constexpr std::size_t kCacheCapacity = 8192;  // per-worker slots
 constexpr auto kWarmup = std::chrono::milliseconds(150);
 constexpr auto kMeasure = std::chrono::milliseconds(400);
+constexpr int kRepeats = 3;  // per cell; the fastest run is reported
 
 struct App {
   std::string tag;
@@ -164,8 +173,14 @@ int main() {
           "flow_cache/" + app.tag + "/" + scenario.tag;
       double hit_rate = 0.0;
       double unused = 0.0;
-      const double off_ns = run_stream(app, stream, 0, unused);
-      const double on_ns = run_stream(app, stream, kCacheCapacity, hit_rate);
+      double off_ns = 0.0;
+      double on_ns = 0.0;
+      for (int repeat = 0; repeat < kRepeats; ++repeat) {
+        const double off = run_stream(app, stream, 0, unused);
+        const double on = run_stream(app, stream, kCacheCapacity, hit_rate);
+        off_ns = repeat == 0 ? off : std::min(off_ns, off);
+        on_ns = repeat == 0 ? on : std::min(on_ns, on);
+      }
       results.emplace_back(base + "/cache_off", off_ns);
       results.emplace_back(base + "/cache_on", on_ns);
       // Stored as percent: the JSON writer keeps two decimals, too coarse
@@ -185,6 +200,7 @@ int main() {
   metadata.emplace_back("cache_capacity", std::to_string(kCacheCapacity));
   metadata.emplace_back("warmup_ms", std::to_string(kWarmup.count()));
   metadata.emplace_back("measure_ms", std::to_string(kMeasure.count()));
+  metadata.emplace_back("repeats", std::to_string(kRepeats));
   ofmtl::bench::write_bench_json("flow_cache", "ns_per_packet", results,
                                  metadata);
   return 0;

@@ -176,10 +176,12 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
         std::cout << "  (" << flow_mods << " snapshot publishes during run)\n";
       }
       if (flow_cache > 0 && churn) {
-        // Invalidation sanity gate: with live flow-mods every publish must
-        // void the epoch-keyed entries lazily — a run where no cached entry
-        // was ever epoch-invalidated means the cache served stale actions
-        // (or the churn never happened) and the numbers are meaningless.
+        // Invalidation sanity gate: every publish here inserts or removes
+        // a match-all takeover entry in table 1, which overlaps every cached
+        // walk through table 1, so delta-log revalidation must reject those
+        // entries — a run where no cached entry was ever epoch-invalidated
+        // means the cache served stale actions (or the churn never
+        // happened) and the numbers are meaningless.
         if (final_stats.cache_epoch_invalidations == 0 || flow_mods == 0) {
           std::cerr << "error: churn ran with the flow cache but no "
                        "epoch invalidations were counted\n";
@@ -189,7 +191,8 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
                   << final_stats.cache_hits << " hits, "
                   << final_stats.cache_misses << " misses, "
                   << final_stats.cache_epoch_invalidations
-                  << " epoch invalidations)\n";
+                  << " epoch invalidations, "
+                  << final_stats.cache_revalidations << " revalidations)\n";
       }
       rt.stop();
       return static_cast<double>(done - warm_packets) /

@@ -58,6 +58,9 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   }
   index_->add_rule(signature, slot);
   actions_.set(slot, entry.instructions);
+  for (const auto& action : entry.instructions.apply_actions) {
+    if (std::holds_alternative<SetFieldAction>(action)) rewrites_header_ = true;
+  }
   id_to_slot_.emplace(entry.id, slot);
   slots_[slot].signature = std::move(signature);
   slots_[slot].seq = next_seq_++;
@@ -105,7 +108,9 @@ LookupTable LookupTable::clone() const {
   std::vector<FlowEntry> ordered;
   ordered.reserve(live.size());
   for (const Slot* slot : live) ordered.push_back(*slot->entry);
-  return LookupTable(fields_, std::move(ordered), config_);
+  LookupTable copy(fields_, std::move(ordered), config_);
+  copy.rewrites_header_ = rewrites_header_;
+  return copy;
 }
 
 std::vector<FlowEntry> LookupTable::entries() const {

@@ -83,6 +83,10 @@ class LookupTable {
   }
   [[nodiscard]] const IndexCalculator& index() const { return *index_; }
   [[nodiscard]] const ActionTable& actions() const { return actions_; }
+  /// Sticky: whether any entry this table (or the table it was cloned from)
+  /// ever held rewrites the header with an Apply-Actions Set-Field, so later
+  /// tables may match on a key that differs from the packet's.
+  [[nodiscard]] bool rewrites_header() const { return rewrites_header_; }
 
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& prefix) const;
 
@@ -107,6 +111,7 @@ class LookupTable {
   std::unordered_map<FlowEntryId, std::uint32_t> id_to_slot_;
   std::size_t live_entries_ = 0;
   std::uint64_t next_seq_ = 0;
+  bool rewrites_header_ = false;
   std::vector<FieldSearch> searches_;
   std::optional<IndexCalculator> index_;
   ActionTable actions_;

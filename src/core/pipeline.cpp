@@ -1,6 +1,124 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
+
 namespace ofmtl {
+
+void MultiTableLookup::insert_entry(std::size_t table, FlowEntry entry) {
+  LookupTable& target = tables_.at(table);
+  DeltaRecord record;
+  record.table = static_cast<std::uint8_t>(table);
+  record.inserted = true;
+  // Only the table's own fields: the lookup ignores constraints on others.
+  for (const FieldId id : target.fields()) {
+    if (record.tests == kMaxKeyTests) break;
+    const FieldMatch& match = entry.match.get(id);
+    // Metadata is rewritten between tables by Write-Metadata, so a test on
+    // the packet's own metadata would say nothing: leave it wildcarded.
+    if (id == FieldId::kMetadata || match.kind == MatchKind::kAny) continue;
+    KeyTest& test = record.key[record.tests++];
+    test.field = id;
+    switch (match.kind) {
+      case MatchKind::kExact:
+        test.lo = match.value;
+        test.hi = ~U128{};
+        break;
+      case MatchKind::kPrefix:
+        test.lo = match.prefix.value();
+        test.hi = high_mask128(match.prefix.length()) >>
+                  (128 - match.prefix.width());
+        break;
+      case MatchKind::kRange:
+        test.range = true;
+        test.lo = U128{match.range.lo};
+        test.hi = U128{match.range.hi};
+        break;
+      case MatchKind::kMasked:
+        test.lo = match.value;
+        test.hi = match.mask;
+        break;
+      case MatchKind::kAny:
+        break;
+    }
+  }
+  (void)target.insert_entry(std::move(entry));
+  append(record);
+}
+
+bool MultiTableLookup::remove_entry(std::size_t table, FlowEntryId id) {
+  if (!tables_.at(table).remove_entry(id)) return false;
+  DeltaRecord record;
+  record.table = static_cast<std::uint8_t>(table);
+  record.removed = id;
+  append(record);
+  return true;
+}
+
+void MultiTableLookup::append(const DeltaRecord& record) {
+  if (log_.ring.empty()) log_.ring.resize(kDeltaLogRecords);
+  DeltaRecord& slot = log_.ring[log_.next];
+  if (log_.size == kDeltaLogRecords) {
+    // Overwriting the oldest record: stamps before it lose their history.
+    log_.floor = std::max(log_.floor, slot.epoch);
+  } else {
+    ++log_.size;
+  }
+  slot = record;
+  slot.epoch = log_.epoch;
+  log_.next = (log_.next + 1) % kDeltaLogRecords;
+}
+
+void MultiTableLookup::restart_log(std::uint64_t epoch) {
+  log_.next = 0;
+  log_.size = 0;
+  log_.epoch = epoch;
+  log_.floor = epoch;
+}
+
+bool MultiTableLookup::still_valid(const PacketHeader& key,
+                                   const ExecutionResult& result,
+                                   std::uint64_t stamp) const {
+  if (stamp < log_.floor) return false;
+  const auto& visited = result.visited_tables;
+  const auto& matched = result.matched_entries;
+  // Visited tables from this position on may have matched a key that an
+  // earlier table's Apply-Actions Set-Field rewrote.
+  std::size_t rewritten_from = visited.size();
+  for (std::size_t k = 0; k + 1 < visited.size(); ++k) {
+    if (tables_[visited[k]].rewrites_header()) {
+      rewritten_from = k + 1;
+      break;
+    }
+  }
+  std::size_t slot = log_.next;
+  for (std::size_t n = 0; n < log_.size; ++n) {
+    slot = (slot == 0 ? kDeltaLogRecords : slot) - 1;
+    const DeltaRecord& record = log_.ring[slot];
+    if (record.epoch <= stamp) break;  // the result already saw the rest
+    const auto at = std::find(visited.begin(), visited.end(), record.table);
+    if (at == visited.end()) continue;  // a table the walk never reached
+    const auto position = static_cast<std::size_t>(at - visited.begin());
+    if (!record.inserted) {
+      // Removing an entry the walk did not pick cannot change its pick.
+      if (position < matched.size() && matched[position] == record.removed) {
+        return false;
+      }
+      continue;
+    }
+    if (position >= rewritten_from) return false;
+    bool matches = true;
+    for (std::size_t t = 0; t < record.tests && matches; ++t) {
+      const KeyTest& test = record.key[t];
+      const U128& value = key.get(test.field);
+      matches = test.range ? value.hi == 0 && test.lo.lo <= value.lo &&
+                                 value.lo <= test.hi.lo
+                           : (value & test.hi) == test.lo;
+    }
+    // The new rule may outrank the walk's pick, or fill its miss.
+    if (matches) return false;
+  }
+  return true;
+}
 
 void MultiTableLookup::execute_batch(std::span<const PacketHeader> headers,
                                      std::span<ExecutionResult> results) const {

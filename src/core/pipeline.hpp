@@ -4,8 +4,14 @@
 // same Goto-Table/metadata/action-set behaviour — but each table lookup runs
 // parallel single-field searches + index calculation instead of linear
 // search.
+//
+// Each pipeline also keeps a bounded delta log of its own mutations, stamped
+// with the left-right publish epoch that made them; the flow cache asks
+// still_valid() whether a result cached under an older epoch survives them.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,17 +32,23 @@ class MultiTableLookup : public TableLookupSource {
   [[nodiscard]] static MultiTableLookup compile(const ReferencePipeline& reference,
                                                 FieldSearchConfig config = {});
 
-  void add_table(LookupTable table) { tables_.push_back(std::move(table)); }
+  /// Append a table. Cached results from before it are not revalidated.
+  void add_table(LookupTable table) {
+    tables_.push_back(std::move(table));
+    raise_log_floor();
+  }
 
   /// Deep copy (table-by-table recompile): independent lookup structures,
-  /// identical lookup behaviour. The parallel runtime replicates its
-  /// snapshot instances through this. Exception: the group table is
-  /// externally owned and only pointer-copied — it is NOT snapshot-isolated,
-  /// so keep it immutable while clones (or the runtime) are live.
+  /// identical lookup behaviour, and the same delta log. The parallel
+  /// runtime replicates its snapshot instances through this. Exception: the
+  /// group table is externally owned and only pointer-copied — it is NOT
+  /// snapshot-isolated, so keep it immutable while clones (or the runtime)
+  /// are live.
   [[nodiscard]] MultiTableLookup clone() const {
     MultiTableLookup copy;
     for (const auto& table : tables_) copy.add_table(table.clone());
     copy.set_group_table(groups_);
+    copy.log_ = log_;
     return copy;
   }
   [[nodiscard]] std::size_t table_count() const { return tables_.size(); }
@@ -45,13 +57,10 @@ class MultiTableLookup : public TableLookupSource {
   }
 
   /// Incremental flow-mod interface: add/remove one entry of one table on
-  /// the live pipeline (the controller channel of Section V.B).
-  void insert_entry(std::size_t table, FlowEntry entry) {
-    (void)tables_.at(table).insert_entry(std::move(entry));
-  }
-  bool remove_entry(std::size_t table, FlowEntryId id) {
-    return tables_.at(table).remove_entry(id);
-  }
+  /// the live pipeline (the controller channel of Section V.B). Both log
+  /// the mutation under the current log epoch.
+  void insert_entry(std::size_t table, FlowEntry entry);
+  bool remove_entry(std::size_t table, FlowEntryId id);
   [[nodiscard]] bool contains_entry(std::size_t table, FlowEntryId id) const {
     return tables_.at(table).contains(id);
   }
@@ -76,6 +85,14 @@ class MultiTableLookup : public TableLookupSource {
     execute_tables_batch(*this, headers, results, ctx);
   }
 
+  /// Same over the listed lanes only (see execute_tables_batch).
+  void execute_batch(std::span<const PacketHeader> headers,
+                     std::span<ExecutionResult> results,
+                     std::span<const std::uint32_t> lanes,
+                     ExecBatchContext& ctx) const {
+    execute_tables_batch(*this, headers, results, lanes, ctx);
+  }
+
   [[nodiscard]] std::size_t source_table_count() const override {
     return tables_.size();
   }
@@ -90,8 +107,12 @@ class MultiTableLookup : public TableLookupSource {
     return groups_;
   }
 
-  /// Attach a group table (not owned) for resolving Group actions.
-  void set_group_table(const GroupTable* groups) { groups_ = groups; }
+  /// Attach a group table (not owned) for resolving Group actions. Cached
+  /// results from before it are not revalidated.
+  void set_group_table(const GroupTable* groups) {
+    groups_ = groups;
+    raise_log_floor();
+  }
 
   /// Aggregate memory report across tables (the Section V.A total).
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& prefix) const;
@@ -99,9 +120,69 @@ class MultiTableLookup : public TableLookupSource {
   /// Total update words written while building (label method).
   [[nodiscard]] std::uint64_t update_words() const;
 
+  /// --- Delta log (flow-cache revalidation) ---
+  /// Records kept; the oldest is dropped (raising the floor) past this.
+  static constexpr std::size_t kDeltaLogRecords = 256;
+  /// Constrained fields an insert record keeps. Testing a subset of a rule's
+  /// fields over-approximates its matches, so fewer is still conservative.
+  static constexpr std::size_t kMaxKeyTests = 4;
+
+  /// Epoch that records appended from now on carry. The left-right
+  /// publisher sets it to the epoch it is about to publish before each
+  /// side-apply.
+  void set_log_epoch(std::uint64_t epoch) { log_.epoch = epoch; }
+  [[nodiscard]] std::uint64_t log_epoch() const { return log_.epoch; }
+  /// Drop every record and move the log to `epoch`: results stamped before
+  /// it no longer revalidate.
+  void restart_log(std::uint64_t epoch);
+
+  /// Whether `result`, produced for `key` by this pipeline as it stood at
+  /// log epoch `stamp`, is still what execute(key) returns now. Walks the
+  /// records newer than `stamp`, newest first, and answers false when one
+  /// might have changed the walk: a removed entry the walk matched, or an
+  /// inserted rule matching the key in a table the walk visited. False
+  /// (conservatively) also when `stamp` is below the log's floor, or when
+  /// the inserted rule's table saw a key rewritten by an earlier table's
+  /// Apply-Actions Set-Field. Never answers true wrongly; see "The flow
+  /// cache" in docs/ARCHITECTURE.md for the argument.
+  [[nodiscard]] bool still_valid(const PacketHeader& key,
+                                 const ExecutionResult& result,
+                                 std::uint64_t stamp) const;
+
  private:
+  /// One constrained field of an inserted rule: a masked compare (exact,
+  /// prefix and masked matches) or an inclusive range.
+  struct KeyTest {
+    U128 lo;  ///< masked: value; range: lower bound
+    U128 hi;  ///< masked: mask; range: upper bound
+    FieldId field = FieldId::kInPort;
+    bool range = false;
+  };
+  /// One logged mutation: an insert (with up to kMaxKeyTests of the rule's
+  /// constraints on the table's own non-metadata fields) or a remove (with
+  /// the removed id). A modify is a remove followed by an insert.
+  struct DeltaRecord {
+    std::uint64_t epoch = 0;
+    FlowEntryId removed = 0;
+    std::uint8_t table = 0;  ///< as ExecutionResult::visited_tables stores it
+    bool inserted = false;
+    std::uint8_t tests = 0;
+    std::array<KeyTest, kMaxKeyTests> key{};
+  };
+  struct DeltaLog {
+    std::vector<DeltaRecord> ring;  ///< kDeltaLogRecords, on first append
+    std::size_t next = 0;           ///< ring slot of the next append
+    std::size_t size = 0;           ///< live records
+    std::uint64_t epoch = 0;        ///< stamp of records appended now
+    std::uint64_t floor = 0;        ///< stamps below it do not revalidate
+  };
+
+  void append(const DeltaRecord& record);
+  void raise_log_floor() { log_.floor = log_.epoch; }
+
   std::vector<LookupTable> tables_;
   const GroupTable* groups_ = nullptr;
+  DeltaLog log_;
 };
 
 }  // namespace ofmtl

@@ -170,18 +170,12 @@ ExecutionResult execute_tables(const TableLookupSource& source,
   return result;
 }
 
-void execute_tables_batch(const TableLookupSource& source,
-                          std::span<const PacketHeader> headers,
-                          std::span<ExecutionResult> results,
-                          ExecBatchContext& ctx) {
-  const std::size_t n = headers.size();
-  if (results.size() < n) {
-    throw std::invalid_argument("execute_tables_batch: results span too small");
-  }
-  if (ctx.runs.size() < n) ctx.runs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ctx.runs[i].begin(headers[i], results[i]);
-  }
+namespace {
+
+/// Walks ctx.runs[0, n), each already begun on its packet, through every
+/// table stage, then finishes them.
+void run_table_stages(const TableLookupSource& source, std::size_t n,
+                      ExecBatchContext& ctx) {
   // Goto-Table only moves forward, so one sweep over the tables visits every
   // packet's whole walk: at each table, batch-look-up exactly the packets
   // currently parked there.
@@ -216,6 +210,42 @@ void execute_tables_batch(const TableLookupSource& source,
     OFMTL_OBS_EMIT(obs::TraceEvent::kStageEnd, t, ctx.lanes.size());
   }
   for (std::size_t i = 0; i < n; ++i) ctx.runs[i].finish(source);
+}
+
+}  // namespace
+
+void execute_tables_batch(const TableLookupSource& source,
+                          std::span<const PacketHeader> headers,
+                          std::span<ExecutionResult> results,
+                          ExecBatchContext& ctx) {
+  const std::size_t n = headers.size();
+  if (results.size() < n) {
+    throw std::invalid_argument("execute_tables_batch: results span too small");
+  }
+  if (ctx.runs.size() < n) ctx.runs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ctx.runs[i].begin(headers[i], results[i]);
+  }
+  run_table_stages(source, n, ctx);
+}
+
+void execute_tables_batch(const TableLookupSource& source,
+                          std::span<const PacketHeader> headers,
+                          std::span<ExecutionResult> results,
+                          std::span<const std::uint32_t> lanes,
+                          ExecBatchContext& ctx) {
+  if (results.size() < headers.size()) {
+    throw std::invalid_argument("execute_tables_batch: results span too small");
+  }
+  const std::size_t n = lanes.size();
+  if (ctx.runs.size() < n) ctx.runs.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (lanes[j] >= headers.size()) {
+      throw std::out_of_range("execute_tables_batch: lane out of range");
+    }
+    ctx.runs[j].begin(headers[lanes[j]], results[lanes[j]]);
+  }
+  run_table_stages(source, n, ctx);
 }
 
 }  // namespace ofmtl

@@ -149,6 +149,16 @@ void execute_tables_batch(const TableLookupSource& source,
                           std::span<ExecutionResult> results,
                           ExecBatchContext& ctx);
 
+/// The same walk over a subset of the batch: headers[lanes[j]] is classified
+/// into results[lanes[j]], other lanes are left as they are. A caller that
+/// has already answered some lanes (the flow cache) walks the rest in place,
+/// without gathering headers or scattering results.
+void execute_tables_batch(const TableLookupSource& source,
+                          std::span<const PacketHeader> headers,
+                          std::span<ExecutionResult> results,
+                          std::span<const std::uint32_t> lanes,
+                          ExecBatchContext& ctx);
+
 /// Multi-table pipeline over reference flow tables.
 class ReferencePipeline : public TableLookupSource {
  public:

@@ -1,27 +1,55 @@
 #include "runtime/flow_cache.hpp"
 
+#include "core/pipeline.hpp"
+
 namespace ofmtl::runtime {
+
+namespace {
+
+/// Doorkeeper tag of a flow: the hash byte the slot index never uses, with
+/// 0 kept for "no tag".
+[[nodiscard]] std::uint8_t door_tag(std::uint64_t hash) {
+  const auto tag = static_cast<std::uint8_t>(hash >> 56);
+  return tag == 0 ? 1 : tag;
+}
+
+}  // namespace
 
 FlowCache::FlowCache(std::size_t capacity) {
   std::size_t rounded = kProbeWindow;
   while (rounded < capacity) rounded <<= 1;
-  slots_.resize(rounded);
+  windows_.resize(rounded / kProbeWindow);
+  for (auto& window : windows_) window.epoch.fill(kEmpty);
+  entries_.resize(rounded);
+  doors_.resize(rounded);
   mask_ = rounded - 1;
 }
 
 const ExecutionResult* FlowCache::find(const PacketHeader& header,
                                        std::uint64_t hash,
-                                       std::uint64_t epoch) {
+                                       std::uint64_t epoch,
+                                       const MultiTableLookup* tables) {
+  const std::size_t w = window_of(hash);
+  Window& window = windows_[w];
   for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-    Slot& slot = slot_at(hash, probe);
-    if (!slot.occupied || slot.hash != hash || !(slot.key == header)) continue;
-    if (slot.epoch == epoch) {
+    if (window.hash[probe] != hash || window.epoch[probe] == kEmpty) continue;
+    Entry& entry = entries_[w * kProbeWindow + probe];
+    if (!(entry.key == header)) continue;
+    if (window.epoch[probe] == epoch) {
       ++stats_.hits;
-      return &slot.value;
+      return &entry.value;
     }
-    // The entry is from before a publish: stale by definition (epochs are
-    // bumped once per flow-mod, and we cannot know whether the mod touched
-    // this flow). Report a miss; store() will refill this very slot.
+    // Stamped before a publish. Stamps only rise per worker (it acquires
+    // its guards in order), so the side pinned now has logged everything
+    // published since — unless the stamp fell below its log's floor.
+    if (tables != nullptr && window.epoch[probe] < epoch &&
+        tables->still_valid(header, entry.value, window.epoch[probe])) {
+      window.epoch[probe] = epoch;
+      ++stats_.revalidations;
+      ++stats_.hits;
+      return &entry.value;
+    }
+    // Report a miss; store() will refill this very slot.
     ++stats_.epoch_invalidations;
     ++stats_.misses;
     return nullptr;
@@ -30,36 +58,61 @@ const ExecutionResult* FlowCache::find(const PacketHeader& header,
   return nullptr;
 }
 
+void FlowCache::prefetch_entries(std::uint64_t hash) const {
+  const std::size_t w = window_of(hash);
+  const Window& window = windows_[w];
+  for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
+    if (window.hash[probe] != hash) continue;
+    const auto* bytes =
+        reinterpret_cast<const char*>(&entries_[w * kProbeWindow + probe]);
+    for (std::size_t offset = 0; offset < sizeof(Entry); offset += 64) {
+      __builtin_prefetch(bytes + offset);
+    }
+  }
+}
+
 void FlowCache::store(const PacketHeader& header, std::uint64_t hash,
                       std::uint64_t epoch, const ExecutionResult& result) {
-  Slot* empty = nullptr;
-  Slot* stale = nullptr;
+  const std::size_t w = window_of(hash);
+  Window& window = windows_[w];
+  constexpr std::size_t kNone = kProbeWindow;
+  std::size_t empty = kNone;
+  std::size_t stale = kNone;
   for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-    Slot& slot = slot_at(hash, probe);
-    if (!slot.occupied) {
-      if (empty == nullptr) empty = &slot;
+    if (window.epoch[probe] == kEmpty) {
+      if (empty == kNone) empty = probe;
       continue;
     }
-    if (slot.hash == hash && slot.key == header) {
+    Entry& entry = entries_[w * kProbeWindow + probe];
+    if (window.hash[probe] == hash && entry.key == header) {
       // Refresh in place (covers the epoch-invalidation refill path).
-      slot.epoch = epoch;
-      slot.value = result;
+      window.epoch[probe] = epoch;
+      entry.value = result;
       return;
     }
-    if (stale == nullptr && slot.epoch != epoch) stale = &slot;
+    if (stale == kNone && window.epoch[probe] != epoch) stale = probe;
   }
-  Slot* target = empty != nullptr ? empty : stale;
-  if (target == nullptr) {
-    // Probe window full of live current-epoch flows: displace one,
-    // rotating the victim index so one hot bucket does not starve.
-    target = &slot_at(hash, victim_rotor_++ % kProbeWindow);
+  std::size_t target = empty != kNone ? empty : stale;
+  if (target == kNone) {
+    // Probe window full of live current-epoch flows. Admit the refill only
+    // on the flow's second try, so a stream of one-off flows costs a tag
+    // write each instead of a result copy plus an eviction.
+    std::uint8_t& door = doors_[hash & mask_];
+    const std::uint8_t tag = door_tag(hash);
+    if (door != tag) {
+      door = tag;
+      ++stats_.admissions_declined;
+      return;
+    }
+    // Displace one, rotating the victim so one hot bucket does not starve.
+    target = victim_rotor_++ % kProbeWindow;
     ++stats_.evictions;
   }
-  target->hash = hash;
-  target->epoch = epoch;
-  target->occupied = true;
-  target->key = header;
-  target->value = result;  // copy-assign: vectors keep high-water capacity
+  Entry& entry = entries_[w * kProbeWindow + target];
+  window.hash[target] = hash;
+  window.epoch[target] = epoch;
+  entry.key = header;
+  entry.value = result;  // copy-assign: vectors keep high-water capacity
 }
 
 }  // namespace ofmtl::runtime

@@ -1,16 +1,26 @@
-// Per-worker epoch-keyed exact-match flow cache: a fixed-capacity
-// open-addressing table (flat_hash.hpp idioms — power-of-two capacity,
-// splitmix64-spread hashes, short bounded probe windows) mapping a packet's
-// full field tuple to the final ExecutionResult the pipeline produced for
-// it, stamped with the left-right snapshot epoch that produced it.
+// Per-worker exact-match flow cache: a fixed-capacity open-addressing table
+// (flat_hash.hpp idioms — power-of-two capacity, splitmix64-spread hashes,
+// short bounded probe windows) mapping a packet's full field tuple to the
+// final ExecutionResult the pipeline produced for it, stamped with the
+// left-right snapshot epoch that produced it.
 //
-// Epoch keying is the whole invalidation story: every entry records the
-// ReadGuard epoch it was filled under, and an entry whose epoch differs
-// from the epoch pinned by the *current* batch's guard is treated as a
-// miss (counted as an epoch invalidation) and refilled from the full
-// pipeline. A flow-mod therefore invalidates lazily with zero coordination
-// — no cross-worker messages, no sweep over the table, no shootdown; the
-// publish bumping the epoch is itself the invalidation broadcast.
+// A publish does not void the cache; it makes entries *stale*. An entry
+// stamped with an older epoch than the current batch's guard is handed to
+// the pinned side's MultiTableLookup::still_valid, which replays that
+// side's delta log (the mutations published since the stamp) against the
+// cached walk. If no logged mutation could have changed the walk, the entry
+// is restamped to the batch epoch and served (a revalidation); otherwise it
+// is a miss (an epoch invalidation) and is refilled from the full pipeline.
+// An entry older than the log's floor is always a miss, so voiding on every
+// publish is the fallback, not a separate path. Nothing crosses threads:
+// the log is part of the pinned side, frozen while the guard is held.
+//
+// Refills that would displace a live current-epoch entry pass a one-byte
+// doorkeeper first (the TinyLFU doorkeeper): the first such refill of a flow
+// only writes its tag at the flow's home slot, the second evicts. Empty and
+// stale slots fill at once. Each probe window's {hash, epoch} words sit in
+// one 64-byte line apart from the key/result payloads, so a miss reads one
+// line, not four payloads.
 //
 // Ownership rules (mirrors the SearchContext rules in README):
 //   - one FlowCache per worker thread, never shared — per-worker caches
@@ -23,24 +33,31 @@
 //     deltas through its atomic WorkerStats
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "flow/pipeline_ref.hpp"
 #include "net/header.hpp"
 
+namespace ofmtl {
+class MultiTableLookup;
+}  // namespace ofmtl
+
 namespace ofmtl::runtime {
 
 /// Monotonic counters of one cache (single-writer, read via WorkerStats).
 struct FlowCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;       ///< includes epoch_invalidations
-  std::uint64_t evictions = 0;    ///< live current-epoch entries displaced
-  std::uint64_t epoch_invalidations = 0;  ///< key matched, epoch stale
+  std::uint64_t hits = 0;           ///< includes revalidations
+  std::uint64_t misses = 0;         ///< includes epoch_invalidations
+  std::uint64_t evictions = 0;      ///< live current-epoch entries displaced
+  std::uint64_t epoch_invalidations = 0;  ///< key matched, stale, not served
+  std::uint64_t revalidations = 0;  ///< stale entries restamped and served
+  std::uint64_t admissions_declined = 0;  ///< refills that only left a tag
 };
 
-/// Fixed-capacity open-addressing key→result cache with lazy epoch
-/// invalidation. Not thread-safe by design — one instance per worker.
+/// Fixed-capacity open-addressing key→result cache with delta-log
+/// revalidation. Not thread-safe by design — one instance per worker.
 class FlowCache {
  public:
   /// Slots probed per lookup/insert (the associativity of one hash bucket).
@@ -51,35 +68,57 @@ class FlowCache {
   explicit FlowCache(std::size_t capacity);
 
   /// The result cached for `header` under `epoch`, or nullptr on a miss.
-  /// `hash` must be flow_key_hash(header). A key match with a stale epoch
-  /// is a miss (counted separately) — the caller refills via store().
-  [[nodiscard]] const ExecutionResult* find(const PacketHeader& header,
-                                            std::uint64_t hash,
-                                            std::uint64_t epoch);
+  /// `hash` must be flow_key_hash(header). A key match stamped with an
+  /// older epoch is served only if `tables` — the side the batch is pinned
+  /// to — revalidates it; it is then restamped to `epoch`. Without `tables`
+  /// any stale entry is a miss. Either kind of stale miss is counted
+  /// separately; the caller refills via store().
+  [[nodiscard]] const ExecutionResult* find(
+      const PacketHeader& header, std::uint64_t hash, std::uint64_t epoch,
+      const MultiTableLookup* tables = nullptr);
+
+  /// Start loading `hash`'s probe window, ahead of a find() for it.
+  void prefetch_window(std::uint64_t hash) const {
+    __builtin_prefetch(&windows_[window_of(hash)]);
+  }
+  /// Start loading the key and result of each slot in `hash`'s window whose
+  /// hash matches (call once the window itself has arrived).
+  void prefetch_entries(std::uint64_t hash) const;
 
   /// Cache `result` for `header` under `epoch`, preferring (in order) the
-  /// key's existing slot, an empty slot, a stale-epoch slot, and finally
-  /// evicting a live entry from the probe window (round-robin victim).
+  /// key's existing slot, an empty slot and a stale-epoch slot. With none
+  /// of them, the refill would evict a live entry (round-robin victim): it
+  /// does so only if the doorkeeper at the flow's home slot already holds
+  /// the flow's tag, and otherwise records the tag and caches nothing.
   void store(const PacketHeader& header, std::uint64_t hash,
              std::uint64_t epoch, const ExecutionResult& result);
 
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint64_t epoch = 0;
-    bool occupied = false;
+  /// Epoch of a slot that holds nothing.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// The probe-window metadata: one cache line per window.
+  struct alignas(64) Window {
+    std::array<std::uint64_t, kProbeWindow> hash{};
+    std::array<std::uint64_t, kProbeWindow> epoch{};
+  };
+  static_assert(sizeof(Window) == 64, "one window, one cache line");
+
+  struct Entry {
     PacketHeader key;
     ExecutionResult value;
   };
 
-  [[nodiscard]] Slot& slot_at(std::uint64_t hash, std::size_t probe) {
-    return slots_[(hash + probe) & mask_];
+  [[nodiscard]] std::size_t window_of(std::uint64_t hash) const {
+    return (hash & mask_) / kProbeWindow;
   }
 
-  std::vector<Slot> slots_;
+  std::vector<Window> windows_;
+  std::vector<Entry> entries_;       ///< slot w * kProbeWindow + p
+  std::vector<std::uint8_t> doors_;  ///< doorkeeper tag per home slot
   std::size_t mask_ = 0;
   std::size_t victim_rotor_ = 0;
   FlowCacheStats stats_;

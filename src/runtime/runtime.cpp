@@ -85,8 +85,9 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
   // against the same side/epoch, and flow-mods published mid-batch apply
   // from the worker's next batch on. Holding the guard across the batch is
   // what blocks the writer from reusing this side; it departs when this
-  // function returns. The flow cache keys on the guard's epoch, so cached
-  // entries from before a publish are stale by construction for this batch.
+  // function returns. The flow cache keys on the guard's epoch: entries from
+  // before a publish are stale for this batch and are served only if the
+  // guard's side revalidates them.
   OFMTL_OBS_EMIT(obs::TraceEvent::kBatchBegin, 0, item.count);
   const auto guard = classifier_.acquire();
   const FlowCacheStats cache_before =
@@ -124,6 +125,12 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
                                      std::memory_order_relaxed);
     worker.cache_epoch_invalidations.fetch_add(invalidations,
                                                std::memory_order_relaxed);
+    worker.cache_revalidations.fetch_add(
+        after.revalidations - cache_before.revalidations,
+        std::memory_order_relaxed);
+    worker.cache_admissions_declined.fetch_add(
+        after.admissions_declined - cache_before.admissions_declined,
+        std::memory_order_relaxed);
     if (hits != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheHits, 0, hits);
     if (misses != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheMisses, 0, misses);
     if (invalidations != 0) {
@@ -141,36 +148,37 @@ void ParallelRuntime::run_item_cached(
     const SnapshotClassifier::ReadGuard& guard) {
   FlowCache& cache = *worker.cache;
   const std::uint64_t epoch = guard.epoch();
-  // Pre-pass: partition lanes into hits (served straight from the cache)
-  // and misses (gathered contiguously for one batched pipeline walk).
-  worker.miss_lanes.clear();
-  worker.miss_hashes.clear();
-  worker.miss_headers.clear();
+  const MultiTableLookup& tables = guard.tables();
+  // Pre-pass: serve hits straight from the cache (stale entries
+  // revalidated against the pinned side's delta log) and list the misses.
+  // Windows, then the payloads they point at, are prefetched one sweep
+  // ahead, so the probes of a batch overlap their cache misses.
+  if (worker.hashes.size() < item.count) worker.hashes.resize(item.count);
   for (std::size_t i = 0; i < item.count; ++i) {
-    const std::uint64_t hash = flow_key_hash(item.headers[i]);
-    if (const ExecutionResult* hit = cache.find(item.headers[i], hash, epoch)) {
+    worker.hashes[i] = flow_key_hash(item.headers[i]);
+    cache.prefetch_window(worker.hashes[i]);
+  }
+  for (std::size_t i = 0; i < item.count; ++i) {
+    cache.prefetch_entries(worker.hashes[i]);
+  }
+  worker.miss_lanes.clear();
+  for (std::size_t i = 0; i < item.count; ++i) {
+    if (const ExecutionResult* hit =
+            cache.find(item.headers[i], worker.hashes[i], epoch, &tables)) {
       item.results[i] = *hit;
     } else {
       worker.miss_lanes.push_back(static_cast<std::uint32_t>(i));
-      worker.miss_hashes.push_back(hash);
-      worker.miss_headers.push_back(item.headers[i]);
     }
   }
-  const std::size_t misses = worker.miss_lanes.size();
-  if (misses == 0) return;
-  // Grow-only (a resize down would destroy warmed ExecutionResults and
-  // forfeit their vector capacity — the allocation-free property).
-  if (worker.miss_results.size() < misses) worker.miss_results.resize(misses);
-  guard.tables().execute_batch({worker.miss_headers.data(), misses},
-                               {worker.miss_results.data(), misses},
-                               worker.ctx);
-  // Merge in submission order and refill the cache. Duplicate flows within
-  // one batch both take the miss path (the second store refreshes the same
-  // slot) — correct, just one hit short.
-  for (std::size_t j = 0; j < misses; ++j) {
-    item.results[worker.miss_lanes[j]] = worker.miss_results[j];
-    cache.store(worker.miss_headers[j], worker.miss_hashes[j], epoch,
-                worker.miss_results[j]);
+  if (worker.miss_lanes.empty()) return;
+  // One batched pipeline walk over the missed lanes, in place, then refill.
+  // Duplicate flows within one batch both take the miss path (the second
+  // store refreshes the same slot) — correct, just one hit short.
+  tables.execute_batch({item.headers, item.count}, {item.results, item.count},
+                       worker.miss_lanes, worker.ctx);
+  for (const std::uint32_t lane : worker.miss_lanes) {
+    cache.store(item.headers[lane], worker.hashes[lane], epoch,
+                item.results[lane]);
   }
 }
 
@@ -235,7 +243,9 @@ WorkerStats ParallelRuntime::stats(std::size_t worker) const {
           w.cache_hits.load(std::memory_order_relaxed),
           w.cache_misses.load(std::memory_order_relaxed),
           w.cache_evictions.load(std::memory_order_relaxed),
-          w.cache_epoch_invalidations.load(std::memory_order_relaxed)};
+          w.cache_epoch_invalidations.load(std::memory_order_relaxed),
+          w.cache_revalidations.load(std::memory_order_relaxed),
+          w.cache_admissions_declined.load(std::memory_order_relaxed)};
 }
 
 WorkerStats ParallelRuntime::aggregate_stats() const {
@@ -250,6 +260,8 @@ WorkerStats ParallelRuntime::aggregate_stats() const {
     total.cache_misses += s.cache_misses;
     total.cache_evictions += s.cache_evictions;
     total.cache_epoch_invalidations += s.cache_epoch_invalidations;
+    total.cache_revalidations += s.cache_revalidations;
+    total.cache_admissions_declined += s.cache_admissions_declined;
   }
   return total;
 }
@@ -273,8 +285,14 @@ obs::MetricsRegistry::ProviderHandle ParallelRuntime::register_metrics(
     b.counter("ofmtl_cache_evictions_total", "flow-cache evictions",
               static_cast<double>(total.cache_evictions));
     b.counter("ofmtl_cache_epoch_invalidations_total",
-              "cache hits voided by a newer snapshot epoch",
+              "stale cache entries a publish voided",
               static_cast<double>(total.cache_epoch_invalidations));
+    b.counter("ofmtl_cache_revalidations_total",
+              "stale cache entries revalidated and served",
+              static_cast<double>(total.cache_revalidations));
+    b.counter("ofmtl_cache_admissions_declined_total",
+              "refills that only wrote a doorkeeper tag",
+              static_cast<double>(total.cache_admissions_declined));
     b.gauge("ofmtl_runtime_workers", "worker threads",
             static_cast<double>(workers_.size()));
     b.gauge("ofmtl_runtime_publish_epoch", "current left-right epoch",

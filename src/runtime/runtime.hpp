@@ -20,7 +20,8 @@
 //   - an optional per-worker epoch-keyed flow cache
 //     (RuntimeConfig::flow_cache_capacity, off by default) short-circuits
 //     repeat flows in front of the full pipeline; cached results are
-//     bitwise-identical and invalidate lazily on every published epoch
+//     bitwise-identical, and after a publish an entry is served only if the
+//     pinned side's delta log revalidates it
 //   - flow-mods go through the runtime's writer API; workers pick the new
 //     side up at their next batch boundary
 //   - a GroupTable attached via set_group_table is externally owned and
@@ -56,8 +57,8 @@ struct RuntimeConfig {
   /// Per-worker exact-match flow-cache slots (rounded up to a power of
   /// two). 0 disables the cache entirely: every packet walks the full
   /// pipeline, exactly the pre-cache behaviour. Cached results are
-  /// bitwise-identical to pipeline results and invalidate lazily on every
-  /// published epoch (see src/runtime/flow_cache.hpp).
+  /// bitwise-identical to pipeline results; a publish leaves them to be
+  /// revalidated or voided lazily (see src/runtime/flow_cache.hpp).
   std::size_t flow_cache_capacity = 0;
 };
 
@@ -112,11 +113,16 @@ struct WorkerStats {
                               ///< queue (subset of `batches`)
   /// Flow-cache counters (all zero while the cache is disabled).
   std::uint64_t cache_hits = 0;    ///< packets served from the cache
+                                   ///< (includes revalidations)
   std::uint64_t cache_misses = 0;  ///< packets refilled from the pipeline
                                    ///< (includes epoch invalidations)
   std::uint64_t cache_evictions = 0;  ///< live entries displaced by refills
-  std::uint64_t cache_epoch_invalidations = 0;  ///< key hits voided by a
-                                                ///< newer snapshot epoch
+  std::uint64_t cache_epoch_invalidations = 0;  ///< key matched but stale and
+                                                ///< not revalidated: not served
+  std::uint64_t cache_revalidations = 0;  ///< stale entries the delta log
+                                          ///< cleared, restamped and served
+  std::uint64_t cache_admissions_declined = 0;  ///< refills that would have
+                                                ///< evicted, left a tag only
 };
 
 /// Sharded multi-queue worker pool over a left-right SnapshotClassifier.
@@ -229,16 +235,13 @@ class ParallelRuntime {
                     : nullptr) {}
     StealQueue<WorkItem> queue;
     ExecBatchContext ctx;
-    /// Per-worker flow cache (nullptr when disabled) plus the miss-partition
-    /// scratch of the batch pre-pass: lanes/hashes/headers of the packets
-    /// that must walk the pipeline, and the results they produce. All four
-    /// are cleared-not-shrunk per batch (miss_results grows only), so the
-    /// cached drain loop stays allocation-free in steady state.
+    /// Per-worker flow cache (nullptr when disabled) plus the scratch of
+    /// the batch pre-pass: every lane's flow hash, and the lanes that must
+    /// walk the pipeline. Both only grow, so the cached drain loop stays
+    /// allocation-free in steady state.
     std::unique_ptr<FlowCache> cache;
+    std::vector<std::uint64_t> hashes;
     std::vector<std::uint32_t> miss_lanes;
-    std::vector<std::uint64_t> miss_hashes;
-    std::vector<PacketHeader> miss_headers;
-    std::vector<ExecutionResult> miss_results;
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> packets{0};
     std::atomic<std::uint64_t> errors{0};
@@ -247,13 +250,15 @@ class ParallelRuntime {
     std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> cache_evictions{0};
     std::atomic<std::uint64_t> cache_epoch_invalidations{0};
+    std::atomic<std::uint64_t> cache_revalidations{0};
+    std::atomic<std::uint64_t> cache_admissions_declined{0};
     std::thread thread;
   };
 
   void worker_loop(std::size_t self);
   void run_item(Worker& worker, const WorkItem& item);
-  /// Cache pre-pass + pipeline-on-misses + submission-order merge for one
-  /// batch (only called when the worker's cache exists).
+  /// Cache pre-pass + one in-place pipeline walk of the missed lanes + refill
+  /// for one batch (only called when the worker's cache exists).
   void run_item_cached(Worker& worker, const WorkItem& item,
                        const SnapshotClassifier::ReadGuard& guard);
 

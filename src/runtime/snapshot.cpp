@@ -9,6 +9,9 @@ namespace ofmtl::runtime {
 SnapshotClassifier::SnapshotClassifier(MultiTableLookup initial)
     : sides_{MultiTableLookup{}, MultiTableLookup{}} {
   sides_[0] = std::move(initial);
+  // Side epochs start at 0; a log carried over from elsewhere would not
+  // describe them.
+  sides_[0].restart_log(0);
   // clone() replays entries in insertion order, so both sides tie-break
   // equal priorities identically; from here on the sides only ever receive
   // the same op sequence and stay behaviourally identical.
@@ -40,12 +43,23 @@ template <typename Op>
 bool SnapshotClassifier::publish(Op&& op) {
   const std::size_t active = active_side_.load(std::memory_order_relaxed);
   const std::size_t inactive = 1 - active;
+  // Each side logs the mutations of this publish under the epoch it is
+  // about to carry, on a side no reader holds, so a pinned side and its
+  // delta log are frozen together.
+  const auto apply = [&](MultiTableLookup& side) {
+    side.set_log_epoch(next_epoch_);
+    const bool changed = op(side);
+    // A whole-side assignment inside update() brought a log that never saw
+    // this publish: nothing cached before it revalidates.
+    if (side.log_epoch() != next_epoch_) side.restart_log(next_epoch_);
+    return changed;
+  };
   OFMTL_OBS_EMIT(obs::TraceEvent::kPublishBegin, 0, next_epoch_);
   // 1. Apply to the inactive side — no reader can hold it (the previous
   // publish drained them). A throwing op may leave the side half-mutated;
   // resync it from the untouched active side so the pair cannot diverge.
   try {
-    if (!op(sides_[inactive])) {
+    if (!apply(sides_[inactive])) {
       // No-op: close the slice so the trace shows the rejected publish too.
       OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
       return false;
@@ -69,7 +83,7 @@ bool SnapshotClassifier::publish(Op&& op) {
   // deterministic op cannot fail here having succeeded in step 1; if it
   // somehow does, repair the lagging replica — the publish itself stands.
   try {
-    if (!op(sides_[active])) {
+    if (!apply(sides_[active])) {
       resync_side(active);
       ++next_epoch_;
       OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);

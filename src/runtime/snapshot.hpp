@@ -23,6 +23,9 @@
 //   - a thread holding a ReadGuard must NOT call the writer API (the writer
 //     waits for that very guard to depart — self-deadlock)
 //   - update() callables run once per side and must be deterministic
+//   - each side's delta log (MultiTableLookup::still_valid) is written only
+//     by that side's applies, stamped with the epoch being published, so a
+//     pinned side's log is frozen with it
 #pragma once
 
 #include <atomic>

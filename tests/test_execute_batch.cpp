@@ -5,6 +5,7 @@
 // zero heap allocations per packet (counted by replacing global new/delete).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 
@@ -62,9 +63,10 @@ App make_app(FilterApp app, const char* name, double hit_ratio,
 
 /// execute_batch over every window size must reproduce per-packet execute
 /// bit for bit (operator== covers the full ExecutionResult, diagnostics
-/// included). The whole property runs once per probe-kernel backend —
-/// compiled vector path, then forced SWAR — so batch-vs-scalar identity
-/// doubles as vector-vs-SWAR identity.
+/// included), and so must its lane-subset form on the listed lanes, leaving
+/// the others untouched. The whole property runs once per probe-kernel
+/// backend — compiled vector path, then forced SWAR — so batch-vs-scalar
+/// identity doubles as vector-vs-SWAR identity.
 void expect_batch_matches_scalar(const App& app) {
   std::vector<ExecutionResult> expected;
   expected.reserve(app.trace.size());
@@ -86,6 +88,21 @@ void expect_batch_matches_scalar(const App& app) {
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(results[i], expected[base + i])
               << "batch=" << batch << " packet=" << base + i;
+        }
+        // Every other lane, in place: the rest keep what they held.
+        std::vector<std::uint32_t> lanes;
+        for (std::size_t i = base % 2; i < n; i += 2) {
+          lanes.push_back(static_cast<std::uint32_t>(i));
+        }
+        ExecutionResult untouched;
+        untouched.output_ports = {0xDEAD};
+        std::fill(results.begin(), results.end(), untouched);
+        app.accelerated.execute_batch({app.trace.data() + base, n},
+                                      {results.data(), n}, lanes, ctx);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool listed = i % 2 == base % 2;
+          ASSERT_EQ(results[i], listed ? expected[base + i] : untouched)
+              << "lane subset, batch=" << batch << " packet=" << base + i;
         }
       }
     }

@@ -1,15 +1,19 @@
 // The per-worker epoch-keyed flow cache: cache-on classification must be
 // bitwise-identical to cache-off on random rule sets and random/Zipf
 // streams, a published flow-mod must never let a stale cached action
-// escape (lazy epoch invalidation, exercised under concurrent churn — run
-// this binary under -fsanitize=thread too), and both the hit and the miss
-// path must stay allocation-free in steady state (counted by replacing
-// global new/delete; this binary is its own test executable so the
-// replacement cannot leak into others).
+// escape (neither through epoch invalidation under concurrent churn — run
+// this binary under -fsanitize=thread too — nor through delta-log
+// revalidation under mods aimed at cached walks), and the hit, revalidated-
+// hit and miss paths must stay allocation-free in steady state (counted by
+// replacing global new/delete; this binary is its own test executable so
+// the replacement cannot leak into others).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <new>
 #include <thread>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "core/flow_key.hpp"
 #include "runtime/flow_cache.hpp"
 #include "runtime/runtime.hpp"
+#include "workload/rng.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
 #include "workload/zipf.hpp"
@@ -139,15 +144,25 @@ TEST(FlowCache, FindStoreEpochAndEvictionSemantics) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->output_ports, std::vector<std::uint32_t>{43});
 
-  // Fill every remaining slot with current-epoch flows, then one more:
-  // the store must evict a live entry (counted) rather than drop the new.
-  for (std::uint16_t vid = 2; vid <= 5; ++vid) {
+  // Fill every remaining slot with current-epoch flows, then one more: the
+  // first store that would displace a live entry is declined (it only
+  // leaves the flow's doorkeeper tag), the second evicts (counted).
+  for (std::uint16_t vid = 2; vid <= 4; ++vid) {
     PacketHeader h;
     h.set_vlan_id(vid);
     cache.store(h, flow_key_hash(h), 1, result);
   }
+  PacketHeader late;
+  late.set_vlan_id(5);
+  const std::uint64_t late_hash = flow_key_hash(late);
+  cache.store(late, late_hash, 1, result);
+  EXPECT_EQ(cache.stats().admissions_declined, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.store(late, late_hash, 1, result);
+  EXPECT_EQ(cache.stats().admissions_declined, 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_NE(cache.find(late, late_hash, 1), nullptr);
+  EXPECT_EQ(cache.stats().hits, 3u);
   EXPECT_EQ(cache.stats().misses, 2u);  // one cold + one epoch-stale
 }
 
@@ -309,40 +324,418 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   EXPECT_GT(rt.aggregate_stats().cache_hits, 0u);
 }
 
+// --- Differential churn: flow-mods that overlap cached keys -------------
+//
+// A four-table pipeline small enough to aim every mod at a cached flow:
+//   table 0 (in_port):  ports 1-3 write their number into metadata and go
+//                       to table 1; port 3 first rewrites ipv4_dst to
+//                       kRewrittenDst (Apply-Actions Set-Field); port 4
+//                       misses table 0.
+//   table 1 (metadata, ipv4_dst, ip_proto): routes in 10.0.0.0/14, some
+//                       going on to table 2; 10.3.0.0/16 misses.
+//   table 2 (ip_proto, dst_port): 80 and 53 output, 443 goes to table 3,
+//                       22 misses.
+//   table 3 (ipv4_src, ip_proto): 192.168.0.0/16 outputs, others miss.
+constexpr std::uint32_t kRewritePort = 3;
+constexpr std::uint32_t kRewrittenDst = 0x0A0A0A0A;  // 10.10.10.10
+constexpr std::size_t kChurnTables = 4;
+
+FlowEntry churn_rule(FlowEntryId id, std::uint16_t priority,
+                     InstructionSet instructions) {
+  FlowEntry entry;
+  entry.id = id;
+  entry.priority = priority;
+  entry.instructions = std::move(instructions);
+  return entry;
+}
+
+void match_dst(FlowEntry& entry, std::uint32_t value, unsigned length) {
+  entry.match.set(FieldId::kIpv4Dst,
+                  FieldMatch::of_prefix(Prefix::from_value(value, length, 32)));
+}
+
+std::vector<std::vector<FlowEntry>> churn_tables() {
+  std::vector<std::vector<FlowEntry>> tables(kChurnTables);
+  for (std::uint32_t port = 1; port <= 3; ++port) {
+    FlowEntry entry = churn_rule(port, 10, goto_table_instruction(1));
+    entry.match.set(FieldId::kInPort, FieldMatch::exact(std::uint64_t{port}));
+    entry.instructions.write_metadata = MetadataWrite{port, 0xFF};
+    if (port == kRewritePort) {
+      entry.instructions.apply_actions.push_back(
+          SetFieldAction{FieldId::kIpv4Dst, U128{kRewrittenDst}});
+    }
+    tables[0].push_back(entry);
+  }
+  const auto route = [&](FlowEntryId id, std::uint32_t dst, unsigned length,
+                         InstructionSet instructions) {
+    FlowEntry entry = churn_rule(id, static_cast<std::uint16_t>(length),
+                                 std::move(instructions));
+    match_dst(entry, dst, length);
+    tables[1].push_back(entry);
+  };
+  route(101, 0x0A000000, 16, goto_and_write(2, {OutputAction{11}}));
+  route(102, 0x0A010000, 16, output_instruction(12));
+  route(103, 0x0A010100, 24, output_instruction(13));
+  route(104, 0x0A020000, 24, goto_table_instruction(2));
+  route(105, kRewrittenDst, 32, output_instruction(15));
+  FlowEntry scoped = churn_rule(106, 30, output_instruction(16));
+  match_dst(scoped, 0x0A000000, 8);
+  scoped.match.set(FieldId::kMetadata, FieldMatch::exact(std::uint64_t{2}));
+  tables[1].push_back(scoped);
+  const auto port_rule = [&](FlowEntryId id, std::uint16_t port,
+                             InstructionSet instructions) {
+    FlowEntry entry = churn_rule(id, 5, std::move(instructions));
+    entry.match.set(FieldId::kDstPort, FieldMatch::exact(std::uint64_t{port}));
+    tables[2].push_back(entry);
+  };
+  port_rule(201, 80, output_instruction(21));
+  port_rule(202, 443, goto_table_instruction(3));
+  port_rule(203, 53, output_instruction(23));
+  FlowEntry lan = churn_rule(301, 5, output_instruction(31));
+  lan.match.set(FieldId::kIpv4Src,
+                FieldMatch::of_prefix(Prefix::from_value(0xC0A80000, 16, 32)));
+  tables[3].push_back(lan);
+  return tables;
+}
+
+MultiTableLookup compile_churn_tables(
+    const std::vector<std::vector<FlowEntry>>& tables) {
+  const std::vector<FieldId> fields[kChurnTables] = {
+      {FieldId::kInPort},
+      {FieldId::kMetadata, FieldId::kIpv4Dst, FieldId::kIpProto},
+      {FieldId::kIpProto, FieldId::kDstPort},
+      {FieldId::kIpv4Src, FieldId::kIpProto}};
+  MultiTableLookup pipeline;
+  for (std::size_t t = 0; t < kChurnTables; ++t) {
+    pipeline.add_table(LookupTable(fields[t], tables[t]));
+  }
+  return pipeline;
+}
+
+std::vector<PacketHeader> churn_pool(std::uint64_t seed) {
+  workload::Rng rng(seed);
+  std::vector<PacketHeader> pool;
+  for (std::size_t i = 0; i < 96; ++i) {
+    PacketHeader header;
+    header.set_in_port(static_cast<std::uint32_t>(1 + rng.below(4)));
+    header.set_ipv4_dst(Ipv4Address(10, static_cast<std::uint8_t>(rng.below(4)),
+                                    static_cast<std::uint8_t>(rng.below(2)),
+                                    static_cast<std::uint8_t>(1 + rng.below(4))));
+    header.set_ipv4_src(Ipv4Address(rng.below(2) == 0 ? 192 : 172,
+                                    rng.below(2) == 0 ? 168 : 16,
+                                    static_cast<std::uint8_t>(rng.below(4)), 7));
+    header.set_ip_proto(6);
+    const std::uint16_t ports[] = {80, 443, 53, 22};
+    header.set_dst_port(ports[rng.below(4)]);
+    pool.push_back(header);
+  }
+  return pool;
+}
+
+/// The key `header` shows table visit `position` of its walk: only table
+/// 0's port-3 entry rewrites a matched field before a later lookup.
+PacketHeader key_at(const PacketHeader& header, std::size_t position) {
+  PacketHeader key = header;
+  if (position > 0 && header.get64(FieldId::kInPort) == kRewritePort) {
+    key.set(FieldId::kIpv4Dst, std::uint64_t{kRewrittenDst});
+  }
+  return key;
+}
+
+/// Rule matching `key` on table `table`'s own match field, and on nothing
+/// else, so it would take part in that table's lookup for `key`.
+FlowEntry rule_for(std::size_t table, const PacketHeader& key, FlowEntryId id,
+                   std::uint16_t priority, std::uint32_t port) {
+  FlowEntry entry = churn_rule(id, priority, output_instruction(port));
+  const FieldId field[kChurnTables] = {FieldId::kInPort, FieldId::kIpv4Dst,
+                                       FieldId::kDstPort, FieldId::kIpv4Src};
+  entry.match.set(field[table], FieldMatch::exact(key.get(field[table])));
+  return entry;
+}
+
+/// Mirror of the live entries per table, for aiming mods at cached walks.
+using ChurnMirror = std::vector<std::map<FlowEntryId, FlowEntry>>;
+
+enum class ChurnMod {
+  kAddAbove,      // matched table, above the matched priority
+  kAddBelow,      // matched table, below the matched priority
+  kAddMissed,     // the table whose miss ended the walk
+  kAddUnreached,  // a table the walk never reached
+  kDelete,        // the entry a walk matched
+  kModify,        // the entry a walk matched, new action
+  kMetadata,      // a rule scoped by the metadata table 0 wrote
+  kForeignField,  // above the matched priority, also constraining a field
+                  // the table does not look up, so its lookup ignores it
+  kRewritten,     // a route for the Set-Field's rewritten destination
+  kOversized,     // one update() logging more records than the log keeps
+};
+
+struct ChurnStep {
+  std::function<void(MultiTableLookup&)> mutate;
+  std::function<void(ChurnMirror&)> mirror;
+  /// How the runtime publishes it: through update(mutate) unless set, so
+  /// single inserts and removes also take their dedicated writer calls.
+  std::function<void(ParallelRuntime&)> publish;
+  bool found = false;
+};
+
+/// Builds one mod of `kind` aimed at a flow of `pool` (picked by `rng`)
+/// whose current walk it overlaps; `found` is false if none qualifies.
+ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
+                  const ChurnMirror& mirror,
+                  const std::vector<PacketHeader>& pool, workload::Rng& rng,
+                  FlowEntryId& next_id) {
+  ChurnStep step;
+  const auto add = [&step](std::size_t table, FlowEntry entry) {
+    step.mutate = [table, entry](MultiTableLookup& tables) {
+      tables.insert_entry(table, entry);
+    };
+    step.mirror = [table, entry](ChurnMirror& m) { m[table][entry.id] = entry; };
+    step.publish = [table, entry](ParallelRuntime& rt) {
+      rt.insert_entry(table, entry);
+    };
+    step.found = true;
+  };
+  if (kind == ChurnMod::kOversized) {
+    // Adds and removes as many never-matching rules as fit twice in the
+    // log: no verdict changes, but every stamp falls below the floor.
+    const FlowEntryId base = next_id;
+    next_id += MultiTableLookup::kDeltaLogRecords;
+    step.mutate = [base](MultiTableLookup& tables) {
+      for (FlowEntryId k = 0; k < MultiTableLookup::kDeltaLogRecords; ++k) {
+        FlowEntry entry = churn_rule(base + k, 1, output_instruction(99));
+        entry.match.set(FieldId::kIpv4Src, FieldMatch::exact(std::uint64_t{
+                                               0xCB007100u + k}));
+        tables.insert_entry(3, entry);
+      }
+      for (FlowEntryId k = 0; k < MultiTableLookup::kDeltaLogRecords; ++k) {
+        (void)tables.remove_entry(3, base + k);
+      }
+    };
+    step.mirror = [](ChurnMirror&) {};
+    step.found = true;
+    return step;
+  }
+  if (kind == ChurnMod::kRewritten) {
+    const FlowEntryId id = next_id++;
+    FlowEntry entry = churn_rule(id, 40, output_instruction(1000 + id));
+    match_dst(entry, kRewrittenDst, 32);
+    add(1, entry);
+    return step;
+  }
+  const std::size_t start = rng.below(pool.size());
+  for (std::size_t n = 0; n < pool.size() && !step.found; ++n) {
+    const PacketHeader& header = pool[(start + n) % pool.size()];
+    const ExecutionResult walk = oracle.execute(header);
+    const auto& visited = walk.visited_tables;
+    const auto& matched = walk.matched_entries;
+    const std::size_t k = rng.below(matched.size() + 1);
+    const auto port = static_cast<std::uint32_t>(1000 + next_id);
+    switch (kind) {
+      case ChurnMod::kAddAbove:
+      case ChurnMod::kAddBelow:
+      case ChurnMod::kMetadata: {
+        if (k >= matched.size()) break;
+        const std::size_t table = visited[k];
+        const std::uint16_t priority =
+            mirror[table].at(matched[k]).priority;
+        if (kind == ChurnMod::kMetadata) {
+          if (table != 1) break;
+          FlowEntry entry = rule_for(1, key_at(header, k), next_id++,
+                                     static_cast<std::uint16_t>(priority + 1),
+                                     port);
+          entry.match.set(FieldId::kMetadata,
+                          FieldMatch::exact(header.get64(FieldId::kInPort)));
+          add(1, entry);
+          break;
+        }
+        if (kind == ChurnMod::kAddBelow && priority == 0) break;
+        const auto at = static_cast<std::uint16_t>(
+            kind == ChurnMod::kAddAbove ? priority + 1 : priority - 1);
+        add(table, rule_for(table, key_at(header, k), next_id++, at, port));
+        break;
+      }
+      case ChurnMod::kForeignField: {
+        // Table 0 looks up in_port only, so a copy of the walk's table-0
+        // entry one priority up, also constraining dst_port, takes over
+        // every flow of that port: same walk, new matched id.
+        if (matched.empty()) break;
+        FlowEntry entry = mirror[0].at(matched[0]);
+        entry.id = next_id++;
+        ++entry.priority;
+        entry.match.set(FieldId::kDstPort,
+                        FieldMatch::exact(header.get64(FieldId::kDstPort) + 1));
+        add(0, entry);
+        break;
+      }
+      case ChurnMod::kAddMissed:
+        if (walk.verdict != Verdict::kToController) break;
+        add(visited.back(), rule_for(visited.back(),
+                                     key_at(header, visited.size() - 1),
+                                     next_id++, 7, port));
+        break;
+      case ChurnMod::kAddUnreached:
+        for (std::size_t table = 1; table < kChurnTables; ++table) {
+          if (std::find(visited.begin(), visited.end(), table) != visited.end()) {
+            continue;
+          }
+          add(table, rule_for(table, key_at(header, 1), next_id++, 60, port));
+          break;
+        }
+        break;
+      case ChurnMod::kDelete:
+      case ChurnMod::kModify: {
+        // Keep table 0's port entries, so later mods still find walks.
+        if (k >= matched.size() || visited[k] == 0) break;
+        const std::size_t table = visited[k];
+        const FlowEntryId id = matched[k];
+        if (kind == ChurnMod::kDelete) {
+          step.mutate = [table, id](MultiTableLookup& tables) {
+            (void)tables.remove_entry(table, id);
+          };
+          step.mirror = [table, id](ChurnMirror& m) { m[table].erase(id); };
+          step.publish = [table, id](ParallelRuntime& rt) {
+            EXPECT_TRUE(rt.remove_entry(table, id));
+          };
+        } else {
+          FlowEntry entry = mirror[table].at(id);
+          entry.instructions = output_instruction(port);
+          step.mutate = [table, entry](MultiTableLookup& tables) {
+            (void)tables.remove_entry(table, entry.id);
+            tables.insert_entry(table, entry);
+          };
+          step.mirror = [table, entry](ChurnMirror& m) {
+            m[table][entry.id] = entry;
+          };
+        }
+        step.found = true;
+        break;
+      }
+      case ChurnMod::kRewritten:
+      case ChurnMod::kOversized:
+        break;
+    }
+  }
+  return step;
+}
+
+TEST(FlowCacheRuntime, RevalidationMatchesCacheOffOracleUnderOverlappingChurn) {
+  // Every mod is aimed at a cached flow's walk (see ChurnMod), published,
+  // and then the whole stream is classified with the cache on and compared
+  // bitwise with a cache-off oracle that received the same mods. The
+  // runtime must both revalidate (mods beside the walks) and invalidate
+  // (mods on them); a revalidation check that let one stale walk through
+  // fails the comparison.
+  const ChurnMod script[] = {
+      ChurnMod::kAddUnreached, ChurnMod::kAddAbove,  ChurnMod::kAddBelow,
+      ChurnMod::kAddMissed,    ChurnMod::kDelete,    ChurnMod::kAddUnreached,
+      ChurnMod::kModify,       ChurnMod::kMetadata,  ChurnMod::kRewritten,
+      ChurnMod::kDelete,       ChurnMod::kForeignField,
+      ChurnMod::kOversized,    ChurnMod::kAddUnreached};
+  for (const std::size_t workers : {1u, 2u}) {
+    for (const std::uint64_t seed : {3u, 41u}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << workers << " seed=" << seed);
+      const auto initial = churn_tables();
+      ChurnMirror mirror(kChurnTables);
+      for (std::size_t t = 0; t < kChurnTables; ++t) {
+        for (const auto& entry : initial[t]) mirror[t][entry.id] = entry;
+      }
+      MultiTableLookup oracle = compile_churn_tables(initial);
+      ParallelRuntime rt(compile_churn_tables(initial),
+                         {.workers = workers, .flow_cache_capacity = 1024});
+      const auto pool = churn_pool(seed);
+      workload::Rng rng(seed);
+      std::vector<PacketHeader> stream;
+      for (std::size_t i = 0; i < 384; ++i) {
+        stream.push_back(pool[rng.below(pool.size())]);
+      }
+      std::vector<ExecutionResult> results(stream.size());
+      const auto classify_and_compare = [&](std::size_t step) {
+        constexpr std::size_t kBatch = 32;
+        for (std::size_t base = 0; base < stream.size(); base += kBatch) {
+          rt.classify((base / kBatch) % workers, {stream.data() + base, kBatch},
+                      {results.data() + base, kBatch});
+        }
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          ASSERT_EQ(results[i], oracle.execute(stream[i]))
+              << "after mod " << step << ", packet " << i;
+        }
+      };
+      classify_and_compare(0);
+      FlowEntryId next_id = 1000;
+      std::size_t step_index = 0;
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (const ChurnMod kind : script) {
+          ++step_index;
+          const ChurnStep step =
+              aim_mod(kind, oracle, mirror, pool, rng, next_id);
+          ASSERT_TRUE(step.found) << "no cached walk for mod " << step_index;
+          step.mutate(oracle);
+          step.mirror(mirror);
+          if (step.publish) {
+            step.publish(rt);
+          } else {
+            rt.update(step.mutate);
+          }
+          classify_and_compare(step_index);
+          if (HasFatalFailure()) return;
+        }
+      }
+      const auto stats = rt.aggregate_stats();
+      EXPECT_GT(stats.cache_revalidations, 0u);
+      EXPECT_GT(stats.cache_epoch_invalidations, 0u);
+    }
+  }
+}
+
 TEST(FlowCacheRuntime, HitAndMissPathsAllocationFreeInSteadyState) {
-  // Steady state must not allocate on either path. The two paths are
-  // driven deterministically so warmed buffers actually repeat:
-  //   - hit path: replay a stream the cache wholly holds (capacity >=
-  //     flows, no evictions) — after the first pass everything hits;
-  //   - miss path: publish a no-op flow-mod (epoch bump) before a replay —
-  //     every cached entry goes epoch-stale, so every packet walks the
-  //     pipeline and the refill refreshes its own slot in place.
+  // Steady state must not allocate on any path. The paths are driven
+  // deterministically so warmed buffers actually repeat:
+  //   - hit path: replay a stream the cache wholly holds (no probe window
+  //     overflows, so nothing is evicted or declined) — after the first
+  //     pass everything hits;
+  //   - miss path: publish a flow-mod that raises the delta log's floor
+  //     (re-attaching the group table) before a replay — no cached entry
+  //     can be revalidated, so every packet walks the pipeline and the
+  //     refill refreshes its own slot in place;
+  //   - revalidated-hit path: publish a no-op flow-mod (epoch bump, empty
+  //     log delta) before a replay — every cached entry is stale but
+  //     revalidates, and is restamped and served.
   // (Eviction-path warming is inherently history-dependent — the victim
   // rotor re-pairs flows and slots across replays — so eviction counters
   // are covered by the FlowCache unit test instead.)
   const auto app = make_app(FilterApp::kRouting, "yoza", 128, 29);
   const auto stream = make_stream(app, 1.1, 512, 30);
   ParallelRuntime rt(app.accelerated.clone(),
-                     {.workers = 1, .flow_cache_capacity = 256});
+                     {.workers = 1, .flow_cache_capacity = 1024});
   std::vector<ExecutionResult> results(512);
   const auto replay = [&] { classify_all(rt, stream, results); };
+  const auto void_cache = [&] {
+    rt.update([](MultiTableLookup& tables) { tables.set_group_table(nullptr); });
+  };
   const auto stale_cache = [&] {
     rt.update([](MultiTableLookup&) {});  // publishes one epoch, mutates nothing
   };
   replay();        // fill
-  stale_cache();
+  void_cache();
   replay();        // warm the miss/refill path end to end
+  stale_cache();
+  replay();        // warm the revalidated-hit path
   replay();        // warm the pure-hit path
   const std::size_t before = g_allocations.load();
   replay();        // all hits
-  stale_cache();
+  void_cache();
   replay();        // all epoch-invalidation misses + in-place refills
+  stale_cache();
+  replay();        // all revalidated hits
   replay();        // all hits again
   EXPECT_EQ(g_allocations.load(), before);
   const auto stats = rt.aggregate_stats();
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_GT(stats.cache_misses, 0u);
   EXPECT_GT(stats.cache_epoch_invalidations, 0u);
+  EXPECT_GT(stats.cache_revalidations, 0u);
+  EXPECT_EQ(stats.cache_evictions + stats.cache_admissions_declined, 0u);
 }
 
 }  // namespace

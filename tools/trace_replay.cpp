@@ -276,7 +276,11 @@ int cmd_run(const std::vector<std::string>& args) {
                              : 0.0)
               << "% hit rate (" << worker_stats.cache_hits << " hits, "
               << worker_stats.cache_misses << " misses, "
-              << worker_stats.cache_evictions << " evictions)\n";
+              << worker_stats.cache_evictions << " evictions, "
+              << worker_stats.cache_epoch_invalidations << " invalidations, "
+              << worker_stats.cache_revalidations << " revalidations, "
+              << worker_stats.cache_admissions_declined
+              << " admissions declined)\n";
   }
 
   if (verify) {
