@@ -8,6 +8,7 @@
 //   $ ./l2l3_switch [ticks]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/switch_model.hpp"
 #include "workload/rng.hpp"
@@ -28,6 +29,12 @@ int main(int argc, char** argv) {
 
   FlowEntryId next_id = 1;
   std::uint64_t now = 0;
+  // Every mod this program sends is well formed: a rejection is a bug here.
+  const auto install = [&sw, &now](const FlowMod& mod) {
+    if (sw.apply(mod, now) != FlowModStatus::kOk) {
+      throw std::logic_error("flow-mod rejected");
+    }
+  };
 
   // Static configuration: admit VLANs 10/20, steer router-addressed frames.
   for (const std::uint16_t vlan : {10, 20}) {
@@ -37,7 +44,7 @@ int main(int argc, char** argv) {
     mod.entry.priority = 1;
     mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{vlan}));
     mod.entry.instructions = goto_table_instruction(1);
-    sw.apply(mod, now);
+    install(mod);
   }
   {
     FlowMod mod;
@@ -46,7 +53,7 @@ int main(int argc, char** argv) {
     mod.entry.priority = 100;
     mod.entry.match.set(FieldId::kEthDst, FieldMatch::exact(kRouterMac));
     mod.entry.instructions = goto_table_instruction(2);
-    sw.apply(mod, now);
+    install(mod);
   }
   // Routing table: a few static prefixes + default route.
   const struct {
@@ -67,7 +74,7 @@ int main(int argc, char** argv) {
         FieldMatch::of_prefix(Prefix::from_value(
             Ipv4Address::parse(route.cidr).value(), route.len, 32)));
     mod.entry.instructions = output_instruction(route.port);
-    sw.apply(mod, now);
+    install(mod);
   }
 
   // Traffic: stations churn; MAC entries learned with idle timeout 50.
@@ -111,7 +118,7 @@ int main(int argc, char** argv) {
           mod.entry.instructions =
               output_instruction(1 + static_cast<std::uint32_t>(src_mac % 16));
           mod.timeouts.idle_timeout = 50;
-          sw.apply(mod, now);
+          install(mod);
           station_macs.emplace_back(src_mac, mod.entry.id);
           ++learned;
         }

@@ -12,6 +12,13 @@ namespace {
   return U128{(std::uint64_t{length} << 16) | value};
 }
 
+/// Partition `p` of a field-wide prefix: the 16-bit prefix trie p stores.
+[[nodiscard]] Prefix partition(const Prefix& prefix, std::size_t p) {
+  const auto index = static_cast<unsigned>(p);
+  return Prefix::from_value(prefix.partition16(index),
+                            prefix.partition16_length(index), 16);
+}
+
 }  // namespace
 
 FieldSearch::FieldSearch(FieldId field, FieldSearchConfig config)
@@ -43,8 +50,17 @@ std::size_t FieldSearch::algorithm_count() const {
   return tries_.empty() ? 1 : tries_.size();
 }
 
-FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const {
+std::optional<FieldSearch::RuleElements> FieldSearch::decompose(
+    const FieldMatch& match) const {
   const auto& info = field_info(field_);
+  // A value wider than the field matches no header the reference compares
+  // it against, so no engine may store it either.
+  const auto fits = [&info](const U128& value) {
+    return (value >> info.bits) == U128{};
+  };
+  if (match.kind == MatchKind::kExact && !fits(match.value)) {
+    return std::nullopt;
+  }
   RuleElements elements;
   switch (info.method) {
     case MatchMethod::kExact:
@@ -55,9 +71,7 @@ FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const 
           elements.exact_value = match.value;
           break;
         default:
-          throw std::invalid_argument(
-              std::string("EM field ") + std::string(field_name(field_)) +
-              " requires exact or any match");
+          return std::nullopt;
       }
       return elements;
     case MatchMethod::kLongestPrefix: {
@@ -70,19 +84,13 @@ FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const 
           prefix = Prefix{match.value, info.bits, info.bits};
           break;
         case MatchKind::kPrefix:
-          if (match.prefix.width() != info.bits) {
-            throw std::invalid_argument("prefix width mismatch for field");
-          }
+          if (match.prefix.width() != info.bits) return std::nullopt;
           prefix = match.prefix;
           break;
         default:
-          throw std::invalid_argument("LPM field requires prefix/exact/any");
+          return std::nullopt;
       }
-      for (std::size_t p = 0; p < tries_.size(); ++p) {
-        const unsigned plen = prefix.partition16_length(static_cast<unsigned>(p));
-        elements.partitions.push_back(Prefix::from_value(
-            prefix.partition16(static_cast<unsigned>(p)), plen, 16));
-      }
+      elements.prefix = prefix;
       return elements;
     }
     case MatchMethod::kRange:
@@ -94,21 +102,25 @@ FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const 
           elements.range = ValueRange{match.value.lo, match.value.lo};
           break;
         case MatchKind::kRange:
+          if (match.range.lo > match.range.hi || !fits(U128{match.range.hi})) {
+            return std::nullopt;
+          }
           elements.range = match.range;
           break;
         default:
-          throw std::invalid_argument("RM field requires range/exact/any");
+          return std::nullopt;
       }
       return elements;
   }
-  throw std::logic_error("unknown match method");
+  return std::nullopt;
 }
 
 std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
   const auto elements = decompose(match);
+  if (!elements) throw std::invalid_argument("add_rule: unsupported match");
   switch (method()) {
     case MatchMethod::kExact: {
-      if (!elements.exact_value) {
+      if (!elements->exact_value) {
         if (!em_any_label_) {
           // Reserve a label outside the value space: the LUT never returns
           // it, the index table recognises it from the candidate list.
@@ -117,7 +129,7 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
         ++em_any_refs_;
         return {*em_any_label_};
       }
-      const Label label = lut_->insert(*elements.exact_value);
+      const Label label = lut_->insert(*elements->exact_value);
       ++label_refs_[0][label];
       return {label};
     }
@@ -125,7 +137,7 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
       std::vector<Label> labels;
       labels.reserve(tries_.size());
       for (std::size_t p = 0; p < tries_.size(); ++p) {
-        const auto& prefix = elements.partitions[p];
+        const Prefix prefix = partition(*elements->prefix, p);
         const Label label = trie_encoders_[p].encode(
             partition_key(prefix.length(), prefix.value64()));
         tries_[p].insert(prefix, label);
@@ -135,7 +147,7 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
       return labels;
     }
     case MatchMethod::kRange: {
-      const Label label = ranges_->add(*elements.range);
+      const Label label = ranges_->add(*elements->range);
       ++label_refs_[0][label];
       return {label};
     }
@@ -145,6 +157,7 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
 
 std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
   const auto elements = decompose(match);
+  if (!elements) throw std::invalid_argument("remove_rule: unsupported match");
   const auto drop_ref = [this](std::size_t algorithm, Label label) {
     const auto it = label_refs_[algorithm].find(label);
     if (it == label_refs_[algorithm].end()) {
@@ -157,22 +170,22 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
 
   switch (method()) {
     case MatchMethod::kExact: {
-      if (!elements.exact_value) {
+      if (!elements->exact_value) {
         if (em_any_refs_ == 0) {
           throw std::invalid_argument("remove_rule: wildcard not registered");
         }
         --em_any_refs_;
         return {*em_any_label_};
       }
-      const auto label = lut_->lookup(*elements.exact_value);
+      const auto label = lut_->lookup(*elements->exact_value);
       if (!label) throw std::invalid_argument("remove_rule: value not present");
-      if (drop_ref(0, *label)) lut_->remove(*elements.exact_value);
+      if (drop_ref(0, *label)) lut_->remove(*elements->exact_value);
       return {*label};
     }
     case MatchMethod::kLongestPrefix: {
       std::vector<Label> labels;
       for (std::size_t p = 0; p < tries_.size(); ++p) {
-        const auto& prefix = elements.partitions[p];
+        const Prefix prefix = partition(*elements->prefix, p);
         const auto label = trie_encoders_[p].find(
             partition_key(prefix.length(), prefix.value64()));
         if (!label) {
@@ -184,13 +197,13 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
       return labels;
     }
     case MatchMethod::kRange: {
-      const auto label = ranges_->find(*elements.range);
+      const auto label = ranges_->find(*elements->range);
       if (!label) throw std::invalid_argument("remove_rule: range not present");
       // RangeMatcher holds one reference per registered rule; release ours
       // and rebuild the interval index when the range actually dies.
       (void)drop_ref(0, *label);
-      ranges_->remove(*elements.range);
-      if (!ranges_->find(*elements.range)) ranges_->seal();
+      ranges_->remove(*elements->range);
+      if (!ranges_->find(*elements->range)) ranges_->seal();
       return {*label};
     }
   }

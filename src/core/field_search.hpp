@@ -44,10 +44,19 @@ class FieldSearch {
   /// one per 16-bit partition for LPM).
   [[nodiscard]] std::size_t algorithm_count() const;
 
+  /// Whether this field's engine can hold `match`: EM takes exact or any,
+  /// LPM a prefix of the field's width, exact or any, RM a range inside the
+  /// field's width, exact or any; exact values must fit the width too. The
+  /// one statement of these rules: add_rule throws on what this rejects.
+  [[nodiscard]] bool accepts(const FieldMatch& match) const {
+    return decompose(match).has_value();
+  }
+
   /// Register one rule's constraint on this field. Returns the rule's label
   /// per algorithm (the rule "signature slice" for this field). Wildcards
   /// map to the zero-length prefix (LPM/RM) or a reserved any-label (EM).
-  /// Unique values are reference-counted across rules.
+  /// Unique values are reference-counted across rules. Throws
+  /// std::invalid_argument on a match accepts() rejects.
   [[nodiscard]] std::vector<Label> add_rule(const FieldMatch& match);
 
   /// Unregister one rule's constraint; when the last rule sharing a unique
@@ -91,11 +100,13 @@ class FieldSearch {
  private:
   /// A rule's constraint decomposed into per-algorithm elements.
   struct RuleElements {
-    std::vector<Prefix> partitions;     // LPM: one 16-bit prefix per trie
+    std::optional<Prefix> prefix;       // LPM: field-wide, split per trie
     std::optional<U128> exact_value;    // EM: nullopt = wildcard
     std::optional<ValueRange> range;    // RM
   };
-  [[nodiscard]] RuleElements decompose(const FieldMatch& match) const;
+  /// nullopt when the engine cannot hold `match` (see accepts()).
+  [[nodiscard]] std::optional<RuleElements> decompose(
+      const FieldMatch& match) const;
 
   FieldId field_;
   FieldSearchConfig config_;

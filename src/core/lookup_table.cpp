@@ -35,6 +35,21 @@ LookupTable LookupTable::compile(const FlowTable& table, FieldSearchConfig confi
   return LookupTable{{used.begin(), used.end()}, table.entries(), config};
 }
 
+bool LookupTable::accepts(const FlowMatch& match) const {
+  std::size_t held = 0;
+  for (std::size_t f = 0; f < fields_.size(); ++f) {
+    const FieldMatch& field = match.get(fields_[f]);
+    if (!searches_[f].accepts(field)) return false;
+    if (field.kind != MatchKind::kAny) ++held;
+  }
+  // Every constraint must sit on one of the table's own fields.
+  std::size_t constrained = 0;
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    if (match.constrains(static_cast<FieldId>(i))) ++constrained;
+  }
+  return held == constrained;
+}
+
 std::uint32_t LookupTable::insert_entry(FlowEntry entry) {
   return insert_entry_impl(std::move(entry), /*seal_after=*/true);
 }

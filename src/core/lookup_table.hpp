@@ -36,9 +36,13 @@ class LookupTable {
   [[nodiscard]] static LookupTable compile(const FlowTable& table,
                                            FieldSearchConfig config = {});
 
+  /// Whether the table can hold `match`: it constrains only the table's own
+  /// fields, each in a shape that field's search accepts.
+  [[nodiscard]] bool accepts(const FlowMatch& match) const;
+
   /// Add one entry to the live table; returns its slot. The entry id must
-  /// not already be present. Fields outside the table's field list must be
-  /// unconstrained.
+  /// not already be present. Constraints on fields outside the table's field
+  /// list are ignored; accepts() is the check that rejects them.
   std::uint32_t insert_entry(FlowEntry entry);
 
   /// Remove the entry with this id; returns whether it existed. Unique

@@ -4,6 +4,34 @@
 
 namespace ofmtl {
 
+FlowModStatus MultiTableLookup::apply(FlowModCommand command,
+                                      std::size_t table,
+                                      const FlowEntry& entry) {
+  if (table >= tables_.size()) return FlowModStatus::kBadTable;
+  if (command == FlowModCommand::kDelete) {
+    return remove_entry(table, entry.id) ? FlowModStatus::kOk
+                                         : FlowModStatus::kUnknownEntry;
+  }
+  const LookupTable& target = tables_[table];
+  const bool live = target.contains(entry.id);
+  if (command == FlowModCommand::kAdd && live) {
+    return FlowModStatus::kDuplicateEntry;
+  }
+  if (command == FlowModCommand::kModify && !live) {
+    return FlowModStatus::kUnknownEntry;
+  }
+  if (!target.accepts(entry.match)) return FlowModStatus::kBadMatch;
+  // Goto must move forward and stay inside the pipeline, or every packet
+  // the entry matches would fail (or silently end) at lookup time.
+  if (const auto next = entry.instructions.goto_table;
+      next && (*next <= table || *next >= tables_.size())) {
+    return FlowModStatus::kBadGoto;
+  }
+  if (command == FlowModCommand::kModify) (void)remove_entry(table, entry.id);
+  insert_entry(table, entry);
+  return FlowModStatus::kOk;
+}
+
 void MultiTableLookup::insert_entry(std::size_t table, FlowEntry entry) {
   LookupTable& target = tables_.at(table);
   DeltaRecord record;

@@ -22,6 +22,18 @@
 
 namespace ofmtl {
 
+enum class FlowModCommand : std::uint8_t { kAdd, kModify, kDelete };
+
+/// Outcome of MultiTableLookup::apply.
+enum class FlowModStatus : std::uint8_t {
+  kOk,
+  kBadTable,        ///< no table with that index
+  kBadMatch,        ///< a constraint LookupTable::accepts rejects
+  kBadGoto,         ///< Goto-Table not to a later table of this pipeline
+  kDuplicateEntry,  ///< add of an id already live in the table
+  kUnknownEntry,    ///< modify or delete of an id not live in the table
+};
+
 class MultiTableLookup : public TableLookupSource {
  public:
   MultiTableLookup() = default;
@@ -56,9 +68,17 @@ class MultiTableLookup : public TableLookupSource {
     return tables_.at(index);
   }
 
-  /// Incremental flow-mod interface: add/remove one entry of one table on
-  /// the live pipeline (the controller channel of Section V.B). Both log
-  /// the mutation under the current log epoch.
+  /// The controller channel of Section V.B: validate one flow-mod, then
+  /// apply it. Every check runs before any mutation, so anything but kOk
+  /// leaves the tables and the delta log as they were. Delete and Modify
+  /// name the entry by id; Modify replaces it whole. Never throws on the
+  /// mod's content.
+  [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
+                                    const FlowEntry& entry);
+
+  /// Programmatic add/remove of one entry of one table on the live pipeline,
+  /// unvalidated: insert_entry throws on a duplicate id or a match a field
+  /// search cannot hold. Both log the mutation under the current log epoch.
   void insert_entry(std::size_t table, FlowEntry entry);
   bool remove_entry(std::size_t table, FlowEntryId id);
   [[nodiscard]] bool contains_entry(std::size_t table, FlowEntryId id) const {

@@ -1,7 +1,5 @@
 #include "core/switch_model.hpp"
 
-#include <stdexcept>
-
 namespace ofmtl {
 
 SwitchModel::SwitchModel(std::vector<std::vector<FieldId>> table_fields,
@@ -16,41 +14,29 @@ SwitchModel::SwitchModel(std::vector<std::vector<FieldId>> table_fields,
   pipeline_.set_group_table(&groups_);
 }
 
-void SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
-  if (mod.table >= pipeline_.table_count()) {
-    throw std::invalid_argument("flow-mod: unknown table");
-  }
+FlowModStatus SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
+  const auto status = pipeline_.apply(mod.command, mod.table, mod.entry);
+  if (status != FlowModStatus::kOk) return status;
+  FlowTable& reference = reference_.table(mod.table);
   switch (mod.command) {
-    case FlowModCommand::kAdd: {
-      pipeline_.insert_entry(mod.table, mod.entry);
-      reference_.table(mod.table).insert(mod.entry);
+    case FlowModCommand::kAdd:
+      reference.insert(mod.entry);
       stats_.install(mod.entry.id, mod.timeouts, now);
       table_of_[mod.entry.id] = mod.table;
-      return;
-    }
-    case FlowModCommand::kDelete: {
-      if (!pipeline_.remove_entry(mod.table, mod.entry.id)) {
-        throw std::invalid_argument("flow-mod: delete of unknown entry");
-      }
-      reference_.table(mod.table).remove(mod.entry.id);
-      stats_.erase(mod.entry.id);
-      table_of_.erase(mod.entry.id);
-      return;
-    }
-    case FlowModCommand::kModify: {
+      break;
+    case FlowModCommand::kModify:
       // Modify = delete + add, preserving counters (OpenFlow keeps counters
       // on modify unless a reset flag is set; we keep them).
-      if (!pipeline_.remove_entry(mod.table, mod.entry.id)) {
-        throw std::invalid_argument("flow-mod: modify of unknown entry");
-      }
-      reference_.table(mod.table).remove(mod.entry.id);
-      pipeline_.insert_entry(mod.table, mod.entry);
-      reference_.table(mod.table).insert(mod.entry);
-      table_of_[mod.entry.id] = mod.table;
-      return;
-    }
+      reference.remove(mod.entry.id);
+      reference.insert(mod.entry);
+      break;
+    case FlowModCommand::kDelete:
+      reference.remove(mod.entry.id);
+      stats_.erase(mod.entry.id);
+      table_of_.erase(mod.entry.id);
+      break;
   }
-  throw std::logic_error("unknown flow-mod command");
+  return status;
 }
 
 ExecutionResult SwitchModel::process(const PacketHeader& header,

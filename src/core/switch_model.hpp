@@ -3,6 +3,9 @@
 // compiled decomposed pipeline and keeps them in lock-step, so flow-mods can
 // be replayed against either surface and the equivalence invariant holds
 // live (the Section V.B controller-update scenario as a library feature).
+// The decomposed pipeline's MultiTableLookup::apply decides whether a mod
+// applies; the reference tables and the counters follow only mods it
+// accepted, so a rejected mod changes nothing.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +17,6 @@
 #include "flow/pipeline_ref.hpp"
 
 namespace ofmtl {
-
-enum class FlowModCommand : std::uint8_t { kAdd, kModify, kDelete };
 
 struct FlowMod {
   FlowModCommand command = FlowModCommand::kAdd;
@@ -32,9 +33,10 @@ class SwitchModel {
   explicit SwitchModel(std::vector<std::vector<FieldId>> table_fields,
                        FieldSearchConfig config = {});
 
-  /// Apply one flow-mod at virtual time `now`. Throws std::invalid_argument
-  /// on malformed mods (unknown table, duplicate add, missing delete id).
-  void apply(const FlowMod& mod, std::uint64_t now = 0);
+  /// Apply one flow-mod at virtual time `now`. Anything but kOk (unknown
+  /// table, duplicate add, missing id, a match the table cannot hold, a
+  /// backward or out-of-range Goto) leaves the switch unchanged.
+  [[nodiscard]] FlowModStatus apply(const FlowMod& mod, std::uint64_t now = 0);
 
   /// Process a packet through the decomposed pipeline, updating counters.
   [[nodiscard]] ExecutionResult process(const PacketHeader& header,

@@ -1,112 +1,64 @@
 #include "ofp/agent.hpp"
 
-#include <stdexcept>
+#include "ofp/server/flow_mod_sink.hpp"
 
 namespace ofmtl::ofp {
 
 SwitchAgent::SwitchAgent(std::vector<std::vector<FieldId>> table_fields,
                          FieldSearchConfig config)
-    : model_(std::move(table_fields), std::move(config)) {}
+    : model_(std::move(table_fields), std::move(config)),
+      // No liveness probes: the peer is in-process.
+      session_(1, {.echo_interval_ms = 0},
+               [this](std::span<const server::PendingFlowMod> mods,
+                      std::span<ErrorCode> results) {
+                 for (std::size_t i = 0; i < mods.size(); ++i) {
+                   results[i] = apply(mods[i].mod);
+                 }
+               },
+               0) {}
 
 std::vector<std::vector<std::uint8_t>> SwitchAgent::handle_control(
     const std::vector<std::uint8_t>& bytes, std::uint64_t now) {
+  now_ = now;
+  session_.on_bytes(bytes, now);
+  // The session queues a byte stream; callers take it back as frames.
+  const auto output = session_.pending_output();
+  server::FrameAssembler frames(output.size());
+  (void)frames.push(output);
+  session_.consume_output(output.size());
   std::vector<std::vector<std::uint8_t>> responses;
-  Envelope envelope;
-  if (const auto status = try_decode(bytes, envelope);
-      status != DecodeStatus::kOk) {
-    responses.push_back(encode_error(peek_xid(bytes), ErrorType::kBadRequest,
-                                     error_code_for(status), bytes));
-    return responses;
-  }
-
-  if (std::holds_alternative<Hello>(envelope.message)) {
-    responses.push_back(encode({envelope.xid, Hello{}}));
-    return responses;
-  }
-  if (const auto* echo = std::get_if<EchoRequest>(&envelope.message)) {
-    responses.push_back(encode({envelope.xid, EchoReply{echo->payload}}));
-    return responses;
-  }
-  if (const auto* role = std::get_if<RoleRequestMsg>(&envelope.message)) {
-    if (role->role != Role::kNoChange) {
-      if ((role->role == Role::kMaster || role->role == Role::kSlave) &&
-          generation_seen_ &&
-          static_cast<std::int64_t>(role->generation_id - max_generation_) <
-              0) {
-        // Stale generation: a fenced ex-master must not reclaim the channel.
-        responses.push_back(encode_error(envelope.xid,
-                                         ErrorType::kRoleRequestFailed,
-                                         ErrorCode::kStale, bytes));
-        return responses;
-      }
-      if (role->role == Role::kMaster || role->role == Role::kSlave) {
-        generation_seen_ = true;
-        max_generation_ = role->generation_id;
-      }
-      role_ = role->role;
-    }
-    responses.push_back(
-        encode({envelope.xid, RoleReplyMsg{role_, max_generation_}}));
-    return responses;
-  }
-  if (const auto* mod = std::get_if<FlowModMsg>(&envelope.message)) {
-    if (role_ == Role::kSlave) {
-      // A slave observes; it does not write.
-      responses.push_back(encode_error(envelope.xid, ErrorType::kFlowModFailed,
-                                       ErrorCode::kIsSlave, bytes));
-      return responses;
-    }
-    FlowMod flow_mod;
-    flow_mod.command = mod->command;
-    flow_mod.table = mod->table_id;
-    flow_mod.entry = mod->entry;
-    flow_mod.timeouts = mod->timeouts;
-    const bool notify_on_delete = mod->command == FlowModCommand::kDelete &&
-                                  notify_removed_.contains(mod->entry.id);
-    FlowRemovedMsg removed;
-    if (notify_on_delete) {
-      // Stats snapshot must precede the apply, which erases them.
-      removed.entry_id = mod->entry.id;
-      removed.table_id = mod->table_id;
-      removed.reason = FlowRemovedReason::kDelete;
-      if (const auto* stats = model_.stats().find(mod->entry.id)) {
-        removed.packets = stats->packets;
-        removed.bytes = stats->bytes;
-      }
-    }
-    try {
-      model_.apply(flow_mod, now);
-    } catch (const std::invalid_argument&) {
-      // Duplicate add, unknown table, missing delete id, ...: the mod is the
-      // peer's fault, not a switch fault — answer, don't unwind.
-      responses.push_back(encode_error(envelope.xid, ErrorType::kFlowModFailed,
-                                       ErrorCode::kBadValue, bytes));
-      return responses;
-    }
-    if (notify_on_delete) {
-      responses.push_back(encode({next_xid(), removed}));
-      notify_removed_.erase(mod->entry.id);
-    }
-    if (mod->command != FlowModCommand::kDelete && mod->send_flow_removed) {
-      notify_removed_[mod->entry.id] = mod->table_id;
-    }
-    return responses;
-  }
-  if (const auto* out = std::get_if<PacketOut>(&envelope.message)) {
-    // The agent's data plane executes the given actions directly; the only
-    // observable here is whether the frame parses.
-    PacketHeader header;
-    if (!parse_packet_header(out->frame, out->in_port, header)) {
-      responses.push_back(encode_error(envelope.xid, ErrorType::kBadRequest,
-                                       ErrorCode::kBadValue, bytes));
-    }
-    return responses;
-  }
-  // Switch->controller types (PACKET_IN, FLOW_REMOVED, ERROR, ECHO_REPLY)
-  // arriving on the inbound path are a protocol violation, not a crash.
-  responses.push_back(encode_error(envelope.xid, ErrorType::kBadRequest,
-                                   ErrorCode::kBadType, bytes));
+  std::vector<std::uint8_t> frame;
+  while (frames.next(frame)) responses.push_back(frame);
   return responses;
+}
+
+FlowRemovedMsg SwitchAgent::flow_removed(FlowEntryId id, std::uint8_t table,
+                                         FlowRemovedReason reason) const {
+  FlowRemovedMsg removed{id, table, reason};
+  if (const auto* stats = model_.stats().find(id)) {
+    removed.packets = stats->packets;
+    removed.bytes = stats->bytes;
+  }
+  return removed;
+}
+
+ErrorCode SwitchAgent::apply(const FlowModMsg& mod) {
+  const FlowEntryId id = mod.entry.id;
+  std::optional<FlowRemovedMsg> removed;
+  if (mod.command == FlowModCommand::kDelete && notify_removed_.contains(id)) {
+    // Stats snapshot must precede the apply, which erases them.
+    removed = flow_removed(id, mod.table_id, FlowRemovedReason::kDelete);
+  }
+  const auto code = server::error_code(model_.apply(
+      {mod.command, mod.table_id, mod.entry, mod.timeouts}, now_));
+  if (code != ErrorCode::kNone) return code;
+  if (removed) {
+    session_.send(encode({next_xid(), *removed}), now_);
+    notify_removed_.erase(id);
+  } else if (mod.command != FlowModCommand::kDelete && mod.send_flow_removed) {
+    notify_removed_[id] = mod.table_id;
+  }
+  return code;
 }
 
 SwitchAgent::DataResult SwitchAgent::handle_frame(
@@ -128,28 +80,19 @@ SwitchAgent::DataResult SwitchAgent::handle_frame(
 }
 
 std::vector<std::vector<std::uint8_t>> SwitchAgent::sweep(std::uint64_t now) {
-  std::vector<std::vector<std::uint8_t>> notifications;
   // Stats snapshots must be taken before the sweep erases them.
-  const auto expired = model_.stats().expired(now);
-  std::vector<std::pair<FlowRemovedMsg, bool>> pending;
-  for (const auto id : expired) {
+  std::vector<FlowRemovedMsg> removed;
+  for (const auto id : model_.stats().expired(now)) {
     const auto notify = notify_removed_.find(id);
-    FlowRemovedMsg removed;
-    removed.entry_id = id;
-    removed.reason = FlowRemovedReason::kIdleTimeout;
-    if (const auto* stats = model_.stats().find(id)) {
-      removed.packets = stats->packets;
-      removed.bytes = stats->bytes;
-    }
-    if (notify != notify_removed_.end()) {
-      removed.table_id = notify->second;
-      pending.emplace_back(removed, true);
-      notify_removed_.erase(notify);
-    }
+    if (notify == notify_removed_.end()) continue;
+    removed.push_back(
+        flow_removed(id, notify->second, FlowRemovedReason::kIdleTimeout));
+    notify_removed_.erase(notify);
   }
   (void)model_.sweep_timeouts(now);
-  for (const auto& [removed, notify] : pending) {
-    if (notify) notifications.push_back(encode({next_xid(), removed}));
+  std::vector<std::vector<std::uint8_t>> notifications;
+  for (const auto& msg : removed) {
+    notifications.push_back(encode({next_xid(), msg}));
   }
   return notifications;
 }

@@ -1,15 +1,19 @@
-// The switch-side protocol endpoint: terminates the control channel on a
-// SwitchModel. Flow-mods mutate the decomposed tables, table misses on the
-// data path surface as PACKET_IN, timeout sweeps emit FLOW_REMOVED (when the
-// flow asked for it), ECHO keeps the session alive — the complete
-// controller/switch loop the paper's update evaluation simulates.
+// The switch-side protocol endpoint, in process: a SwitchModel driven by a
+// standalone server::Session, so control bytes take the served endpoint's
+// path (framing, HELLO, ECHO, roles, ERROR answers) and each flow-mod lands
+// in SwitchModel::apply. The agent adds the data side: PACKET_IN on a table
+// miss, FLOW_REMOVED on delete or timeout sweep (when the flow asked for
+// it) — the complete controller/switch loop the paper's update evaluation
+// simulates.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "ofp/messages.hpp"
+#include "ofp/server/session.hpp"
 
 namespace ofmtl::ofp {
 
@@ -17,12 +21,16 @@ class SwitchAgent {
  public:
   explicit SwitchAgent(std::vector<std::vector<FieldId>> table_fields,
                        FieldSearchConfig config = {});
+  // The session's sink points back at this agent.
+  SwitchAgent(const SwitchAgent&) = delete;
+  SwitchAgent& operator=(const SwitchAgent&) = delete;
 
-  /// Handle one control message (wire bytes); returns response messages
-  /// (wire bytes). Never throws on peer input: malformed frames, unexpected
-  /// message types, flow-mods that fail to apply, and unparseable PACKET_OUT
-  /// frames all answer with an OFP ERROR envelope instead — the contract the
-  /// served endpoint (src/ofp/server/) relies on.
+  /// Feed control-channel bytes at virtual time `now`; returns the frames
+  /// the switch sends back. A stream, like a socket: the first frame must
+  /// be HELLO (the switch's own HELLO is the first frame returned), and a
+  /// frame split across calls is answered once its last byte arrives. A
+  /// failed handshake or a framing desync closes the channel for good
+  /// (session().state()). Never throws on peer input — see server::Session.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> handle_control(
       const std::vector<std::uint8_t>& bytes, std::uint64_t now = 0);
 
@@ -43,20 +51,24 @@ class SwitchAgent {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> sweep(std::uint64_t now);
 
   [[nodiscard]] const SwitchModel& model() const { return model_; }
+  [[nodiscard]] const server::Session& session() const { return session_; }
   [[nodiscard]] std::uint32_t next_xid() { return next_xid_++; }
-  /// Controller role of the (single) control channel. Starts EQUAL.
-  [[nodiscard]] Role role() const { return role_; }
+  /// Controller role of the control channel. Starts EQUAL.
+  [[nodiscard]] Role role() const { return session_.role(); }
 
  private:
+  /// The session's sink, one mod at a time.
+  ErrorCode apply(const FlowModMsg& mod);
+  /// FLOW_REMOVED for a live flow, carrying its counters.
+  [[nodiscard]] FlowRemovedMsg flow_removed(FlowEntryId id, std::uint8_t table,
+                                            FlowRemovedReason reason) const;
+
   SwitchModel model_;
   std::uint32_t next_xid_ = 1;
-  // Single-session role state: same generation fencing as the served
-  // control plane (src/ofp/server/roles.hpp), degenerate promotion rules.
-  Role role_ = Role::kEqual;
-  std::uint64_t max_generation_ = 0;
-  bool generation_seen_ = false;
+  std::uint64_t now_ = 0;  ///< virtual time of the bytes being handled
   // Flows that requested FLOW_REMOVED notification: id -> table.
   std::unordered_map<FlowEntryId, std::uint8_t> notify_removed_;
+  server::Session session_;
 };
 
 }  // namespace ofmtl::ofp

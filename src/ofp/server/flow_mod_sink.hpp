@@ -5,40 +5,35 @@
 // side-applies) per batch, not per mod — so sustained control churn from
 // many controllers costs the data path at most one epoch bump per batch and
 // readers stay wait-free throughout (the publisher never blocks them; see
-// docs/ARCHITECTURE.md "Left-right snapshot publish"). The model sink wraps
-// a SwitchModel for single-threaded agent-style serving and for the soak
-// oracle.
+// docs/ARCHITECTURE.md "Left-right snapshot publish").
 //
-// Both sinks validate before mutating and report per-mod ErrorCodes instead
-// of throwing: a controller's bad mod earns an ERROR reply, never an
-// exception across the event loop.
+// Every sink decides per mod through MultiTableLookup::apply, directly or
+// through SwitchModel::apply (the in-process SwitchAgent), and answers with
+// error_code() of its status: a controller's bad mod earns an ERROR reply
+// and changes nothing, never an exception across the event loop.
 #pragma once
 
-#include <mutex>
-
-#include "core/switch_model.hpp"
+#include "core/pipeline.hpp"
 #include "ofp/server/session.hpp"
 #include "runtime/snapshot.hpp"
 
 namespace ofmtl::ofp::server {
+
+/// The OFP error code a flow-mod's apply status answers with: kNone on
+/// kOk, kDuplicateEntry / kUnknownEntry for id conflicts, kBadValue for a
+/// bad table, match or Goto.
+[[nodiscard]] ErrorCode error_code(FlowModStatus status);
 
 /// Sink over the left-right publisher. `classifier` must outlive the server.
 /// Thread-safe: the classifier serializes writers internally.
 [[nodiscard]] FlowModSink make_classifier_sink(
     runtime::SnapshotClassifier& classifier);
 
-/// Sink over a SwitchModel (reference + decomposed pipeline + stats), with
-/// an external mutex when several server threads share the model. `model`
-/// and `mutex` must outlive the server.
-[[nodiscard]] FlowModSink make_model_sink(SwitchModel& model,
-                                          std::mutex& mutex);
-
-/// Validate-and-apply one batch against a bare MultiTableLookup — the
-/// shared core of the classifier sink and of oracle construction in tests
-/// and the soak tool. `results` must be mods.size() long; mods failing
-/// validation are skipped (kDuplicateEntry / kUnknownEntry / kBadValue),
-/// the rest apply in order. Deterministic: same tables + same batch ==
-/// same results and same final state.
+/// Apply one batch against a bare MultiTableLookup, mod by mod in order —
+/// the shared core of the classifier sink and of oracle construction in
+/// tests and the soak tool. `results` must be mods.size() long and receives
+/// error_code(tables.apply(...)) per mod. Deterministic: same tables + same
+/// batch == same results and same final state.
 void apply_mods(MultiTableLookup& tables,
                 std::span<const PendingFlowMod> mods,
                 std::span<ErrorCode> results);

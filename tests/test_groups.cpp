@@ -75,7 +75,7 @@ FlowMod flow_to_group(FlowEntryId id, std::uint16_t vlan, GroupId group) {
 TEST(SwitchModelGroups, AllGroupFloodsEveryBucket) {
   SwitchModel sw({{FieldId::kVlanId}});
   sw.add_group(flood_group(7, {2, 3, 4}));
-  sw.apply(flow_to_group(1, 10, 7));
+  ASSERT_EQ(sw.apply(flow_to_group(1, 10, 7)), FlowModStatus::kOk);
 
   PacketHeader h;
   h.set_vlan_id(10);
@@ -93,7 +93,7 @@ TEST(SwitchModelGroups, SelectGroupSpreadsFlows) {
   ecmp.buckets = {GroupBucket{1, {OutputAction{5}}},
                   GroupBucket{1, {OutputAction{6}}}};
   sw.add_group(std::move(ecmp));
-  sw.apply(flow_to_group(1, 10, 9));
+  ASSERT_EQ(sw.apply(flow_to_group(1, 10, 9)), FlowModStatus::kOk);
 
   workload::Rng rng(5);
   std::size_t to5 = 0, to6 = 0;
@@ -121,8 +121,8 @@ TEST(SwitchModelGroups, IndirectGroupAndModify) {
   nexthop.type = GroupType::kIndirect;
   nexthop.buckets = {GroupBucket{1, {OutputAction{8}}}};
   sw.add_group(nexthop);
-  sw.apply(flow_to_group(1, 10, 4));
-  sw.apply(flow_to_group(2, 20, 4));
+  ASSERT_EQ(sw.apply(flow_to_group(1, 10, 4)), FlowModStatus::kOk);
+  ASSERT_EQ(sw.apply(flow_to_group(2, 20, 4)), FlowModStatus::kOk);
 
   PacketHeader h;
   h.set_vlan_id(10);
@@ -138,7 +138,8 @@ TEST(SwitchModelGroups, IndirectGroupAndModify) {
 
 TEST(SwitchModelGroups, DanglingGroupDrops) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(flow_to_group(1, 10, 99));  // group 99 never defined
+  // Group 99 is never defined.
+  ASSERT_EQ(sw.apply(flow_to_group(1, 10, 99)), FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(10);
   const auto result = sw.process(h);
@@ -152,7 +153,7 @@ TEST(SwitchModelGroups, GroupBeatsOutputInActionSet) {
   sw.add_group(flood_group(1, {2, 3}));
   FlowMod mod = flow_to_group(1, 10, 1);
   mod.entry.instructions.write_actions.push_back(OutputAction{7});
-  sw.apply(mod);
+  ASSERT_EQ(sw.apply(mod), FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(10);
   EXPECT_EQ(sw.process(h).output_ports, (std::vector<std::uint32_t>{2, 3}));

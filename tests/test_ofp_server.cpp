@@ -2,10 +2,12 @@
 // arbitrary fragmentation, the sans-io Session state machine (handshake,
 // echo liveness, flow-mod batching with barrier semantics, backpressure and
 // malformed-input degradation — all on a virtual clock, no sockets), the
-// FlowModSink adapters, and finally the epoll OfpServer end-to-end over
-// loopback TCP with scripted fault injection (byte-at-a-time delivery,
-// mid-message RST, slow readers). The robustness contract under test: no
-// peer input ever crashes the server; it answers ERROR or closes gracefully.
+// FlowModSink adapters and the one validate-then-apply path behind them
+// (hostile flow-mods, a seeded FLOW_MOD fuzz against an apply_mods oracle),
+// and finally the epoll OfpServer end-to-end over loopback TCP with scripted
+// fault injection (byte-at-a-time delivery, mid-message RST, slow readers).
+// The robustness contract under test: no peer input ever crashes the
+// server; it answers ERROR or closes gracefully.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,11 +18,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "ofp/agent.hpp"
 #include "ofp/server/flow_mod_sink.hpp"
 #include "ofp/server/frame_assembler.hpp"
 #include "ofp/server/server.hpp"
@@ -433,24 +437,104 @@ PendingFlowMod pending(std::uint32_t xid, std::uint32_t id,
   return p;
 }
 
+/// Table 0 holds one field of each engine (LPM, EM, RM) and may Goto
+/// table 1.
+MultiTableLookup two_tables() {
+  MultiTableLookup tables;
+  tables.add_table(LookupTable(
+      {FieldId::kEthDst, FieldId::kVlanId, FieldId::kSrcPort}, {}));
+  tables.add_table(LookupTable({FieldId::kEthDst}, {}));
+  return tables;
+}
+
+PendingFlowMod with_match(PendingFlowMod p, FieldId field, FieldMatch match) {
+  p.mod.entry.match.set(field, match);
+  return p;
+}
+
+PendingFlowMod with_goto(PendingFlowMod p, std::uint8_t table) {
+  p.mod.entry.instructions.goto_table = table;
+  return p;
+}
+
 TEST(FlowModSinks, ApplyModsValidatesPerMod) {
-  auto tables = one_table();
+  auto tables = two_tables();
+  const auto masked = FieldMatch::masked(U128{0x10}, U128{0xF0});
   const std::vector<PendingFlowMod> mods = {
       pending(1, 10),                              // ok
       pending(2, 10),                              // duplicate add
       pending(3, 11, FlowModCommand::kModify),     // unknown id
       pending(4, 11, FlowModCommand::kDelete),     // unknown id
       pending(5, 12, FlowModCommand::kAdd, 9),     // bad table
-      pending(6, 10, FlowModCommand::kDelete),     // ok: removes 10
+      // Match shapes the decomposed table cannot hold:
+      with_match(pending(6, 13), FieldId::kEthDst, masked),
+      with_match(pending(7, 14), FieldId::kVlanId, masked),
+      with_match(pending(8, 15), FieldId::kVlanId,
+                 FieldMatch::of_range(1, 5)),      // range on an EM field
+      with_match(pending(9, 16), FieldId::kEthDst,
+                 FieldMatch::of_prefix(Prefix::from_value(1, 8, 32))),
+      with_match(pending(10, 17), FieldId::kSrcPort,
+                 FieldMatch::of_range(0, 70000)),  // past the field's max
+      with_match(pending(10, 22), FieldId::kSrcPort,
+                 FieldMatch::exact(std::uint64_t{70000})),
+      // A constraint on a field outside the table:
+      with_match(pending(11, 18), FieldId::kIpv4Dst,
+                 FieldMatch::exact(std::uint64_t{1})),
+      with_goto(pending(12, 19), 0),               // Goto to itself
+      with_goto(pending(13, 20), 2),               // Goto past the last table
+      with_goto(pending(14, 21), 1),               // ok
+      // Modify of a live id to an invalid match keeps the old entry.
+      with_match(pending(15, 10, FlowModCommand::kModify), FieldId::kEthDst,
+                 masked),
   };
   std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
   apply_mods(tables, mods, results);
+  using E = ErrorCode;
   EXPECT_EQ(results,
-            (std::vector<ErrorCode>{ErrorCode::kNone, ErrorCode::kDuplicateEntry,
-                                    ErrorCode::kUnknownEntry,
-                                    ErrorCode::kUnknownEntry,
-                                    ErrorCode::kBadValue, ErrorCode::kNone}));
+            (std::vector<ErrorCode>{E::kNone, E::kDuplicateEntry,
+                                    E::kUnknownEntry, E::kUnknownEntry,
+                                    E::kBadValue, E::kBadValue, E::kBadValue,
+                                    E::kBadValue, E::kBadValue, E::kBadValue,
+                                    E::kBadValue, E::kBadValue, E::kBadValue,
+                                    E::kBadValue, E::kNone, E::kBadValue}));
+  EXPECT_EQ(tables.table(0).entry_count(), 2U);
+  EXPECT_TRUE(tables.contains_entry(0, 21));
+  PacketHeader probe;
+  probe.set(FieldId::kEthDst, std::uint64_t{10});
+  const auto result = tables.execute(probe);
+  EXPECT_EQ(result.matched_entries, (std::vector<FlowEntryId>{10}));
+  EXPECT_EQ(result.output_ports, (std::vector<std::uint32_t>{10}));
+
+  const std::vector<PendingFlowMod> remove = {
+      pending(16, 10, FlowModCommand::kDelete)};
+  apply_mods(tables, remove, results);
+  EXPECT_EQ(results[0], ErrorCode::kNone);
   EXPECT_FALSE(tables.contains_entry(0, 10));
+}
+
+TEST(FlowModSinks, RejectedModsLeaveTheDeltaLogUntouched) {
+  auto tables = two_tables();
+  tables.set_log_epoch(1);
+  const std::vector<PendingFlowMod> install = {pending(1, 10)};
+  std::vector<ErrorCode> results(1);
+  apply_mods(tables, install, results);
+  PacketHeader probe;
+  probe.set(FieldId::kEthDst, std::uint64_t{10});
+  const auto cached = tables.execute(probe);
+
+  // A Modify that removed before validating would log the removal of the
+  // entry the probe matched; an Add would log an insert matching it.
+  tables.set_log_epoch(2);
+  const std::vector<PendingFlowMod> hostile = {
+      with_match(pending(2, 10, FlowModCommand::kModify), FieldId::kVlanId,
+                 FieldMatch::of_range(1, 5)),
+      with_goto(pending(3, 11), 0),
+  };
+  results.assign(hostile.size(), ErrorCode::kNone);
+  apply_mods(tables, hostile, results);
+  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kBadValue,
+                                             ErrorCode::kBadValue}));
+  EXPECT_TRUE(tables.still_valid(probe, cached, 1));
 }
 
 TEST(FlowModSinks, ClassifierSinkPublishesOncePerBatch) {
@@ -702,6 +786,203 @@ TEST(OfpServer, ConcurrentFaultySessionsConvergeToOracle) {
   }
   EXPECT_GE(server.stats().flow_mods_ok, kSessions * kModsPerSession);
   server.stop();
+}
+
+// --- hostile flow-mods: answered with ERROR, never a crash ---
+
+/// A flow-mod whose VLAN match is masked: EM fields hold exact or any only.
+std::vector<std::uint8_t> masked_vlan_frame(std::uint32_t xid,
+                                            std::uint32_t id) {
+  FlowModMsg mod;
+  mod.entry.id = id;
+  mod.entry.priority = 1;
+  mod.entry.match.set(FieldId::kVlanId,
+                      FieldMatch::masked(U128{0x10}, U128{0xF0}));
+  mod.entry.instructions = output_instruction(1);
+  return encode({xid, mod});
+}
+
+TEST(Session, HostileFlowModEarnsErrorThenServingContinues) {
+  runtime::SnapshotClassifier classifier(two_tables());
+  auto session = steady_session(make_classifier_sink(classifier));
+  EXPECT_NO_THROW(session.on_bytes(masked_vlan_frame(7, 1), 1));
+  const auto replies = drain_frames(session);
+  ASSERT_EQ(replies.size(), 1U);
+  EXPECT_EQ(replies[0].xid, 7U);
+  const auto& error = std::get<ErrorMsg>(replies[0].message);
+  EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
+  EXPECT_EQ(error.code, ErrorCode::kBadValue);
+  EXPECT_EQ(session.state(), Session::State::kSteady);
+
+  session.on_bytes(flow_mod_frame(8, 2), 2);
+  EXPECT_TRUE(drain_frames(session).empty());
+  const auto guard = classifier.acquire();
+  EXPECT_FALSE(guard.tables().contains_entry(0, 1));
+  EXPECT_TRUE(guard.tables().contains_entry(0, 2));
+}
+
+TEST(OfpServer, HostileFlowModLeavesTheServerRunning) {
+  runtime::SnapshotClassifier classifier(two_tables());
+  OfpServer server(make_classifier_sink(classifier), quick_config());
+  ASSERT_TRUE(server.start());
+
+  ScriptedController controller;
+  ASSERT_TRUE(controller.connect(server.port()));
+  ASSERT_TRUE(controller.send(masked_vlan_frame(controller.next_xid(), 1)));
+  const auto barrier = controller.barrier();
+  EXPECT_TRUE(barrier.ok);
+  EXPECT_EQ(barrier.errors_seen, 1U);
+  EXPECT_TRUE(server.running());
+
+  ASSERT_TRUE(controller.send(flow_mod_frame(controller.next_xid(), 2)));
+  ASSERT_TRUE(controller.barrier().ok);
+  EXPECT_TRUE(classifier.acquire().tables().contains_entry(0, 2));
+  EXPECT_EQ(server.stats().flow_mods_failed, 1U);
+  server.stop();
+}
+
+// --- seeded FLOW_MOD fuzz: every apply path agrees with apply_mods ---
+
+const std::vector<std::vector<FieldId>> kFuzzLayout = {
+    {FieldId::kInPort, FieldId::kEthDst, FieldId::kVlanId},
+    {FieldId::kMetadata, FieldId::kIpv4Dst, FieldId::kSrcPort}};
+const std::vector<FieldId> kFuzzFields = {
+    FieldId::kInPort,   FieldId::kEthDst,  FieldId::kVlanId,
+    FieldId::kMetadata, FieldId::kIpv4Dst, FieldId::kSrcPort};
+
+MultiTableLookup fuzz_tables() {
+  MultiTableLookup tables;
+  for (const auto& fields : kFuzzLayout) tables.add_table(LookupTable(fields, {}));
+  return tables;
+}
+
+/// Mostly small values, so rules overlap and probes hit them; sometimes the
+/// field's maximum, sometimes one past it.
+U128 fuzz_value(workload::Rng& rng, unsigned bits) {
+  const auto roll = rng.below(8);
+  if (roll == 0) return bits == 128 ? ~U128{} : (~U128{}) >> (128 - bits);
+  if (roll == 1) return U128{1} << std::min(bits, 127U);
+  return U128{rng.below(8)};
+}
+
+FieldMatch fuzz_field_match(workload::Rng& rng, FieldId field) {
+  const unsigned bits = field_bits(field);
+  switch (rng.below(5)) {
+    case 0:
+      return FieldMatch::any();
+    case 1:
+      return FieldMatch::exact(fuzz_value(rng, bits));
+    case 2: {
+      const unsigned width = rng.chance(0.8)
+                                 ? bits
+                                 : static_cast<unsigned>(rng.between(1, 128));
+      const auto length = static_cast<unsigned>(rng.below(width + 1));
+      return FieldMatch::of_prefix(Prefix{fuzz_value(rng, bits), length, width});
+    }
+    case 3: {
+      const auto lo = rng.below(8);
+      const auto hi = rng.chance(0.1) ? lo + 70000 : lo + rng.below(8);
+      return FieldMatch::of_range(lo, hi);
+    }
+    default:
+      return FieldMatch::masked(fuzz_value(rng, bits), U128{rng.below(16)});
+  }
+}
+
+/// A random decodable FLOW_MOD: any command, table 0..2 (2 does not exist),
+/// ids from a pool of 12, 0..3 constraints on any field (mostly the table's
+/// own), and sometimes a Goto to any table 0..2.
+FlowModMsg fuzz_flow_mod(workload::Rng& rng) {
+  FlowModMsg mod;
+  mod.command = static_cast<FlowModCommand>(rng.below(3));
+  mod.table_id = static_cast<std::uint8_t>(rng.chance(0.9) ? rng.below(2) : 2);
+  mod.entry.id = static_cast<FlowEntryId>(1 + rng.below(12));
+  mod.entry.priority = static_cast<std::uint16_t>(rng.below(4));
+  const auto& own = kFuzzLayout[mod.table_id % kFuzzLayout.size()];
+  for (auto n = rng.below(4); n > 0; --n) {
+    const FieldId field =
+        rng.chance(0.85) ? own[rng.below(own.size())]
+                         : static_cast<FieldId>(rng.below(kFieldCount));
+    mod.entry.match.set(field, fuzz_field_match(rng, field));
+  }
+  mod.entry.instructions =
+      output_instruction(static_cast<std::uint32_t>(1 + rng.below(4)));
+  if (rng.chance(0.4)) {
+    mod.entry.instructions.goto_table = static_cast<std::uint8_t>(rng.below(3));
+    mod.entry.instructions.write_metadata =
+        MetadataWrite{rng.below(8), ~std::uint64_t{0}};
+  }
+  mod.send_flow_removed = rng.chance(0.3);
+  return mod;
+}
+
+/// xid -> error code of every ERROR frame in `frames`.
+std::map<std::uint32_t, ErrorCode> errors_by_xid(
+    const std::vector<Envelope>& frames) {
+  std::map<std::uint32_t, ErrorCode> errors;
+  for (const auto& envelope : frames) {
+    if (const auto* error = std::get_if<ErrorMsg>(&envelope.message)) {
+      errors[envelope.xid] = error->code;
+    }
+  }
+  return errors;
+}
+
+TEST(FlowModFuzz, SessionAgentAndOracleAgree) {
+  workload::Rng rng(1717);
+  runtime::SnapshotClassifier classifier(fuzz_tables());
+  auto session = steady_session(make_classifier_sink(classifier));
+  SwitchAgent agent(kFuzzLayout);
+  ASSERT_EQ(agent.handle_control(encode({1, Hello{}})).size(), 1U);
+  auto oracle = fuzz_tables();
+
+  std::uint32_t xid = 100;
+  std::size_t rejected = 0;
+  for (int batch = 0; batch < 1000; ++batch) {
+    std::vector<PendingFlowMod> mods;
+    std::vector<std::uint8_t> bytes;
+    for (auto n = 1 + rng.below(8); n > 0; --n) {
+      mods.push_back({xid++, fuzz_flow_mod(rng)});
+      const auto frame = encode({mods.back().xid, mods.back().mod});
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    std::vector<ErrorCode> want(mods.size(), ErrorCode::kNone);
+    apply_mods(oracle, mods, want);
+
+    ASSERT_NO_THROW(session.on_bytes(bytes, 0)) << "batch " << batch;
+    std::vector<std::vector<std::uint8_t>> agent_out;
+    ASSERT_NO_THROW(agent_out = agent.handle_control(bytes)) << "batch " << batch;
+    std::vector<Envelope> agent_frames;
+    for (const auto& frame : agent_out) agent_frames.push_back(decode(frame));
+    const auto session_errors = errors_by_xid(drain_frames(session));
+    const auto agent_errors = errors_by_xid(agent_frames);
+    for (std::size_t i = 0; i < mods.size(); ++i) {
+      const auto it = session_errors.find(mods[i].xid);
+      const auto got = it == session_errors.end() ? ErrorCode::kNone : it->second;
+      EXPECT_EQ(got, want[i]) << "batch " << batch << " mod " << i;
+      const auto agent_it = agent_errors.find(mods[i].xid);
+      EXPECT_EQ(agent_it == agent_errors.end() ? ErrorCode::kNone
+                                               : agent_it->second,
+                want[i])
+          << "batch " << batch << " mod " << i;
+      if (want[i] != ErrorCode::kNone) ++rejected;
+    }
+
+    const auto guard = classifier.acquire();
+    for (int probe = 0; probe < 16; ++probe) {
+      PacketHeader header;
+      for (const auto field : kFuzzFields) header.set(field, rng.below(8));
+      const auto expected = oracle.execute(header);
+      ASSERT_EQ(guard.tables().execute(header), expected) << "batch " << batch;
+      ASSERT_EQ(agent.model().pipeline().execute(header), expected)
+          << "batch " << batch;
+      ASSERT_EQ(agent.model().process_reference(header), expected)
+          << "batch " << batch;
+    }
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(rejected, 100U);
+  EXPECT_GT(session.counters().flow_mods_ok, 100U);
 }
 
 // --- stats endpoint: read-only HTTP plane inside the same epoll loop ---

@@ -30,7 +30,7 @@ FlowMatch vlan_match(std::uint16_t vlan) {
 
 TEST(SwitchModel, AddProcessDelete) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(add_mod(0, 1, 1, vlan_match(5), 9));
+  ASSERT_EQ(sw.apply(add_mod(0, 1, 1, vlan_match(5), 9)), FlowModStatus::kOk);
   EXPECT_EQ(sw.entry_count(), 1U);
 
   PacketHeader h;
@@ -43,14 +43,14 @@ TEST(SwitchModel, AddProcessDelete) {
   del.command = FlowModCommand::kDelete;
   del.table = 0;
   del.entry.id = 1;
-  sw.apply(del);
+  ASSERT_EQ(sw.apply(del), FlowModStatus::kOk);
   EXPECT_EQ(sw.entry_count(), 0U);
   EXPECT_EQ(sw.process(h).verdict, Verdict::kToController);
 }
 
 TEST(SwitchModel, CountersAccumulate) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(add_mod(0, 1, 1, vlan_match(5), 9));
+  ASSERT_EQ(sw.apply(add_mod(0, 1, 1, vlan_match(5), 9)), FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(5);
   (void)sw.process(h, 100, 1);
@@ -64,14 +64,14 @@ TEST(SwitchModel, CountersAccumulate) {
 
 TEST(SwitchModel, ModifyKeepsCounters) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(add_mod(0, 1, 1, vlan_match(5), 9));
+  ASSERT_EQ(sw.apply(add_mod(0, 1, 1, vlan_match(5), 9)), FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(5);
   (void)sw.process(h, 64, 1);
 
   FlowMod modify = add_mod(0, 1, 1, vlan_match(5), 12);
   modify.command = FlowModCommand::kModify;
-  sw.apply(modify, 2);
+  ASSERT_EQ(sw.apply(modify, 2), FlowModStatus::kOk);
 
   const auto result = sw.process(h, 64, 3);
   EXPECT_EQ(result.output_ports, (std::vector<std::uint32_t>{12}));
@@ -82,8 +82,10 @@ TEST(SwitchModel, ModifyKeepsCounters) {
 
 TEST(SwitchModel, IdleTimeoutRefreshedByTraffic) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(add_mod(0, 1, 1, vlan_match(5), 9, TimeoutConfig{.idle_timeout = 10}),
-           /*now=*/0);
+  ASSERT_EQ(sw.apply(add_mod(0, 1, 1, vlan_match(5), 9,
+                             TimeoutConfig{.idle_timeout = 10}),
+                     /*now=*/0),
+            FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(5);
   (void)sw.process(h, 64, 8);  // refreshes idle timer
@@ -96,8 +98,10 @@ TEST(SwitchModel, IdleTimeoutRefreshedByTraffic) {
 
 TEST(SwitchModel, HardTimeoutIgnoresTraffic) {
   SwitchModel sw({{FieldId::kVlanId}});
-  sw.apply(add_mod(0, 1, 1, vlan_match(5), 9, TimeoutConfig{.hard_timeout = 10}),
-           /*now=*/0);
+  ASSERT_EQ(sw.apply(add_mod(0, 1, 1, vlan_match(5), 9,
+                             TimeoutConfig{.hard_timeout = 10}),
+                     /*now=*/0),
+            FlowModStatus::kOk);
   PacketHeader h;
   h.set_vlan_id(5);
   for (std::uint64_t t = 1; t < 10; ++t) (void)sw.process(h, 64, t);
@@ -105,17 +109,43 @@ TEST(SwitchModel, HardTimeoutIgnoresTraffic) {
   ASSERT_EQ(evicted.size(), 1U);
 }
 
-TEST(SwitchModel, MalformedModsThrow) {
+TEST(SwitchModel, MalformedModsAreRejected) {
   SwitchModel sw({{FieldId::kVlanId}});
-  EXPECT_THROW(sw.apply(add_mod(3, 1, 1, vlan_match(1), 1)),
-               std::invalid_argument);
+  EXPECT_EQ(sw.apply(add_mod(3, 1, 1, vlan_match(1), 1)),
+            FlowModStatus::kBadTable);
   FlowMod del;
   del.command = FlowModCommand::kDelete;
   del.entry.id = 42;
-  EXPECT_THROW(sw.apply(del), std::invalid_argument);
-  sw.apply(add_mod(0, 7, 1, vlan_match(1), 1));
-  EXPECT_THROW(sw.apply(add_mod(0, 7, 1, vlan_match(2), 1)),
-               std::invalid_argument);
+  EXPECT_EQ(sw.apply(del), FlowModStatus::kUnknownEntry);
+  EXPECT_EQ(sw.apply(add_mod(0, 7, 1, vlan_match(1), 1)), FlowModStatus::kOk);
+  EXPECT_EQ(sw.apply(add_mod(0, 7, 1, vlan_match(2), 1)),
+            FlowModStatus::kDuplicateEntry);
+  FlowMatch masked;
+  masked.set(FieldId::kVlanId, FieldMatch::masked(U128{1}, U128{0xF}));
+  EXPECT_EQ(sw.apply(add_mod(0, 8, 1, masked, 1)), FlowModStatus::kBadMatch);
+  FlowMod backward = add_mod(0, 9, 1, vlan_match(3), 1);
+  backward.entry.instructions = goto_table_instruction(0);
+  EXPECT_EQ(sw.apply(backward), FlowModStatus::kBadGoto);
+  // Only the one accepted add reached either pipeline or the counters.
+  EXPECT_EQ(sw.entry_count(), 1U);
+  EXPECT_EQ(sw.reference().table(0).size(), 1U);
+  EXPECT_EQ(sw.stats().find(8), nullptr);
+}
+
+TEST(SwitchModel, ConstraintOutsideTheTableIsRejected) {
+  // A rule on eth_dst in a {vlan, ipv4_dst} table: the decomposed table has
+  // no search for eth_dst, so it would match packets the reference does not.
+  SwitchModel sw({{FieldId::kVlanId, FieldId::kIpv4Dst}});
+  FlowMatch match = vlan_match(5);
+  match.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{1}));
+  EXPECT_EQ(sw.apply(add_mod(0, 1, 1, match, 2)), FlowModStatus::kBadMatch);
+  EXPECT_EQ(sw.entry_count(), 0U);
+
+  PacketHeader h;
+  h.set_vlan_id(5);
+  h.set_eth_dst(MacAddress{2});
+  EXPECT_EQ(sw.process(h), sw.process_reference(h));
+  EXPECT_EQ(sw.process(h).verdict, Verdict::kToController);
 }
 
 TEST(SwitchModel, MultiTableGotoWithLiveMods) {
@@ -124,12 +154,12 @@ TEST(SwitchModel, MultiTableGotoWithLiveMods) {
   t0.entry.instructions = InstructionSet{};
   t0.entry.instructions.goto_table = 1;
   t0.entry.instructions.write_metadata = MetadataWrite{0x7, ~std::uint64_t{0}};
-  sw.apply(t0);
+  ASSERT_EQ(sw.apply(t0), FlowModStatus::kOk);
 
   FlowMatch m1;
   m1.set(FieldId::kMetadata, FieldMatch::exact(std::uint64_t{0x7}));
   m1.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{0xAB}));
-  sw.apply(add_mod(1, 200, 1, m1, 4));
+  ASSERT_EQ(sw.apply(add_mod(1, 200, 1, m1, 4)), FlowModStatus::kOk);
 
   PacketHeader h;
   h.set_vlan_id(5);
@@ -154,7 +184,8 @@ TEST(SwitchModel, RandomChurnKeepsEquivalence) {
       match.set(FieldId::kEthDst, FieldMatch::exact(rng.below(48)));
       auto mod = add_mod(0, next_id++, static_cast<std::uint16_t>(rng.below(4)),
                          match, static_cast<std::uint32_t>(1 + rng.below(8)));
-      sw.apply(mod, static_cast<std::uint64_t>(step));
+      ASSERT_EQ(sw.apply(mod, static_cast<std::uint64_t>(step)),
+                FlowModStatus::kOk);
       live.push_back(mod.entry);
     } else {
       const std::size_t victim = rng.below(live.size());
@@ -162,7 +193,8 @@ TEST(SwitchModel, RandomChurnKeepsEquivalence) {
       del.command = FlowModCommand::kDelete;
       del.table = 0;
       del.entry.id = live[victim].id;
-      sw.apply(del, static_cast<std::uint64_t>(step));
+      ASSERT_EQ(sw.apply(del, static_cast<std::uint64_t>(step)),
+                FlowModStatus::kOk);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
     if (step % 10 == 0) {
