@@ -1,10 +1,11 @@
-// Microbenchmark of the SIMD lane engine, stage by stage: each probe kernel
-// of the batch lookup path — flat-hash tag-group compare, range lower-bound
-// (rank-select narrow / prefetched halving wide), multibit-trie level-array
-// descent, tree-bitmap longest-internal-match — measured on the compiled
-// vector backend and again with the portable SWAR kernels forced, so the
-// vector speedup per stage is visible in isolation from the end-to-end
-// pipeline numbers (BENCH_lookup.json).
+// Microbenchmark of the lookup path's probe kernels, stage by stage: the
+// flat-hash tag-group compare, the exact-match LUT batch probe, the range
+// matcher's rank-select lookup and the multibit-trie level-array descent —
+// measured on the compiled vector backend and again with the portable SWAR
+// kernels forced, so the vector speedup per stage is visible in isolation
+// from the end-to-end pipeline numbers (BENCH_lookup.json). The range and
+// trie rows call the structure's one scalar lookup per key; they have no
+// vector kernel, so their two columns should agree.
 //
 // Writes BENCH_simd_probe.json in million_ops_per_sec (higher is better).
 // CI floors the SWAR kernels with conservative machine-independent minimums
@@ -18,7 +19,6 @@
 
 #include "bench_common.hpp"
 #include "classifier/range_matcher.hpp"
-#include "classifier/tree_bitmap.hpp"
 #include "core/flat_hash.hpp"
 #include "core/lut.hpp"
 #include "core/multibit_trie.hpp"
@@ -110,10 +110,10 @@ int main() {
     });
   }
 
-  // --- range matcher: narrow (rank-select) and wide (halving search) --------
-  for (const unsigned width : {16U, 32U}) {
-    const std::uint64_t max = low_mask(width);
-    RangeMatcher ranges(width);
+  // --- range matcher: rank-select lookup -----------------------------------
+  {
+    const std::uint64_t max = low_mask(16);
+    RangeMatcher ranges(16);
     for (int i = 0; i < 512; ++i) {
       const std::uint64_t lo = rng.next() & max;
       ranges.add({lo, std::min<std::uint64_t>(max, lo + rng.below(1 << 14))});
@@ -121,15 +121,15 @@ int main() {
     ranges.seal();
     std::vector<std::uint64_t> keys;
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & max);
-    std::vector<const std::vector<std::uint32_t>*> out(keys.size());
+    volatile std::size_t sink = 0;
     constexpr std::size_t kRounds = 200;
-    measure_both(results,
-                 width == 16 ? "range_narrow" : "range_wide",
-                 kRounds * kQueries, [&] {
-                   for (std::size_t round = 0; round < kRounds; ++round) {
-                     ranges.lookup_batch(keys, out);
-                   }
-                 });
+    measure_both(results, "range_narrow", kRounds * kQueries, [&] {
+      std::size_t acc = 0;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (const std::uint64_t key : keys) acc += ranges.lookup(key).size();
+      }
+      sink = acc;
+    });
   }
 
   // --- multibit trie: level-array descent + parent chains -------------------
@@ -150,28 +150,6 @@ int main() {
         for (std::size_t i = 0; i < keys.size(); ++i) {
           trie.lookup_all(keys[i], lists[i]);
         }
-      }
-    });
-  }
-
-  // --- tree bitmap: masked longest-internal-match ---------------------------
-  {
-    std::vector<std::pair<Prefix, Label>> prefixes;
-    for (int i = 0; i < 2000; ++i) {
-      const unsigned len = 1 + static_cast<unsigned>(rng.below(16));
-      const std::uint64_t value = (rng.next() & 0xFFFF) >> (16 - len)
-                                  << (16 - len);
-      prefixes.emplace_back(Prefix{U128{value}, len, 16},
-                            static_cast<Label>(i % 512));
-    }
-    const TreeBitmapTrie tree(16, {5, 5, 6}, prefixes);
-    std::vector<std::uint64_t> keys;
-    for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & 0xFFFF);
-    std::vector<std::optional<Label>> out(keys.size());
-    constexpr std::size_t kRounds = 100;
-    measure_both(results, "tree_bitmap_batch", kRounds * kQueries, [&] {
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        tree.lookup_batch(keys, out);
       }
     });
   }

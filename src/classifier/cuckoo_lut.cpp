@@ -1,6 +1,5 @@
 #include "classifier/cuckoo_lut.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -103,38 +102,6 @@ bool CuckooLut::remove(const U128& value) {
     }
   }
   return false;
-}
-
-void CuckooLut::lookup_batch(std::span<const U128> values,
-                             std::span<Label> out) const {
-  if (out.size() < values.size()) {
-    throw std::invalid_argument("lookup_batch: out span too small");
-  }
-  constexpr std::size_t kLanes = 8;
-  for (std::size_t base = 0; base < values.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, values.size() - base);
-    std::size_t index[2][kLanes];
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      for (unsigned table = 0; table < 2; ++table) {
-        index[table][lane] = index_of(values[base + lane], table);
-        __builtin_prefetch(tables_[table].data() + index[table][lane]);
-      }
-    }
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const U128& value = values[base + lane];
-      Label label = kNoLabel;
-      for (unsigned table = 0; table < 2 && label == kNoLabel; ++table) {
-        const Bucket& bucket = tables_[table][index[table][lane]];
-        for (const auto& slot : bucket.slots) {
-          if (slot.value && *slot.value == value) {
-            label = slot.label;
-            break;
-          }
-        }
-      }
-      out[base + lane] = label;
-    }
-  }
 }
 
 std::optional<Label> CuckooLut::lookup(const U128& value) const {

@@ -2,12 +2,13 @@
 // ablation against the paper's linear-probing LUT. Cuckoo tables reach much
 // higher load factors (fewer slots for the same value count, i.e. less
 // memory) at the cost of a bounded worst case of 2 parallel reads per
-// lookup and occasional relocation chains on insert.
+// lookup and occasional relocation chains on insert. A scalar reference
+// implementation: it feeds the EM ablation, not the data path, so lookup()
+// is its only query form.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/label.hpp"
@@ -26,13 +27,8 @@ class CuckooLut {
   /// Remove a value (no tombstones needed — cuckoo deletion is exact).
   bool remove(const U128& value);
 
+  /// Label of `value`: at most two bucket reads, one per table.
   [[nodiscard]] std::optional<Label> lookup(const U128& value) const;
-
-  /// Batched lookup: out[i] = label of values[i], kNoLabel on miss. Both
-  /// candidate buckets of every lane in a window are prefetched before any
-  /// lane reads — the cuckoo invariant (a value lives in one of exactly two
-  /// buckets) makes the whole batch two overlapped memory rounds.
-  void lookup_batch(std::span<const U128> values, std::span<Label> out) const;
 
   [[nodiscard]] std::size_t unique_values() const { return live_count_; }
   [[nodiscard]] std::size_t slot_count() const {

@@ -3,16 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 
-
 namespace ofmtl {
 
 namespace {
 
-/// Fields at most this wide get the rank-select boundary bitmap (2^16 bits
-/// = 8 KiB worst case — smaller than the L1 the search would thrash).
-constexpr unsigned kRankSelectMaxWidth = 16;
+/// Widest field the rank-select boundary bitmap spans (2^16 bits = 8 KiB).
+constexpr unsigned kMaxWidth = 16;
 
 }  // namespace
+
+RangeMatcher::RangeMatcher(unsigned width) : width_(width) {
+  if (width > kMaxWidth) {
+    throw std::invalid_argument("range field wider than 16 bits");
+  }
+}
 
 std::uint32_t RangeMatcher::add(const ValueRange& range) {
   if (range.lo > range.hi || range.hi > low_mask(width_)) {
@@ -89,14 +93,19 @@ void RangeMatcher::remove_events(std::uint32_t label) {
 void RangeMatcher::seal() {
   if (sealed_) return;  // alive set unchanged since the last sweep
   ++seal_sweeps_;
-  boundaries_.clear();
   interval_labels_.clear();
-  boundaries_.reserve(events_.size() + 1);
   interval_labels_.reserve(events_.size() + 1);
+  const std::size_t words =
+      std::max<std::size_t>((std::size_t{1} << width_) / 64, 1);
+  rank_bits_.assign(words, 0);
+  const auto mark = [this](std::uint64_t boundary) {
+    rank_bits_[boundary >> 6] |= std::uint64_t{1} << (boundary & 63);
+  };
 
   // One ordered sweep over the event map: the active set gains a range at
   // its lo point and loses it at hi + 1, and every event point starts an
-  // elementary interval whose label list is a snapshot of the active set.
+  // elementary interval whose label list is a snapshot of the active set;
+  // its start is marked in the rank-select bitmap.
   // `active` is kept sorted by (span, label) — the narrowest-first order the
   // lookups return — so each snapshot is a plain copy.
   std::vector<std::uint32_t> active;
@@ -119,36 +128,24 @@ void RangeMatcher::seal() {
   };
 
   auto it = events_.begin();
-  boundaries_.push_back(0);  // interval [0, first event) always exists
+  mark(0);  // interval [0, first event) always exists
   if (it != events_.end() && it->first == 0) {
     apply(it->second);
     ++it;
   }
   interval_labels_.push_back(active);
   for (; it != events_.end(); ++it) {
-    boundaries_.push_back(it->first);
+    mark(it->first);
     apply(it->second);
     interval_labels_.push_back(active);
   }
 
-  // Narrow fields: lay the boundaries out as a rank-select bitmap so point
-  // lookups become a popcount instead of a search.
-  if (width_ <= kRankSelectMaxWidth) {
-    const std::size_t words =
-        std::max<std::size_t>((std::size_t{1} << width_) / 64, 1);
-    rank_bits_.assign(words, 0);
-    rank_dir_.assign(words, 0);
-    for (const std::uint64_t boundary : boundaries_) {
-      rank_bits_[boundary >> 6] |= std::uint64_t{1} << (boundary & 63);
-    }
-    std::uint32_t cumulative = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      rank_dir_[w] = cumulative;
-      cumulative += static_cast<std::uint32_t>(std::popcount(rank_bits_[w]));
-    }
-  } else {
-    rank_bits_.clear();
-    rank_dir_.clear();
+  // Rank directory: a point lookup becomes a popcount, not a search.
+  rank_dir_.assign(words, 0);
+  std::uint32_t cumulative = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    rank_dir_[w] = cumulative;
+    cumulative += static_cast<std::uint32_t>(std::popcount(rank_bits_[w]));
   }
   sealed_ = true;
 }
@@ -156,59 +153,7 @@ void RangeMatcher::seal() {
 const std::vector<std::uint32_t>& RangeMatcher::lookup(std::uint64_t key) const {
   if (!sealed_) throw std::logic_error("RangeMatcher::seal() not called");
   if (key > low_mask(width_)) throw std::invalid_argument("key out of field range");
-  if (!rank_bits_.empty()) return interval_labels_[rank_index(key)];
-  // Last boundary <= key.
-  const auto it =
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), key) - 1;
-  const auto index = static_cast<std::size_t>(it - boundaries_.begin());
-  return interval_labels_[index];
-}
-
-void RangeMatcher::lookup_batch(
-    std::span<const std::uint64_t> keys,
-    std::span<const std::vector<std::uint32_t>*> out) const {
-  if (!sealed_) throw std::logic_error("RangeMatcher::seal() not called");
-  if (out.size() < keys.size()) {
-    throw std::invalid_argument("lookup_batch: out span too small");
-  }
-  constexpr std::size_t kLanes = 8;  // searches stepped in lock-step per window
-  for (std::size_t base = 0; base < keys.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, keys.size() - base);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (keys[base + lane] > low_mask(width_)) {
-        throw std::invalid_argument("key out of field range");
-      }
-    }
-    if (!rank_bits_.empty()) {
-      // Rank-select path: compare-free, one word load + popcount per lane.
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        out[base + lane] = &interval_labels_[rank_index(keys[base + lane])];
-      }
-      continue;
-    }
-    // Uniform-length halving (every lane advances by `half` or stays, length
-    // shrinks identically), with each round's probes prefetched across the
-    // window before any lane compares — one overlapped memory access per
-    // round instead of kLanes serialized ones. boundaries_[0] == 0
-    // establishes the invariant boundaries_[lo] <= key, so each lane
-    // converges on upper_bound - 1.
-    std::size_t lo[kLanes] = {};
-    std::size_t len = boundaries_.size();
-    while (len > 1) {
-      const std::size_t half = len / 2;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        __builtin_prefetch(boundaries_.data() + lo[lane] + half);
-      }
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        lo[lane] +=
-            boundaries_[lo[lane] + half] <= keys[base + lane] ? half : 0;
-      }
-      len -= half;
-    }
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      out[base + lane] = &interval_labels_[lo[lane]];
-    }
-  }
+  return interval_labels_[rank_index(key)];
 }
 
 std::optional<std::uint32_t> RangeMatcher::lookup_narrowest(
@@ -219,7 +164,9 @@ std::optional<std::uint32_t> RangeMatcher::lookup_narrowest(
 }
 
 std::uint64_t RangeMatcher::storage_bits(unsigned label_bits) const {
-  std::uint64_t bits = boundaries_.size() * static_cast<std::uint64_t>(width_);
+  // One boundary (width bits) per elementary interval.
+  std::uint64_t bits =
+      interval_labels_.size() * static_cast<std::uint64_t>(width_);
   for (const auto& labels : interval_labels_) {
     bits += labels.size() * static_cast<std::uint64_t>(label_bits);
   }

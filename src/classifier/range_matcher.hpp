@@ -6,19 +6,16 @@
 // the sorted endpoint list; each elementary interval precomputes its matching
 // label list. The endpoints live in an incremental interval event map
 // (point -> ranges opening/closing there), so add/remove are O(log n) and
-// seal() is a single sweep over the events instead of the former
-// O(ranges x boundaries) rescan. For narrow fields (width <= 16) seal()
-// additionally lays the boundaries out as a rank-select bitmap: a point
-// lookup is then one word load + popcount, no search at all. Wider fields
-// keep the sorted array and a branchless uniform-length binary search
-// (software-prefetched across an 8-lane window in batch mode).
+// seal() is a single sweep over the events. The sweep lays the boundaries
+// out as a rank-select bitmap over the whole field (fields are at most 16
+// bits wide, as both Table II RM fields are): a point lookup is one word
+// load + popcount, no search at all. This is the matcher's only layout.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "net/prefix.hpp"
@@ -27,7 +24,9 @@ namespace ofmtl {
 
 class RangeMatcher {
  public:
-  explicit RangeMatcher(unsigned width) : width_(width) {}
+  /// Throws std::invalid_argument for width > 16: the rank-select layout
+  /// spans the whole field.
+  explicit RangeMatcher(unsigned width);
 
   /// Register a range, returning its label (existing label if seen before).
   /// Ranges are reference-counted: adding the same range twice requires two
@@ -43,22 +42,16 @@ class RangeMatcher {
   [[nodiscard]] std::optional<std::uint32_t> find(const ValueRange& range) const;
 
   /// Finish construction: sweep the event map into the elementary-interval
-  /// index (and the rank-select bitmap on narrow fields). A no-op when the
-  /// live set is untouched since the last sweep — seal_sweeps() counts the
+  /// index and its rank-select bitmap. A no-op when the live set is
+  /// untouched since the last sweep — seal_sweeps() counts the
   /// sweeps that actually ran, so any amount of churn followed by a reseal
   /// costs one sweep, and resealing an untouched matcher costs none.
   void seal();
 
-  /// Labels of all ranges containing `key`, narrowest first. seal() first.
+  /// Labels of all ranges containing `key`, narrowest first (a reference
+  /// into the sealed interval index, valid until the next seal()). seal()
+  /// first; throws std::invalid_argument for a key wider than the field.
   [[nodiscard]] const std::vector<std::uint32_t>& lookup(std::uint64_t key) const;
-
-  /// Batched lookup: out[i] = &lookup(keys[i]) (pointers into the sealed
-  /// interval index; valid until the next seal()). Narrow fields resolve
-  /// every lane with the rank-select bitmap (compare-free); wide fields run
-  /// a uniform-length branchless binary search across an 8-lane window,
-  /// each round's probes software-prefetched before any lane compares.
-  void lookup_batch(std::span<const std::uint64_t> keys,
-                    std::span<const std::vector<std::uint32_t>*> out) const;
 
   /// Narrowest matching range label (RM semantics).
   [[nodiscard]] std::optional<std::uint32_t> lookup_narrowest(std::uint64_t key) const;
@@ -89,7 +82,7 @@ class RangeMatcher {
 
   void add_events(std::uint32_t label);
   void remove_events(std::uint32_t label);
-  /// Interval index of the last boundary <= key (rank-select fast path).
+  /// Interval index of the last boundary <= key.
   [[nodiscard]] std::size_t rank_index(std::uint64_t key) const {
     const std::size_t word = key >> 6;
     const std::uint64_t below = ~std::uint64_t{0} >> (63 - (key & 63));
@@ -104,13 +97,12 @@ class RangeMatcher {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t>
       range_index_;                           // (lo, hi) -> label, persists
   std::map<std::uint64_t, BoundaryEvents> events_;  // live boundaries only
-  std::vector<std::uint64_t> boundaries_;     // sorted interval starts
-  std::vector<std::vector<std::uint32_t>> interval_labels_;
-  // Rank-select layout (width_ <= kRankSelectMaxWidth): bit b of rank_bits_
-  // set iff b is an interval boundary; rank_dir_[w] = boundaries strictly
-  // below word w. The interval containing key is then
+  std::vector<std::vector<std::uint32_t>> interval_labels_;  // per interval
+  // Rank-select layout: bit b of rank_bits_ set iff b is an interval
+  // boundary; rank_dir_[w] = boundaries strictly below word w. The interval
+  // containing key is then
   // rank(key) - 1 = rank_dir_[key/64] + popcount(bits below key in word) - 1
-  // — exactly the index upper_bound - 1 would find, without the search.
+  // — the index of the last boundary <= key, without a search.
   std::vector<std::uint64_t> rank_bits_;
   std::vector<std::uint32_t> rank_dir_;
   bool sealed_ = false;

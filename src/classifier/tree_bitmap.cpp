@@ -41,13 +41,6 @@ namespace {
   return bits | (U128{1} << position);
 }
 
-/// Position of the highest set bit; `bits` must be nonzero.
-[[nodiscard]] unsigned highest_bit128(const U128& bits) {
-  return bits.hi != 0
-             ? 127 - static_cast<unsigned>(std::countl_zero(bits.hi))
-             : 63 - static_cast<unsigned>(std::countl_zero(bits.lo));
-}
-
 }  // namespace
 
 TreeBitmapTrie::TreeBitmapTrie(unsigned width, std::vector<unsigned> strides,
@@ -97,26 +90,6 @@ TreeBitmapTrie::TreeBitmapTrie(unsigned width, std::vector<unsigned> strides,
     }
   }
   (void)build(0, 0, unique);
-
-  // Precompute the longest-internal-match masks: all nodes at a level share
-  // one mask table indexed by the key's chunk (2^stride entries per level,
-  // ~2 KiB total for the default strides).
-  mask_base_.resize(strides_.size());
-  for (std::size_t level = 0; level < strides_.size(); ++level) {
-    const unsigned stride = strides_[level];
-    const unsigned max_len =
-        level + 1 == strides_.size() ? stride : stride - 1;
-    mask_base_[level] = match_masks_.size();
-    for (std::uint64_t chunk = 0; chunk < (std::uint64_t{1} << stride);
-         ++chunk) {
-      U128 mask{};
-      for (unsigned len = 0; len <= max_len; ++len) {
-        mask = set_bit128(mask,
-                          internal_position(len, chunk >> (stride - len)));
-      }
-      match_masks_.push_back(mask);
-    }
-  }
 }
 
 std::uint32_t TreeBitmapTrie::build(
@@ -197,15 +170,15 @@ std::optional<Label> TreeBitmapTrie::lookup(std::uint64_t key) const {
     const unsigned stride = strides_[level];
     const std::uint64_t chunk =
         (key >> (width_ - cum_before_[level] - stride)) & low_mask(stride);
-    // Longest internal prefix: one AND against the precomputed ancestor
-    // mask; positions grow with length, so the highest surviving bit is the
-    // longest match (replacing the per-length probe loop).
-    const U128 matched =
-        node.internal & match_masks_[mask_base_[level] + chunk];
-    if (matched != U128{}) {
-      const unsigned position = highest_bit128(matched);
+    // Longest internal prefix: probe the chunk's ancestor positions longest
+    // first (the last level also holds full-stride chunks).
+    const bool last = level + 1 == strides_.size();
+    for (unsigned len = last ? stride + 1 : stride; len-- > 0;) {
+      const unsigned position = internal_position(len, chunk >> (stride - len));
+      if (!test_bit128(node.internal, position)) continue;
       best = results_[node.result_base +
                       popcount_below128(node.internal, position)];
+      break;
     }
     if (!(node.external >> chunk & 1)) break;
     const std::uint32_t slot =
@@ -213,62 +186,6 @@ std::optional<Label> TreeBitmapTrie::lookup(std::uint64_t key) const {
     node_index = child_table_[slot];
   }
   return best;
-}
-
-void TreeBitmapTrie::lookup_batch(std::span<const std::uint64_t> keys,
-                                  std::span<std::optional<Label>> out) const {
-  if (out.size() < keys.size()) {
-    throw std::invalid_argument("lookup_batch: out span too small");
-  }
-  constexpr std::size_t kLanes = 8;
-  for (std::size_t base = 0; base < keys.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, keys.size() - base);
-    std::uint32_t node[kLanes] = {};
-    std::uint32_t slot[kLanes] = {};
-    bool active[kLanes];
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      out[base + lane] = std::nullopt;
-      active[lane] = !nodes_.empty();
-      if (active[lane]) __builtin_prefetch(nodes_.data());
-    }
-    // Lock-step descent: each level first resolves every lane's node (match
-    // the internal bitmap, locate the child slot, prefetch the child-table
-    // line), then chases every lane's child pointer (prefetching the next
-    // node) — so no lane ever stalls on a load another lane could have
-    // started.
-    for (std::size_t level = 0; level < strides_.size(); ++level) {
-      const unsigned stride = strides_[level];
-      const unsigned shift = width_ - cum_before_[level] - stride;
-      const U128* masks = match_masks_.data() + mask_base_[level];
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (!active[lane]) continue;
-        const Node& nd = nodes_[node[lane]];
-        const std::uint64_t chunk =
-            (keys[base + lane] >> shift) & low_mask(stride);
-        // Branch-light longest internal match: AND + highest-set-bit against
-        // the shared per-level mask table (see lookup()).
-        const U128 matched = nd.internal & masks[chunk];
-        if (matched != U128{}) {
-          const unsigned position = highest_bit128(matched);
-          out[base + lane] =
-              results_[nd.result_base +
-                       popcount_below128(nd.internal, position)];
-        }
-        if (!(nd.external >> chunk & 1)) {
-          active[lane] = false;
-          continue;
-        }
-        slot[lane] = nd.child_base +
-                     popcount_below(nd.external, static_cast<unsigned>(chunk));
-        __builtin_prefetch(child_table_.data() + slot[lane]);
-      }
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (!active[lane]) continue;
-        node[lane] = child_table_[slot[lane]];
-        __builtin_prefetch(nodes_.data() + node[lane]);
-      }
-    }
-  }
 }
 
 std::size_t TreeBitmapTrie::node_count(std::size_t level) const {

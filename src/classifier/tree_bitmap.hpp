@@ -8,11 +8,12 @@
 //
 // Build-once structure: constructed from a complete prefix set (updates
 // rebuild), as the contiguous child arrays are not incrementally mutable.
+// A scalar reference implementation: it feeds the memory ablation, not the
+// data path, so lookup() is its only query form.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,15 +32,9 @@ class TreeBitmapTrie {
   TreeBitmapTrie(unsigned width, std::vector<unsigned> strides,
                  std::vector<std::pair<Prefix, Label>> prefixes);
 
-  /// Longest-prefix match.
+  /// Longest-prefix match: one node per level, each probing its internal
+  /// bitmap longest length first.
   [[nodiscard]] std::optional<Label> lookup(std::uint64_t key) const;
-
-  /// Batched longest-prefix match: descents interleaved across keys in
-  /// lock-step, with software prefetch of each key's next node and
-  /// child-table line before any lane dereferences it. out[i] = lookup
-  /// result for keys[i].
-  void lookup_batch(std::span<const std::uint64_t> keys,
-                    std::span<std::optional<Label>> out) const;
 
   [[nodiscard]] unsigned width() const { return width_; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -76,13 +71,6 @@ class TreeBitmapTrie {
   // node indices. (Hardware lays children out contiguously instead; the
   // table models the same popcount addressing without relocation logic.)
   std::vector<std::uint32_t> child_table_;
-  // Longest-internal-match masks, one per (level, chunk): the OR of the
-  // internal-bitmap positions every ancestor chunk of `chunk` occupies
-  // (lengths 0..max_len). `internal & mask` collapses the per-length probe
-  // loop into one AND; heap positions strictly increase with length, so the
-  // longest match is simply the highest set bit of the intersection.
-  std::vector<U128> match_masks_;
-  std::vector<std::size_t> mask_base_;  // per level, into match_masks_
 };
 
 }  // namespace ofmtl

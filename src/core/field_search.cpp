@@ -214,34 +214,6 @@ void FieldSearch::seal() {
   if (ranges_) ranges_->seal();
 }
 
-void FieldSearch::search(const PacketHeader& header, SearchContext& ctx,
-                         std::size_t lane, std::size_t slot_base) const {
-  switch (method()) {
-    case MatchMethod::kExact: {
-      LabelList& list = ctx.slot(lane, slot_base);
-      list.clear();
-      if (const auto label = lut_->lookup(header.get(field_))) {
-        list.push_back(*label);
-      }
-      if (em_any_label_ && em_any_refs_ > 0) list.push_back(*em_any_label_);
-      return;
-    }
-    case MatchMethod::kLongestPrefix: {
-      for (std::size_t p = 0; p < tries_.size(); ++p) {
-        tries_[p].lookup_all(
-            header.partition16(field_, static_cast<unsigned>(p)),
-            ctx.slot(lane, slot_base + p));
-      }
-      return;
-    }
-    case MatchMethod::kRange: {
-      const auto& labels = ranges_->lookup(header.get64(field_));
-      ctx.slot(lane, slot_base).assign(labels.begin(), labels.end());
-      return;
-    }
-  }
-}
-
 void FieldSearch::search_batch(std::span<const PacketHeader* const> headers,
                                SearchContext& ctx,
                                std::size_t slot_base) const {
@@ -277,16 +249,9 @@ void FieldSearch::search_batch(std::span<const PacketHeader* const> headers,
       return;
     }
     case MatchMethod::kRange: {
-      auto& keys = ctx.batch_keys();
-      auto& lists = ctx.batch_lists();
-      keys.clear();
-      for (const PacketHeader* header : headers) {
-        keys.push_back(header->get64(field_));
-      }
-      lists.resize(headers.size());
-      ranges_->lookup_batch(keys, lists);
       for (std::size_t i = 0; i < headers.size(); ++i) {
-        ctx.slot(i, slot_base).assign(lists[i]->begin(), lists[i]->end());
+        const auto& labels = ranges_->lookup(headers[i]->get64(field_));
+        ctx.slot(i, slot_base).assign(labels.begin(), labels.end());
       }
       return;
     }

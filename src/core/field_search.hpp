@@ -69,14 +69,11 @@ class FieldSearch {
   /// queries from their level arrays and need no sealing).
   void seal();
 
-  /// Allocation-free search of one packet (context lane `lane`): fills the
-  /// context slots [slot_base, slot_base + algorithm_count()).
-  void search(const PacketHeader& header, SearchContext& ctx, std::size_t lane,
-              std::size_t slot_base) const;
-
-  /// Batched search: fills each packet's slots (lane i's slots start at
-  /// ctx.slot(i, slot_base)). Exact and range fields probe as a batch; each
-  /// partition trie answers one key at a time.
+  /// The field's one query path, allocation-free: fills each packet's
+  /// slots [slot_base, slot_base + algorithm_count()) of its context lane
+  /// (lane i's slots start at ctx.slot(i, slot_base)). Exact fields probe
+  /// the LUT as a batch; each partition trie and the range matcher answer
+  /// one key at a time. A single packet is a batch of one.
   void search_batch(std::span<const PacketHeader* const> headers,
                     SearchContext& ctx, std::size_t slot_base) const;
 

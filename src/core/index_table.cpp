@@ -235,40 +235,6 @@ void IndexCalculator::append_final_rules(std::size_t slot,
              final_rules_.begin() + offset + count);
 }
 
-void IndexCalculator::combine(std::span<const LabelList> candidates,
-                              std::vector<Label>& current,
-                              std::vector<Label>& next,
-                              std::vector<std::uint32_t>& out) const {
-  if (candidates.size() != stage_count_ + 1) {
-    throw std::invalid_argument("candidate arity mismatch");
-  }
-  // Progressive combination; the working set stays bounded by the number of
-  // distinct rule signatures compatible with the packet so far.
-  current.assign(candidates[0].begin(), candidates[0].end());
-  for (std::size_t s = 0; s < stage_count_; ++s) {
-    next.clear();
-    for (const Label accumulated : current) {
-      for (const Label candidate : candidates[s + 1]) {
-        const Label combined =
-            probe_stage(stages_[s], pair_key(accumulated, candidate));
-        if (combined != kNoLabel) next.push_back(combined);
-      }
-    }
-    current.swap(next);
-    if (current.empty()) return;
-  }
-  for (const Label final_label : current) {
-    const std::size_t slot = find_final(final_label, mix64(final_label));
-    if (slot != SIZE_MAX) append_final_rules(slot, out);
-  }
-}
-
-void IndexCalculator::query(std::span<const LabelList> candidates,
-                            SearchContext& ctx,
-                            std::vector<std::uint32_t>& out) const {
-  combine(candidates, ctx.combine_current(), ctx.combine_next(), out);
-}
-
 void IndexCalculator::query_batch(SearchContext& ctx) const {
   const std::size_t lanes = ctx.lanes();
   if (ctx.algorithms() != stage_count_ + 1) {
@@ -299,9 +265,9 @@ void IndexCalculator::query_batch(SearchContext& ctx) const {
   // would outrun the hardware's outstanding-fill budget): within a window,
   // pass 1 hashes every lane's (accumulated, candidate) pairs once and
   // prefetches their probe groups; pass 2 resolves them in the same order
-  // with the stored hashes. The per-lane pair traversal order matches the scalar
-  // combine exactly, so each lane's match list is bitwise-identical to a
-  // scalar query.
+  // with the stored hashes. Both paths walk each lane's pairs in the same
+  // order, so a lane's match list is the same whichever path runs and
+  // whatever lanes share its batch.
   constexpr std::size_t kLanes = 8;
   // Stage tables at or below this capacity are cache-resident: probing them
   // directly beats staging keys/hashes and issuing prefetches that can't

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/field_search.hpp"
@@ -39,19 +38,15 @@ class IndexCalculator {
   /// calculator unchanged, if the signature or rule was never registered.
   void remove_rule(const std::vector<Label>& signature, std::uint32_t rule_index);
 
-  /// Allocation-free query: candidate lists as a contiguous span (one per
-  /// algorithm, most specific first), working sets borrowed from `ctx`.
-  /// Appends the indices of every rule whose signature is covered; order
-  /// unspecified.
-  void query(std::span<const LabelList> candidates, SearchContext& ctx,
-             std::vector<std::uint32_t>& out) const;
-
-  /// Batched allocation-free query over every lane prepared in `ctx` (the
-  /// per-lane candidate slots filled by the field searches): fills
-  /// ctx.lane_matches(lane) with exactly what query(ctx.packet_candidates
-  /// (lane), ...) would produce, but probes the flat stages interleaved
-  /// across lanes with software prefetch — stage by stage, every lane's pair
-  /// probes are issued before any lane's are resolved.
+  /// The one query path, allocation-free, over every lane prepared in `ctx`
+  /// (the per-lane candidate slots filled by the field searches, one list
+  /// per algorithm, most specific first): fills ctx.lane_matches(lane) with
+  /// the indices of every rule whose signature the lane's candidates cover,
+  /// order unspecified. Probes the flat stages interleaved across lanes with
+  /// software prefetch — stage by stage, every lane's pair probes are issued
+  /// before any lane's are resolved. A single packet is a one-lane batch.
+  /// Throws std::invalid_argument if ctx's algorithm count is not this
+  /// calculator's.
   void query_batch(SearchContext& ctx) const;
 
   [[nodiscard]] std::size_t algorithm_count() const { return stage_count_ + 1; }
@@ -89,8 +84,6 @@ class IndexCalculator {
   /// Append the rule indices stored in final slot `slot` to `out`.
   void append_final_rules(std::size_t slot,
                           std::vector<std::uint32_t>& out) const;
-  void combine(std::span<const LabelList> candidates, std::vector<Label>& current,
-               std::vector<Label>& next, std::vector<std::uint32_t>& out) const;
 
   /// Rehash a stage's live slots into `capacity` slots (growth or
   /// tombstone purge).

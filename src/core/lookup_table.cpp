@@ -154,22 +154,10 @@ const FlowEntry* LookupTable::best_match(
 
 const FlowEntry* LookupTable::lookup(const PacketHeader& header) const {
   static thread_local SearchContext ctx;
-  return lookup(header, ctx);
-}
-
-const FlowEntry* LookupTable::lookup(const PacketHeader& header,
-                                     SearchContext& ctx) const {
-  const std::size_t algorithms = index_->algorithm_count();
-  ctx.begin(1, algorithms);
-  std::size_t slot_base = 0;
-  for (const auto& search : searches_) {
-    search.search(header, ctx, 0, slot_base);
-    slot_base += search.algorithm_count();
-  }
-  auto& matches = ctx.matches();
-  matches.clear();
-  index_->query(ctx.packet_candidates(0), ctx, matches);
-  return best_match(matches);
+  const PacketHeader* const headers[] = {&header};
+  const FlowEntry* entry = nullptr;
+  lookup_batch(headers, {&entry, 1}, ctx);
+  return entry;
 }
 
 void LookupTable::lookup_batch(std::span<const PacketHeader* const> headers,

@@ -63,18 +63,14 @@ class LookupTable {
 
   /// Highest-priority matching entry, or nullptr on miss (-> controller).
   /// Equal priorities tie-break to the earlier-inserted entry, matching
-  /// FlowTable's stable order. Uses an internal thread_local SearchContext,
-  /// so steady-state calls are allocation-free.
+  /// FlowTable's stable order. A one-lane lookup_batch on an internal
+  /// thread_local SearchContext, so steady-state calls are allocation-free.
   [[nodiscard]] const FlowEntry* lookup(const PacketHeader& header) const;
 
-  /// Same lookup through a caller-owned context (the hot-path form).
-  [[nodiscard]] const FlowEntry* lookup(const PacketHeader& header,
-                                        SearchContext& ctx) const;
-
-  /// Batched lookup: out[i] = match for *headers[i]. Field searches run
-  /// interleaved across the batch (level-synchronous trie descents with
-  /// prefetch); headers are pointers so pipeline stages can hand in
-  /// scattered in-flight packets.
+  /// The table's one query path: out[i] = lookup(*headers[i]) through a
+  /// caller-owned context. The LUT and index probes run interleaved across
+  /// the batch with prefetch; headers are pointers so pipeline stages can
+  /// hand in scattered in-flight packets.
   void lookup_batch(std::span<const PacketHeader* const> headers,
                     std::span<const FlowEntry*> out, SearchContext& ctx) const;
 

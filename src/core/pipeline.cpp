@@ -27,6 +27,18 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
       next && (*next <= table || *next >= tables_.size())) {
     return FlowModStatus::kBadGoto;
   }
+  // A Set-Field value wider than its field is one no header can carry: a
+  // later table would search on it (the range matcher throws, the tries see
+  // only its low bits), and the final header would hold it.
+  const auto overwide = [](const Action& action) {
+    const auto* set = std::get_if<SetFieldAction>(&action);
+    return set != nullptr && (set->value >> field_bits(set->field)) != U128{};
+  };
+  const auto& ins = entry.instructions;
+  if (std::ranges::any_of(ins.apply_actions, overwide) ||
+      std::ranges::any_of(ins.write_actions, overwide)) {
+    return FlowModStatus::kBadAction;
+  }
   if (command == FlowModCommand::kModify) (void)remove_entry(table, entry.id);
   insert_entry(table, entry);
   return FlowModStatus::kOk;

@@ -30,6 +30,7 @@ enum class FlowModStatus : std::uint8_t {
   kBadTable,        ///< no table with that index
   kBadMatch,        ///< a constraint LookupTable::accepts rejects
   kBadGoto,         ///< Goto-Table not to a later table of this pipeline
+  kBadAction,       ///< a Set-Field value wider than its field
   kDuplicateEntry,  ///< add of an id already live in the table
   kUnknownEntry,    ///< modify or delete of an id not live in the table
 };

@@ -1,14 +1,14 @@
 // SearchContext: reusable per-thread scratch for the allocation-free lookup
-// hot path. One packet (or one batch of packets) borrows a set of candidate
-// "slots" — one LabelList per single-field algorithm — plus the working
-// vectors of the index-calculation stage. Every buffer is cleared, never
-// shrunk, between packets, so a warmed-up context performs zero heap
-// allocations in steady state.
+// hot path. A batch of packets (a single packet is a batch of one) borrows a
+// set of candidate "slots" — one LabelList per (lane, single-field
+// algorithm) — plus the working vectors of the batched index calculation.
+// Every buffer is cleared, never shrunk, between batches, so a warmed-up
+// context performs zero heap allocations in steady state.
 //
-// Ownership rules: one SearchContext per thread, reused across packets. The
+// Ownership rules: one SearchContext per thread, reused across batches. The
 // convenience APIs (LookupTable::lookup(header), MultiTableLookup::execute*)
 // use an internal thread_local context; performance-critical callers thread
-// their own through the context-taking overloads.
+// their own through LookupTable::lookup_batch.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@ namespace ofmtl {
 using LabelList = std::vector<Label>;
 
 /// Reusable per-thread scratch of the lookup hot path: candidate-label
-/// slots for every (lane, algorithm) pair plus the index-calculation and
-/// batched-probe working vectors. One context per thread, borrowed for the
+/// slots for every (lane, algorithm) pair plus the batched-probe and
+/// index-calculation working vectors. One context per thread, borrowed for the
 /// duration of one lookup call; buffers are cleared, never shrunk, so a
 /// warmed context performs zero steady-state heap allocations.
 class SearchContext {
@@ -57,20 +57,12 @@ class SearchContext {
     return {slots_.data() + lane * algorithms_, algorithms_};
   }
 
-  /// --- index-calculation scratch (one packet at a time) ---
-  [[nodiscard]] std::vector<Label>& combine_current() { return combine_current_; }
-  [[nodiscard]] std::vector<Label>& combine_next() { return combine_next_; }
-  [[nodiscard]] std::vector<std::uint32_t>& matches() { return matches_; }
-
-  /// --- batched-probe scratch (range-key and index-key gathers) ---
+  /// --- batched index-probe scratch (pair-key gathers) ---
   [[nodiscard]] std::vector<std::uint64_t>& batch_keys() { return batch_keys_; }
 
-  /// --- batched EM/RM probe scratch (value gathers + probe results) ---
+  /// --- batched EM probe scratch (value gathers + probe results) ---
   [[nodiscard]] std::vector<U128>& batch_values() { return batch_values_; }
   [[nodiscard]] std::vector<Label>& batch_labels() { return batch_labels_; }
-  [[nodiscard]] std::vector<const LabelList*>& batch_lists() {
-    return batch_lists_;
-  }
 
   /// --- batched index-calculation scratch. Every lane's working label set
   /// lives in one flat arena (labels in pool, lane i's window is
@@ -97,13 +89,9 @@ class SearchContext {
   std::size_t lanes_ = 0;
   std::size_t algorithms_ = 0;
   std::vector<LabelList> slots_;
-  std::vector<Label> combine_current_;
-  std::vector<Label> combine_next_;
-  std::vector<std::uint32_t> matches_;
   std::vector<std::uint64_t> batch_keys_;
   std::vector<U128> batch_values_;
   std::vector<Label> batch_labels_;
-  std::vector<const LabelList*> batch_lists_;
   std::vector<Label> pool_current_;
   std::vector<Label> pool_next_;
   std::vector<std::uint32_t> pool_offsets_current_;

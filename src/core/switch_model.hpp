@@ -35,7 +35,8 @@ class SwitchModel {
 
   /// Apply one flow-mod at virtual time `now`. Anything but kOk (unknown
   /// table, duplicate add, missing id, a match the table cannot hold, a
-  /// backward or out-of-range Goto) leaves the switch unchanged.
+  /// backward or out-of-range Goto, an over-wide Set-Field value) leaves
+  /// the switch unchanged.
   [[nodiscard]] FlowModStatus apply(const FlowMod& mod, std::uint64_t now = 0);
 
   /// Process a packet through the decomposed pipeline, updating counters.

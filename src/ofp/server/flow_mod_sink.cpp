@@ -9,7 +9,8 @@ ErrorCode error_code(FlowModStatus status) {
     case FlowModStatus::kUnknownEntry: return ErrorCode::kUnknownEntry;
     case FlowModStatus::kBadTable:
     case FlowModStatus::kBadMatch:
-    case FlowModStatus::kBadGoto: break;
+    case FlowModStatus::kBadGoto:
+    case FlowModStatus::kBadAction: break;
   }
   return ErrorCode::kBadValue;
 }

@@ -1,8 +1,9 @@
 // Batched-execution properties: execute_batch must be bitwise-identical to
-// per-packet execute over randomized traces (hit-heavy, miss-heavy, and
-// all-wildcard tables), and the steady-state hot path — context-based
-// lookup, lookup_batch, execute_batch with reused buffers — must perform
-// zero heap allocations per packet (counted by replacing global new/delete).
+// the linear-search ReferencePipeline over randomized traces (hit-heavy,
+// miss-heavy, and all-wildcard tables), and the steady-state hot path —
+// single-packet lookup, lookup_batch, execute_batch with reused buffers —
+// must perform zero heap allocations per packet (counted by replacing global
+// new/delete).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,30 +49,32 @@ using workload::TraceConfig;
 
 struct App {
   MultiTableLookup accelerated;
+  ReferencePipeline reference;  ///< the tables accelerated was compiled from
   std::vector<PacketHeader> trace;
 };
 
 App make_app(FilterApp app, const char* name, double hit_ratio,
              std::uint64_t seed, std::size_t packets = 512) {
   const auto set = generate_filterset(app, name);
-  const auto spec = build_app(set, TableLayout::kPerFieldTables);
-  return App{compile_app(spec),
+  auto spec = build_app(set, TableLayout::kPerFieldTables);
+  auto accelerated = compile_app(spec);
+  return App{std::move(accelerated), std::move(spec.reference),
              generate_trace(set, {.packets = packets,
                                   .hit_ratio = hit_ratio,
                                   .seed = seed})};
 }
 
-/// execute_batch over every window size must reproduce per-packet execute
-/// bit for bit (operator== covers the full ExecutionResult, diagnostics
-/// included), and so must its lane-subset form on the listed lanes, leaving
-/// the others untouched. The whole property runs once per probe-kernel
-/// backend — compiled vector path, then forced SWAR — so batch-vs-scalar
-/// identity doubles as vector-vs-SWAR identity.
+/// execute_batch over every window size must reproduce the reference
+/// pipeline's per-packet execute bit for bit (operator== covers the full
+/// ExecutionResult, diagnostics included), and so must its lane-subset form
+/// on the listed lanes, leaving the others untouched. The whole property
+/// runs once per probe-kernel backend — compiled vector path, then forced
+/// SWAR — so batch-vs-reference identity doubles as vector-vs-SWAR identity.
 void expect_batch_matches_scalar(const App& app) {
   std::vector<ExecutionResult> expected;
   expected.reserve(app.trace.size());
   for (const auto& header : app.trace) {
-    expected.push_back(app.accelerated.execute(header));
+    expected.push_back(app.reference.execute(header));
   }
   for (const bool force_swar : {false, true}) {
     simd::ScopedForceSwar forced(force_swar);
@@ -133,6 +136,7 @@ TEST(ExecuteBatch, MatchesScalarOnAllWildcardTable) {
   entry.instructions = output_instruction(7);
   MultiTableLookup accelerated;
   accelerated.add_table(LookupTable::compile(FlowTable{{entry}}));
+  ReferencePipeline reference({FlowTable{{entry}}});
 
   const auto set = generate_filterset(FilterApp::kMacLearning, "bbra");
   const auto trace = generate_trace(set, {.packets = 64, .hit_ratio = 0.5,
@@ -142,7 +146,7 @@ TEST(ExecuteBatch, MatchesScalarOnAllWildcardTable) {
   accelerated.execute_batch({trace.data(), trace.size()},
                             {results.data(), results.size()}, ctx);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(results[i], accelerated.execute(trace[i]));
+    ASSERT_EQ(results[i], reference.execute(trace[i]));
     EXPECT_EQ(results[i].verdict, Verdict::kForwarded);
   }
 }
@@ -156,19 +160,20 @@ TEST(ExecuteBatch, MatchesScalarAfterIncrementalUpdate) {
   extra.priority = 60000;
   extra.instructions = output_instruction(42);
   app.accelerated.insert_entry(1, extra);  // table 1 catch-all at top priority
+  app.reference.table(1).insert(extra);
   expect_batch_matches_scalar(app);
   ASSERT_TRUE(app.accelerated.remove_entry(1, 999999));
+  ASSERT_TRUE(app.reference.table(1).remove(999999));
   expect_batch_matches_scalar(app);
 }
 
-TEST(AllocationFree, SteadyStateContextLookup) {
+TEST(AllocationFree, SteadyStateSinglePacketLookup) {
   const auto app = make_app(FilterApp::kRouting, "yoza", 0.9, 909);
-  SearchContext ctx;
-  // Warm every reusable buffer to its high-water capacity.
+  // Warm the thread_local context's buffers to their high-water capacity.
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& header : app.trace) {
       for (std::size_t t = 0; t < app.accelerated.table_count(); ++t) {
-        (void)app.accelerated.table(t).lookup(header, ctx);
+        (void)app.accelerated.table(t).lookup(header);
       }
     }
   }
@@ -176,7 +181,7 @@ TEST(AllocationFree, SteadyStateContextLookup) {
   std::size_t matched = 0;
   for (const auto& header : app.trace) {
     for (std::size_t t = 0; t < app.accelerated.table_count(); ++t) {
-      matched += app.accelerated.table(t).lookup(header, ctx) != nullptr;
+      matched += app.accelerated.table(t).lookup(header) != nullptr;
     }
   }
   EXPECT_EQ(g_allocations, before) << "matched=" << matched;
@@ -229,19 +234,21 @@ TEST(AllocationFree, SteadyStateLookupBatch) {
   EXPECT_EQ(warm, again);
 }
 
-TEST(LookupBatch, MatchesScalarLookup) {
+TEST(LookupBatch, MatchesFlowTableLookup) {
   const auto app = make_app(FilterApp::kMacLearning, "gozb", 0.7, 606);
-  SearchContext batch_ctx;
-  SearchContext scalar_ctx;
+  SearchContext ctx;
   std::vector<const PacketHeader*> headers;
   for (const auto& header : app.trace) headers.push_back(&header);
   std::vector<const FlowEntry*> entries(headers.size());
+  const auto id = [](const FlowEntry* entry) {  // -1: miss
+    return entry == nullptr ? std::int64_t{-1} : std::int64_t{entry->id};
+  };
   for (std::size_t t = 0; t < app.accelerated.table_count(); ++t) {
     const auto& table = app.accelerated.table(t);
     table.lookup_batch({headers.data(), headers.size()},
-                       {entries.data(), entries.size()}, batch_ctx);
+                       {entries.data(), entries.size()}, ctx);
     for (std::size_t i = 0; i < headers.size(); ++i) {
-      ASSERT_EQ(entries[i], table.lookup(*headers[i], scalar_ctx))
+      ASSERT_EQ(id(entries[i]), id(app.reference.table(t).lookup(*headers[i])))
           << "table=" << t << " packet=" << i;
     }
   }

@@ -8,13 +8,14 @@
 namespace ofmtl {
 namespace {
 
-/// Search one packet through a fresh context; returns its candidate list
-/// per algorithm.
+/// Search one packet (a one-lane batch) through a fresh context; returns
+/// its candidate list per algorithm.
 std::vector<LabelList> search_one(const FieldSearch& search,
                                   const PacketHeader& header) {
   SearchContext ctx;
   ctx.begin(1, search.algorithm_count());
-  search.search(header, ctx, 0, 0);
+  const PacketHeader* const headers[] = {&header};
+  search.search_batch(headers, ctx, 0);
   const auto candidates = ctx.packet_candidates(0);
   return {candidates.begin(), candidates.end()};
 }

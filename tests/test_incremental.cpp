@@ -340,11 +340,14 @@ void expect_churned_matches_rebuilt(unsigned width, std::uint64_t seed) {
 }
 
 TEST(IncrementalRangeMatcher, ChurnMatchesRebuiltNarrowField) {
-  expect_churned_matches_rebuilt(16, 4711);  // rank-select path
+  expect_churned_matches_rebuilt(16, 4711);
 }
 
-TEST(IncrementalRangeMatcher, ChurnMatchesRebuiltWideField) {
-  expect_churned_matches_rebuilt(32, 4712);  // branchless-search path
+TEST(IncrementalRangeMatcher, RejectsFieldsWiderThan16Bits) {
+  // The rank-select layout spans the whole field; both RM fields of
+  // Table II are 16 bits wide.
+  EXPECT_THROW(RangeMatcher{17}, std::invalid_argument);
+  EXPECT_NO_THROW(RangeMatcher{16});
 }
 
 TEST(IncrementalRangeMatcher, ResealOfUntouchedMatcherDoesNotSweep) {

@@ -14,13 +14,17 @@
 namespace ofmtl {
 namespace {
 
-/// Query through a fresh context; returns the matched rule indices.
+/// Query one packet's candidate lists as a one-lane batch through a fresh
+/// context; returns the matched rule indices.
 std::vector<std::uint32_t> query(const IndexCalculator& calc,
                                  const std::vector<LabelList>& candidates) {
   SearchContext ctx;
-  std::vector<std::uint32_t> out;
-  calc.query(candidates, ctx, out);
-  return out;
+  ctx.begin(1, candidates.size());
+  for (std::size_t a = 0; a < candidates.size(); ++a) {
+    ctx.slot(0, a) = candidates[a];
+  }
+  calc.query_batch(ctx);
+  return ctx.lane_matches(0);
 }
 
 TEST(IndexCalculator, SingleAlgorithmDegeneratesToDirectMap) {
@@ -219,10 +223,9 @@ void expect_churn_matches_oracle(std::size_t algorithms, std::uint64_t seed) {
 
     std::vector<std::vector<LabelList>> queries;
     for (std::size_t q = 0; q < kQueries; ++q) queries.push_back(make_candidates());
-    SearchContext ctx;
     std::vector<std::vector<std::uint32_t>> answers(kQueries);
     for (std::size_t q = 0; q < kQueries; ++q) {
-      calc.query(queries[q], ctx, answers[q]);
+      answers[q] = query(calc, queries[q]);
       auto sorted = answers[q];
       std::sort(sorted.begin(), sorted.end());
       ASSERT_EQ(sorted, brute_force(live, queries[q])) << "query=" << q;
@@ -254,9 +257,8 @@ void expect_churn_matches_oracle(std::size_t algorithms, std::uint64_t seed) {
       EXPECT_THROW(calc.remove_rule(signature, next_rule), std::invalid_argument);
     }
     for (std::size_t q = 0; q < kQueries; ++q) {
-      std::vector<std::uint32_t> again;
-      calc.query(queries[q], ctx, again);
-      ASSERT_EQ(again, answers[q]) << "after failed removes, query=" << q;
+      ASSERT_EQ(query(calc, queries[q]), answers[q])
+          << "after failed removes, query=" << q;
     }
     ASSERT_EQ(model_words(calc), words);
   }

@@ -457,6 +457,14 @@ PendingFlowMod with_goto(PendingFlowMod p, std::uint8_t table) {
   return p;
 }
 
+PendingFlowMod with_set_field(PendingFlowMod p, FieldId field, U128 value,
+                              bool write_actions = false) {
+  auto& ins = p.mod.entry.instructions;
+  (write_actions ? ins.write_actions : ins.apply_actions)
+      .push_back(SetFieldAction{field, value});
+  return p;
+}
+
 TEST(FlowModSinks, ApplyModsValidatesPerMod) {
   auto tables = two_tables();
   const auto masked = FieldMatch::masked(U128{0x10}, U128{0xF0});
@@ -483,6 +491,12 @@ TEST(FlowModSinks, ApplyModsValidatesPerMod) {
       with_goto(pending(12, 19), 0),               // Goto to itself
       with_goto(pending(13, 20), 2),               // Goto past the last table
       with_goto(pending(14, 21), 1),               // ok
+      // Set-Field values wider than their field, in either action list:
+      with_set_field(with_goto(pending(16, 23), 1), FieldId::kSrcPort,
+                     U128{70000}),
+      with_set_field(pending(17, 24), FieldId::kIpv4Dst,
+                     (U128{1} << 32) | U128{5}, /*write_actions=*/true),
+      with_set_field(pending(18, 25), FieldId::kSrcPort, U128{65535}),  // ok
       // Modify of a live id to an invalid match keeps the old entry.
       with_match(pending(15, 10, FlowModCommand::kModify), FieldId::kEthDst,
                  masked),
@@ -496,9 +510,11 @@ TEST(FlowModSinks, ApplyModsValidatesPerMod) {
                                     E::kBadValue, E::kBadValue, E::kBadValue,
                                     E::kBadValue, E::kBadValue, E::kBadValue,
                                     E::kBadValue, E::kBadValue, E::kBadValue,
+                                    E::kBadValue, E::kNone, E::kBadValue,
                                     E::kBadValue, E::kNone, E::kBadValue}));
-  EXPECT_EQ(tables.table(0).entry_count(), 2U);
+  EXPECT_EQ(tables.table(0).entry_count(), 3U);
   EXPECT_TRUE(tables.contains_entry(0, 21));
+  EXPECT_TRUE(tables.contains_entry(0, 25));
   PacketHeader probe;
   probe.set(FieldId::kEthDst, std::uint64_t{10});
   const auto result = tables.execute(probe);
@@ -506,7 +522,7 @@ TEST(FlowModSinks, ApplyModsValidatesPerMod) {
   EXPECT_EQ(result.output_ports, (std::vector<std::uint32_t>{10}));
 
   const std::vector<PendingFlowMod> remove = {
-      pending(16, 10, FlowModCommand::kDelete)};
+      pending(19, 10, FlowModCommand::kDelete)};
   apply_mods(tables, remove, results);
   EXPECT_EQ(results[0], ErrorCode::kNone);
   EXPECT_FALSE(tables.contains_entry(0, 10));
@@ -891,7 +907,9 @@ FieldMatch fuzz_field_match(workload::Rng& rng, FieldId field) {
 
 /// A random decodable FLOW_MOD: any command, table 0..2 (2 does not exist),
 /// ids from a pool of 12, 0..3 constraints on any field (mostly the table's
-/// own), and sometimes a Goto to any table 0..2.
+/// own), sometimes an Apply-Actions Set-Field on a field table 1 searches
+/// (its value sometimes one past the field's maximum), and sometimes a Goto
+/// to any table 0..2.
 FlowModMsg fuzz_flow_mod(workload::Rng& rng) {
   FlowModMsg mod;
   mod.command = static_cast<FlowModCommand>(rng.below(3));
@@ -907,6 +925,11 @@ FlowModMsg fuzz_flow_mod(workload::Rng& rng) {
   }
   mod.entry.instructions =
       output_instruction(static_cast<std::uint32_t>(1 + rng.below(4)));
+  if (rng.chance(0.5)) {
+    const FieldId field = kFuzzLayout[1][rng.below(kFuzzLayout[1].size())];
+    mod.entry.instructions.apply_actions.push_back(
+        SetFieldAction{field, fuzz_value(rng, field_bits(field))});
+  }
   if (rng.chance(0.4)) {
     mod.entry.instructions.goto_table = static_cast<std::uint8_t>(rng.below(3));
     mod.entry.instructions.write_metadata =
@@ -928,8 +951,14 @@ std::map<std::uint32_t, ErrorCode> errors_by_xid(
   return errors;
 }
 
-TEST(FlowModFuzz, SessionAgentAndOracleAgree) {
-  workload::Rng rng(1717);
+/// 1000 seeded batches of 1–8 fuzzed FLOW_MODs through a Session over the
+/// classifier sink and through a SwitchAgent: per-xid ERROR codes must equal
+/// an apply_mods oracle's, and 16 random probes per batch must classify
+/// identically in the classifier, the oracle, the agent's decomposed
+/// pipeline and its reference.
+void expect_session_agent_and_oracle_agree(std::uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  workload::Rng rng(seed);
   runtime::SnapshotClassifier classifier(fuzz_tables());
   auto session = steady_session(make_classifier_sink(classifier));
   SwitchAgent agent(kFuzzLayout);
@@ -983,6 +1012,14 @@ TEST(FlowModFuzz, SessionAgentAndOracleAgree) {
   // The generator must exercise both outcomes.
   EXPECT_GT(rejected, 100U);
   EXPECT_GT(session.counters().flow_mods_ok, 100U);
+}
+
+TEST(FlowModFuzz, SessionAgentAndOracleAgree) {
+  // Were over-wide Set-Field values accepted, seed 1717 would reach a range
+  // lookup on src_port 65536 (a throw) and seed 3 a table-1 exact ipv4_dst
+  // rule matched by the low bits of 2^32 (a wrong verdict).
+  expect_session_agent_and_oracle_agree(1717);
+  expect_session_agent_and_oracle_agree(3);
 }
 
 // --- stats endpoint: read-only HTTP plane inside the same epoll loop ---

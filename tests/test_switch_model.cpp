@@ -126,6 +126,10 @@ TEST(SwitchModel, MalformedModsAreRejected) {
   FlowMod backward = add_mod(0, 9, 1, vlan_match(3), 1);
   backward.entry.instructions = goto_table_instruction(0);
   EXPECT_EQ(sw.apply(backward), FlowModStatus::kBadGoto);
+  FlowMod wide = add_mod(0, 10, 1, vlan_match(4), 1);
+  wide.entry.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kSrcPort, U128{70000}});
+  EXPECT_EQ(sw.apply(wide), FlowModStatus::kBadAction);
   // Only the one accepted add reached either pipeline or the counters.
   EXPECT_EQ(sw.entry_count(), 1U);
   EXPECT_EQ(sw.reference().table(0).size(), 1U);

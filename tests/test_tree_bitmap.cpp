@@ -88,31 +88,6 @@ INSTANTIATE_TEST_SUITE_P(
                       TbmCase{"eight_level_2", {2, 2, 2, 2, 2, 2, 2, 2}}),
     [](const auto& info) { return std::string(info.param.name); });
 
-TEST(TreeBitmap, BatchLookupMatchesScalar) {
-  // The interleaved, prefetching batch descent must agree with the scalar
-  // walk on every key, across window-straddling batch sizes.
-  workload::Rng rng(0xFACE);
-  std::vector<std::pair<Prefix, Label>> prefixes;
-  for (int i = 0; i < 300; ++i) {
-    prefixes.emplace_back(
-        Prefix::from_value(rng.below(0x10000),
-                           static_cast<unsigned>(rng.below(17)), 16),
-        static_cast<Label>(i));
-  }
-  TreeBitmapTrie trie(16, {5, 5, 6}, prefixes);
-  std::vector<std::uint64_t> keys;
-  for (int probe = 0; probe < 1000; ++probe) keys.push_back(rng.below(0x10000));
-  for (const std::size_t count :
-       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{1000}}) {
-    std::vector<std::optional<Label>> out(count);
-    trie.lookup_batch({keys.data(), count}, {out.data(), count});
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(out[i], trie.lookup(keys[i])) << "key " << keys[i];
-    }
-  }
-}
-
 TEST(TreeBitmap, MemoryBeatsArrayBlockMbt) {
   // The compression claim: tree-bitmap nodes cost less than the array-block
   // MBT on realistic (clustered) prefix sets.
