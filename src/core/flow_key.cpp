@@ -14,7 +14,7 @@ std::uint64_t flow_key_hash(const PacketHeader& header) {
   while (mask != 0) {
     const unsigned field = static_cast<unsigned>(std::countr_zero(mask));
     mask &= mask - 1;
-    const U128& value = header.get(static_cast<FieldId>(field));
+    const U128 value = header.get(static_cast<FieldId>(field));
     h = detail::mix64(h ^ (value.lo + field));
     if (value.hi != 0) h = detail::mix64(h ^ value.hi);
   }

@@ -149,7 +149,7 @@ bool MultiTableLookup::still_valid(const PacketHeader& key,
     bool matches = true;
     for (std::size_t t = 0; t < record.tests && matches; ++t) {
       const KeyTest& test = record.key[t];
-      const U128& value = key.get(test.field);
+      const U128 value = key.get(test.field);
       matches = test.range ? value.hi == 0 && test.lo.lo <= value.lo &&
                                  value.lo <= test.hi.lo
                            : (value & test.hi) == test.lo;

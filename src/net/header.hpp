@@ -1,6 +1,12 @@
 // PacketHeader: the parsed per-packet field vector the lookup pipeline
-// classifies. Values are stored right-aligned; fields wider than 64 bits
-// (IPv6) use the full 128-bit representation.
+// classifies. Values are stored right-aligned, one 64-bit word per field,
+// plus the high words of the two 128-bit IPv6 fields: 152 bytes in all, the
+// flow cache's key and the producer-to-worker handoff unit.
+//
+// `set` on a field of at most 64 bits stores the value's low word only. A
+// wider value for such a field is out of its range; the control plane
+// rejects it at install (`MultiTableLookup::apply`, kBadAction for a
+// Set-Field), so only an unvalidated `insert_entry` can present one.
 #pragma once
 
 #include <array>
@@ -15,10 +21,9 @@ namespace ofmtl {
 
 class PacketHeader {
  public:
-  PacketHeader() { values_.fill(U128{}); }
-
   void set(FieldId id, U128 value) {
-    values_[index(id)] = value;
+    lo_[index(id)] = value.lo;
+    if (is_wide(id)) hi_[wide_index(id)] = value.hi;
     present_ |= bit(id);
   }
   void set(FieldId id, std::uint64_t value) { set(id, U128{value}); }
@@ -42,8 +47,10 @@ class PacketHeader {
   void set_dst_port(std::uint16_t port) { set(FieldId::kDstPort, std::uint64_t{port}); }
   void set_metadata(std::uint64_t metadata) { set(FieldId::kMetadata, metadata); }
 
-  [[nodiscard]] const U128& get(FieldId id) const { return values_[index(id)]; }
-  [[nodiscard]] std::uint64_t get64(FieldId id) const { return values_[index(id)].lo; }
+  [[nodiscard]] U128 get(FieldId id) const {
+    return {is_wide(id) ? hi_[wide_index(id)] : 0, lo_[index(id)]};
+  }
+  [[nodiscard]] std::uint64_t get64(FieldId id) const { return lo_[index(id)]; }
   [[nodiscard]] bool has(FieldId id) const { return (present_ & bit(id)) != 0; }
   /// Bitset of present fields (bit i = FieldId i). Fields never set() hold
   /// zero, so two headers with equal mask and equal present values compare
@@ -72,8 +79,16 @@ class PacketHeader {
   [[nodiscard]] static constexpr std::uint32_t bit(FieldId id) {
     return std::uint32_t{1} << index(id);
   }
+  // kIpv6Src and kIpv6Dst are adjacent; they are the only fields > 64 bits.
+  [[nodiscard]] static constexpr bool is_wide(FieldId id) {
+    return wide_index(id) < 2;
+  }
+  [[nodiscard]] static constexpr std::size_t wide_index(FieldId id) {
+    return index(id) - index(FieldId::kIpv6Src);  // wraps for narrower ids
+  }
 
-  std::array<U128, kFieldCount> values_{};
+  std::array<std::uint64_t, kFieldCount> lo_{};
+  std::array<std::uint64_t, 2> hi_{};  ///< IPv6 src, dst high words
   std::uint32_t present_ = 0;
 };
 

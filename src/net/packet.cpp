@@ -33,88 +33,53 @@ class ByteWriter {
   std::vector<std::uint8_t>& out_;
 };
 
-// Non-throwing cursor over wire bytes: an out-of-bounds read sets a sticky
-// failure flag (and yields zeros) instead of throwing, so the batched trace
-// front end can reject a malformed lane without unwinding. parse_packet
-// turns the flag back into std::invalid_argument for its callers.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    if (!require(1)) return 0;
-    return bytes_[pos_++];
-  }
-  [[nodiscard]] std::uint16_t u16() {
-    const auto hi = u8();
-    return static_cast<std::uint16_t>((hi << 8) | u8());
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    const auto hi = u16();
-    return (std::uint32_t{hi} << 16) | u16();
-  }
-  [[nodiscard]] std::uint64_t u48() {
-    const auto hi = u16();
-    return (std::uint64_t{hi} << 32) | u32();
-  }
-  [[nodiscard]] U128 u128() {
-    std::uint64_t hi = 0, lo = 0;
-    for (int i = 0; i < 8; ++i) hi = (hi << 8) | u8();
-    for (int i = 0; i < 8; ++i) lo = (lo << 8) | u8();
-    return {hi, lo};
-  }
-  void skip(std::size_t n) {
-    if (require(n)) pos_ += n;
-  }
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-  [[nodiscard]] std::span<const std::uint8_t> rest() const {
-    return bytes_.subspan(pos_);
-  }
-
- private:
-  [[nodiscard]] bool require(std::size_t n) {
-    if (pos_ + n > bytes_.size()) {
-      ok_ = false;
-      return false;
-    }
-    return ok_;
-  }
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 [[nodiscard]] bool has_l4_ports(std::uint8_t proto) {
   return proto == static_cast<std::uint8_t>(IpProto::kTcp) ||
          proto == static_cast<std::uint8_t>(IpProto::kUdp);
 }
 
-// The layer walk shared by parse_packet and the allocation-free batched
-// entry point: fills every spec field except the payload. Returns nullptr
-// on success, a static error string on malformed input. Never throws.
+/// Big-endian `Width`-byte load at a position the caller bounds-checked.
+template <unsigned Width>
+[[nodiscard]] std::uint64_t load_be(const std::uint8_t* p) {
+  std::uint64_t value = 0;
+  for (unsigned i = 0; i < Width; ++i) value = (value << 8) | p[i];
+  return value;
+}
+
+// The one layer walk behind parse_packet and parse_packet_header: a single
+// bounds-checked pass that writes the match-field view into `out` in place
+// and sets `end` to the offset the payload starts at. Returns nullptr on
+// success, a static error string on malformed input (`out` is then
+// unspecified). Never throws.
 //
 // `snap_slack` is how many trailing on-wire bytes the capture cut off
 // (pcap orig_len - incl_len; 0 for a complete frame). L3 length fields are
 // validated against the wire (capture + slack) so a snap-length-capped
 // record parses gracefully — snapped-off fields are absent, not errors —
 // while a frame whose lengths overrun the actual wire stays malformed.
-[[nodiscard]] const char* parse_spec_layers(ByteReader& r, PacketSpec& spec,
-                                            std::size_t snap_slack) {
-  spec.eth_dst = MacAddress{r.u48()};
-  spec.eth_src = MacAddress{r.u48()};
-  std::uint16_t ether_type = r.u16();
-  if (!r.ok()) return "truncated packet";
+[[nodiscard]] const char* walk_layers(std::span<const std::uint8_t> bytes,
+                                      std::size_t snap_slack, std::uint32_t in_port,
+                                      PacketHeader& out, std::size_t& end) {
+  const std::uint8_t* p = bytes.data();
+  const std::size_t size = bytes.size();
+  if (size < 14) return "truncated packet";
+  out = PacketHeader{};
+  out.set_in_port(in_port);
+  out.set(FieldId::kEthDst, load_be<6>(p));
+  out.set(FieldId::kEthSrc, load_be<6>(p + 6));
+  auto ether_type = static_cast<std::uint16_t>(load_be<2>(p + 12));
+  std::size_t pos = 14;
 
   unsigned vlan_tags = 0;
   while (ether_type == static_cast<std::uint16_t>(EtherType::kVlan)) {
     if (++vlan_tags > kMaxVlanDepth) return "VLAN stack too deep";
-    const std::uint16_t tci = r.u16();
-    ether_type = r.u16();
-    if (!r.ok()) return "truncated VLAN tag";
+    if (size - pos < 4) return "truncated VLAN tag";
+    const auto tci = static_cast<std::uint16_t>(load_be<2>(p + pos));
+    ether_type = static_cast<std::uint16_t>(load_be<2>(p + pos + 2));
+    pos += 4;
     if (vlan_tags == 1) {  // OpenFlow matches the outermost tag
-      spec.vlan_id = tci & 0x0FFF;
-      spec.vlan_pcp = static_cast<std::uint8_t>(tci >> 13);
+      out.set_vlan_id(tci & 0x0FFF);
+      out.set_vlan_pcp(static_cast<std::uint8_t>(tci >> 13));
     }
   }
 
@@ -123,72 +88,71 @@ class ByteReader {
     bool bottom = false;
     while (!bottom) {
       if (++depth > kMaxMplsDepth) return "MPLS stack too deep";
-      const std::uint32_t shim = r.u32();
-      if (!r.ok()) return "truncated MPLS shim";
-      if (depth == 1) spec.mpls_label = shim >> 12;  // outermost label
+      if (size - pos < 4) return "truncated MPLS shim";
+      const auto shim = static_cast<std::uint32_t>(load_be<4>(p + pos));
+      pos += 4;
+      if (depth == 1) out.set_mpls_label(shim >> 12);  // outermost label
       bottom = ((shim >> 8) & 1) != 0;
     }
     // The codec emits bottom-of-stack IPv4 under MPLS; the inner EtherType
-    // is implicit, so the spec's eth_type stays 0 (matches the serializer).
+    // is implicit, so the header's eth_type stays 0 (matches the serializer).
     ether_type = static_cast<std::uint16_t>(EtherType::kIpv4);
-    spec.eth_type = 0;
+    out.set_eth_type(0);
   } else {
-    spec.eth_type = ether_type;
+    out.set_eth_type(ether_type);
   }
 
+  bool has_l3 = false;
+  std::uint8_t proto = 0;
   std::size_t l4_claimed = 0;  // L4 bytes the L3 length fields account for
-  if (ether_type == static_cast<std::uint16_t>(EtherType::kIpv4) &&
-      r.remaining() >= 20) {
-    const std::size_t l3_avail = r.remaining();
-    const std::uint8_t version_ihl = r.u8();
-    if ((version_ihl >> 4) != 4) return "bad IPv4 version";
-    const std::size_t ihl_bytes = (version_ihl & 0xF) * 4U;
+  const std::size_t l3_avail = size - pos;
+  const std::uint8_t* ip = p + pos;
+  if (ether_type == static_cast<std::uint16_t>(EtherType::kIpv4) && l3_avail >= 20) {
+    if ((ip[0] >> 4) != 4) return "bad IPv4 version";
+    const std::size_t ihl_bytes = (ip[0] & 0xFU) * 4U;
     if (ihl_bytes < 20) return "bad IPv4 IHL";
-    spec.ip_tos = r.u8();
-    const std::uint16_t total_len = r.u16();
+    const std::size_t total_len = load_be<2>(ip + 2);
     if (total_len < ihl_bytes) return "IPv4 total length below header";
     if (total_len > l3_avail + snap_slack) return "IPv4 total length beyond wire";
-    (void)r.u16();  // identification
-    (void)r.u16();  // flags/fragment
-    (void)r.u8();   // TTL
-    spec.ip_proto = r.u8();
-    (void)r.u16();  // checksum
-    spec.ipv4_src = Ipv4Address{r.u32()};
-    spec.ipv4_dst = Ipv4Address{r.u32()};
-    if (ihl_bytes > 20) {
-      // Options the capture snapped off just end the walk (no ports left
-      // to read); on a complete frame the skip always fits, because
-      // total_len <= l3_avail was checked above.
-      r.skip(std::min(ihl_bytes - 20, r.remaining()));
-    }
+    proto = ip[9];
+    out.set_ip_tos(ip[1]);
+    out.set_ip_proto(proto);
+    out.set_ipv4_src(Ipv4Address{static_cast<std::uint32_t>(load_be<4>(ip + 12))});
+    out.set_ipv4_dst(Ipv4Address{static_cast<std::uint32_t>(load_be<4>(ip + 16))});
+    // Options the capture snapped off just end the walk (no ports left to
+    // read); on a complete frame they always fit, because total_len <=
+    // l3_avail was checked above.
+    pos += std::min(ihl_bytes, l3_avail);
     l4_claimed = total_len - ihl_bytes;
+    has_l3 = true;
   } else if (ether_type == static_cast<std::uint16_t>(EtherType::kIpv6) &&
-             r.remaining() >= 40) {
-    const std::size_t l3_avail = r.remaining();
-    const std::uint32_t vtf = r.u32();
+             l3_avail >= 40) {
+    const auto vtf = static_cast<std::uint32_t>(load_be<4>(ip));
     if ((vtf >> 28) != 6) return "bad IPv6 version";
-    spec.ip_tos = static_cast<std::uint8_t>((vtf >> 20) & 0xFF);
-    const std::uint16_t payload_len = r.u16();
+    const std::size_t payload_len = load_be<2>(ip + 4);
     if (payload_len > l3_avail + snap_slack - 40) {
       return "IPv6 payload length beyond wire";
     }
-    spec.ip_proto = r.u8();
-    (void)r.u8();  // hop limit
-    spec.ipv6_src = Ipv6Address{r.u128()};
-    spec.ipv6_dst = Ipv6Address{r.u128()};
+    proto = ip[6];
+    out.set_ip_tos(static_cast<std::uint8_t>((vtf >> 20) & 0xFF));
+    out.set_ip_proto(proto);
+    out.set_ipv6_src(Ipv6Address{U128{load_be<8>(ip + 8), load_be<8>(ip + 16)}});
+    out.set_ipv6_dst(Ipv6Address{U128{load_be<8>(ip + 24), load_be<8>(ip + 32)}});
+    pos += 40;
     l4_claimed = payload_len;
+    has_l3 = true;
   }
 
   // Ports are attributed only when the L3 length fields actually cover
   // them — trailing bytes beyond the claimed length are payload, not an L4
   // header (the "inner-header overrun" case).
-  if ((spec.ipv4_src || spec.ipv6_src) && has_l4_ports(spec.ip_proto) &&
-      l4_claimed >= 8 && r.remaining() >= 8) {
-    spec.src_port = r.u16();
-    spec.dst_port = r.u16();
-    r.skip(4);
+  if (has_l3 && has_l4_ports(proto) && l4_claimed >= 8 && size - pos >= 8) {
+    out.set_src_port(static_cast<std::uint16_t>(load_be<2>(p + pos)));
+    out.set_dst_port(static_cast<std::uint16_t>(load_be<2>(p + pos + 2)));
+    pos += 8;
   }
-  return r.ok() ? nullptr : "truncated packet";
+  end = pos;
+  return nullptr;
 }
 
 }  // namespace
@@ -273,25 +237,51 @@ PacketHeader header_from_spec(const PacketSpec& spec, std::uint32_t in_port) {
 
 ParsedPacket parse_packet(std::span<const std::uint8_t> bytes,
                           std::uint32_t in_port) {
-  ByteReader r{bytes};
-  PacketSpec spec;
-  if (const char* error = parse_spec_layers(r, spec, /*snap_slack=*/0)) {
+  ParsedPacket parsed;
+  std::size_t end = 0;
+  if (const char* error = walk_layers(bytes, /*snap_slack=*/0, in_port,
+                                      parsed.header, end)) {
     throw std::invalid_argument(error);
   }
-  const auto rest = r.rest();
-  spec.payload.assign(rest.begin(), rest.end());
-  return ParsedPacket{spec, header_from_spec(spec, in_port)};
+  // The spec is read back off the header: an optional is set iff the walk
+  // set its field (it sets each layer's fields together), and absent
+  // fields read 0.
+  const PacketHeader& h = parsed.header;
+  PacketSpec& spec = parsed.spec;
+  spec.eth_src = MacAddress{h.get64(FieldId::kEthSrc)};
+  spec.eth_dst = MacAddress{h.get64(FieldId::kEthDst)};
+  spec.eth_type = static_cast<std::uint16_t>(h.get64(FieldId::kEthType));
+  if (h.has(FieldId::kVlanId)) {
+    spec.vlan_id = static_cast<std::uint16_t>(h.get64(FieldId::kVlanId));
+    spec.vlan_pcp = static_cast<std::uint8_t>(h.get64(FieldId::kVlanPcp));
+  }
+  if (h.has(FieldId::kMplsLabel)) {
+    spec.mpls_label = static_cast<std::uint32_t>(h.get64(FieldId::kMplsLabel));
+  }
+  if (h.has(FieldId::kIpv4Src)) {
+    spec.ipv4_src = Ipv4Address{static_cast<std::uint32_t>(h.get64(FieldId::kIpv4Src))};
+    spec.ipv4_dst = Ipv4Address{static_cast<std::uint32_t>(h.get64(FieldId::kIpv4Dst))};
+  }
+  if (h.has(FieldId::kIpv6Src)) {
+    spec.ipv6_src = Ipv6Address{h.get(FieldId::kIpv6Src)};
+    spec.ipv6_dst = Ipv6Address{h.get(FieldId::kIpv6Dst)};
+  }
+  spec.ip_proto = static_cast<std::uint8_t>(h.get64(FieldId::kIpProto));
+  spec.ip_tos = static_cast<std::uint8_t>(h.get64(FieldId::kIpTos));
+  if (h.has(FieldId::kSrcPort)) {
+    spec.src_port = static_cast<std::uint16_t>(h.get64(FieldId::kSrcPort));
+    spec.dst_port = static_cast<std::uint16_t>(h.get64(FieldId::kDstPort));
+  }
+  spec.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(end), bytes.end());
+  return parsed;
 }
 
 bool parse_packet_header(std::span<const std::uint8_t> bytes,
                          std::uint32_t in_port, PacketHeader& out,
                          std::size_t wire_len) noexcept {
-  ByteReader r{bytes};
-  PacketSpec spec;  // payload stays empty: a stack object, no allocation
   const std::size_t slack = wire_len > bytes.size() ? wire_len - bytes.size() : 0;
-  if (parse_spec_layers(r, spec, slack) != nullptr) return false;
-  out = header_from_spec(spec, in_port);
-  return true;
+  std::size_t end = 0;
+  return walk_layers(bytes, slack, in_port, out, end) == nullptr;
 }
 
 PacketSpec spec_from_header(const PacketHeader& h) {

@@ -70,15 +70,17 @@ struct ParsedPacket {
 /// packet byte. Throws std::invalid_argument on truncated, overrunning, or
 /// otherwise malformed packets (VLAN/MPLS stacks beyond kMaxVlanDepth /
 /// kMaxMplsDepth, IPv4 IHL < 5, IPv4 total length / IPv6 payload length
-/// inconsistent with the buffer).
+/// inconsistent with the buffer). Runs the same wire walk as
+/// parse_packet_header; the spec is read back off the parsed header.
 [[nodiscard]] ParsedPacket parse_packet(std::span<const std::uint8_t> bytes,
                                         std::uint32_t in_port);
 
-/// Span-based scalar entry point for the batched trace front end: parses
-/// only the match-field view — no payload copy, no allocation, no exception
-/// on malformed input. Returns false when the frame is rejected (`out` is
-/// then unspecified); accepted frames yield a header bitwise-identical to
-/// parse_packet(bytes, in_port).header.
+/// Span-based scalar entry point for the batched trace front end: one
+/// bounds-checked pass over the frame that writes the match-field view into
+/// `out` in place — no intermediate spec, no temporary header, no payload
+/// copy, no allocation, no exception on malformed input. Returns false when
+/// the frame is rejected (`out` is then unspecified); accepted frames yield
+/// a header bitwise-identical to parse_packet(bytes, in_port).header.
 ///
 /// `wire_len` is the frame's original on-wire length when `bytes` is only
 /// a captured prefix (a snap-length-capped pcap record; pcap's orig_len).

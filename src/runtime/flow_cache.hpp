@@ -1,8 +1,8 @@
 // Per-worker exact-match flow cache: a fixed-capacity open-addressing table
 // (flat_hash.hpp idioms — power-of-two capacity, splitmix64-spread hashes,
-// short bounded probe windows) mapping a packet's full field tuple to the
-// final ExecutionResult the pipeline produced for it, stamped with the
-// left-right snapshot epoch that produced it.
+// short bounded probe windows) mapping a packet's full field tuple (its
+// 152-byte PacketHeader) to the final ExecutionResult the pipeline produced
+// for it, stamped with the left-right snapshot epoch that produced it.
 //
 // A publish does not void the cache; it makes entries *stale*. An entry
 // stamped with an older epoch than the current batch's guard is handed to
@@ -19,8 +19,8 @@
 // doorkeeper first (the TinyLFU doorkeeper): the first such refill of a flow
 // only writes its tag at the flow's home slot, the second evicts. Empty and
 // stale slots fill at once. Each probe window's {hash, epoch} words sit in
-// one 64-byte line apart from the key/result payloads, so a miss reads one
-// line, not four payloads.
+// one 64-byte line apart from the 392-byte key/result payloads, so a miss
+// reads one line, not four payloads.
 //
 // Ownership rules (mirrors the SearchContext rules in README):
 //   - one FlowCache per worker thread, never shared — per-worker caches

@@ -2,10 +2,12 @@
 // byte-level packet codec.
 #include <gtest/gtest.h>
 
+#include "core/flow_key.hpp"
 #include "net/addresses.hpp"
 #include "net/fields.hpp"
 #include "net/header.hpp"
 #include "net/packet.hpp"
+#include "workload/rng.hpp"
 
 namespace ofmtl {
 namespace {
@@ -112,6 +114,84 @@ TEST(PacketHeader, MetadataDefaultsToZero) {
   EXPECT_EQ(h.metadata(), 0U);
   h.set_metadata(0xDEAD);
   EXPECT_EQ(h.metadata(), 0xDEADU);
+}
+
+// One 64-bit word per field plus the two IPv6 high words and the mask.
+static_assert(sizeof(PacketHeader) <= 152);
+
+TEST(PacketHeader, EveryFieldRoundTripsItsFullWidth) {
+  workload::Rng rng(19);
+  for (const auto& info : field_registry()) {
+    for (int trial = 0; trial < 64; ++trial) {
+      // Trial 0 sets every bit of the field's width.
+      const std::uint64_t lo = trial == 0 ? ~std::uint64_t{0} : rng.next();
+      const std::uint64_t hi = trial == 0 ? ~std::uint64_t{0} : rng.next();
+      const U128 value = info.bits > 64 ? U128{hi & low_mask(info.bits - 64), lo}
+                                        : U128{lo & low_mask(info.bits)};
+      PacketHeader h;
+      h.set(info.id, value);
+      EXPECT_EQ(h.get(info.id), value) << info.name;
+      EXPECT_EQ(h.get64(info.id), value.lo) << info.name;
+      EXPECT_EQ(h.present_mask(), 1U << static_cast<unsigned>(info.id));
+    }
+  }
+}
+
+TEST(PacketHeader, PresentMaskTracksExactlyTheSetFields) {
+  workload::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    PacketHeader h;
+    std::uint32_t expected = 0;
+    for (std::size_t i = 0; i < kFieldCount; ++i) {
+      if (!rng.chance(0.4)) continue;
+      h.set(static_cast<FieldId>(i), std::uint64_t{0});  // zero still counts
+      expected |= 1U << i;
+    }
+    EXPECT_EQ(h.present_mask(), expected);
+    for (std::size_t i = 0; i < kFieldCount; ++i) {
+      EXPECT_EQ(h.has(static_cast<FieldId>(i)), ((expected >> i) & 1U) != 0);
+    }
+  }
+}
+
+PacketHeader fixed_header() {
+  PacketHeader h;
+  h.set_in_port(3);
+  h.set_eth_src(MacAddress{0x020000000001ULL});
+  h.set_eth_dst(MacAddress{0xAABBCCDDEEFFULL});
+  h.set_eth_type(0x86DD);
+  h.set_vlan_id(0x1064);
+  h.set_ipv6_src(Ipv6Address{U128{0x20010DB800000000ULL, 1}});
+  h.set_ipv6_dst(Ipv6Address{U128{0xFE80000000000000ULL, 0x0123456789ABCDEFULL}});
+  h.set_ip_proto(6);
+  h.set_src_port(4444);
+  h.set_dst_port(443);
+  h.set_metadata(0xFEEDFACECAFEBEEFULL);
+  return h;
+}
+
+TEST(PacketHeader, EqualHeadersHashEqual) {
+  // The same fields set in the opposite order give the same header.
+  const PacketHeader forward = fixed_header();
+  PacketHeader reverse;
+  for (std::size_t i = kFieldCount; i-- > 0;) {
+    const auto id = static_cast<FieldId>(i);
+    if (forward.has(id)) reverse.set(id, forward.get(id));
+  }
+  EXPECT_EQ(reverse, forward);
+  EXPECT_EQ(flow_key_hash(reverse), flow_key_hash(forward));
+  reverse.set_src_port(4445);
+  EXPECT_NE(reverse, forward);
+}
+
+TEST(PacketHeader, FlowKeyHashIsStable) {
+  // Flow-cache slots are placed by this hash; the value is pinned so a
+  // change of the header's layout cannot move them.
+  EXPECT_EQ(flow_key_hash(fixed_header()), 0x1B253A9A14E9F642ULL);
+  PacketHeader ipv4;
+  ipv4.set_ipv4_src(Ipv4Address{10, 0, 0, 1});
+  ipv4.set_ipv4_dst(Ipv4Address{10, 0, 0, 2});
+  EXPECT_EQ(flow_key_hash(ipv4), 0x80855F4CEE31C71DULL);
 }
 
 struct CodecCase {

@@ -4,7 +4,9 @@
 // for the odd-width fields (13-bit VLAN, 3-bit PCP, 20-bit MPLS label).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <span>
 
 #include "core/builder.hpp"
 #include "core/multibit_trie.hpp"
@@ -65,6 +67,172 @@ TEST_P(CodecFuzz, MutatedValidPacketsNeverCorrupt) {
     } catch (const std::invalid_argument&) {
     }
   }
+}
+
+void push_u16(std::vector<std::uint8_t>& bytes, std::uint16_t value) {
+  bytes.push_back(static_cast<std::uint8_t>(value >> 8));
+  bytes.push_back(static_cast<std::uint8_t>(value));
+}
+
+void push_u32(std::vector<std::uint8_t>& bytes, std::uint32_t value) {
+  push_u16(bytes, static_cast<std::uint16_t>(value >> 16));
+  push_u16(bytes, static_cast<std::uint16_t>(value));
+}
+
+/// One frame of the parser sweep; `wire_len` > 0 marks a snapped capture.
+struct SweepFrame {
+  std::vector<std::uint8_t> bytes;
+  std::size_t wire_len = 0;
+};
+
+/// Fixed frames covering every layer and bound of the wire walk: plain
+/// IPv4 TCP/UDP, QinQ at and past kMaxVlanDepth, MPLS at and past
+/// kMaxMplsDepth, IPv4 with options, IPv6 TCP, and a snapped IPv4 record
+/// whose wire length exceeds its capture.
+std::vector<SweepFrame> sweep_frames() {
+  PacketSpec tcp4;
+  tcp4.eth_src = MacAddress{0x020000000001ULL};
+  tcp4.eth_dst = MacAddress{0x020000000002ULL};
+  tcp4.eth_type = static_cast<std::uint16_t>(EtherType::kIpv4);
+  tcp4.ipv4_src = Ipv4Address{10, 0, 0, 1};
+  tcp4.ipv4_dst = Ipv4Address{10, 0, 0, 2};
+  tcp4.ip_proto = static_cast<std::uint8_t>(IpProto::kTcp);
+  tcp4.ip_tos = 0x28;
+  tcp4.src_port = 1234;
+  tcp4.dst_port = 80;
+  tcp4.payload = {1, 2, 3, 4};
+  const auto tcp4_bytes = serialize_packet(tcp4);
+
+  PacketSpec udp4 = tcp4;
+  udp4.ip_proto = static_cast<std::uint8_t>(IpProto::kUdp);
+  udp4.src_port = 53;
+  udp4.dst_port = 5353;
+
+  PacketSpec tcp6;
+  tcp6.eth_src = MacAddress{0x020000000003ULL};
+  tcp6.eth_dst = MacAddress{0x020000000004ULL};
+  tcp6.eth_type = static_cast<std::uint16_t>(EtherType::kIpv6);
+  tcp6.ipv6_src = Ipv6Address{U128{0x20010DB800000000ULL, 1}};
+  tcp6.ipv6_dst = Ipv6Address{U128{0x20010DB8FFFF0000ULL, 0x0123456789ABCDEFULL}};
+  tcp6.ip_proto = static_cast<std::uint8_t>(IpProto::kTcp);
+  tcp6.ip_tos = 0xB8;
+  tcp6.src_port = 4444;
+  tcp6.dst_port = 443;
+  tcp6.payload = {9, 8};
+
+  // tcp4's bytes from its EtherType (offset 12) / its IPv4 header (14) on.
+  const auto from = [&](std::size_t offset) {
+    return std::vector<std::uint8_t>(tcp4_bytes.begin() + offset, tcp4_bytes.end());
+  };
+  const auto qinq = [&](unsigned tags) {
+    std::vector<std::uint8_t> bytes(tcp4_bytes.begin(), tcp4_bytes.begin() + 12);
+    for (unsigned i = 0; i < tags; ++i) {
+      push_u16(bytes, static_cast<std::uint16_t>(EtherType::kVlan));
+      push_u16(bytes, static_cast<std::uint16_t>(((i + 1) << 13) | (100 + i)));
+    }
+    const auto rest = from(12);
+    bytes.insert(bytes.end(), rest.begin(), rest.end());
+    return bytes;
+  };
+  const auto mpls = [&](unsigned shims) {
+    std::vector<std::uint8_t> bytes(tcp4_bytes.begin(), tcp4_bytes.begin() + 12);
+    push_u16(bytes, static_cast<std::uint16_t>(EtherType::kMplsUnicast));
+    for (unsigned i = 0; i < shims; ++i) {
+      const bool bottom = i + 1 == shims;
+      push_u32(bytes, ((1000 + i) << 12) | (bottom ? 1U << 8 : 0U) | 64U);
+    }
+    const auto rest = from(14);
+    bytes.insert(bytes.end(), rest.begin(), rest.end());
+    return bytes;
+  };
+  // IHL 7: eight option bytes between the IPv4 header and the ports.
+  auto options = tcp4_bytes;
+  options[14] = 0x47;
+  options[17] = static_cast<std::uint8_t>(options[17] + 8);
+  options.insert(options.begin() + 34, {0x94, 0x04, 0, 0, 0x01, 0x01, 0x01, 0x00});
+
+  PacketSpec snapped = tcp4;
+  snapped.payload.assign(64, 0x5A);
+  auto snapped_bytes = serialize_packet(snapped);
+  const std::size_t snapped_wire = snapped_bytes.size();
+  snapped_bytes.resize(40);  // cut inside the L4 header, as a snaplen would
+
+  return {{tcp4_bytes},
+          {serialize_packet(udp4)},
+          {qinq(kMaxVlanDepth)},
+          {qinq(kMaxVlanDepth + 1)},
+          {mpls(kMaxMplsDepth)},
+          {mpls(kMaxMplsDepth + 1)},
+          {options},
+          {serialize_packet(tcp6)},
+          {snapped_bytes, snapped_wire}};
+}
+
+std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 31;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  return h ^ (h >> 29);
+}
+
+// The allocation-free header parse and the throwing full parse are one
+// wire walk: on every truncation and on seeded 1-3 byte mutations of the
+// sweep frames, parse_packet_header accepts exactly when parse_packet does
+// not throw, and both yield the same header. A snapped record is parsed
+// against its wire length, which can only relax the length checks, so
+// there the full parse (which sees the capture alone) accepting implies the
+// header parse accepts. The digest pins every (accepted, fields) outcome
+// of the sweep to the parser's recorded behaviour.
+TEST_P(CodecFuzz, HeaderParseMatchesFullParse) {
+  workload::Rng rng(GetParam() * 7919);
+  std::uint64_t digest = 0;
+  std::size_t accepted_count = 0;
+  std::size_t corpus = 0;
+  const auto check = [&](std::span<const std::uint8_t> bytes, std::size_t wire_len) {
+    ++corpus;
+    PacketHeader header;
+    const bool accepted = parse_packet_header(bytes, 5, header, wire_len);
+    std::optional<PacketHeader> full;
+    try {
+      full = parse_packet(bytes, 5).header;
+    } catch (const std::invalid_argument&) {
+    }
+    if (wire_len > bytes.size()) {
+      if (full) {
+        ASSERT_TRUE(accepted);
+        ASSERT_EQ(header, *full);
+      }
+    } else {
+      ASSERT_EQ(accepted, full.has_value());
+      if (accepted) ASSERT_EQ(header, *full);
+    }
+    digest = digest_mix(digest, accepted ? 1 : 0);
+    if (!accepted) return;
+    ++accepted_count;
+    digest = digest_mix(digest, header.present_mask());
+    for (std::size_t i = 0; i < kFieldCount; ++i) {
+      const U128 value = header.get(static_cast<FieldId>(i));
+      digest = digest_mix(digest_mix(digest, value.lo), value.hi);
+    }
+  };
+  for (const auto& frame : sweep_frames()) {
+    const std::span<const std::uint8_t> whole{frame.bytes};
+    for (std::size_t len = 0; len <= whole.size(); ++len) {
+      check(whole.first(len), frame.wire_len);
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      auto bytes = frame.bytes;
+      const auto flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        bytes[rng.below(bytes.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+      check(bytes, frame.wire_len);
+    }
+  }
+  EXPECT_GT(accepted_count, corpus / 4);  // the sweep is not all rejects
+  const std::uint64_t expected[] = {0x90FD82DBB0ABB37CULL, 0x590661CF0BCF7B7BULL,
+                                   0x4B43AE29178D8B24ULL};
+  EXPECT_EQ(digest, expected[GetParam() - 1]) << std::hex << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(1, 2, 3));
