@@ -15,6 +15,13 @@
 // 100k-entry latencies must sit within noise of each other
 // (scripts/check_bench.py --flat-pair gates exactly that in CI).
 //
+// A uniform-overflow pair rides on the same harness: routing_yoza over a
+// uniform stream from a 65,536-header pool (30,036 distinct flows, 3.7x the
+// 8192-slot cache) through one worker, flow cache off and on
+// (parallel_overflow/...). Without skew the cache holds only a fraction of
+// the flows in play, so the pair bounds what its probe and refill cost when
+// it helps least; CI gates cache-on no slower than cache-off within the run.
+//
 // Two observability metrics ride on the same harness when the trace
 // instrumentation is compiled in (OFMTL_TRACE, the default):
 //   - trace/overhead_percent: throughput cost of live tracing — minimum
@@ -51,6 +58,7 @@
 #include "runtime/runtime.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
+#include "workload/zipf.hpp"
 
 namespace {
 
@@ -64,19 +72,40 @@ constexpr std::size_t kInFlight = 4;  // outstanding batches per queue
 constexpr auto kWarmup = std::chrono::milliseconds(150);
 constexpr auto kMeasure = std::chrono::milliseconds(400);
 constexpr auto kChurnInterval = std::chrono::milliseconds(5);
+constexpr std::size_t kOverflowFlows = 65536;
+constexpr std::size_t kOverflowPackets = std::size_t{1} << 17;
+constexpr std::size_t kOverflowCache = 8192;  // per-worker slots
 
 struct App {
   std::string tag;
   MultiTableLookup accelerated;
-  std::vector<PacketHeader> trace;
+  std::vector<PacketHeader> trace;  ///< power-of-two length, cycled
 };
 
-App make_app(workload::FilterApp app, const char* name) {
+/// kOverflowPackets headers drawn uniformly from a `flows`-header pool
+/// (generate_trace repeats headers, so it holds fewer distinct flows).
+std::vector<PacketHeader> uniform_stream(const FilterSet& set,
+                                         std::size_t flows) {
+  const auto pool = workload::generate_trace(
+      set, {.packets = flows, .hit_ratio = 0.9, .seed = 123});
+  workload::ZipfSampler uniform(pool.size(), /*s=*/0.0, /*seed=*/99);
+  std::vector<PacketHeader> stream(kOverflowPackets);
+  for (auto& header : stream) header = pool[uniform.next()];
+  return stream;
+}
+
+/// The app's tables with the standard 4096-packet trace, or with a uniform
+/// stream over `overflow_flows` flows when that is non-zero.
+App make_app(workload::FilterApp app, const char* name,
+             std::size_t overflow_flows = 0) {
   const auto set = workload::generate_filterset(app, name);
   const auto spec = build_app(set, TableLayout::kPerFieldTables);
   return App{std::string(to_string(app)) + "_" + name, compile_app(spec),
-             workload::generate_trace(
-                 set, {.packets = kTracePackets, .hit_ratio = 0.9, .seed = 77})};
+             overflow_flows > 0
+                 ? uniform_stream(set, overflow_flows)
+                 : workload::generate_trace(set, {.packets = kTracePackets,
+                                                  .hit_ratio = 0.9,
+                                                  .seed = 77})};
 }
 
 /// Keep every queue saturated with kInFlight outstanding batches for
@@ -144,7 +173,7 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
     for (std::size_t slot = 0; slot < kInFlight; ++slot) {
       for (std::size_t q = 0; q < workers; ++q) {
         tickets[q][slot].wait();
-        const std::size_t base = (offset += kBatch) & (kTracePackets - 1);
+        const std::size_t base = (offset += kBatch) & (app.trace.size() - 1);
         const std::size_t target = skewed ? 0 : q;
         while (!rt.try_submit(target, {app.trace.data() + base, kBatch},
                               {results[q][slot].data(), kBatch},
@@ -394,6 +423,21 @@ int main(int argc, char** argv) {
                 << pps / 1e6 << " Mpps\n";
     }
   }
+  // Uniform overflow: one worker, cache off then on.
+  {
+    const App overflow =
+        make_app(workload::FilterApp::kRouting, "yoza", kOverflowFlows);
+    for (const std::size_t cache : {std::size_t{0}, kOverflowCache}) {
+      const double pps = run_scaling(overflow, 1, /*churn=*/false,
+                                     /*skewed=*/false, /*stealing=*/true, cache);
+      results.emplace_back("parallel_overflow/" + overflow.tag +
+                               "/workers1/cache_" + (cache > 0 ? "on" : "off"),
+                           pps);
+      std::cout << overflow.tag << " overflow workers=1 cache="
+                << (cache > 0 ? "on" : "off") << ": " << std::fixed
+                << pps / 1e6 << " Mpps\n";
+    }
+  }
   // Skewed submitter: every batch on queue 0 at 4 workers. With stealing
   // the three idle workers drain the hot queue; without it they spin.
   for (const auto& app : apps) {
@@ -456,6 +500,10 @@ int main(int argc, char** argv) {
   metadata.emplace_back("churn_interval_ms",
                         std::to_string(kChurnInterval.count()));
   metadata.emplace_back("churn_cache_capacity", "4096");
+  metadata.emplace_back("overflow_flows", std::to_string(kOverflowFlows));
+  metadata.emplace_back("overflow_packets", std::to_string(kOverflowPackets));
+  metadata.emplace_back("overflow_cache_capacity",
+                        std::to_string(kOverflowCache));
   ofmtl::bench::write_bench_json("parallel", "packets_per_sec", results,
                                  metadata);
 

@@ -1,14 +1,15 @@
 // Microbenchmark of the lookup path's probe kernels, stage by stage: the
 // flat-hash tag-group compare, the exact-match LUT batch probe, the range
-// matcher's rank-select lookup and the multibit-trie level-array descent —
-// measured on the compiled vector backend and again with the portable SWAR
-// kernels forced, so the vector speedup per stage is visible in isolation
-// from the end-to-end pipeline numbers (BENCH_lookup.json). The range and
-// trie rows call the structure's one scalar lookup per key; they have no
-// vector kernel, so their two columns should agree.
+// matcher's rank-select lookup and the multibit-trie level-array descent.
+// The two vector kernels are measured on the compiled vector backend
+// (`_simd`) and again with the portable SWAR kernels forced (`_swar`), so
+// the vector speedup per stage is visible in isolation from the end-to-end
+// pipeline numbers (perfbench). The range and trie rows call the
+// structure's one scalar lookup per key; they have no vector kernel, so
+// each is one row.
 //
 // Writes BENCH_simd_probe.json in million_ops_per_sec (higher is better).
-// CI floors the SWAR kernels with conservative machine-independent minimums
+// CI floors every row with conservative machine-independent minimums
 // (scripts/check_bench.py --min-metric) so an accidental scalarization of
 // the hot loops fails loudly on any hardware.
 #include <algorithm>
@@ -39,21 +40,22 @@ constexpr std::size_t kQueries = 4096;
   return static_cast<double>(ops) / ms / 1e3;
 }
 
+/// Warm `fn` once (page in structures), then time one run of its `ops`
+/// operations in Mops.
+template <typename Fn>
+[[nodiscard]] double measure(std::size_t ops, Fn&& fn) {
+  fn();
+  return mops(ops, bench::time_ms(fn));
+}
+
 /// Run `fn` under the current backend and again with SWAR forced, appending
-/// `<name>_simd` and `<name>_swar` (ops/elapsed in Mops).
+/// `<name>_simd` and `<name>_swar`.
 template <typename Fn>
 void measure_both(std::vector<std::pair<std::string, double>>& results,
                   const std::string& name, std::size_t ops, Fn&& fn) {
-  // Warm both paths (page in structures).
-  fn();
-  {
-    const double ms = bench::time_ms(fn);
-    results.emplace_back(name + "_simd", mops(ops, ms));
-  }
+  results.emplace_back(name + "_simd", measure(ops, fn));
   simd::ScopedForceSwar forced(true);
-  fn();
-  const double ms = bench::time_ms(fn);
-  results.emplace_back(name + "_swar", mops(ops, ms));
+  results.emplace_back(name + "_swar", measure(ops, fn));
 }
 
 }  // namespace
@@ -123,13 +125,13 @@ int main() {
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & max);
     volatile std::size_t sink = 0;
     constexpr std::size_t kRounds = 200;
-    measure_both(results, "range_narrow", kRounds * kQueries, [&] {
+    results.emplace_back("range_narrow", measure(kRounds * kQueries, [&] {
       std::size_t acc = 0;
       for (std::size_t round = 0; round < kRounds; ++round) {
         for (const std::uint64_t key : keys) acc += ranges.lookup(key).size();
       }
       sink = acc;
-    });
+    }));
   }
 
   // --- multibit trie: level-array descent + parent chains -------------------
@@ -145,13 +147,13 @@ int main() {
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & 0xFFFF);
     std::vector<LabelList> lists(keys.size());
     constexpr std::size_t kRounds = 100;
-    measure_both(results, "trie_batch", kRounds * kQueries, [&] {
+    results.emplace_back("trie_batch", measure(kRounds * kQueries, [&] {
       for (std::size_t round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < keys.size(); ++i) {
           trie.lookup_all(keys[i], lists[i]);
         }
       }
-    });
+    }));
   }
 
   for (const auto& [name, value] : results) {

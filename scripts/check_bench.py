@@ -3,18 +3,19 @@
 committed baseline and fail on regressions beyond a threshold.
 
 Usage:
-    scripts/check_bench.py --baseline bench/baselines/BENCH_lookup.json \
-        --current build/BENCH_lookup.json [--threshold 0.10] [--key-prefix X]
+    scripts/check_bench.py --baseline bench/baselines/BENCH_parallel.json \
+        --current build/BENCH_parallel.json [--threshold 0.10] [--key-prefix X]
 
-Semantics follow the file's unit: ns_per_packet (and any *_ns / ns_* unit)
-regresses upward, packets_per_sec (and any *_per_sec unit) regresses
-downward. Individual metric NAMES override the file unit when they declare
-their own: a metric whose leaf ends in `_ns` (tail quantiles like
+Semantics follow the file's unit: any *_per_sec unit (packets_per_sec,
+million_ops_per_sec) regresses downward, every other unit (ns_per_publish,
+mixed) upward. Individual metric NAMES override the file unit when they
+declare their own: a metric whose leaf ends in `_ns` (tail quantiles like
 parallel_tail/.../p99_ns riding in a packets_per_sec file) or mentions
-`overhead` regresses upward; `*per_sec*` / `*mpps*` / `hitrate/*` metrics
-regress downward. Metrics present only on one side are reported but never
-fail the gate (new benches may add metrics). Metadata drift (git SHA aside)
-is surfaced as a warning so apples-to-oranges comparisons are visible.
+`overhead` regresses upward; a `*per_sec*` leaf (ofp/flow_mods_per_sec in
+a mixed file) regresses downward. Metrics present only on one side are
+reported but never fail the gate (new benches may add metrics). Metadata
+drift (git SHA aside) is surfaced as a warning so apples-to-oranges
+comparisons are visible.
 
 Thread-sensitive metrics (scaling curves, work-stealing scenarios) can be
 exempted from the baseline gate when the machines differ:
@@ -29,14 +30,11 @@ tolerance of each other (|a-b|/min(a,b) <= tol) — e.g. the left-right
 publish latency must not scale with table size.
 
 Within-run floor invariants (machine-independent) are gated with
-    --min-metric hitrate/routing_yoza/zipf_s1.1_f4096:90
+    --min-metric kernel/tag_match_swar:25
 which requires the CURRENT value of the named metric to be >= the floor —
-e.g. the flow cache's Zipf hit rate is a property of the stream and the
-cache geometry, not of the machine, so it gates on foreign runners too.
-Mind the metric's unit: hitrate/* metrics are emitted in PERCENT (a 90%
-floor is `:90`), parse_mpps/* in million packets per second (a deliberately
-conservative floor like `:0.5` catches order-of-magnitude regressions on
-any hardware). --min-hit-rate is the historical alias of the same flag.
+e.g. a probe kernel's Mops floor an order of magnitude below any runner's
+rate, or failover/promotions:1 proving the failover path ran. Mind the
+metric's unit: the floor is compared in whatever unit the bench emits.
 
 Within-run ceiling invariants are the mirror image, gated with
     --max-metric soak/desyncs:0 --max-metric soak/dropped_sessions:0
@@ -45,13 +43,15 @@ the natural shape for robustness counters (desyncs, dropped sessions,
 error totals) where any value above the bound means the run misbehaved.
 
 Within-run ratio ceilings relate two CURRENT metrics:
-    --max-ratio replay/.../cache_on_p99_ns,replay/.../cache_on_p50_ns:100
+    --max-ratio parallel_tail/.../p99_ns,parallel_tail/.../p50_ns:100
 requires current[NUM] / current[DEN] <= MAX (comma-separated because metric
 names contain '/'). The natural shape for tail-latency SLOs: p99/p50 is a
 machine-independent tail-blowup detector — absolute quantiles shift with
 hardware, but a p99 two orders of magnitude over the median means the tail
-collapsed no matter the machine. Ceilings are deliberately catastrophic-
-only: shared runners legitimately wobble small multiples.
+collapsed no matter the machine. Tail ceilings are deliberately
+catastrophic-only: shared runners legitimately wobble small multiples. A
+ceiling of 1.0 orders two rates of one run (cache-off over cache-on
+packets/sec: the cache must not slow the run down).
 
 Exit codes: 0 ok, 1 regression/flatness violation, 2 usage/IO error.
 """
@@ -71,10 +71,7 @@ def load(path):
 
 
 def lower_is_better(unit):
-    unit = unit.lower()
-    if "per_sec" in unit or "throughput" in unit:
-        return False
-    return True  # ns/packet, ms, bytes, ... default: lower is better
+    return "per_sec" not in unit.lower()  # ns, us, mixed: lower is better
 
 
 def metric_lower_is_better(name, file_default):
@@ -84,8 +81,7 @@ def metric_lower_is_better(name, file_default):
     leaf = name.rsplit("/", 1)[-1].lower()
     if leaf.endswith("_ns") or "overhead" in leaf:
         return True
-    if "per_sec" in leaf or "mpps" in name.lower() or \
-            name.lower().startswith("hitrate/"):
+    if "per_sec" in leaf:
         return False
     return file_default
 
@@ -123,7 +119,6 @@ def main():
     )
     parser.add_argument(
         "--min-metric",
-        "--min-hit-rate",  # historical alias (pre-generalization name)
         action="append",
         default=[],
         dest="min_metric",

@@ -42,7 +42,7 @@ class PacketHeader {
   void set_ipv6_src(const Ipv6Address& ip) { set(FieldId::kIpv6Src, ip.value()); }
   void set_ipv6_dst(const Ipv6Address& ip) { set(FieldId::kIpv6Dst, ip.value()); }
   void set_ip_proto(std::uint8_t proto) { set(FieldId::kIpProto, std::uint64_t{proto}); }
-  void set_ip_tos(std::uint8_t tos) { set(FieldId::kIpTos, std::uint64_t{tos}); }
+  void set_ip_tos(std::uint8_t dscp) { set(FieldId::kIpTos, std::uint64_t{dscp}); }
   void set_src_port(std::uint16_t port) { set(FieldId::kSrcPort, std::uint64_t{port}); }
   void set_dst_port(std::uint16_t port) { set(FieldId::kDstPort, std::uint64_t{port}); }
   void set_metadata(std::uint64_t metadata) { set(FieldId::kMetadata, metadata); }

@@ -115,7 +115,7 @@ template <unsigned Width>
     if (total_len < ihl_bytes) return "IPv4 total length below header";
     if (total_len > l3_avail + snap_slack) return "IPv4 total length beyond wire";
     proto = ip[9];
-    out.set_ip_tos(ip[1]);
+    out.set_ip_tos(static_cast<std::uint8_t>(ip[1] >> 2));  // DSCP; ECN dropped
     out.set_ip_proto(proto);
     out.set_ipv4_src(Ipv4Address{static_cast<std::uint32_t>(load_be<4>(ip + 12))});
     out.set_ipv4_dst(Ipv4Address{static_cast<std::uint32_t>(load_be<4>(ip + 16))});
@@ -134,7 +134,7 @@ template <unsigned Width>
       return "IPv6 payload length beyond wire";
     }
     proto = ip[6];
-    out.set_ip_tos(static_cast<std::uint8_t>((vtf >> 20) & 0xFF));
+    out.set_ip_tos(static_cast<std::uint8_t>((vtf >> 22) & 0x3F));  // DSCP
     out.set_ip_proto(proto);
     out.set_ipv6_src(Ipv6Address{U128{load_be<8>(ip + 8), load_be<8>(ip + 16)}});
     out.set_ipv6_dst(Ipv6Address{U128{load_be<8>(ip + 24), load_be<8>(ip + 32)}});
@@ -185,7 +185,7 @@ std::vector<std::uint8_t> serialize_packet(const PacketSpec& spec) {
     const auto total =
         static_cast<std::uint16_t>(20 + l4 + spec.payload.size());
     w.u8(0x45);  // version 4, IHL 5
-    w.u8(spec.ip_tos);
+    w.u8(static_cast<std::uint8_t>((spec.ip_tos & 0x3FU) << 2));  // DSCP, ECN 0
     w.u16(total);
     w.u16(0);          // identification
     w.u16(0x4000);     // flags: DF
@@ -196,7 +196,7 @@ std::vector<std::uint8_t> serialize_packet(const PacketSpec& spec) {
     w.u32(spec.ipv4_dst->value());
   } else if (spec.ipv6_src && spec.ipv6_dst) {
     const std::uint16_t l4 = emits_l4 ? 8 : 0;
-    w.u32((6U << 28) | (std::uint32_t{spec.ip_tos} << 20));
+    w.u32((6U << 28) | (std::uint32_t{spec.ip_tos & 0x3FU} << 22));
     w.u16(static_cast<std::uint16_t>(l4 + spec.payload.size()));
     w.u8(spec.ip_proto);  // next header
     w.u8(64);             // hop limit
@@ -340,7 +340,7 @@ PacketSpec spec_from_header(const PacketHeader& h) {
                         ? static_cast<std::uint8_t>(h.get64(FieldId::kIpProto))
                         : std::uint8_t{0};
     spec.ip_tos = h.has(FieldId::kIpTos)
-                      ? static_cast<std::uint8_t>(h.get64(FieldId::kIpTos) & 0xFF)
+                      ? static_cast<std::uint8_t>(h.get64(FieldId::kIpTos) & 0x3F)
                       : std::uint8_t{0};
     if (has_l4_ports(spec.ip_proto) &&
         (h.has(FieldId::kSrcPort) || h.has(FieldId::kDstPort))) {

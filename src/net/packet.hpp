@@ -50,7 +50,7 @@ struct PacketSpec {
   std::optional<Ipv6Address> ipv6_src;
   std::optional<Ipv6Address> ipv6_dst;
   std::uint8_t ip_proto = 0;
-  std::uint8_t ip_tos = 0;
+  std::uint8_t ip_tos = 0;                  // DSCP: the ToS / traffic-class byte >> 2
   std::optional<std::uint16_t> src_port;
   std::optional<std::uint16_t> dst_port;
   std::vector<std::uint8_t> payload;
@@ -106,7 +106,7 @@ struct ParsedPacket {
 ///     layer with a TCP/UDP protocol carries them), missing halves are
 ///     zero-filled, and IPv4 wins when both address families are present;
 ///   - the VLAN ID is masked to its 12 wire bits and an emitted tag always
-///     carries a PCP (0 when absent);
+///     carries a PCP (0 when absent); kIpTos is masked to its 6 DSCP bits;
 ///   - the EtherType is forced by the innermost layer (0x0800 / 0x86DD /
 ///     0 under MPLS, whose inner type is implicit), and a layer-announcing
 ///     EtherType with no matching layer (VLAN / MPLS) is cleared to 0 so

@@ -26,7 +26,7 @@ namespace ofmtl::workload {
 /// under one in_port (the wire does not carry it), so picking a port the
 /// rules actually match keeps e.g. routing traces walking the full
 /// two-table pipeline instead of missing at table 0. Shared by the CLI,
-/// bench_replay, and the replay tests so they cannot drift apart.
+/// perfbench, and the replay tests so they cannot drift apart.
 [[nodiscard]] std::uint32_t capture_in_port(const FilterSet& set);
 
 struct TraceExportConfig {

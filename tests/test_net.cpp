@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/flow_key.hpp"
+#include "core/pipeline.hpp"
 #include "net/addresses.hpp"
 #include "net/fields.hpp"
 #include "net/header.hpp"
@@ -285,6 +286,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CodecCase>& info) {
       return info.param.name;
     });
+
+// The ToS / traffic-class byte is DSCP (upper six bits) plus ECN (lower
+// two); the 6-bit kIpTos field holds the DSCP. A TOS 0xB8 frame is DSCP 46
+// (EF) on both IP versions, and an exact ip_tos == 46 rule matches it
+// through the reference pipeline and the decomposed one alike.
+TEST(PacketCodec, TosByteParsesToDscp) {
+  auto v4 = serialize_packet(tcp4_packet());
+  v4[15] = 0xB8;  // IPv4 ToS
+  auto v6 = serialize_packet(ipv6_packet());
+  v6[14] = 0x6B;  // version 6 | traffic class 0xB8 | flow label 0
+  v6[15] = 0x80;
+
+  FlowEntry entry;
+  entry.id = 1;
+  entry.priority = 10;
+  entry.match.set(FieldId::kIpTos, FieldMatch::exact(std::uint64_t{46}));
+  entry.instructions = output_instruction(9);
+  ReferencePipeline reference({FlowTable{{entry}}});
+  MultiTableLookup accelerated;
+  accelerated.add_table(LookupTable::compile(FlowTable{{entry}}));
+
+  for (const auto& bytes : {v4, v6}) {
+    const auto parsed = parse_packet(bytes, 1);
+    EXPECT_EQ(parsed.header.get64(FieldId::kIpTos), 46U);
+    EXPECT_EQ(parsed.spec.ip_tos, 46U);
+    EXPECT_EQ(serialize_packet(parsed.spec), bytes);
+    const auto expected = reference.execute(parsed.header);
+    EXPECT_EQ(expected.verdict, Verdict::kForwarded);
+    EXPECT_EQ(expected.output_ports, std::vector<std::uint32_t>{9});
+    EXPECT_EQ(accelerated.execute(parsed.header), expected);
+  }
+}
 
 TEST(PacketCodec, RejectsTruncated) {
   const auto bytes = serialize_packet(tcp4_packet());
