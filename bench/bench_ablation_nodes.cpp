@@ -31,7 +31,6 @@ void compare(const FilterSet& set, FieldId field, const std::string& title) {
   for (const auto& entry : set.entries) {
     (void)search.add_rule(entry.match.get(field));
   }
-  search.seal();
 
   static const char* const kNames[] = {"hi", "mid", "lo", "p3",
                                        "p4", "p5",  "p6", "p7"};

@@ -28,7 +28,6 @@ inline FieldSearch build_field_search(const FilterSet& set, FieldId field,
   for (const auto& entry : set.entries) {
     (void)search.add_rule(entry.match.get(field));
   }
-  search.seal();
   return search;
 }
 

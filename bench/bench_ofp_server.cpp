@@ -10,10 +10,15 @@
 //     (liveness probe cost, and the floor for barrier latency);
 //   - ofp/role_change_us: ROLE_REQUEST round trip alternating master/slave
 //     claims — the fixed cost a controller pays at every failover handoff.
-//   - ofp/{decode,apply,ingest}_{p50,p99}_ns: control-plane latency slices
-//     from the always-on trace rings (read→decode→apply inside the event
-//     loop), the tail-distribution companions to the mean throughput
-//     number. The p99/p50 ratios are machine-independent and gated in CI.
+//   - ofp/{decode,apply,ingest}_p99_over_p50: tail-over-median ratios of
+//     the control-plane latency slices from the always-on trace rings
+//     (read→decode→apply inside the event loop), the tail-distribution
+//     companions to the mean throughput number. Decode is timed per frame,
+//     apply per flow-mod and ingest per byte read, each unit weighing the
+//     same: a read delivers however many frames the socket holds, so the
+//     batch sizes (and per-batch times) follow the host's scheduling, not
+//     the server. The ratios are within-run and gated by ceilings in CI;
+//     the absolute quantiles are printed only.
 // Loopback numbers are hardware-sensitive; CI gates them against the
 // committed dev-container baseline only on matching hardware.
 #include <chrono>
@@ -162,13 +167,19 @@ int main() {
 
   const auto decode_hist = obs::slice_latency_histogram(
       trace, obs::TraceEvent::kOfpDecodeBegin, obs::TraceEvent::kOfpDecodeEnd,
-      /*per_payload_unit=*/false);
+      obs::SliceFold::kPerSlice);
   const auto apply_hist = obs::slice_latency_histogram(
       trace, obs::TraceEvent::kOfpApplyBegin, obs::TraceEvent::kOfpApplyEnd,
-      /*per_payload_unit=*/false);
+      obs::SliceFold::kEveryUnit);
   const auto ingest_hist = obs::slice_latency_histogram(
       trace, obs::TraceEvent::kOfpReadBegin, obs::TraceEvent::kOfpReadEnd,
-      /*per_payload_unit=*/false);
+      obs::SliceFold::kEveryUnit);
+  const auto tail_ratio = [](const obs::LogHistogram& histogram) {
+    const auto p50 = histogram.quantile(0.50);
+    return p50 == 0 ? 0.0
+                    : static_cast<double>(histogram.quantile(0.99)) /
+                          static_cast<double>(p50);
+  };
 
   std::cout << "flow-mod ingest   " << mods_per_sec << " mods/s (batched, "
             << "barrier-fenced)\n"
@@ -179,13 +190,13 @@ int main() {
             << " frames_tx=" << stats.frames_tx
             << " flow_mods_ok=" << stats.flow_mods_ok
             << " failed=" << stats.flow_mods_failed << "\n"
-            << "decode slice      n=" << decode_hist.total()
+            << "decode per frame  n=" << decode_hist.total()
             << " p50=" << decode_hist.quantile(0.50)
             << " p99=" << decode_hist.quantile(0.99) << " ns\n"
-            << "apply slice       n=" << apply_hist.total()
+            << "apply per mod     n=" << apply_hist.total()
             << " p50=" << apply_hist.quantile(0.50)
             << " p99=" << apply_hist.quantile(0.99) << " ns\n"
-            << "ingest slice      n=" << ingest_hist.total()
+            << "ingest per byte   n=" << ingest_hist.total()
             << " p50=" << ingest_hist.quantile(0.50)
             << " p99=" << ingest_hist.quantile(0.99) << " ns\n";
 
@@ -209,12 +220,9 @@ int main() {
        {"ofp/session_setup_us", setup_us},
        {"ofp/echo_rtt_us", echo_us},
        {"ofp/role_change_us", role_us},
-       {"ofp/decode_p50_ns", decode_hist.quantile(0.50)},
-       {"ofp/decode_p99_ns", decode_hist.quantile(0.99)},
-       {"ofp/apply_p50_ns", apply_hist.quantile(0.50)},
-       {"ofp/apply_p99_ns", apply_hist.quantile(0.99)},
-       {"ofp/ingest_p50_ns", ingest_hist.quantile(0.50)},
-       {"ofp/ingest_p99_ns", ingest_hist.quantile(0.99)}},
+       {"ofp/decode_p99_over_p50", tail_ratio(decode_hist)},
+       {"ofp/apply_p99_over_p50", tail_ratio(apply_hist)},
+       {"ofp/ingest_p99_over_p50", tail_ratio(ingest_hist)}},
       metadata);
   return 0;
 }

@@ -245,7 +245,7 @@ double measure_trace_overhead(const App& app, obs::LogHistogram& tail,
     const auto dump = obs::collect_tracing();
     tail.merge(obs::slice_latency_histogram(dump, obs::TraceEvent::kBatchBegin,
                                             obs::TraceEvent::kBatchEnd,
-                                            /*per_payload_unit=*/true));
+                                            obs::SliceFold::kPerUnit));
     return pps;
   };
   double on_pps, off_pps;

@@ -120,7 +120,6 @@ int main() {
       const std::uint64_t lo = rng.next() & max;
       ranges.add({lo, std::min<std::uint64_t>(max, lo + rng.below(1 << 14))});
     }
-    ranges.seal();
     std::vector<std::uint64_t> keys;
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & max);
     volatile std::size_t sink = 0;

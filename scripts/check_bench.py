@@ -53,6 +53,11 @@ catastrophic-only: shared runners legitimately wobble small multiples. A
 ceiling of 1.0 orders two rates of one run (cache-off over cache-on
 packets/sec: the cache must not slow the run down).
 
+A bench may also emit such a ratio as its own row, named `*_over_*`
+(ofp/apply_p99_over_p50). Those rows are reported against the baseline but
+never trajectory-gated: the ratio is already machine-independent, and its
+gate is a --max-metric ceiling on the current run.
+
 Exit codes: 0 ok, 1 regression/flatness violation, 2 usage/IO error.
 """
 
@@ -200,6 +205,10 @@ def main():
             hw_skipped += 1
             print(f"  info   {name}: {old:.2f} -> {new:.2f} "
                   "(hardware differs, not gated)")
+            continue
+        if "_over_" in name.rsplit("/", 1)[-1]:
+            print(f"  ratio  {name}: {old:.2f} -> {new:.2f} "
+                  "(within-run ratio, gated by its ceiling only)")
             continue
         compared += 1
         if old <= 0:

@@ -16,6 +16,14 @@ RangeMatcher::RangeMatcher(unsigned width) : width_(width) {
   if (width > kMaxWidth) {
     throw std::invalid_argument("range field wider than 16 bits");
   }
+  // The interval [0, 2^width) exists from the start: boundary 0 is set.
+  const std::size_t words =
+      std::max<std::size_t>((std::size_t{1} << width_) / 64, 1);
+  rank_bits_.assign(words, 0);
+  rank_bits_[0] = 1;
+  rank_dir_.assign(words, 1);
+  rank_dir_[0] = 0;
+  intervals_.emplace_back();
 }
 
 std::uint32_t RangeMatcher::add(const ValueRange& range) {
@@ -25,28 +33,21 @@ std::uint32_t RangeMatcher::add(const ValueRange& range) {
   const auto it = range_index_.find({range.lo, range.hi});
   if (it != range_index_.end()) {
     const std::uint32_t label = it->second;
-    if (refs_[label]++ == 0) {  // revival
-      add_events(label);
-      sealed_ = false;
-    }
+    if (refs_[label]++ == 0) go_live(label);  // revival
     return label;
   }
   const auto label = static_cast<std::uint32_t>(ranges_.size());
   ranges_.push_back(range);
   refs_.push_back(1);
   range_index_.emplace(std::make_pair(range.lo, range.hi), label);
-  add_events(label);
-  sealed_ = false;
+  go_live(label);
   return label;
 }
 
 bool RangeMatcher::remove(const ValueRange& range) {
   const auto it = range_index_.find({range.lo, range.hi});
   if (it == range_index_.end() || refs_[it->second] == 0) return false;
-  if (--refs_[it->second] == 0) {
-    remove_events(it->second);
-    sealed_ = false;
-  }
+  if (--refs_[it->second] == 0) retire(it->second);
   return true;
 }
 
@@ -64,96 +65,73 @@ std::size_t RangeMatcher::unique_ranges() const {
   return live;
 }
 
-void RangeMatcher::add_events(std::uint32_t label) {
-  const ValueRange& range = ranges_[label];
-  events_[range.lo].opens.push_back(label);
-  if (range.hi < low_mask(width_)) {
-    events_[range.hi + 1].closes.push_back(label);
+std::vector<std::uint32_t>::iterator RangeMatcher::position(
+    std::vector<std::uint32_t>& labels, std::uint32_t label) const {
+  return std::lower_bound(
+      labels.begin(), labels.end(), label,
+      [this](std::uint32_t a, std::uint32_t b) {
+        if (ranges_[a].span() != ranges_[b].span()) {
+          return ranges_[a].span() < ranges_[b].span();
+        }
+        return a < b;
+      });
+}
+
+void RangeMatcher::hold_boundary(std::uint64_t point) {
+  std::uint64_t& word = rank_bits_[point >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (point & 63);
+  if ((word & bit) == 0) {
+    // Split the interval holding `point`: the new one starts with the same
+    // labels, since no live range opens or closes at `point` yet.
+    const std::size_t split = rank_index(point);
+    intervals_.insert(intervals_.begin() +
+                          static_cast<std::ptrdiff_t>(split + 1),
+                      Interval{0, intervals_[split].labels});
+    word |= bit;
+    for (std::size_t w = (point >> 6) + 1; w < rank_dir_.size(); ++w) {
+      ++rank_dir_[w];
+    }
+  }
+  ++intervals_[rank_index(point)].endpoints;
+}
+
+void RangeMatcher::release_boundary(std::uint64_t point) {
+  const std::size_t index = rank_index(point);
+  if (--intervals_[index].endpoints != 0 || point == 0) return;
+  // No live range starts or ends here, so the interval's labels equal its
+  // predecessor's: merge by dropping the boundary.
+  intervals_.erase(intervals_.begin() + static_cast<std::ptrdiff_t>(index));
+  rank_bits_[point >> 6] &= ~(std::uint64_t{1} << (point & 63));
+  for (std::size_t w = (point >> 6) + 1; w < rank_dir_.size(); ++w) {
+    --rank_dir_[w];
   }
 }
 
-void RangeMatcher::remove_events(std::uint32_t label) {
+void RangeMatcher::go_live(std::uint32_t label) {
   const ValueRange& range = ranges_[label];
-  const auto drop = [this](std::uint64_t point, std::vector<std::uint32_t>
-                                                    BoundaryEvents::*member,
-                           std::uint32_t target) {
-    const auto it = events_.find(point);
-    auto& list = it->second.*member;
-    list.erase(std::find(list.begin(), list.end(), target));
-    if (it->second.opens.empty() && it->second.closes.empty()) {
-      events_.erase(it);  // the point stops being a boundary
-    }
-  };
-  drop(range.lo, &BoundaryEvents::opens, label);
-  if (range.hi < low_mask(width_)) {
-    drop(range.hi + 1, &BoundaryEvents::closes, label);
+  hold_boundary(range.lo);
+  if (range.hi < low_mask(width_)) hold_boundary(range.hi + 1);
+  const std::size_t last = rank_index(range.hi);
+  for (std::size_t i = rank_index(range.lo); i <= last; ++i) {
+    auto& labels = intervals_[i].labels;
+    labels.insert(position(labels, label), label);
   }
 }
 
-void RangeMatcher::seal() {
-  if (sealed_) return;  // alive set unchanged since the last sweep
-  ++seal_sweeps_;
-  interval_labels_.clear();
-  interval_labels_.reserve(events_.size() + 1);
-  const std::size_t words =
-      std::max<std::size_t>((std::size_t{1} << width_) / 64, 1);
-  rank_bits_.assign(words, 0);
-  const auto mark = [this](std::uint64_t boundary) {
-    rank_bits_[boundary >> 6] |= std::uint64_t{1} << (boundary & 63);
-  };
-
-  // One ordered sweep over the event map: the active set gains a range at
-  // its lo point and loses it at hi + 1, and every event point starts an
-  // elementary interval whose label list is a snapshot of the active set;
-  // its start is marked in the rank-select bitmap.
-  // `active` is kept sorted by (span, label) — the narrowest-first order the
-  // lookups return — so each snapshot is a plain copy.
-  std::vector<std::uint32_t> active;
-  const auto narrower = [this](std::uint32_t a, std::uint32_t b) {
-    if (ranges_[a].span() != ranges_[b].span()) {
-      return ranges_[a].span() < ranges_[b].span();
-    }
-    return a < b;
-  };
-  const auto apply = [&](const BoundaryEvents& events) {
-    for (const std::uint32_t label : events.closes) {
-      active.erase(
-          std::lower_bound(active.begin(), active.end(), label, narrower));
-    }
-    for (const std::uint32_t label : events.opens) {
-      active.insert(
-          std::lower_bound(active.begin(), active.end(), label, narrower),
-          label);
-    }
-  };
-
-  auto it = events_.begin();
-  mark(0);  // interval [0, first event) always exists
-  if (it != events_.end() && it->first == 0) {
-    apply(it->second);
-    ++it;
+void RangeMatcher::retire(std::uint32_t label) {
+  const ValueRange& range = ranges_[label];
+  const std::size_t last = rank_index(range.hi);
+  for (std::size_t i = rank_index(range.lo); i <= last; ++i) {
+    auto& labels = intervals_[i].labels;
+    labels.erase(position(labels, label));
   }
-  interval_labels_.push_back(active);
-  for (; it != events_.end(); ++it) {
-    mark(it->first);
-    apply(it->second);
-    interval_labels_.push_back(active);
-  }
-
-  // Rank directory: a point lookup becomes a popcount, not a search.
-  rank_dir_.assign(words, 0);
-  std::uint32_t cumulative = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    rank_dir_[w] = cumulative;
-    cumulative += static_cast<std::uint32_t>(std::popcount(rank_bits_[w]));
-  }
-  sealed_ = true;
+  if (range.hi < low_mask(width_)) release_boundary(range.hi + 1);
+  release_boundary(range.lo);
 }
 
 const std::vector<std::uint32_t>& RangeMatcher::lookup(std::uint64_t key) const {
-  if (!sealed_) throw std::logic_error("RangeMatcher::seal() not called");
   if (key > low_mask(width_)) throw std::invalid_argument("key out of field range");
-  return interval_labels_[rank_index(key)];
+  return intervals_[rank_index(key)].labels;
 }
 
 std::optional<std::uint32_t> RangeMatcher::lookup_narrowest(
@@ -165,10 +143,9 @@ std::optional<std::uint32_t> RangeMatcher::lookup_narrowest(
 
 std::uint64_t RangeMatcher::storage_bits(unsigned label_bits) const {
   // One boundary (width bits) per elementary interval.
-  std::uint64_t bits =
-      interval_labels_.size() * static_cast<std::uint64_t>(width_);
-  for (const auto& labels : interval_labels_) {
-    bits += labels.size() * static_cast<std::uint64_t>(label_bits);
+  std::uint64_t bits = intervals_.size() * static_cast<std::uint64_t>(width_);
+  for (const auto& interval : intervals_) {
+    bits += interval.labels.size() * static_cast<std::uint64_t>(label_bits);
   }
   return bits;
 }

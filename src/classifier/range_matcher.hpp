@@ -2,14 +2,16 @@
 // ranges with labels; lookup returns all ranges containing a key, narrowest
 // first ("the narrowest range is selected", Section III.A).
 //
-// Implementation: project the unique ranges onto elementary intervals over
-// the sorted endpoint list; each elementary interval precomputes its matching
-// label list. The endpoints live in an incremental interval event map
-// (point -> ranges opening/closing there), so add/remove are O(log n) and
-// seal() is a single sweep over the events. The sweep lays the boundaries
-// out as a rank-select bitmap over the whole field (fields are at most 16
-// bits wide, as both Table II RM fields are): a point lookup is one word
-// load + popcount, no search at all. This is the matcher's only layout.
+// Implementation: project the live unique ranges onto elementary intervals
+// over their sorted endpoints; each elementary interval holds its matching
+// label list. That index is the matcher's one representation, live from
+// construction: add/remove edit it in place. A range going live splits the
+// intervals at lo and hi + 1 (the new interval copies the labels of the one
+// it splits) and inserts its label into every interval it covers; a range
+// dying removes its label, and a boundary no live range ends on merges back
+// into its predecessor. The boundaries are laid out as a rank-select bitmap
+// over the whole field (fields are at most 16 bits wide, as both Table II
+// RM fields are): a point lookup is one word load + popcount, no search.
 #pragma once
 
 #include <bit>
@@ -30,27 +32,21 @@ class RangeMatcher {
 
   /// Register a range, returning its label (existing label if seen before).
   /// Ranges are reference-counted: adding the same range twice requires two
-  /// removes to drop it. O(log unique_ranges).
+  /// removes to drop it. A range going live costs the intervals it covers
+  /// plus, per new boundary, one interval insert and a rank-directory bump.
   std::uint32_t add(const ValueRange& range);
 
   /// Drop one reference to a range; at zero references the range stops
-  /// matching. Returns whether the range was present. Call seal() before
-  /// the next lookup. O(log unique_ranges).
+  /// matching (the reverse of add's cost). Returns whether the range was
+  /// present.
   bool remove(const ValueRange& range);
 
   /// Label of a live range, if registered.
   [[nodiscard]] std::optional<std::uint32_t> find(const ValueRange& range) const;
 
-  /// Finish construction: sweep the event map into the elementary-interval
-  /// index and its rank-select bitmap. A no-op when the live set is
-  /// untouched since the last sweep — seal_sweeps() counts the
-  /// sweeps that actually ran, so any amount of churn followed by a reseal
-  /// costs one sweep, and resealing an untouched matcher costs none.
-  void seal();
-
   /// Labels of all ranges containing `key`, narrowest first (a reference
-  /// into the sealed interval index, valid until the next seal()). seal()
-  /// first; throws std::invalid_argument for a key wider than the field.
+  /// into the interval index, valid until the next add/remove). Throws
+  /// std::invalid_argument for a key wider than the field.
   [[nodiscard]] const std::vector<std::uint32_t>& lookup(std::uint64_t key) const;
 
   /// Narrowest matching range label (RM semantics).
@@ -63,25 +59,27 @@ class RangeMatcher {
   }
   [[nodiscard]] unsigned width() const { return width_; }
 
-  /// Sweeps seal() actually performed (observability for the amortized
-  /// incremental path: a reseal with no live-set change must not sweep).
-  [[nodiscard]] std::uint64_t seal_sweeps() const { return seal_sweeps_; }
-
   /// Memory cost: interval boundaries (width bits each) plus per-interval
   /// label lists (label_bits per stored label).
   [[nodiscard]] std::uint64_t storage_bits(unsigned label_bits) const;
 
  private:
-  /// Ranges opening (lo == point) and closing (hi + 1 == point) at one
-  /// elementary-interval boundary. Kept current by add/remove, so seal()
-  /// never rescans the range list.
-  struct BoundaryEvents {
-    std::vector<std::uint32_t> opens;
-    std::vector<std::uint32_t> closes;
+  /// One elementary interval, from its boundary up to the next one.
+  struct Interval {
+    std::uint32_t endpoints = 0;        // live ranges with lo or hi + 1 here
+    std::vector<std::uint32_t> labels;  // by (span, label): narrowest first
   };
 
-  void add_events(std::uint32_t label);
-  void remove_events(std::uint32_t label);
+  void go_live(std::uint32_t label);
+  void retire(std::uint32_t label);
+  /// Make `point` a boundary and count one more endpoint on it.
+  void hold_boundary(std::uint64_t point);
+  /// Count one endpoint less on `point`; at zero it merges into the
+  /// interval before it (boundary 0 always stays).
+  void release_boundary(std::uint64_t point);
+  /// Where `label` sits in an interval's list, ordered by (span, label).
+  [[nodiscard]] std::vector<std::uint32_t>::iterator position(
+      std::vector<std::uint32_t>& labels, std::uint32_t label) const;
   /// Interval index of the last boundary <= key.
   [[nodiscard]] std::size_t rank_index(std::uint64_t key) const {
     const std::size_t word = key >> 6;
@@ -96,8 +94,7 @@ class RangeMatcher {
   std::vector<std::uint32_t> refs_;           // label -> reference count
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t>
       range_index_;                           // (lo, hi) -> label, persists
-  std::map<std::uint64_t, BoundaryEvents> events_;  // live boundaries only
-  std::vector<std::vector<std::uint32_t>> interval_labels_;  // per interval
+  std::vector<Interval> intervals_;           // by rank; [0] starts at 0
   // Rank-select layout: bit b of rank_bits_ set iff b is an interval
   // boundary; rank_dir_[w] = boundaries strictly below word w. The interval
   // containing key is then
@@ -105,8 +102,6 @@ class RangeMatcher {
   // — the index of the last boundary <= key, without a search.
   std::vector<std::uint64_t> rank_bits_;
   std::vector<std::uint32_t> rank_dir_;
-  bool sealed_ = false;
-  std::uint64_t seal_sweeps_ = 0;
 };
 
 }  // namespace ofmtl

@@ -41,7 +41,6 @@ FieldSearch::FieldSearch(FieldId field, FieldSearchConfig config)
     }
     case MatchMethod::kRange:
       ranges_ = std::make_unique<RangeMatcher>(info.bits);
-      label_refs_.resize(1);
       break;
   }
 }
@@ -146,11 +145,8 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
       }
       return labels;
     }
-    case MatchMethod::kRange: {
-      const Label label = ranges_->add(*elements->range);
-      ++label_refs_[0][label];
-      return {label};
-    }
+    case MatchMethod::kRange:
+      return {ranges_->add(*elements->range)};
   }
   throw std::logic_error("unknown match method");
 }
@@ -197,21 +193,15 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
       return labels;
     }
     case MatchMethod::kRange: {
+      // RangeMatcher counts one reference per registered rule.
       const auto label = ranges_->find(*elements->range);
-      if (!label) throw std::invalid_argument("remove_rule: range not present");
-      // RangeMatcher holds one reference per registered rule; release ours
-      // and rebuild the interval index when the range actually dies.
-      (void)drop_ref(0, *label);
-      ranges_->remove(*elements->range);
-      if (!ranges_->find(*elements->range)) ranges_->seal();
+      if (!ranges_->remove(*elements->range)) {
+        throw std::invalid_argument("remove_rule: range not present");
+      }
       return {*label};
     }
   }
   throw std::logic_error("unknown match method");
-}
-
-void FieldSearch::seal() {
-  if (ranges_) ranges_->seal();
 }
 
 void FieldSearch::search_batch(std::span<const PacketHeader* const> headers,

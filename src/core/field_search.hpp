@@ -62,12 +62,9 @@ class FieldSearch {
   /// Unregister one rule's constraint; when the last rule sharing a unique
   /// value leaves, the value is removed from its structure (trie / LUT /
   /// range index). Returns the labels the rule held. Throws if the
-  /// constraint was never registered.
+  /// constraint was never registered. Every structure is maintained in
+  /// place, so queries see the change at once.
   std::vector<Label> remove_rule(const FieldMatch& match);
-
-  /// Finish building (seals the range matcher; the partition tries answer
-  /// queries from their level arrays and need no sealing).
-  void seal();
 
   /// The field's one query path, allocation-free: fills each packet's
   /// slots [slot_base, slot_base + algorithm_count()) of its context lane
@@ -116,7 +113,8 @@ class FieldSearch {
   // reference count is nonzero.
   std::optional<Label> em_any_label_;
   std::uint32_t em_any_refs_ = 0;
-  // Per-algorithm label reference counts (how many rules hold each label).
+  // Per-algorithm label reference counts (how many rules hold each label),
+  // EM and LPM fields only: the range matcher counts its own references.
   std::vector<std::unordered_map<Label, std::uint32_t>> label_refs_;
 };
 

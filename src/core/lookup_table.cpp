@@ -20,10 +20,7 @@ LookupTable::LookupTable(std::vector<FieldId> fields,
     algorithms += searches_.back().algorithm_count();
   }
   index_.emplace(algorithms);
-  for (auto& entry : entries) {
-    (void)insert_entry_impl(std::move(entry), /*seal_after=*/false);
-  }
-  for (auto& search : searches_) search.seal();
+  for (auto& entry : entries) (void)insert_entry(std::move(entry));
 }
 
 LookupTable LookupTable::compile(const FlowTable& table, FieldSearchConfig config) {
@@ -51,10 +48,6 @@ bool LookupTable::accepts(const FlowMatch& match) const {
 }
 
 std::uint32_t LookupTable::insert_entry(FlowEntry entry) {
-  return insert_entry_impl(std::move(entry), /*seal_after=*/true);
-}
-
-std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   if (id_to_slot_.contains(entry.id)) {
     throw std::invalid_argument("insert_entry: duplicate entry id");
   }
@@ -81,11 +74,6 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   slots_[slot].seq = next_seq_++;
   slots_[slot].entry = std::move(entry);
   ++live_entries_;
-  // Range matchers need sealing before the next lookup; batch construction
-  // seals once at the end, incremental callers pay it here.
-  if (seal_after) {
-    for (auto& search : searches_) search.seal();
-  }
   return slot;
 }
 
@@ -104,7 +92,6 @@ bool LookupTable::remove_entry(FlowEntryId id) {
   s.signature.clear();
   free_slots_.push_back(slot);
   --live_entries_;
-  for (auto& search : searches_) search.seal();
   return true;
 }
 

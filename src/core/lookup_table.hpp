@@ -94,7 +94,6 @@ class LookupTable {
   [[nodiscard]] std::uint64_t update_words() const;
 
  private:
-  std::uint32_t insert_entry_impl(FlowEntry entry, bool seal_after);
   [[nodiscard]] const FlowEntry* best_match(
       const std::vector<std::uint32_t>& matches) const;
 

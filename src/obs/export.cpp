@@ -439,7 +439,7 @@ TraceDump load_trace_dump(const std::string& path) {
 }
 
 LogHistogram slice_latency_histogram(const TraceDump& dump, TraceEvent begin,
-                                     TraceEvent end, bool per_payload_unit) {
+                                     TraceEvent end, SliceFold fold) {
   LogHistogram histogram;
   for (const auto& thread : dump.threads) {
     std::vector<OpenSlice> open;
@@ -452,10 +452,12 @@ LogHistogram slice_latency_histogram(const TraceDump& dump, TraceEvent begin,
         const OpenSlice slice = open.back();
         open.pop_back();
         std::uint64_t duration = event.ts_ns - slice.ts_ns;
-        if (per_payload_unit && slice.payload > 1) {
+        std::uint64_t samples = 1;
+        if (fold != SliceFold::kPerSlice && slice.payload > 1) {
           duration /= slice.payload;
+          if (fold == SliceFold::kEveryUnit) samples = slice.payload;
         }
-        histogram.record(duration);
+        histogram.record(duration, samples);
       }
     }
   }

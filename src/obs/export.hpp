@@ -99,13 +99,20 @@ void save_trace_dump(const std::string& path, const TraceDump& dump);
 /// Convenience wrapper: throws std::runtime_error naming the status.
 [[nodiscard]] TraceDump load_trace_dump(const std::string& path);
 
+/// What one begin→end slice contributes to slice_latency_histogram.
+enum class SliceFold : std::uint8_t {
+  kPerSlice,   ///< its duration, once
+  kPerUnit,    ///< duration / BEGIN payload (e.g. the batch's packet count),
+               ///< once: per-packet latency, one sample per batch
+  kEveryUnit,  ///< duration / BEGIN payload, once per payload unit: every
+               ///< unit (flow-mod, byte) weighs the same, however batched
+};
+
 /// Fold every begin→end pair of the given slice across all threads into a
-/// duration histogram (nanoseconds). With `per_payload_unit`, each duration
-/// is divided by the BEGIN record's payload (e.g. the batch's packet count)
-/// before recording — per-packet latency from per-batch records.
+/// duration histogram (nanoseconds), as `fold` says.
 [[nodiscard]] LogHistogram slice_latency_histogram(const TraceDump& dump,
                                                    TraceEvent begin,
                                                    TraceEvent end,
-                                                   bool per_payload_unit);
+                                                   SliceFold fold);
 
 }  // namespace ofmtl::obs

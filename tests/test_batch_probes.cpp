@@ -155,7 +155,6 @@ TEST(BatchProbes, RangeMatcherMatchesBruteForce) {
     ranges.remove(added[i]);
     --live[{added[i].lo, added[i].hi}];
   }
-  ranges.seal();
 
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 511; ++i) keys.push_back(rng.next() & max);

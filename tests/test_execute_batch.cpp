@@ -152,7 +152,7 @@ TEST(ExecuteBatch, MatchesScalarOnAllWildcardTable) {
 }
 
 TEST(ExecuteBatch, MatchesScalarAfterIncrementalUpdate) {
-  // Insert/remove reseal the flat query structures; batch must track the
+  // Insert/remove edit the query structures in place; batch must track the
   // updated table state exactly.
   auto app = make_app(FilterApp::kMacLearning, "bbra", 0.9, 55, 128);
   FlowEntry extra;

@@ -35,7 +35,6 @@ TEST(FieldSearch, EmCandidates) {
   const auto any = search.add_rule(FieldMatch::any());
   ASSERT_EQ(any.size(), 1U);
   EXPECT_NE(exact[0], any[0]);
-  search.seal();
 
   PacketHeader h;
   h.set_vlan_id(10);
@@ -65,7 +64,6 @@ TEST(FieldSearch, LpmPartitionLabelsAndCandidates) {
   const auto labels24 = search.add_rule(
       FieldMatch::of_prefix(Prefix::from_value(0x0A010200, 24, 32)));
   EXPECT_NE(labels8[0], labels24[0]);
-  search.seal();
 
   PacketHeader h;
   h.set_ipv4_dst(Ipv4Address{0x0A010203});
@@ -99,7 +97,6 @@ TEST(FieldSearch, RangeCandidatesNarrowestFirst) {
   FieldSearch search(FieldId::kDstPort);
   const auto wide = search.add_rule(FieldMatch::of_range(0, 65535));
   const auto tight = search.add_rule(FieldMatch::of_range(80, 80));
-  search.seal();
 
   PacketHeader h;
   h.set_dst_port(80);

@@ -1,13 +1,13 @@
 // The flagship invariant, swept across every calibrated router of both
 // applications (all 32 filter sets, including the 180k-rule coza/cozb/
 // soza/sozb): the compiled decomposed pipeline executes bit-for-bit like
-// the reference pipeline, and the DCFL classifier agrees with linear search.
+// the linear-search reference pipeline, in the paper's per-field layout and
+// (up to 10k rules) in the one-table layout that matches both filter fields
+// at once.
 #include <gtest/gtest.h>
 
 #include "core/builder.hpp"
 #include "core/simd.hpp"
-#include "mdclassifier/dcfl.hpp"
-#include "mdclassifier/linear.hpp"
 #include "workload/calibration.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
@@ -28,8 +28,6 @@ TEST_P(FullSweep, AcceleratedPipelineMatchesReferenceExactly) {
                         ? workload::kMacTargets[index].name
                         : workload::kRoutingTargets[index].name;
   const auto set = workload::generate_filterset(app, name);
-  const auto spec = build_app(set, TableLayout::kPerFieldTables);
-  const auto accelerated = compile_app(spec);
 
   // Keep the trace modest: the sweep covers breadth, the dedicated tests
   // cover depth. Run the comparison on both probe-kernel backends (vector,
@@ -37,12 +35,22 @@ TEST_P(FullSweep, AcceleratedPipelineMatchesReferenceExactly) {
   // calibrated router.
   const auto trace = workload::generate_trace(
       set, {.packets = 200, .hit_ratio = 0.85, .seed = 97 + index});
-  for (const bool force_swar : {false, true}) {
-    simd::ScopedForceSwar forced(force_swar);
-    SCOPED_TRACE(force_swar ? "backend=forced-swar" : "backend=vector");
-    for (const auto& header : trace) {
-      ASSERT_EQ(accelerated.execute(header), spec.reference.execute(header))
-          << set.name << " " << header.to_string();
+  // The one-table leg skips the four 180k-rule routers: there the linear
+  // reference over both fields dominates the sweep's run time.
+  std::vector<TableLayout> layouts{TableLayout::kPerFieldTables};
+  if (set.entries.size() <= 10000) layouts.push_back(TableLayout::kSingleTable);
+  for (const auto layout : layouts) {
+    SCOPED_TRACE(layout == TableLayout::kSingleTable ? "layout=single"
+                                                     : "layout=per-field");
+    const auto spec = build_app(set, layout);
+    const auto accelerated = compile_app(spec);
+    for (const bool force_swar : {false, true}) {
+      simd::ScopedForceSwar forced(force_swar);
+      SCOPED_TRACE(force_swar ? "backend=forced-swar" : "backend=vector");
+      for (const auto& header : trace) {
+        ASSERT_EQ(accelerated.execute(header), spec.reference.execute(header))
+            << set.name << " " << header.to_string();
+      }
     }
   }
 }
@@ -67,25 +75,6 @@ std::string sweep_case_name(const ::testing::TestParamInfo<SweepCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllRouters, FullSweep,
                          ::testing::ValuesIn(all_cases()), sweep_case_name);
-
-TEST(DcflClassifier, AgreesWithLinearOnBothApps) {
-  for (const auto app :
-       {workload::FilterApp::kMacLearning, workload::FilterApp::kRouting}) {
-    const auto set = workload::generate_filterset(app, "bozb");
-    const auto rules = md::RuleSet::from(set);
-    md::LinearClassifier oracle{rules};
-    md::DcflClassifier dcfl{rules};
-    const auto trace = workload::generate_trace(
-        set, {.packets = 800, .hit_ratio = 0.8, .seed = 55});
-    for (const auto& header : trace) {
-      EXPECT_EQ(dcfl.classify(header), oracle.classify(header))
-          << to_string(app);
-    }
-    EXPECT_GT(dcfl.memory_report().total_bits(), 0U);
-    (void)dcfl.classify(trace.front());
-    EXPECT_GT(dcfl.last_access_count(), 0U);
-  }
-}
 
 }  // namespace
 }  // namespace ofmtl

@@ -284,8 +284,9 @@ TEST(IncrementalLookupTable, RangeFieldChurn) {
 
 /// Property: a RangeMatcher maintained through arbitrary add/remove churn
 /// answers every lookup exactly like a matcher freshly built from the live
-/// multiset. Labels may differ between the two instances (assignment order),
-/// so lookups are compared as the *ranges* they name, narrowest first.
+/// multiset, after every single add and remove, and costs the same storage.
+/// Labels may differ between the two instances (assignment order), so
+/// lookups are compared as the *ranges* they name, narrowest first.
 void expect_churned_matches_rebuilt(unsigned width, std::uint64_t seed) {
   using workload::Rng;
   const std::uint64_t max = low_mask(width);
@@ -297,36 +298,33 @@ void expect_churned_matches_rebuilt(unsigned width, std::uint64_t seed) {
     const std::uint64_t hi = std::min<std::uint64_t>(max, lo + rng.below(5000));
     return ValueRange{lo, hi};
   };
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 60; ++i) {
-      if (!live.empty() && rng.below(3) == 0) {
-        const std::size_t victim = rng.below(live.size());
-        ASSERT_TRUE(churned.remove(live[victim]));
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      } else {
-        const ValueRange range =
-            (!live.empty() && rng.below(4) == 0)  // duplicate ref
-                ? live[rng.below(live.size())]
-                : random_range();
-        churned.add(range);
-        live.push_back(range);
-      }
+  const auto as_ranges = [](const RangeMatcher& matcher,
+                            const std::vector<std::uint32_t>& labels) {
+    std::vector<ValueRange> ranges;
+    ranges.reserve(labels.size());
+    for (const std::uint32_t label : labels) {
+      ranges.push_back(matcher.range_of(label));
     }
-    churned.seal();
+    return ranges;
+  };
+  for (int op = 0; op < 360; ++op) {
+    if (!live.empty() && rng.below(3) == 0) {
+      const std::size_t victim = rng.below(live.size());
+      ASSERT_TRUE(churned.remove(live[victim]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      const ValueRange range =
+          (!live.empty() && rng.below(4) == 0)  // duplicate ref
+              ? live[rng.below(live.size())]
+              : random_range();
+      churned.add(range);
+      live.push_back(range);
+    }
     RangeMatcher rebuilt(width);
     for (const ValueRange& range : live) rebuilt.add(range);
-    rebuilt.seal();
-    ASSERT_EQ(churned.unique_ranges(), rebuilt.unique_ranges());
-    const auto as_ranges = [](const RangeMatcher& matcher,
-                              const std::vector<std::uint32_t>& labels) {
-      std::vector<ValueRange> ranges;
-      ranges.reserve(labels.size());
-      for (const std::uint32_t label : labels) {
-        ranges.push_back(matcher.range_of(label));
-      }
-      return ranges;
-    };
-    for (int probe = 0; probe < 400; ++probe) {
+    ASSERT_EQ(churned.unique_ranges(), rebuilt.unique_ranges()) << "op=" << op;
+    ASSERT_EQ(churned.storage_bits(8), rebuilt.storage_bits(8)) << "op=" << op;
+    for (int probe = 0; probe < 100; ++probe) {
       std::uint64_t key = rng.next() & max;
       if (probe % 3 == 0 && !live.empty()) {  // hit boundaries exactly
         const ValueRange& range = live[rng.below(live.size())];
@@ -334,7 +332,7 @@ void expect_churned_matches_rebuilt(unsigned width, std::uint64_t seed) {
       }
       ASSERT_EQ(as_ranges(churned, churned.lookup(key)),
                 as_ranges(rebuilt, rebuilt.lookup(key)))
-          << "round=" << round << " key=" << key;
+          << "op=" << op << " key=" << key;
     }
   }
 }
@@ -348,28 +346,6 @@ TEST(IncrementalRangeMatcher, RejectsFieldsWiderThan16Bits) {
   // Table II are 16 bits wide.
   EXPECT_THROW(RangeMatcher{17}, std::invalid_argument);
   EXPECT_NO_THROW(RangeMatcher{16});
-}
-
-TEST(IncrementalRangeMatcher, ResealOfUntouchedMatcherDoesNotSweep) {
-  RangeMatcher ranges(16);
-  ranges.add({10, 99});
-  ranges.add({50, 60});
-  ranges.seal();
-  EXPECT_EQ(ranges.seal_sweeps(), 1U);
-  ranges.seal();  // untouched: no sweep
-  EXPECT_EQ(ranges.seal_sweeps(), 1U);
-  // Reference-count churn that never changes the live set stays sealed.
-  ranges.add({10, 99});
-  ranges.remove({10, 99});
-  ranges.seal();
-  EXPECT_EQ(ranges.seal_sweeps(), 1U);
-  // Any amount of live-set churn costs exactly one sweep at the next seal.
-  ranges.add({1, 5});
-  ranges.add({2, 8});
-  ranges.remove({50, 60});
-  ranges.seal();
-  EXPECT_EQ(ranges.seal_sweeps(), 2U);
-  EXPECT_EQ(ranges.lookup(3).size(), 2U);
 }
 
 }  // namespace

@@ -345,4 +345,24 @@ TEST(PerfettoWriterTest, MergeWithoutWallAnchorsRendersUnshifted) {
   EXPECT_EQ(json.find(R"("ts":2000)"), std::string::npos);
 }
 
+TEST(SliceLatencyTest, FoldsPerSlicePerUnitOrEveryUnit) {
+  // make_dump's worker batch: 256 packets in one 650 ns slice.
+  const TraceDump dump = make_dump();
+  const auto fold = [&dump](SliceFold how) {
+    return slice_latency_histogram(dump, TraceEvent::kBatchBegin,
+                                   TraceEvent::kBatchEnd, how);
+  };
+  const LogHistogram whole = fold(SliceFold::kPerSlice);
+  const LogHistogram per_unit = fold(SliceFold::kPerUnit);
+  const LogHistogram every_unit = fold(SliceFold::kEveryUnit);
+  EXPECT_EQ(whole.total(), 1u);
+  EXPECT_EQ(whole.quantile(0.5),
+            LogHistogram::bucket_upper(LogHistogram::bucket_index(650)));
+  EXPECT_EQ(per_unit.total(), 1u);
+  EXPECT_EQ(per_unit.quantile(0.5), 650u / 256u);
+  EXPECT_EQ(every_unit.total(), 256u);
+  EXPECT_EQ(every_unit.quantile(0.01), 650u / 256u);
+  EXPECT_EQ(every_unit.quantile(0.99), 650u / 256u);
+}
+
 }  // namespace

@@ -118,7 +118,8 @@ TEST(FlightRecorderTest, RatioBreachDumpsLoadableTraceAndReport) {
   }
   EXPECT_EQ(begins, durations.size());
   const auto histogram = slice_latency_histogram(
-      reloaded, TraceEvent::kBatchBegin, TraceEvent::kBatchEnd, false);
+      reloaded, TraceEvent::kBatchBegin, TraceEvent::kBatchEnd,
+      SliceFold::kPerSlice);
   EXPECT_EQ(histogram.total(), durations.size());
 
   // The JSON report names the SLO, the reason, and the dump path.

@@ -1,6 +1,7 @@
 // Unibit trie vs. brute force, and RangeMatcher vs. brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -75,7 +76,6 @@ TEST(RangeMatcher, NarrowestFirst) {
   const auto wide = matcher.add({0, 65535});
   const auto mid = matcher.add({1000, 2000});
   const auto tight = matcher.add({1500, 1510});
-  matcher.seal();
   const auto& labels = matcher.lookup(1505);
   ASSERT_EQ(labels.size(), 3U);
   EXPECT_EQ(labels[0], tight);
@@ -85,41 +85,51 @@ TEST(RangeMatcher, NarrowestFirst) {
   EXPECT_EQ(matcher.lookup_narrowest(500), wide);
 }
 
-TEST(RangeMatcher, RequiresSeal) {
-  RangeMatcher matcher(16);
-  matcher.add({1, 2});
-  EXPECT_THROW((void)matcher.lookup(1), std::logic_error);
-}
-
+/// Brute force over the whole 10-bit key space after every add and every
+/// remove: each live range containing the key, narrowest first (ties by
+/// label). Removes interleave with adds, so boundaries split and merge
+/// while lookups keep answering.
 TEST(RangeMatcher, BruteForceEquivalence) {
   workload::Rng rng(123);
   for (int trial = 0; trial < 10; ++trial) {
     RangeMatcher matcher(10);
-    std::vector<std::pair<ValueRange, std::uint32_t>> ranges;
-    for (int i = 0; i < 25; ++i) {
-      std::uint64_t a = rng.below(1 << 10);
-      std::uint64_t b = rng.below(1 << 10);
-      if (a > b) std::swap(a, b);
-      const ValueRange range{a, b};
-      const auto label = matcher.add(range);
-      if (std::none_of(ranges.begin(), ranges.end(),
-                       [&](const auto& e) { return e.first == range; })) {
-        ranges.emplace_back(range, label);
+    std::vector<ValueRange> held;  // one entry per reference
+    const auto expect_brute_force = [&](int step) {
+      std::vector<std::uint32_t> live;
+      for (const ValueRange& range : held) live.push_back(*matcher.find(range));
+      std::sort(live.begin(), live.end(), [&](std::uint32_t x, std::uint32_t y) {
+        const auto sx = matcher.range_of(x).span();
+        const auto sy = matcher.range_of(y).span();
+        return sx != sy ? sx < sy : x < y;
+      });
+      live.erase(std::unique(live.begin(), live.end()), live.end());
+      for (std::uint64_t key = 0; key < (1 << 10); ++key) {
+        std::vector<std::uint32_t> expected;
+        for (const std::uint32_t label : live) {
+          if (matcher.range_of(label).contains(key)) expected.push_back(label);
+        }
+        ASSERT_EQ(matcher.lookup(key), expected)
+            << "trial " << trial << " step " << step << " key " << key;
       }
-    }
-    matcher.seal();
-    for (std::uint64_t key = 0; key < (1 << 10); ++key) {
-      std::vector<std::uint32_t> expected;
-      for (const auto& [range, label] : ranges) {
-        if (range.contains(key)) expected.push_back(label);
+    };
+    for (int step = 0; step < 40; ++step) {
+      if (!held.empty() && rng.below(3) == 0) {
+        const std::size_t victim = rng.below(held.size());
+        ASSERT_TRUE(matcher.remove(held[victim]));
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else if (!held.empty() && rng.below(5) == 0) {
+        const ValueRange range = held[rng.below(held.size())];  // extra ref
+        matcher.add(range);
+        held.push_back(range);
+      } else {
+        std::uint64_t a = rng.below(1 << 10);
+        std::uint64_t b = rng.below(1 << 10);
+        if (a > b) std::swap(a, b);
+        matcher.add({a, b});
+        held.push_back({a, b});
       }
-      std::sort(expected.begin(), expected.end(),
-                [&](std::uint32_t x, std::uint32_t y) {
-                  const auto sx = matcher.range_of(x).span();
-                  const auto sy = matcher.range_of(y).span();
-                  return sx != sy ? sx < sy : x < y;
-                });
-      EXPECT_EQ(matcher.lookup(key), expected) << "key " << key;
+      expect_brute_force(step);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -127,14 +137,12 @@ TEST(RangeMatcher, BruteForceEquivalence) {
 TEST(RangeMatcher, StorageBitsGrowWithRanges) {
   RangeMatcher small(16);
   small.add({1, 2});
-  small.seal();
   RangeMatcher big(16);
   workload::Rng rng(5);
   for (int i = 0; i < 40; ++i) {
     const std::uint64_t lo = rng.below(60000);
     big.add({lo, lo + rng.below(1000)});
   }
-  big.seal();
   EXPECT_GT(big.storage_bits(8), small.storage_bits(8));
 }
 

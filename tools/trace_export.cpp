@@ -95,7 +95,7 @@ void print_summary(std::ostream& out, const obs::TraceDump& dump) {
   for (const auto& slice : kSlices) {
     const auto histogram =
         obs::slice_latency_histogram(dump, slice.begin, slice.end,
-                                     /*per_payload_unit=*/false);
+                                     obs::SliceFold::kPerSlice);
     if (histogram.total() == 0) continue;
     out << "  " << std::setw(12) << slice.name << ": n=" << histogram.total()
         << " p50=" << histogram.quantile(0.50)
