@@ -166,14 +166,11 @@ int main() {
   server.stop();
 
   const auto decode_hist = obs::slice_latency_histogram(
-      trace, obs::TraceEvent::kOfpDecodeBegin, obs::TraceEvent::kOfpDecodeEnd,
-      obs::SliceFold::kPerSlice);
+      trace, obs::TraceEvent::kOfpDecodeBegin, obs::SliceFold::kPerSlice);
   const auto apply_hist = obs::slice_latency_histogram(
-      trace, obs::TraceEvent::kOfpApplyBegin, obs::TraceEvent::kOfpApplyEnd,
-      obs::SliceFold::kEveryUnit);
+      trace, obs::TraceEvent::kOfpApplyBegin, obs::SliceFold::kEveryUnit);
   const auto ingest_hist = obs::slice_latency_histogram(
-      trace, obs::TraceEvent::kOfpReadBegin, obs::TraceEvent::kOfpReadEnd,
-      obs::SliceFold::kEveryUnit);
+      trace, obs::TraceEvent::kOfpReadBegin, obs::SliceFold::kEveryUnit);
   const auto tail_ratio = [](const obs::LogHistogram& histogram) {
     const auto p50 = histogram.quantile(0.50);
     return p50 == 0 ? 0.0

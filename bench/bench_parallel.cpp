@@ -145,15 +145,13 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
       takeover.instructions = output_instruction(42);
       bool installed = false;
       while (!writer_stop.load(std::memory_order_acquire)) {
-        if (installed) {
-          rt.remove_entry(1, takeover.id);
-        } else {
-          rt.insert_entry(1, takeover);
-        }
+        (void)rt.apply(installed ? FlowModCommand::kDelete
+                                 : FlowModCommand::kAdd,
+                       1, takeover);
         installed = !installed;
         std::this_thread::sleep_for(kChurnInterval);
       }
-      if (installed) rt.remove_entry(1, takeover.id);
+      if (installed) (void)rt.apply(FlowModCommand::kDelete, 1, takeover);
     });
   }
 
@@ -244,7 +242,6 @@ double measure_trace_overhead(const App& app, obs::LogHistogram& tail,
     obs::stop_tracing();
     const auto dump = obs::collect_tracing();
     tail.merge(obs::slice_latency_histogram(dump, obs::TraceEvent::kBatchBegin,
-                                            obs::TraceEvent::kBatchEnd,
                                             obs::SliceFold::kPerUnit));
     return pps;
   };
@@ -294,15 +291,15 @@ double run_publish_latency(std::size_t n) {
   constexpr std::size_t kRounds = 64;
   constexpr std::size_t kTogglesPerRound = 16;
   for (std::size_t i = 0; i < kWarmToggles; ++i) {
-    classifier.insert_entry(0, extra);
-    classifier.remove_entry(0, extra.id);
+    (void)classifier.apply(FlowModCommand::kAdd, 0, extra);
+    (void)classifier.apply(FlowModCommand::kDelete, 0, extra);
   }
   std::vector<double> per_publish_ns(kRounds);
   for (std::size_t round = 0; round < kRounds; ++round) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < kTogglesPerRound; ++i) {
-      classifier.insert_entry(0, extra);
-      classifier.remove_entry(0, extra.id);
+      (void)classifier.apply(FlowModCommand::kAdd, 0, extra);
+      (void)classifier.apply(FlowModCommand::kDelete, 0, extra);
     }
     const auto end = std::chrono::steady_clock::now();
     per_publish_ns[round] =
@@ -329,8 +326,6 @@ int run_flight_recorder_demo() {
   obs::FlightRecorderConfig config;
   config.slos.push_back({.name = "batch",
                          .begin = obs::TraceEvent::kBatchBegin,
-                         .end = obs::TraceEvent::kBatchEnd,
-                         .per_payload_unit = false,
                          .max_p99_over_p50 = 0,
                          .max_p99_ns = 1,  // impossible: any real batch breaches
                          .min_samples = 16});

@@ -83,7 +83,7 @@ class FieldSearch {
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& prefix) const;
 
   /// Update words written while building (label method): LUT slots occupied,
-  /// trie entry writes, range-matcher intervals.
+  /// trie entry writes, unique ranges stored.
   [[nodiscard]] std::uint64_t update_words() const;
 
   /// Access to the partition tries (LPM fields only), for the memory study.

@@ -83,14 +83,6 @@ void put_json_string(std::ostream& out, const std::string& text) {
   out << '"';
 }
 
-/// One open slice awaiting its end record.
-struct OpenSlice {
-  TraceEvent begin_event;
-  std::uint64_t ts_ns;
-  std::uint16_t arg;
-  std::uint64_t payload;
-};
-
 /// Microsecond timestamp with nanosecond precision, chrome-trace style.
 void put_ts_us(std::ostream& out, std::uint64_t ts_ns) {
   out << ts_ns / 1000 << '.' << static_cast<char>('0' + (ts_ns % 1000) / 100)
@@ -153,27 +145,16 @@ void write_dump_events(EventSink& sink, const TraceDump& dump,
     put_ts_us(out, counter_ts);
     out << R"(,"args":{"value":)" << stats.skipped_prefix << "}}";
 
-    // Per-slice-name stacks pair begins with ends; a stack per name (rather
-    // than one global stack) keeps interleaved slices of different kinds
-    // (e.g. stage_walk inside batch) independent.
-    std::array<std::vector<OpenSlice>,
-               static_cast<std::size_t>(TraceEvent::kEventCount)>
-        open;
+    SlicePairer pairer;
     for (const auto& event : events) {
-      const auto kind = trace_event_kind(event.event);
       const char* name = trace_event_name(event.event);
-      switch (kind) {
-        case TraceEventKind::kBegin: {
-          // Stack keyed by the END event id sharing this slice name: the
-          // matching end is begin + 1 in the event enumeration.
-          const auto key = static_cast<std::size_t>(event.event) + 1;
-          open[key].push_back(
-              OpenSlice{event.event, event.ts_ns, event.arg, event.payload});
+      switch (trace_event_kind(event.event)) {
+        case TraceEventKind::kBegin:
+          (void)pairer.pair(event);
           break;
-        }
         case TraceEventKind::kEnd: {
-          const auto key = static_cast<std::size_t>(event.event);
-          if (open[key].empty()) {
+          const auto slice = pairer.pair(event);
+          if (!slice) {
             // Unpaired end (its begin was overwritten): render as instant.
             sink.prefix();
             out << R"({"ph":"i","s":"t","name":")" << name
@@ -183,16 +164,14 @@ void write_dump_events(EventSink& sink, const TraceDump& dump,
             out << "}";
             break;
           }
-          const OpenSlice slice = open[key].back();
-          open[key].pop_back();
           sink.prefix();
           out << R"({"ph":"X","name":")" << name << R"(","pid":)" << pid
               << R"(,"tid":)" << thread.tid << R"(,"ts":)";
-          put_ts_us(out, shifted(slice.ts_ns));
+          put_ts_us(out, shifted(slice->begin.ts_ns));
           out << R"(,"dur":)";
-          put_ts_us(out, event.ts_ns - slice.ts_ns);
-          out << R"(,"args":{"arg":)" << slice.arg << R"(,"payload":)"
-              << slice.payload << "}}";
+          put_ts_us(out, slice->duration_ns());
+          out << R"(,"args":{"arg":)" << slice->begin.arg << R"(,"payload":)"
+              << slice->begin.payload << "}}";
           break;
         }
         case TraceEventKind::kCounter:
@@ -231,39 +210,57 @@ bool dump_wall_offset(const TraceDump& dump, std::int64_t& offset) {
 
 }  // namespace
 
+std::optional<DecodedEvent> ThreadDecoder::decode(const TraceRecord& record) {
+  const auto event = static_cast<TraceEvent>(record.event);
+  if (event == TraceEvent::kTimeSync) {
+    ts_ns_ = record.payload;
+    anchored_ = true;
+  } else if (!anchored_) {
+    ++stats_.skipped_prefix;  // overwritten anchor: bounded undecodable prefix
+    return std::nullopt;
+  } else {
+    ts_ns_ += record.ts_delta;
+  }
+  if (event == TraceEvent::kWallClockSync) {
+    // Later pairs win (closest to the records that survive the ring).
+    stats_.has_wall_offset = true;
+    stats_.wall_minus_mono_ns = static_cast<std::int64_t>(record.payload) -
+                                static_cast<std::int64_t>(ts_ns_);
+  }
+  return DecodedEvent{ts_ns_, event, record.arg, record.payload};
+}
+
+std::optional<Slice> SlicePairer::pair(const DecodedEvent& event) {
+  switch (trace_event_kind(event.event)) {
+    case TraceEventKind::kBegin:
+      open_[static_cast<std::size_t>(slice_end(event.event))].push_back(event);
+      return std::nullopt;
+    case TraceEventKind::kEnd: {
+      auto& open = open_[static_cast<std::size_t>(event.event)];
+      if (open.empty()) return std::nullopt;
+      const Slice slice{open.back(), event.ts_ns};
+      open.pop_back();
+      return slice;
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
 std::vector<DecodedEvent> decode_thread(const ThreadTrace& thread,
                                         DecodeStats* stats) {
   std::vector<DecodedEvent> events;
   events.reserve(thread.records.size());
-  bool anchored = false;
-  std::uint64_t ts = 0;
-  std::uint64_t skipped = 0;
+  ThreadDecoder decoder;
   for (const auto& record : thread.records) {
-    const auto event = static_cast<TraceEvent>(record.event);
-    if (event == TraceEvent::kTimeSync) {
-      ts = record.payload;
-      anchored = true;
-      continue;
+    // The anchor pair is consumed, not surfaced as timeline events.
+    const auto event = decoder.decode(record);
+    if (event && event->event != TraceEvent::kTimeSync &&
+        event->event != TraceEvent::kWallClockSync) {
+      events.push_back(*event);
     }
-    if (!anchored) {
-      ++skipped;  // overwritten anchor: bounded undecodable prefix
-      continue;
-    }
-    ts += record.ts_delta;
-    if (event == TraceEvent::kWallClockSync) {
-      // The realtime half of the anchor pair: consumed into the offset, not
-      // surfaced as a timeline event. Later pairs win (closest to the
-      // records that survive the ring).
-      if (stats != nullptr) {
-        stats->has_wall_offset = true;
-        stats->wall_minus_mono_ns = static_cast<std::int64_t>(record.payload) -
-                                    static_cast<std::int64_t>(ts);
-      }
-      continue;
-    }
-    events.push_back(DecodedEvent{ts, event, record.arg, record.payload});
   }
-  if (stats != nullptr) stats->skipped_prefix = skipped;
+  if (stats != nullptr) *stats = decoder.stats();
   return events;
 }
 
@@ -439,26 +436,20 @@ TraceDump load_trace_dump(const std::string& path) {
 }
 
 LogHistogram slice_latency_histogram(const TraceDump& dump, TraceEvent begin,
-                                     TraceEvent end, SliceFold fold) {
+                                     SliceFold fold) {
   LogHistogram histogram;
   for (const auto& thread : dump.threads) {
-    std::vector<OpenSlice> open;
+    SlicePairer pairer;
     for (const auto& event : decode_thread(thread)) {
-      if (event.event == begin) {
-        open.push_back(
-            OpenSlice{event.event, event.ts_ns, event.arg, event.payload});
-      } else if (event.event == end) {
-        if (open.empty()) continue;  // begin overwritten: skip
-        const OpenSlice slice = open.back();
-        open.pop_back();
-        std::uint64_t duration = event.ts_ns - slice.ts_ns;
-        std::uint64_t samples = 1;
-        if (fold != SliceFold::kPerSlice && slice.payload > 1) {
-          duration /= slice.payload;
-          if (fold == SliceFold::kEveryUnit) samples = slice.payload;
-        }
-        histogram.record(duration, samples);
+      const auto slice = pairer.pair(event);
+      if (!slice || slice->begin.event != begin) continue;
+      std::uint64_t duration = slice->duration_ns();
+      std::uint64_t samples = 1;
+      if (fold != SliceFold::kPerSlice && slice->begin.payload > 1) {
+        duration /= slice->begin.payload;
+        if (fold == SliceFold::kEveryUnit) samples = slice->begin.payload;
       }
+      histogram.record(duration, samples);
     }
   }
   return histogram;

@@ -1,38 +1,39 @@
 // Export-time decoding of trace dumps — the deferred half of the Perfetto
 // model: the rings store raw 16-byte records; everything human-facing
-// happens here, offline, away from the hot paths.
+// happens here, offline, away from the hot paths. Every consumer (the
+// Perfetto writer, the slice histograms, trace_export, the live flight
+// recorder) reads a ring stream one way, through two per-thread pieces:
 //
-//   - decode_thread(): delta → absolute-timestamp reconstruction. Records
-//     before the first surviving kTimeSync anchor are undecodable (their
-//     base was overwritten with the ring's oldest history) and are dropped;
-//     the anchor cadence bounds that prefix to min(1024, capacity/2)
-//     records. Decoded timestamps are monotone non-decreasing per thread by
-//     construction (unsigned deltas accumulated from a monotonic clock).
-//     kWallClockSync records (the realtime half of each anchor pair) are
-//     consumed into DecodeStats::wall_minus_mono_ns — the per-process clock
-//     offset the cross-process merge uses to align timelines.
-//   - write_perfetto_json(): chrome://tracing "traceEvents" JSON. Begin/end
-//     records pair into complete "X" slices (per-thread, per-slice-name
-//     stack, so nested slices work); counters render as "C" tracks;
-//     everything else as instants. Each dump carries its real pid and a
-//     process_name metadata event, and every thread gets ring_dropped /
-//     decode_skipped counter samples so overwrite loss is visible on the
-//     timeline. The multi-dump overload renders several processes on ONE
-//     timeline, shifting each by its wall−mono offset so a controller and
-//     a switch recorded on different steady-clock origins line up. Loads
-//     directly in ui.perfetto.dev and chrome://tracing.
-//   - save/load_trace_dump(): a tiny self-describing binary container
-//     ("OFTRACE1") holding the raw records plus process identity, so a run
-//     can dump cheaply and tools/trace_export can decode later or
-//     elsewhere. The loader is hardened against hostile bytes: it returns a
-//     TraceLoadStatus — it never throws and never allocates beyond what the
-//     actual file size can back, no matter what the headers claim.
-//   - slice_latency_histogram(): begin→end durations folded into a
-//     LogHistogram — the p99/p99.9 source the bench tail gates consume.
+//   - ThreadDecoder: delta → absolute-timestamp reconstruction, fed record
+//     by record, so a stream cut into chunks decodes as the whole would.
+//     Records before the first surviving kTimeSync anchor are undecodable
+//     (their base was overwritten with the ring's oldest history) and are
+//     dropped; the anchor cadence bounds that prefix to min(1024,
+//     capacity/2) records. Timestamps are monotone non-decreasing per
+//     thread by construction. kWallClockSync records (the realtime half of
+//     each anchor pair) set the per-process wall−mono offset the
+//     cross-process merge aligns timelines with.
+//   - SlicePairer: begin/end pairing, one stack per slice keyed by its end
+//     id (slice_end() in trace_event.hpp), so nested and interleaved
+//     slices pair, and a slice split across chunks too.
+//
+// On top of them: write_perfetto_json() renders chrome://tracing JSON
+// (paired slices as "X", unpaired ends as instants, counters as "C"
+// tracks, per-thread ring_dropped / decode_skipped counters, one pid and
+// process_name per dump; the multi-dump overload shifts each process by
+// its wall−mono offset onto ONE timeline). save/load_trace_dump() is a
+// tiny self-describing binary container ("OFTRACE1") of the raw records
+// plus process identity; the loader is hardened against hostile bytes —
+// it returns a TraceLoadStatus, never throws, and never allocates beyond
+// what the actual file size can back. slice_latency_histogram() folds
+// slice durations into a LogHistogram — the p99/p99.9 source the bench
+// tail gates consume.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +61,42 @@ struct DecodeStats {
   std::int64_t wall_minus_mono_ns = 0;
 };
 
-/// Reconstruct absolute timestamps for one thread's records (kTimeSync /
-/// kWallClockSync anchors consumed, not returned). Records before the first
-/// anchor are dropped — see the header comment for the bound.
+/// One thread's decoder; its state carries across chunks.
+class ThreadDecoder {
+ public:
+  /// The record with its absolute timestamp (anchors included), or nothing
+  /// for a record before the first anchor.
+  std::optional<DecodedEvent> decode(const TraceRecord& record);
+  [[nodiscard]] const DecodeStats& stats() const { return stats_; }
+
+ private:
+  bool anchored_ = false;
+  std::uint64_t ts_ns_ = 0;
+  DecodeStats stats_;
+};
+
+/// One closed slice: its begin event, and when it ended.
+struct Slice {
+  DecodedEvent begin;
+  std::uint64_t end_ns = 0;
+  std::uint64_t duration_ns() const { return end_ns - begin.ts_ns; }
+};
+
+/// One thread's begin/end pairer; open slices persist between calls.
+class SlicePairer {
+ public:
+  /// A begin opens a slice; its end closes the innermost open one and
+  /// returns it. Any other event, or an end whose begin was never fed
+  /// (overwritten, or before the first anchor), returns nothing.
+  std::optional<Slice> pair(const DecodedEvent& event);
+
+ private:
+  std::array<std::vector<DecodedEvent>,  // open begins, by end id
+             static_cast<std::size_t>(TraceEvent::kEventCount)>
+      open_;
+};
+
+/// Decode one thread's records in one go, anchor pairs consumed.
 [[nodiscard]] std::vector<DecodedEvent> decode_thread(
     const ThreadTrace& thread, DecodeStats* stats = nullptr);
 
@@ -108,11 +142,10 @@ enum class SliceFold : std::uint8_t {
                ///< unit (flow-mod, byte) weighs the same, however batched
 };
 
-/// Fold every begin→end pair of the given slice across all threads into a
-/// duration histogram (nanoseconds), as `fold` says.
+/// Fold every slice `begin` opens, across all threads, into a duration
+/// histogram (nanoseconds), as `fold` says.
 [[nodiscard]] LogHistogram slice_latency_histogram(const TraceDump& dump,
                                                    TraceEvent begin,
-                                                   TraceEvent end,
                                                    SliceFold fold);
 
 }  // namespace ofmtl::obs

@@ -150,7 +150,7 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(std::move(config)) {
   if (!config_.now_ns) config_.now_ns = &TraceRing::now_ns;
   if (!config_.collect) config_.collect = &collect_tracing;
-  slo_state_.resize(config_.slos.size());
+  slo_windows_.resize(config_.slos.size());
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -249,52 +249,22 @@ void FlightRecorder::ingest(const TraceDump& dump) {
       threads_.push_back(ThreadHistory{});
       history = &threads_.back();
       history->tid = thread.tid;
-      for (auto& state : slo_state_) {
-        state.open_begin_ts.resize(threads_.size());
-        state.open_payload.resize(threads_.size());
-      }
     }
     history->name = thread.name;
     history->dropped = thread.dropped;
-    const std::size_t thread_idx =
-        static_cast<std::size_t>(history - threads_.data());
 
     for (const auto& record : thread.records) {
-      const auto event = static_cast<TraceEvent>(record.event);
-      if (event == TraceEvent::kTimeSync) {
-        history->ts_ns = record.payload;
-        history->anchored = true;
-        history->records.push_back(RetainedRecord{record, record.payload});
-        continue;
-      }
-      if (!history->anchored) continue;  // bounded undecodable prefix
-      history->ts_ns += record.ts_delta;
-      if (event == TraceEvent::kWallClockSync) {
-        history->has_wall = true;
-        history->wall_minus_mono =
-            static_cast<std::int64_t>(record.payload) -
-            static_cast<std::int64_t>(history->ts_ns);
-      }
-      history->records.push_back(RetainedRecord{record, history->ts_ns});
-
-      // Fold begin→end slices into each SLO's rolling window as they
-      // stream past; open stacks persist across polls so a slice spanning
-      // a poll boundary still pairs.
+      const auto event = history->decoder.decode(record);
+      if (!event) continue;  // bounded undecodable prefix
+      history->records.push_back(RetainedRecord{record, event->ts_ns});
+      // Fold closed slices into each SLO's rolling window as they stream
+      // past; the pairer's open slices persist across polls, so a slice
+      // spanning a poll boundary still pairs.
+      const auto slice = history->pairer.pair(*event);
+      if (!slice) continue;
       for (std::size_t s = 0; s < config_.slos.size(); ++s) {
-        const SloSpec& slo = config_.slos[s];
-        SloState& state = slo_state_[s];
-        if (event == slo.begin) {
-          state.open_begin_ts[thread_idx].push_back(history->ts_ns);
-          state.open_payload[thread_idx].push_back(record.payload);
-        } else if (event == slo.end) {
-          if (state.open_begin_ts[thread_idx].empty()) continue;
-          const std::uint64_t begin_ts = state.open_begin_ts[thread_idx].back();
-          const std::uint64_t payload = state.open_payload[thread_idx].back();
-          state.open_begin_ts[thread_idx].pop_back();
-          state.open_payload[thread_idx].pop_back();
-          std::uint64_t duration = history->ts_ns - begin_ts;
-          if (slo.per_payload_unit && payload > 1) duration /= payload;
-          state.window.record(duration);
+        if (config_.slos[s].begin == slice->begin.event) {
+          slo_windows_[s].record(slice->duration_ns());
         }
       }
     }
@@ -321,12 +291,12 @@ std::vector<BreachInfo> FlightRecorder::poll() {
   std::vector<BreachInfo> breaches;
   for (std::size_t s = 0; s < config_.slos.size(); ++s) {
     const SloSpec& slo = config_.slos[s];
-    SloState& state = slo_state_[s];
-    if (state.window.total() < slo.min_samples) continue;
-    const auto p50 = static_cast<std::uint64_t>(state.window.quantile(0.50));
-    const auto p99 = static_cast<std::uint64_t>(state.window.quantile(0.99));
-    const std::uint64_t samples = state.window.total();
-    state.window = LogHistogram{};  // window evaluated: start the next one
+    LogHistogram& window = slo_windows_[s];
+    if (window.total() < slo.min_samples) continue;
+    const std::uint64_t p50 = window.quantile(0.50);
+    const std::uint64_t p99 = window.quantile(0.99);
+    const std::uint64_t samples = window.total();
+    window = LogHistogram{};  // window evaluated: start the next one
 
     const char* reason = nullptr;
     if (slo.max_p99_over_p50 > 0 &&
@@ -364,39 +334,24 @@ TraceDump FlightRecorder::dump_retained() const {
       dump.threads.push_back(std::move(thread));
       continue;
     }
-    // Re-encode with a synthetic anchor pair at the front: trimming may
-    // have dropped the anchor the first retained record's delta was
-    // relative to, so deltas are recomputed from the decoded timestamps.
+    // The retained records are a contiguous run of the drained stream, so
+    // their own deltas still hold; only the first one's base may have been
+    // trimmed. One leading anchor pair at its timestamp re-bases it.
     const std::uint64_t first_ts = history.records.front().ts_ns;
     thread.records.push_back(TraceRecord{
         static_cast<std::uint16_t>(TraceEvent::kTimeSync), 0, 0, first_ts});
-    if (history.has_wall) {
+    const DecodeStats& stats = history.decoder.stats();
+    if (stats.has_wall_offset) {
       thread.records.push_back(TraceRecord{
           static_cast<std::uint16_t>(TraceEvent::kWallClockSync), 0, 0,
           static_cast<std::uint64_t>(static_cast<std::int64_t>(first_ts) +
-                                     history.wall_minus_mono)});
+                                     stats.wall_minus_mono_ns)});
     }
-    std::uint64_t prev_ts = first_ts;
+    const std::size_t first = thread.records.size();
     for (const auto& retained : history.records) {
-      TraceRecord record = retained.record;
-      const std::uint64_t delta = retained.ts_ns - prev_ts;
-      if (record.event ==
-          static_cast<std::uint16_t>(TraceEvent::kTimeSync)) {
-        prev_ts = retained.ts_ns;
-        thread.records.push_back(record);  // anchors re-base the decoder
-        continue;
-      }
-      if (delta > 0xffffffffull) {
-        thread.records.push_back(
-            TraceRecord{static_cast<std::uint16_t>(TraceEvent::kTimeSync), 0,
-                        0, retained.ts_ns});
-        record.ts_delta = 0;
-      } else {
-        record.ts_delta = static_cast<std::uint32_t>(delta);
-      }
-      prev_ts = retained.ts_ns;
-      thread.records.push_back(record);
+      thread.records.push_back(retained.record);
     }
+    thread.records[first].ts_delta = 0;  // it sits on the leading anchor
     dump.threads.push_back(std::move(thread));
   }
   return dump;

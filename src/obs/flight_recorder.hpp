@@ -4,7 +4,8 @@
 //
 //   - SLO breach (poll path): each poll() drains the trace rings into a
 //     bounded retained history (the last retain_ms per thread) and folds
-//     the window's begin→end slice durations into per-SLO LogHistograms.
+//     the window's slice durations into per-SLO LogHistograms, read
+//     through the same ThreadDecoder and SlicePairer as the export side.
 //     When a window has enough samples, its watermarks are checked against
 //     the configured bounds (p99 ≤ ratio × p50 and/or an absolute p99
 //     ceiling); a violation dumps the retained history as OFTRACE1 plus a
@@ -39,12 +40,11 @@
 
 namespace ofmtl::obs {
 
-/// One tail-latency objective over a begin→end slice pair.
+/// One tail-latency objective over the durations of the slices `begin`
+/// opens (each slice folds once, as SliceFold::kPerSlice).
 struct SloSpec {
   std::string name;                ///< report key, e.g. "batch"
   TraceEvent begin = TraceEvent::kBatchBegin;
-  TraceEvent end = TraceEvent::kBatchEnd;
-  bool per_payload_unit = false;   ///< divide durations by begin payload
   double max_p99_over_p50 = 0;     ///< 0 = no ratio bound (e.g. 100.0)
   std::uint64_t max_p99_ns = 0;    ///< 0 = no absolute p99 ceiling
   std::uint64_t min_samples = 64;  ///< window must hold this many slices
@@ -114,27 +114,19 @@ class FlightRecorder {
 
  private:
   struct RetainedRecord {
-    TraceRecord record;
+    TraceRecord record;       ///< as drained: its delta is still valid
     std::uint64_t ts_ns = 0;  ///< decoded absolute timestamp
   };
-  /// Per-producer-thread rolling history plus incremental decode state.
+  /// Per-producer-thread rolling history; the decoder and the pairer carry
+  /// the stream's state from one poll to the next.
   struct ThreadHistory {
     std::string name;
     std::uint64_t tid = 0;
     std::uint64_t dropped = 0;
-    bool anchored = false;
-    std::uint64_t ts_ns = 0;            ///< decode accumulator
-    bool has_wall = false;
-    std::int64_t wall_minus_mono = 0;
+    ThreadDecoder decoder;
+    SlicePairer pairer;
     std::vector<RetainedRecord> records;
   };
-  /// Cross-poll slice-pairing state, per SLO per thread.
-  struct SloState {
-    LogHistogram window;
-    std::vector<std::vector<std::uint64_t>> open_begin_ts;  // [thread idx]
-    std::vector<std::vector<std::uint64_t>> open_payload;
-  };
-
   void ingest(const TraceDump& dump);
   void trim(std::uint64_t now);
   BreachInfo write_breach(const SloSpec& slo, const std::string& reason,
@@ -144,7 +136,7 @@ class FlightRecorder {
 
   FlightRecorderConfig config_;
   std::vector<ThreadHistory> threads_;
-  std::vector<SloState> slo_state_;
+  std::vector<LogHistogram> slo_windows_;  ///< per SLO, the open window
   bool armed_ = false;
   std::uint64_t breach_count_ = 0;
   std::uint64_t dump_count_ = 0;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace ofmtl::obs {
 
@@ -153,5 +154,26 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     default: return TraceEventKind::kInstant;
   }
 }
+
+/// A slice's end id is its begin id + 1, under the same name: pairing keys
+/// on this, so a begin alone names its slice.
+[[nodiscard]] constexpr TraceEvent slice_end(TraceEvent begin) {
+  return static_cast<TraceEvent>(static_cast<std::uint16_t>(begin) + 1);
+}
+[[nodiscard]] constexpr bool slice_ends_follow_begins() {
+  for (int id = 0; id < static_cast<int>(TraceEvent::kEventCount); ++id) {
+    const auto event = static_cast<TraceEvent>(id);
+    const bool opens = trace_event_kind(event) == TraceEventKind::kBegin;
+    const bool closed_next =
+        trace_event_kind(slice_end(event)) == TraceEventKind::kEnd;
+    if (opens != closed_next ||
+        (opens && std::string_view(trace_event_name(event)) !=
+                      trace_event_name(slice_end(event)))) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(slice_ends_follow_begins(), "a slice's end is its begin + 1");
 
 }  // namespace ofmtl::obs

@@ -1,6 +1,6 @@
-// Admission control: the explicit overload state machine between runtime
-// backpressure and controller sessions. Pressure samples in [0,1] — the max
-// of runtime queue-depth fraction and normalized publish latency — drive
+// Admission control: the explicit overload state machine between the
+// flow-mod sink and controller sessions. Pressure samples in [0,1] — the
+// sink's publish latency, normalized against its budget — drive
 // NORMAL -> THROTTLE -> SHED transitions with hysteresis (distinct enter/exit
 // thresholds) and a minimum dwell, so a noisy signal cannot flap the control
 // plane. Per-session token buckets meter flow-mod admission:

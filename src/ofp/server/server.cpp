@@ -602,14 +602,11 @@ void OfpServer::close_connection(int fd, CloseReason fallback) {
 }
 
 void OfpServer::sample_pressure(std::uint64_t now) {
-  double pressure =
+  const double pressure =
       config_.publish_latency_budget_us > 0
           ? publish_ewma_us_ /
                 static_cast<double>(config_.publish_latency_budget_us)
           : 0.0;
-  if (config_.pressure_source) {
-    pressure = std::max(pressure, config_.pressure_source());
-  }
   control_.admission.on_pressure_sample(pressure, now);
   admission_state_.store(static_cast<std::uint8_t>(control_.admission.state()),
                          std::memory_order_relaxed);

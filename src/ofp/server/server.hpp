@@ -62,10 +62,6 @@ struct ServerConfig {
   std::uint64_t accept_backoff_ms = 100;
   /// Overload admission tuning (thresholds, rate caps, backoff hints).
   AdmissionConfig admission{};
-  /// External pressure source in [0,1] — typically the runtime's queue-depth
-  /// fraction — sampled once per loop pass and combined (max) with the
-  /// sink-latency signal. Null means sink latency alone drives admission.
-  std::function<double()> pressure_source;
   /// Sink (publish) latency that maps to pressure 1.0; the EWMA of per-batch
   /// latency is normalized against this budget.
   std::uint64_t publish_latency_budget_us = 20000;

@@ -139,13 +139,10 @@ class ParallelRuntime {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   /// --- control plane (serialized writers, left-right publish) ---
-  /// Insert one entry into `table` on both sides; publishes one epoch.
-  void insert_entry(std::size_t table, FlowEntry entry) {
-    classifier_.insert_entry(table, std::move(entry));
-  }
-  /// Remove entry `id` from `table`; publishes one epoch when it existed.
-  bool remove_entry(std::size_t table, FlowEntryId id) {
-    return classifier_.remove_entry(table, id);
+  /// One validated flow-mod on both sides; publishes one epoch on kOk only.
+  [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
+                                    const FlowEntry& entry) {
+    return classifier_.apply(command, table, entry);
   }
   /// Coalesced mutation: `mutate` runs once per snapshot side (twice) and
   /// must be deterministic; publishes one epoch.
@@ -199,14 +196,10 @@ class ParallelRuntime {
   [[nodiscard]] obs::MetricsRegistry::ProviderHandle register_metrics(
       obs::MetricsRegistry& registry);
 
-  /// In-flight batches on `queue` (racy scheduling/monitoring hint).
-  [[nodiscard]] std::size_t queue_depth(std::size_t queue) const {
-    return workers_[queue]->queue.size();
-  }
   /// Occupancy of the fullest queue as a fraction of its capacity, in
-  /// [0, 1] — the backpressure signal the OFP server's admission control
-  /// samples (max, not mean: one saturated queue is already overload for
-  /// the flows hashed onto it).
+  /// [0, 1] — exported as the ofmtl_runtime_queue_pressure gauge (max, not
+  /// mean: one saturated queue is already overload for the flows hashed
+  /// onto it).
   [[nodiscard]] double queue_pressure() const {
     double pressure = 0;
     for (const auto& worker : workers_) {

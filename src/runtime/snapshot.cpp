@@ -1,5 +1,6 @@
 #include "runtime/snapshot.hpp"
 
+#include <optional>
 #include <thread>
 
 #include "obs/tracer.hpp"
@@ -101,29 +102,20 @@ bool SnapshotClassifier::publish(Op&& op) {
   return true;
 }
 
-void SnapshotClassifier::insert_entry(std::size_t table, FlowEntry entry) {
+FlowModStatus SnapshotClassifier::apply(FlowModCommand command,
+                                        std::size_t table,
+                                        const FlowEntry& entry) {
   const std::lock_guard<std::mutex> lock(write_mutex_);
-  // Reject routine bad input (unknown table, duplicate id) before the
-  // in-place apply: rejections that throw mid-op look like a half-mutated
-  // side and would pay the O(table) resync. Both sides are logically
-  // identical under the write lock, so checking one suffices.
-  if (sides_[0].contains_entry(table, entry.id)) {
-    throw std::invalid_argument("insert_entry: duplicate entry id");
-  }
+  // apply() checks before it mutates, so a rejection on the first side
+  // leaves it untouched and publish() stops there. Both sides hold the same
+  // content under the write lock, so the first side's status is the mod's.
+  std::optional<FlowModStatus> status;
   (void)publish([&](MultiTableLookup& side) {
-    side.insert_entry(table, entry);  // copies: the op runs once per side
-    return true;
+    const FlowModStatus side_status = side.apply(command, table, entry);
+    if (!status) status = side_status;
+    return side_status == FlowModStatus::kOk;
   });
-}
-
-bool SnapshotClassifier::remove_entry(std::size_t table, FlowEntryId id) {
-  const std::lock_guard<std::mutex> lock(write_mutex_);
-  // As in insert_entry: surface an unknown table index before the apply
-  // (remove of an absent id is already a mutation-free `return false`).
-  (void)sides_[0].table(table);
-  return publish([&](MultiTableLookup& side) {
-    return side.remove_entry(table, id);
-  });
+  return *status;
 }
 
 void SnapshotClassifier::update(

@@ -103,10 +103,12 @@ class SnapshotClassifier {
   /// Current publish epoch (the epoch acquire() would observe).
   [[nodiscard]] std::uint64_t epoch() const { return acquire().epoch(); }
 
-  /// Writer side: apply one flow-mod to both sides and publish. O(delta),
-  /// not O(table) — the sides are updated in place, never cloned.
-  void insert_entry(std::size_t table, FlowEntry entry);
-  bool remove_entry(std::size_t table, FlowEntryId id);
+  /// Writer side: validate one flow-mod through MultiTableLookup::apply,
+  /// apply it to both sides and publish one epoch — only on kOk; a rejected
+  /// mod leaves both sides and the epoch as they were. O(delta), not
+  /// O(table): the sides are updated in place, never cloned.
+  [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
+                                    const FlowEntry& entry);
 
   /// Writer side, coalesced: apply an arbitrary mutation and publish once.
   /// `mutate` is invoked once per side (twice total) on replicas with

@@ -263,14 +263,16 @@ TEST(FlowCacheRuntime, PublishNeverServesStaleAction) {
     ASSERT_EQ(results[i], before_oracle[i]) << "pre-publish packet " << i;
   }
 
-  rt.insert_entry(1, takeover);  // epoch 1: every cached entry is now stale
+  // Epoch 1: every cached entry is now stale.
+  ASSERT_EQ(rt.apply(FlowModCommand::kAdd, 1, takeover), FlowModStatus::kOk);
   classify_all(rt, stream, results);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_EQ(results[i], after_oracle[i]) << "post-publish packet " << i;
   }
   EXPECT_GT(rt.aggregate_stats().cache_epoch_invalidations, 0u);
 
-  ASSERT_TRUE(rt.remove_entry(1, takeover.id));  // epoch 2: stale again
+  // Epoch 2: stale again.
+  ASSERT_EQ(rt.apply(FlowModCommand::kDelete, 1, takeover), FlowModStatus::kOk);
   classify_all(rt, stream, results);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_EQ(results[i], before_oracle[i]) << "post-remove packet " << i;
@@ -313,9 +315,11 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   std::thread writer([&rt, &takeover] {
     for (std::size_t toggle = 0; toggle < kToggles; ++toggle) {
       if (toggle % 2 == 0) {
-        rt.insert_entry(1, takeover);
+        EXPECT_EQ(rt.apply(FlowModCommand::kAdd, 1, takeover),
+                  FlowModStatus::kOk);
       } else {
-        EXPECT_TRUE(rt.remove_entry(1, 424242));
+        EXPECT_EQ(rt.apply(FlowModCommand::kDelete, 1, takeover),
+                  FlowModStatus::kOk);
       }
       std::this_thread::yield();
     }
@@ -505,7 +509,7 @@ struct ChurnStep {
   std::function<void(MultiTableLookup&)> mutate;
   std::function<void(ChurnMirror&)> mirror;
   /// How the runtime publishes it: through update(mutate) unless set, so
-  /// single inserts and removes also take their dedicated writer calls.
+  /// single adds and deletes also take the validated apply() path.
   std::function<void(ParallelRuntime&)> publish;
   bool found = false;
 };
@@ -523,7 +527,8 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
     };
     step.mirror = [table, entry](ChurnMirror& m) { m[table][entry.id] = entry; };
     step.publish = [table, entry](ParallelRuntime& rt) {
-      rt.insert_entry(table, entry);
+      EXPECT_EQ(rt.apply(FlowModCommand::kAdd, table, entry),
+                FlowModStatus::kOk);
     };
     step.found = true;
   };
@@ -597,6 +602,9 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
         entry.match.set(FieldId::kDstPort,
                         FieldMatch::exact(header.get64(FieldId::kDstPort) + 1));
         add(0, entry);
+        // apply() rejects a constraint off the table's fields (kBadMatch),
+        // so only the unvalidated update() path can install this one.
+        step.publish = nullptr;
         break;
       }
       case ChurnMod::kAddMissed:
@@ -626,7 +634,8 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
           };
           step.mirror = [table, id](ChurnMirror& m) { m[table].erase(id); };
           step.publish = [table, id](ParallelRuntime& rt) {
-            EXPECT_TRUE(rt.remove_entry(table, id));
+            EXPECT_EQ(rt.apply(FlowModCommand::kDelete, table, {.id = id}),
+                      FlowModStatus::kOk);
           };
         } else {
           FlowEntry entry = mirror[table].at(id);

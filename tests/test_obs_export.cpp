@@ -349,8 +349,7 @@ TEST(SliceLatencyTest, FoldsPerSlicePerUnitOrEveryUnit) {
   // make_dump's worker batch: 256 packets in one 650 ns slice.
   const TraceDump dump = make_dump();
   const auto fold = [&dump](SliceFold how) {
-    return slice_latency_histogram(dump, TraceEvent::kBatchBegin,
-                                   TraceEvent::kBatchEnd, how);
+    return slice_latency_histogram(dump, TraceEvent::kBatchBegin, how);
   };
   const LogHistogram whole = fold(SliceFold::kPerSlice);
   const LogHistogram per_unit = fold(SliceFold::kPerUnit);

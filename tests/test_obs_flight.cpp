@@ -86,8 +86,6 @@ TEST(FlightRecorderTest, RatioBreachDumpsLoadableTraceAndReport) {
   auto config = make_config("test_flight_ratio", dumps, now);
   config.slos.push_back({.name = "batch",
                          .begin = TraceEvent::kBatchBegin,
-                         .end = TraceEvent::kBatchEnd,
-                         .per_payload_unit = false,
                          .max_p99_over_p50 = 2.0,
                          .max_p99_ns = 0,
                          .min_samples = 16});
@@ -118,8 +116,7 @@ TEST(FlightRecorderTest, RatioBreachDumpsLoadableTraceAndReport) {
   }
   EXPECT_EQ(begins, durations.size());
   const auto histogram = slice_latency_histogram(
-      reloaded, TraceEvent::kBatchBegin, TraceEvent::kBatchEnd,
-      SliceFold::kPerSlice);
+      reloaded, TraceEvent::kBatchBegin, SliceFold::kPerSlice);
   EXPECT_EQ(histogram.total(), durations.size());
 
   // The JSON report names the SLO, the reason, and the dump path.
@@ -142,8 +139,6 @@ TEST(FlightRecorderTest, CeilingBreachAndWindowRestart) {
   auto config = make_config("test_flight_ceiling", dumps, now);
   config.slos.push_back({.name = "batch",
                          .begin = TraceEvent::kBatchBegin,
-                         .end = TraceEvent::kBatchEnd,
-                         .per_payload_unit = false,
                          .max_p99_over_p50 = 0,
                          .max_p99_ns = 1000,
                          .min_samples = 16});
@@ -168,8 +163,6 @@ TEST(FlightRecorderTest, NoBreachWithinSlo) {
   auto config = make_config("test_flight_quiet", dumps, now);
   config.slos.push_back({.name = "batch",
                          .begin = TraceEvent::kBatchBegin,
-                         .end = TraceEvent::kBatchEnd,
-                         .per_payload_unit = false,
                          .max_p99_over_p50 = 100.0,
                          .max_p99_ns = 1'000'000,
                          .min_samples = 16});
@@ -177,6 +170,88 @@ TEST(FlightRecorderTest, NoBreachWithinSlo) {
   EXPECT_TRUE(recorder.poll().empty());
   EXPECT_EQ(recorder.breaches(), 0u);
   EXPECT_EQ(recorder.dumps_written(), 0u);
+}
+
+TEST(FlightRecorderTest, ChunkedStreamFoldsAsTheWholeDumpDoes) {
+  // One thread's stream: an undecodable prefix, an anchor pair, batch
+  // slices with nested stage slices and an unpaired end, a batch left open
+  // across a second anchor pair, then more batches. Fed to the recorder in
+  // chunks that split a slice and the anchor pair, its window must hold
+  // exactly what slice_latency_histogram reads from the whole stream.
+  ThreadTrace whole;
+  whole.name = "worker";
+  whole.tid = 1;
+  const auto add = [&whole](TraceEvent event, std::uint32_t delta,
+                            std::uint64_t payload = 1) {
+    whole.records.push_back(
+        TraceRecord{static_cast<std::uint16_t>(event), 0, delta, payload});
+  };
+  add(TraceEvent::kBatchEnd, 7);  // its begin and anchor were overwritten
+  add(TraceEvent::kTimeSync, 0, 1'000'000);
+  add(TraceEvent::kWallClockSync, 0, 9'000'000);
+  add(TraceEvent::kStageEnd, 3);  // unpaired end
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    add(TraceEvent::kBatchBegin, 1000);
+    add(TraceEvent::kStageBegin, 10);
+    add(TraceEvent::kStageEnd, 50 + 13 * i);
+    add(TraceEvent::kBatchEnd, 100 + 37 * i);
+  }
+  add(TraceEvent::kBatchBegin, 1000);  // closes after the next anchor
+  add(TraceEvent::kTimeSync, 0, 5'000'000);
+  add(TraceEvent::kWallClockSync, 0, 13'000'000);
+  add(TraceEvent::kBatchEnd, 400);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    add(TraceEvent::kBatchBegin, 500);
+    add(TraceEvent::kBatchEnd, 5000 + 911 * i);
+  }
+
+  TraceDump dump;
+  dump.threads.push_back(whole);
+  const LogHistogram expected =
+      slice_latency_histogram(dump, TraceEvent::kBatchBegin,
+                              SliceFold::kPerSlice);
+  ASSERT_EQ(expected.total(), 81u);
+
+  // Cut after a batch begin (index 4 + 4 * 20 + 1) and between the second
+  // anchor's kTimeSync and kWallClockSync.
+  auto dumps = std::make_shared<std::vector<TraceDump>>();
+  std::size_t from = 0;
+  for (const std::size_t to : {std::size_t{2}, std::size_t{85},
+                               std::size_t{166}, whole.records.size()}) {
+    TraceDump chunk;
+    ThreadTrace part = whole;
+    part.records.assign(whole.records.begin() + from,
+                        whole.records.begin() + to);
+    chunk.threads.push_back(std::move(part));
+    dumps->push_back(std::move(chunk));
+    from = to;
+  }
+  ASSERT_EQ(whole.records[166].event,
+            static_cast<std::uint16_t>(TraceEvent::kWallClockSync));
+  auto config = make_config("test_flight_chunked", dumps,
+                            std::make_shared<std::uint64_t>(5'000'000));
+  config.slos.push_back({.name = "batch",
+                         .begin = TraceEvent::kBatchBegin,
+                         .max_p99_ns = 1,  // every full window breaches
+                         .min_samples = expected.total()});
+  FlightRecorder recorder(std::move(config));
+  std::vector<BreachInfo> breaches;
+  for (std::size_t poll = 0; poll < dumps->size(); ++poll) {
+    breaches = recorder.poll();
+    if (poll + 1 < dumps->size()) EXPECT_TRUE(breaches.empty());
+  }
+  ASSERT_EQ(breaches.size(), 1u);
+  EXPECT_EQ(breaches.front().samples, expected.total());
+  EXPECT_EQ(breaches.front().p50_ns, expected.quantile(0.50));
+  EXPECT_EQ(breaches.front().p99_ns, expected.quantile(0.99));
+
+  // The retained history re-encodes to the same slices.
+  const LogHistogram retained = slice_latency_histogram(
+      recorder.dump_retained(), TraceEvent::kBatchBegin, SliceFold::kPerSlice);
+  EXPECT_EQ(retained.total(), expected.total());
+  EXPECT_EQ(retained.quantile(0.50), expected.quantile(0.50));
+  EXPECT_EQ(retained.quantile(0.99), expected.quantile(0.99));
+  remove_artifacts(breaches.front());
 }
 
 TEST(FlightRecorderTest, RetainWindowTrimsOldHistory) {

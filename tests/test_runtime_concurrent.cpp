@@ -50,9 +50,12 @@ TEST(RuntimeConcurrent, ResultsMatchPreOrPostUpdateSnapshot) {
   std::thread writer([&rt, &takeover] {
     for (std::size_t toggle = 0; toggle < kToggles; ++toggle) {
       if (toggle % 2 == 0) {
-        rt.insert_entry(1, takeover);
+        EXPECT_EQ(rt.apply(FlowModCommand::kAdd, 1, takeover),
+                  FlowModStatus::kOk);
       } else {
-        EXPECT_TRUE(rt.remove_entry(1, 424242));  // EXPECT: non-main thread
+        // EXPECT, not ASSERT: non-main thread.
+        EXPECT_EQ(rt.apply(FlowModCommand::kDelete, 1, takeover),
+                  FlowModStatus::kOk);
       }
       std::this_thread::yield();
     }

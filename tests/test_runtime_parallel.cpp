@@ -163,7 +163,8 @@ TEST(ParallelRuntime, FlowModsVisibleAtBatchBoundaries) {
   takeover.id = 424242;
   takeover.priority = 60000;
   takeover.instructions = output_instruction(42);
-  rt.insert_entry(1, takeover);  // table-1 catch-all above every app rule
+  // A table-1 catch-all above every app rule.
+  ASSERT_EQ(rt.apply(FlowModCommand::kAdd, 1, takeover), FlowModStatus::kOk);
   EXPECT_EQ(rt.epoch(), 1u);
 
   std::vector<ExecutionResult> after(app.trace.size());
@@ -174,12 +175,37 @@ TEST(ParallelRuntime, FlowModsVisibleAtBatchBoundaries) {
   }
   EXPECT_GT(rerouted, 0u);  // the published snapshot serves the new entry
 
-  ASSERT_TRUE(rt.remove_entry(1, 424242));
+  ASSERT_EQ(rt.apply(FlowModCommand::kDelete, 1, {.id = 424242}),
+            FlowModStatus::kOk);
   EXPECT_EQ(rt.epoch(), 2u);
   std::vector<ExecutionResult> reverted(app.trace.size());
   rt.classify(0, app.trace, reverted);
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_EQ(reverted[i], results[i]) << "packet=" << i;
+  }
+}
+
+TEST(ParallelRuntime, BackwardGotoRejectedWithoutPublishing) {
+  // A table-1 catch-all whose Goto points back at table 0 would fail every
+  // batch it matched; the runtime's one writer path validates it away
+  // before either side changes.
+  const auto app = make_app(FilterApp::kMacLearning, "bbra", 128);
+  ParallelRuntime rt(app.accelerated.clone(), {.workers = 1});
+  std::vector<ExecutionResult> before(app.trace.size());
+  rt.classify(0, app.trace, before);
+
+  FlowEntry loop;
+  loop.id = 424242;
+  loop.priority = 60000;
+  loop.instructions.goto_table = 0;
+  EXPECT_EQ(rt.apply(FlowModCommand::kAdd, 1, loop), FlowModStatus::kBadGoto);
+  EXPECT_EQ(rt.epoch(), 0u);
+
+  std::vector<ExecutionResult> after(app.trace.size());
+  rt.classify(0, app.trace, after);  // rethrows a failed batch
+  EXPECT_EQ(rt.aggregate_stats().errors, 0u);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(after[i], before[i]) << "packet=" << i;
   }
 }
 

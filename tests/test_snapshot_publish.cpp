@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -81,7 +80,9 @@ TEST(SnapshotClassifier, ReadGuardPinsSideWhileWriterWaits) {
     // but it cannot complete the publish (and must never touch the pinned
     // replica) until the guard departs.
     writer = std::thread([&] {
-      classifier.insert_entry(0, em_entry(500, 9999, 7));
+      EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0,
+                                 em_entry(500, 9999, 7)),
+                FlowModStatus::kOk);
       published.store(true, std::memory_order_release);
     });
     // Give the writer ample time to reach the reader drain.
@@ -90,7 +91,7 @@ TEST(SnapshotClassifier, ReadGuardPinsSideWhileWriterWaits) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_FALSE(published.load(std::memory_order_acquire))
-        << "insert_entry returned while a read guard pinned a side";
+        << "apply returned while a read guard pinned a side";
     // The pinned replica still serves the pre-publish state.
     EXPECT_EQ(guard.tables().execute(probe).verdict, Verdict::kToController);
     EXPECT_EQ(guard.epoch(), 0u);
@@ -134,8 +135,10 @@ TEST(SnapshotClassifier, NoLostOrDuplicatedFlowModsUnderChurn) {
   }
 
   for (std::size_t k = 1; k <= kMods; ++k) {
-    classifier.insert_entry(
-        0, em_entry(static_cast<FlowEntryId>(10000 + k), 1000 + k, 42));
+    ASSERT_EQ(classifier.apply(
+                  FlowModCommand::kAdd, 0,
+                  em_entry(static_cast<FlowEntryId>(10000 + k), 1000 + k, 42)),
+              FlowModStatus::kOk);
   }
   stop.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
@@ -147,8 +150,12 @@ TEST(SnapshotClassifier, NoLostOrDuplicatedFlowModsUnderChurn) {
   // removal lands on BOTH sides (two consecutive epochs read the two sides).
   for (std::size_t k = 1; k <= kMods; ++k) {
     const auto id = static_cast<FlowEntryId>(10000 + k);
-    EXPECT_TRUE(classifier.remove_entry(0, id)) << "lost flow-mod " << k;
-    EXPECT_FALSE(classifier.remove_entry(0, id)) << "duplicated flow-mod " << k;
+    EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 0, {.id = id}),
+              FlowModStatus::kOk)
+        << "lost flow-mod " << k;
+    EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 0, {.id = id}),
+              FlowModStatus::kUnknownEntry)
+        << "duplicated flow-mod " << k;
     EXPECT_EQ(classifier.acquire().tables().execute(mac_header(1000 + k)).verdict,
               Verdict::kToController);
   }
@@ -156,18 +163,21 @@ TEST(SnapshotClassifier, NoLostOrDuplicatedFlowModsUnderChurn) {
 }
 
 TEST(SnapshotClassifier, RejectsBadFlowModsWithoutPublishing) {
-  // Routine rejections (duplicate id, unknown table, absent id) must throw
-  // or return before the in-place apply: no epoch, no side divergence, and
-  // no O(table) resync (which a mid-apply throw would cost).
+  // Routine rejections (duplicate id, unknown table, absent id) come back
+  // as statuses from checks that run before the in-place apply: no epoch,
+  // no side divergence, and no O(table) resync.
   SnapshotClassifier classifier(make_em_tables(8));
-  EXPECT_THROW(classifier.insert_entry(0, em_entry(3, 12345, 1)),
-               std::invalid_argument);  // id 3 already live
-  EXPECT_THROW(classifier.insert_entry(7, em_entry(999, 1, 1)),
-               std::out_of_range);  // no table 7
-  EXPECT_THROW((void)classifier.remove_entry(7, 1), std::out_of_range);
-  EXPECT_FALSE(classifier.remove_entry(0, 999));  // absent id: no publish
+  EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0, em_entry(3, 12345, 1)),
+            FlowModStatus::kDuplicateEntry);  // id 3 already live
+  EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 7, em_entry(999, 1, 1)),
+            FlowModStatus::kBadTable);  // no table 7
+  EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 7, {.id = 1}),
+            FlowModStatus::kBadTable);
+  EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 0, {.id = 999}),
+            FlowModStatus::kUnknownEntry);
   EXPECT_EQ(classifier.epoch(), 0u);
-  classifier.insert_entry(0, em_entry(999, 777, 5));  // still functional
+  EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0, em_entry(999, 777, 5)),
+            FlowModStatus::kOk);  // still functional
   EXPECT_EQ(classifier.epoch(), 1u);
   EXPECT_EQ(classifier.acquire().tables().execute(mac_header(777)).verdict,
             Verdict::kForwarded);
@@ -190,8 +200,11 @@ TEST(SnapshotClassifier, ConsecutivePublishesConvergeBothSides) {
   // sides. After any toggle the logical content is back to the baseline —
   // if a side missed an op, some epoch would serve diverged results.
   for (int toggle = 0; toggle < 3; ++toggle) {
-    classifier.insert_entry(0, em_entry(777, 50000, 9, 60000));
-    ASSERT_TRUE(classifier.remove_entry(0, 777));
+    ASSERT_EQ(classifier.apply(FlowModCommand::kAdd, 0,
+                               em_entry(777, 50000, 9, 60000)),
+              FlowModStatus::kOk);
+    ASSERT_EQ(classifier.apply(FlowModCommand::kDelete, 0, {.id = 777}),
+              FlowModStatus::kOk);
     const auto guard = classifier.acquire();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       ASSERT_EQ(guard.tables().execute(trace[i]), baseline[i])
@@ -214,13 +227,17 @@ TEST(SnapshotClassifier, PublishCostIndependentOfTableSize) {
     const FlowEntry entry = em_entry(900001, 77777, 3);
     // Warm: first toggle pays one-time high-water growth.
     for (int i = 0; i < 4; ++i) {
-      classifier.insert_entry(0, entry);
-      EXPECT_TRUE(classifier.remove_entry(0, entry.id));
+      EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0, entry),
+                FlowModStatus::kOk);
+      EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 0, entry),
+                FlowModStatus::kOk);
     }
     const std::size_t before = g_allocations.load();
     for (std::size_t i = 0; i < kToggles; ++i) {
-      classifier.insert_entry(0, entry);
-      EXPECT_TRUE(classifier.remove_entry(0, entry.id));
+      EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0, entry),
+                FlowModStatus::kOk);
+      EXPECT_EQ(classifier.apply(FlowModCommand::kDelete, 0, entry),
+                FlowModStatus::kOk);
     }
     return g_allocations.load() - before;
   };

@@ -46,28 +46,6 @@ using namespace ofmtl;
   std::exit(2);
 }
 
-struct SlicePair {
-  const char* name;
-  obs::TraceEvent begin;
-  obs::TraceEvent end;
-};
-
-constexpr SlicePair kSlices[] = {
-    {"batch", obs::TraceEvent::kBatchBegin, obs::TraceEvent::kBatchEnd},
-    {"stage_walk", obs::TraceEvent::kStageBegin, obs::TraceEvent::kStageEnd},
-    {"publish", obs::TraceEvent::kPublishBegin, obs::TraceEvent::kPublishEnd},
-    {"replay_pass", obs::TraceEvent::kReplayPassBegin,
-     obs::TraceEvent::kReplayPassEnd},
-    {"ofp_ingest", obs::TraceEvent::kOfpReadBegin,
-     obs::TraceEvent::kOfpReadEnd},
-    {"ofp_decode", obs::TraceEvent::kOfpDecodeBegin,
-     obs::TraceEvent::kOfpDecodeEnd},
-    {"ofp_apply", obs::TraceEvent::kOfpApplyBegin,
-     obs::TraceEvent::kOfpApplyEnd},
-    {"ofp_barrier", obs::TraceEvent::kOfpBarrierBegin,
-     obs::TraceEvent::kOfpBarrierEnd},
-};
-
 void print_summary(std::ostream& out, const obs::TraceDump& dump) {
   std::uint64_t records = 0, dropped = 0, skipped = 0;
   std::vector<obs::DecodeStats> stats(dump.threads.size());
@@ -92,12 +70,15 @@ void print_summary(std::ostream& out, const obs::TraceDump& dump) {
     out << "\n";
   }
   out << "slice latencies (ns):\n";
-  for (const auto& slice : kSlices) {
-    const auto histogram =
-        obs::slice_latency_histogram(dump, slice.begin, slice.end,
-                                     obs::SliceFold::kPerSlice);
+  for (std::uint16_t id = 0;
+       id < static_cast<std::uint16_t>(obs::TraceEvent::kEventCount); ++id) {
+    const auto begin = static_cast<obs::TraceEvent>(id);
+    if (obs::trace_event_kind(begin) != obs::TraceEventKind::kBegin) continue;
+    const auto histogram = obs::slice_latency_histogram(
+        dump, begin, obs::SliceFold::kPerSlice);
     if (histogram.total() == 0) continue;
-    out << "  " << std::setw(12) << slice.name << ": n=" << histogram.total()
+    out << "  " << std::setw(12) << obs::trace_event_name(begin)
+        << ": n=" << histogram.total()
         << " p50=" << histogram.quantile(0.50)
         << " p99=" << histogram.quantile(0.99)
         << " p99.9=" << histogram.quantile(0.999)
