@@ -212,6 +212,13 @@ bool dump_wall_offset(const TraceDump& dump, std::int64_t& offset) {
 
 std::optional<DecodedEvent> ThreadDecoder::decode(const TraceRecord& record) {
   const auto event = static_cast<TraceEvent>(record.event);
+  if (event == TraceEvent::kRingGap) {
+    // Dated where the surviving stream left off; the records after it have
+    // no base until the next anchor.
+    if (!anchored_) return std::nullopt;
+    anchored_ = false;
+    return DecodedEvent{ts_ns_, event, record.arg, record.payload};
+  }
   if (event == TraceEvent::kTimeSync) {
     ts_ns_ = record.payload;
     anchored_ = true;
@@ -231,6 +238,11 @@ std::optional<DecodedEvent> ThreadDecoder::decode(const TraceRecord& record) {
 }
 
 std::optional<Slice> SlicePairer::pair(const DecodedEvent& event) {
+  if (event.event == TraceEvent::kRingGap) {
+    // An end after the gap must not close a begin from before it.
+    for (auto& open : open_) open.clear();
+    return std::nullopt;
+  }
   switch (trace_event_kind(event.event)) {
     case TraceEventKind::kBegin:
       open_[static_cast<std::size_t>(slice_end(event.event))].push_back(event);

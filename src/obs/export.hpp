@@ -12,10 +12,13 @@
 //     capacity/2) records. Timestamps are monotone non-decreasing per
 //     thread by construction. kWallClockSync records (the realtime half of
 //     each anchor pair) set the per-process wall−mono offset the
-//     cross-process merge aligns timelines with.
+//     cross-process merge aligns timelines with. A kRingGap record (the
+//     ring lapped there) is dated at the last decoded timestamp, and the
+//     decoder then drops records again until the next anchor.
 //   - SlicePairer: begin/end pairing, one stack per slice keyed by its end
 //     id (slice_end() in trace_event.hpp), so nested and interleaved
-//     slices pair, and a slice split across chunks too.
+//     slices pair, and a slice split across chunks too. A kRingGap closes
+//     nothing and drops every open begin: no slice spans lost records.
 //
 // On top of them: write_perfetto_json() renders chrome://tracing JSON
 // (paired slices as "X", unpaired ends as instants, counters as "C"
@@ -53,7 +56,8 @@ struct DecodedEvent {
 /// Byproducts of decoding one thread's records.
 struct DecodeStats {
   /// Records dropped because their kTimeSync base was overwritten (the
-  /// undecodable prefix; bounded by the anchor cadence).
+  /// undecodable prefix, and the run after each kRingGap; each bounded by
+  /// the anchor cadence).
   std::uint64_t skipped_prefix = 0;
   /// realtime − monotonic at the last surviving anchor pair, when the dump
   /// contains kWallClockSync records (older dumps do not).
@@ -65,7 +69,8 @@ struct DecodeStats {
 class ThreadDecoder {
  public:
   /// The record with its absolute timestamp (anchors included), or nothing
-  /// for a record before the first anchor.
+  /// for a record with no anchor before it (the first, or the first after
+  /// a kRingGap).
   std::optional<DecodedEvent> decode(const TraceRecord& record);
   [[nodiscard]] const DecodeStats& stats() const { return stats_; }
 
@@ -87,7 +92,8 @@ class SlicePairer {
  public:
   /// A begin opens a slice; its end closes the innermost open one and
   /// returns it. Any other event, or an end whose begin was never fed
-  /// (overwritten, or before the first anchor), returns nothing.
+  /// (overwritten, or before the first anchor), returns nothing; a
+  /// kRingGap drops every open begin.
   std::optional<Slice> pair(const DecodedEvent& event);
 
  private:

@@ -12,7 +12,9 @@
 // and whenever a delta would overflow. Decoding accumulates deltas from the
 // latest sync, which makes the format self-synchronizing: after the ring
 // overwrites its oldest records, the decoder simply drops the (bounded)
-// prefix before the first surviving sync record.
+// prefix before the first surviving sync record. A lap between two drains
+// is marked in the drained stream by one kRingGap record, from which the
+// decoder again waits for the next sync record.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,7 @@ enum class TraceEvent : std::uint16_t {
   kCacheHits = 9,     ///< flow-cache hits in one batch; payload = count
   kCacheMisses = 10,  ///< flow-cache misses in one batch; payload = count
   kCacheEpochInvalidations = 11,  ///< stale-epoch hits voided; payload = count
-  kReplayPassBegin = 12,  ///< trace replay pass; payload = pass index
-  kReplayPassEnd = 13,    ///< trace replay pass done; payload = packets
-  // 14 and 15 are retired ids: never reuse them.
+  // 12 through 15 are retired ids: never reuse them.
   kOfpApplyBegin = 16,  ///< flow-mod batch handed to the sink; payload = mods
   kOfpApplyEnd = 17,    ///< flow-mod batch published; payload = mods
   // 18 is a retired id: never reuse it.
@@ -54,6 +54,8 @@ enum class TraceEvent : std::uint16_t {
   kOfpBarrierEnd = 25,    ///< barrier reply queued; arg = session
   kRecorderBreach = 26,   ///< flight-recorder SLO breach; arg = SLO index,
                           ///< payload = observed p99 ns
+  kRingGap = 27,  ///< written by TraceRing::drain, never emitted: the ring
+                  ///< lapped here; payload = records lost
   kEventCount           ///< sentinel — not a real event
 };
 
@@ -113,8 +115,6 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kCacheHits: return "cache_hits";
     case TraceEvent::kCacheMisses: return "cache_misses";
     case TraceEvent::kCacheEpochInvalidations: return "cache_epoch_inval";
-    case TraceEvent::kReplayPassBegin:
-    case TraceEvent::kReplayPassEnd: return "replay_pass";
     case TraceEvent::kOfpApplyBegin:
     case TraceEvent::kOfpApplyEnd: return "ofp_apply";
     case TraceEvent::kWallClockSync: return "wall_clock_sync";
@@ -125,6 +125,7 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kOfpBarrierBegin:
     case TraceEvent::kOfpBarrierEnd: return "ofp_barrier";
     case TraceEvent::kRecorderBreach: return "recorder_breach";
+    case TraceEvent::kRingGap: return "ring_gap";
     case TraceEvent::kEventCount: break;
   }
   return "unknown";
@@ -135,7 +136,6 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kBatchBegin:
     case TraceEvent::kStageBegin:
     case TraceEvent::kPublishBegin:
-    case TraceEvent::kReplayPassBegin:
     case TraceEvent::kOfpApplyBegin:
     case TraceEvent::kOfpReadBegin:
     case TraceEvent::kOfpDecodeBegin:
@@ -143,7 +143,6 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kBatchEnd:
     case TraceEvent::kStageEnd:
     case TraceEvent::kPublishEnd:
-    case TraceEvent::kReplayPassEnd:
     case TraceEvent::kOfpApplyEnd:
     case TraceEvent::kOfpReadEnd:
     case TraceEvent::kOfpDecodeEnd:

@@ -103,7 +103,9 @@ class TraceRing {
   /// Consumer: append every record published since the last drain to `out`,
   /// oldest first; returns how many were appended. Records the producer
   /// overwrote before (or while) being copied are skipped and counted in
-  /// dropped(). Safe concurrently with emit()/push(); one consumer only.
+  /// dropped(), and each skipped window is marked in `out` by one kRingGap
+  /// record (payload = records lost), so a decoder never carries deltas
+  /// across it. Safe concurrently with emit()/push(); one consumer only.
   std::size_t drain(std::vector<TraceRecord>& out) {
     std::uint64_t t = tail_;
     std::uint64_t h = head_.load(std::memory_order_acquire);
@@ -112,7 +114,15 @@ class TraceRing {
       if (h - t > capacity_) {
         // Producer lapped the unread window: everything older than one
         // capacity behind head is gone.
-        dropped_.fetch_add(h - capacity_ - t, std::memory_order_relaxed);
+        const std::uint64_t lost = h - capacity_ - t;
+        dropped_.fetch_add(lost, std::memory_order_relaxed);
+        constexpr auto kGap = static_cast<std::uint16_t>(TraceEvent::kRingGap);
+        if (appended > 0 && out.back().event == kGap) {
+          out.back().payload += lost;  // lapped again before a record landed
+        } else {
+          out.push_back(TraceRecord{kGap, 0, 0, lost});
+          ++appended;
+        }
         t = h - capacity_;
         continue;
       }

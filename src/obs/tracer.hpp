@@ -3,8 +3,8 @@
 // emit, then cached in a thread-local pointer), and a collector snapshots
 // all rings into a TraceDump for export (obs/export.hpp) or histogram
 // derivation (obs/histogram.hpp). No plumbing through layer APIs: the
-// runtime's workers, the snapshot writer, the replay driver, and the OFP
-// event loop all emit through the same two thread-local loads.
+// runtime's workers, the snapshot writer and the OFP event loop all
+// emit through the same two thread-local loads.
 //
 // Cost model, by configuration:
 //   - OFMTL_TRACE off (CMake -DOFMTL_TRACE=OFF): the OFMTL_OBS_EMIT macro

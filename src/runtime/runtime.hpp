@@ -166,8 +166,8 @@ class ParallelRuntime {
                   std::span<ExecutionResult> results, BatchTicket* ticket);
 
   /// Blocking submit: spins (yielding) until `queue` accepts the batch and
-  /// returns how many spins backpressure cost — the replay driver's
-  /// backpressure counter. Same ownership rules as try_submit; completion
+  /// returns how many spins backpressure cost (tools/trace_replay reports
+  /// their sum). Same ownership rules as try_submit; completion
   /// still signals through `ticket`.
   std::uint64_t submit(std::size_t queue, std::span<const PacketHeader> headers,
                        std::span<ExecutionResult> results, BatchTicket* ticket);

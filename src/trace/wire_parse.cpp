@@ -1,12 +1,16 @@
 #include "trace/wire_parse.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "net/packet.hpp"
+#include "trace/pcap.hpp"
 
 namespace ofmtl::trace {
 
 namespace {
+
+constexpr std::size_t kCaptureWindow = 64;  ///< frames per parse_batch call
 
 inline void prefetch_frame(const WireFrame& frame) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -50,6 +54,32 @@ std::size_t parse_batch(std::span<const WireFrame> frames,
     }
   }
   return valid;
+}
+
+ParsedCapture parse_capture(PcapReader& reader, std::uint32_t in_port) {
+  ParsedCapture capture;
+  std::array<WireFrame, kCaptureWindow> frames;
+  std::array<PacketHeader, kCaptureWindow> parsed;
+  ParseContext ctx;
+  PcapRecord record;
+  for (bool more = true; more;) {
+    std::size_t n = 0;
+    while (n < kCaptureWindow && (more = reader.next(record))) {
+      frames[n++] = WireFrame(record.bytes, record.orig_len);
+    }
+    (void)parse_batch({frames.data(), n}, in_port, parsed, ctx);
+    capture.frames += n;
+    capture.malformed += ctx.bad_lanes.size();
+    std::size_t next_bad = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (next_bad < ctx.bad_lanes.size() && ctx.bad_lanes[next_bad] == i) {
+        ++next_bad;  // dropped lane
+        continue;
+      }
+      capture.headers.push_back(parsed[i]);
+    }
+  }
+  return capture;
 }
 
 }  // namespace ofmtl::trace

@@ -1,5 +1,6 @@
 // Allocation-free batched wire parse: the trace-ingest front end that turns
-// lane windows of raw frame bytes into PacketHeader lanes for the runtime.
+// lane windows of raw frame bytes into PacketHeader lanes for the runtime,
+// plus parse_capture, the whole-capture loop over it.
 //
 // Follows the hot-path idioms of docs/ARCHITECTURE.md: per-thread scratch
 // that is cleared but never shrunk (SearchContext-style), software prefetch
@@ -17,6 +18,8 @@
 #include "net/header.hpp"
 
 namespace ofmtl::trace {
+
+class PcapReader;
 
 /// A view of one raw frame's bytes.
 using FrameSpan = std::span<const std::uint8_t>;
@@ -56,5 +59,20 @@ struct ParseContext {
 std::size_t parse_batch(std::span<const WireFrame> frames,
                         std::uint32_t in_port, std::span<PacketHeader> out,
                         ParseContext& ctx);
+
+/// One capture, parsed.
+struct ParsedCapture {
+  std::vector<PacketHeader> headers;  ///< capture order, malformed dropped
+  std::uint64_t frames = 0;           ///< records the reader yielded
+  std::uint64_t malformed = 0;        ///< frames parse_batch rejected
+};
+
+/// Parse every record of `reader` (from its current position) under
+/// `in_port` through parse_batch, one window at a time. A capture is one
+/// ingress port's view of the wire, so one in_port covers it. Malformed
+/// frames are counted and dropped, never thrown:
+/// headers.size() + malformed == frames.
+[[nodiscard]] ParsedCapture parse_capture(PcapReader& reader,
+                                          std::uint32_t in_port);
 
 }  // namespace ofmtl::trace

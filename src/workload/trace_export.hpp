@@ -1,7 +1,7 @@
 // Synthetic→pcap export: serialize the header streams the workload
 // generators produce (filter-set traces, Zipf streams) into classic pcap
 // captures, so every synthetic scenario round-trips through the byte-level
-// trace-ingest path (trace/pcap.hpp → trace/wire_parse.hpp → replay).
+// trace-ingest path (trace/pcap.hpp → trace/wire_parse.hpp → runtime).
 //
 // Synthetic headers range over field combinations raw Ethernet cannot
 // carry (free-standing L4 ports, 13-bit VLAN IDs, kInPort...), so export

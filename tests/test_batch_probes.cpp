@@ -2,9 +2,8 @@
 // IndexCalculator::query_batch — must agree with an independent reference
 // over randomized structures and query mixes (the LUT's scalar lookup, a
 // brute-force signature-cover oracle, a linear FlowTable), and be
-// allocation-free in steady state (counted by replacing global new/delete;
-// this binary is its own test executable so the replacement cannot leak into
-// others). The range matcher, which has only a scalar lookup, is checked
+// allocation-free in steady state (counted by tests/alloc_counter.hpp).
+// The range matcher, which has only a scalar lookup, is checked
 // against brute force here too.
 //
 // Every property additionally runs twice — once on the compiled vector
@@ -15,9 +14,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <vector>
 
 #include "classifier/range_matcher.hpp"
@@ -27,26 +24,7 @@
 #include "core/lut.hpp"
 #include "core/simd.hpp"
 #include "workload/rng.hpp"
-
-namespace {
-std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {
@@ -130,9 +108,9 @@ TEST(BatchProbes, ExactMatchLutSteadyStateAllocationFree) {
   const auto queries = make_query_values(rng, stored, 256);
   std::vector<Label> out(queries.size());
   lut.lookup_batch(queries, out);
-  const std::size_t before = g_allocations;
+  const std::size_t before = g_allocations.load();
   for (int pass = 0; pass < 8; ++pass) lut.lookup_batch(queries, out);
-  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(g_allocations.load(), before);
 }
 
 /// RangeMatcher::lookup against brute force over the live ranges: every
@@ -281,9 +259,9 @@ TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
     }
   }
   for (int pass = 0; pass < 2; ++pass) calc.query_batch(ctx);  // warm
-  const std::size_t before = g_allocations;
+  const std::size_t before = g_allocations.load();
   for (int pass = 0; pass < 8; ++pass) calc.query_batch(ctx);
-  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(g_allocations.load(), before);
 }
 
 TEST(BatchProbes, RangeFieldLookupTableBatchMatchesLinearTable) {

@@ -7,37 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
 
 #include "core/builder.hpp"
 #include "core/pipeline.hpp"
 #include "core/simd.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
-
-namespace {
-// Allocation counter backing the zero-allocation steady-state tests. This
-// binary is deliberately its own test executable: replacing global new/delete
-// here cannot leak into the other test binaries.
-std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {
@@ -177,14 +153,14 @@ TEST(AllocationFree, SteadyStateSinglePacketLookup) {
       }
     }
   }
-  const std::size_t before = g_allocations;
+  const std::size_t before = g_allocations.load();
   std::size_t matched = 0;
   for (const auto& header : app.trace) {
     for (std::size_t t = 0; t < app.accelerated.table_count(); ++t) {
       matched += app.accelerated.table(t).lookup(header) != nullptr;
     }
   }
-  EXPECT_EQ(g_allocations, before) << "matched=" << matched;
+  EXPECT_EQ(g_allocations.load(), before) << "matched=" << matched;
 }
 
 TEST(AllocationFree, SteadyStateExecuteBatch) {
@@ -201,9 +177,9 @@ TEST(AllocationFree, SteadyStateExecuteBatch) {
   };
   run_all();
   run_all();  // second warm pass: every result slot has seen its window
-  const std::size_t before = g_allocations;
+  const std::size_t before = g_allocations.load();
   run_all();
-  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(g_allocations.load(), before);
 }
 
 TEST(AllocationFree, SteadyStateLookupBatch) {
@@ -228,9 +204,9 @@ TEST(AllocationFree, SteadyStateLookupBatch) {
     return matched;
   };
   const std::size_t warm = run_all();
-  const std::size_t before = g_allocations;
+  const std::size_t before = g_allocations.load();
   const std::size_t again = run_all();
-  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(warm, again);
 }
 

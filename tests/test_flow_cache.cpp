@@ -5,16 +5,12 @@
 // this binary under -fsanitize=thread too — nor through delta-log
 // revalidation under mods aimed at cached walks), and the hit, revalidated-
 // hit and miss paths must stay allocation-free in steady state (counted by
-// replacing global new/delete; this binary is its own test executable so
-// the replacement cannot leak into others).
+// tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -26,26 +22,7 @@
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
 #include "workload/zipf.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {
@@ -202,11 +179,12 @@ TEST(FlowCacheRuntime, CacheOnBitwiseIdenticalToCacheOff) {
 
 TEST(FlowCacheRuntime, ZipfHitRateFloor) {
   // The hit rate is a property of the stream and the cache geometry, not
-  // of the machine: a 4096-flow pool, a Zipf s = 1.1 stream over it and one
-  // worker with an 8192-slot cache must serve at least 90% of the packets
-  // from the cache. A fixed packet count (cold and admit-on-second-miss
-  // misses included) makes the count exact: two runtimes over the same
-  // stream count the same hits.
+  // of the machine: a 4096-header pool (generate_trace repeats headers:
+  // 3491 distinct flows on yoza, 3303 on gozb), a Zipf s = 1.1 stream over
+  // it and one worker with an 8192-slot cache must serve at least 90% of
+  // the packets from the cache. A fixed packet count (cold and
+  // admit-on-second-miss misses included) makes the count exact: two
+  // runtimes over the same stream count the same hits.
   constexpr std::size_t kPackets = std::size_t{1} << 17;
   const struct {
     FilterApp app;

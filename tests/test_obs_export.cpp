@@ -2,56 +2,31 @@
 // a hostile-bytes sweep: a real dump is truncated at EVERY byte boundary
 // and byte-flipped at every offset, and the status-returning loader must
 // classify each mutant without throwing and without allocating more than
-// the real file size can back (counting allocator, same idiom as
-// test_obs_ring.cpp). The writer half pins the observability surface the
+// the real file size can back (tests/alloc_counter.hpp counts the bytes).
+// The writer half pins the observability surface the
 // merge workflow depends on: process/thread metadata events, the
 // ring_dropped / decode_skipped counter tracks, and wall-clock alignment of
 // two processes on one timeline.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/trace_event.hpp"
+#include "obs/trace_ring.hpp"
 #include "obs/tracer.hpp"
+#include "alloc_counter.hpp"
 
 namespace {
 
 using namespace ofmtl::obs;
-
-// Binary-local counting allocator: tracks how many BYTES a code window
-// requested, so the loader's "allocations bounded by real file size" claim
-// is provable, not aspirational.
-std::atomic<std::size_t> g_allocated_bytes{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace {
 
 constexpr char kPath[] = "test_obs_export.tmp.oftrace";
 
@@ -362,6 +337,60 @@ TEST(SliceLatencyTest, FoldsPerSlicePerUnitOrEveryUnit) {
   EXPECT_EQ(every_unit.total(), 256u);
   EXPECT_EQ(every_unit.quantile(0.01), 650u / 256u);
   EXPECT_EQ(every_unit.quantile(0.99), 650u / 256u);
+}
+
+TEST(RingGapTest, LappedSliceReadsItsTrueLengthOrIsAbsent) {
+  // One begin, 30 events 1 ms apart, the end, then m more events, drained
+  // after the begin and at the end into one decoder and pairer, as the
+  // flight recorder feeds them. A 16-slot ring laps in between: the slice
+  // must read its true >= 31 ms or be absent (carried across the lost
+  // records, it read 1-10 ms for m = 5-11). A 1024-slot ring keeps it, and
+  // after a lap the stream pairs again from the next anchor on.
+  constexpr std::uint64_t kTrueNs = 31'000'000;  // 31 sleeps of >= 1 ms
+  for (const std::size_t capacity : {std::size_t{16}, std::size_t{1024}}) {
+    for (int m = 0; m <= 11; ++m) {
+      TraceRing ring(capacity);
+      ThreadDecoder decoder;
+      SlicePairer pairer;
+      std::vector<Slice> slices;
+      std::uint64_t gap_lost = 0;
+      const auto feed = [&] {
+        std::vector<TraceRecord> chunk;
+        (void)ring.drain(chunk);
+        for (const auto& record : chunk) {
+          const auto event = decoder.decode(record);
+          if (!event) continue;
+          if (event->event == TraceEvent::kRingGap) gap_lost += event->payload;
+          if (const auto slice = pairer.pair(*event)) slices.push_back(*slice);
+        }
+      };
+      const auto tick = [&ring](TraceEvent event) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ring.emit(event, 0, 1);
+      };
+
+      ring.emit(TraceEvent::kBatchBegin, 0, 1);
+      feed();
+      for (int i = 0; i < 30; ++i) tick(TraceEvent::kStealAttempt);
+      tick(TraceEvent::kBatchEnd);
+      for (int i = 0; i < m; ++i) tick(TraceEvent::kStealAttempt);
+      feed();
+      EXPECT_EQ(gap_lost, ring.dropped()) << "m=" << m;
+      EXPECT_EQ(ring.dropped() > 0, capacity == 16) << "m=" << m;
+      ASSERT_EQ(slices.size(), capacity == 16 ? 0u : 1u) << "m=" << m;
+      if (!slices.empty()) EXPECT_GE(slices[0].duration_ns(), kTrueNs);
+
+      // A slice wholly after the gap pairs: eight events guarantee the
+      // 16-slot ring an anchor (its cadence is capacity / 2) before it.
+      for (int i = 0; i < 8; ++i) ring.emit(TraceEvent::kStealAttempt, 0, 1);
+      ring.emit(TraceEvent::kPublishBegin, 0, 1);
+      tick(TraceEvent::kPublishEnd);
+      feed();
+      ASSERT_FALSE(slices.empty()) << "m=" << m;
+      EXPECT_EQ(slices.back().begin.event, TraceEvent::kPublishBegin);
+      EXPECT_GE(slices.back().duration_ns(), 1'000'000u) << "m=" << m;
+    }
+  }
 }
 
 }  // namespace

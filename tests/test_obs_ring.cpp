@@ -5,44 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/tracer.hpp"
+#include "alloc_counter.hpp"
 
 namespace {
 
 using namespace ofmtl::obs;
-
-// Binary-local counting allocator (same idiom as test_flow_cache.cpp): every
-// global operator new bumps the counter, so a window of code can be proven
-// allocation-free. Linked into this test binary only.
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace {
 
 TEST(TraceRecordTest, PackUnpackBijectiveForEveryEventType) {
   for (std::uint16_t event = 0;
@@ -79,7 +52,7 @@ TEST(TraceRecordTest, EveryEventHasNameAndBeginEndPairing) {
        raw < static_cast<std::uint16_t>(TraceEvent::kEventCount); ++raw) {
     const auto event = static_cast<TraceEvent>(raw);
     // Ids of removed events stay unused so old dumps still decode.
-    if (raw == 14 || raw == 15 || raw == 18) {
+    if ((raw >= 12 && raw <= 15) || raw == 18) {
       EXPECT_STREQ(trace_event_name(event), "unknown") << raw;
       continue;
     }
@@ -120,7 +93,9 @@ TEST(TraceRingTest, OverwriteOldestAtEveryWrapOffset) {
   constexpr std::uint64_t kCapacity = 8;
   // Sweep every total from "empty" through three full laps: at every wrap
   // offset the drain must return exactly the newest min(total, capacity)
-  // records, in order, and count the rest as dropped.
+  // records, in order, count the rest as dropped, and mark the loss with
+  // one leading kRingGap record.
+  constexpr auto kGap = static_cast<std::uint16_t>(TraceEvent::kRingGap);
   for (std::uint64_t total = 1; total <= 3 * kCapacity; ++total) {
     TraceRing ring(kCapacity);
     ASSERT_EQ(ring.capacity(), kCapacity);
@@ -130,10 +105,17 @@ TEST(TraceRingTest, OverwriteOldestAtEveryWrapOffset) {
     std::vector<TraceRecord> out;
     const std::uint64_t expect_kept = total < kCapacity ? total : kCapacity;
     const std::uint64_t expect_dropped = total - expect_kept;
-    EXPECT_EQ(ring.drain(out), expect_kept) << "total=" << total;
-    ASSERT_EQ(out.size(), expect_kept);
+    const std::uint64_t gaps = expect_dropped > 0 ? 1 : 0;
+    EXPECT_EQ(ring.drain(out), gaps + expect_kept) << "total=" << total;
+    ASSERT_EQ(out.size(), gaps + expect_kept);
+    if (gaps > 0) {
+      EXPECT_EQ(out[0].event, kGap) << "total=" << total;
+      EXPECT_EQ(out[0].payload, expect_dropped) << "total=" << total;
+    }
     for (std::uint64_t i = 0; i < expect_kept; ++i) {
-      EXPECT_EQ(out[i].payload, expect_dropped + i) << "total=" << total;
+      EXPECT_EQ(out[gaps + i].event, 7) << "total=" << total;
+      EXPECT_EQ(out[gaps + i].payload, expect_dropped + i)
+          << "total=" << total;
     }
     EXPECT_EQ(ring.dropped(), expect_dropped) << "total=" << total;
     EXPECT_EQ(ring.emitted(), total);
@@ -192,16 +174,23 @@ TEST(TraceRingTest, ConcurrentProduceDrainIsExactlyOnce) {
 
   // Exactly once: sequenced payloads come out strictly increasing (no
   // duplicate, no reorder, no torn word — a torn read would produce a
-  // payload outside the sequence), and kept + dropped covers the total.
-  std::uint64_t prev = 0;
+  // payload outside the sequence), kept + dropped covers the total, and
+  // the kRingGap records account for every dropped one.
+  std::uint64_t prev = 0, kept = 0, gap_lost = 0;
   bool first = true;
   for (const auto& record : drained) {
+    if (record.event == static_cast<std::uint16_t>(TraceEvent::kRingGap)) {
+      gap_lost += record.payload;
+      continue;
+    }
     ASSERT_LT(record.payload, kTotal);
     if (!first) ASSERT_GT(record.payload, prev);
     prev = record.payload;
     first = false;
+    ++kept;
   }
-  EXPECT_EQ(drained.size() + ring.dropped(), kTotal);
+  EXPECT_EQ(kept + ring.dropped(), kTotal);
+  EXPECT_EQ(gap_lost, ring.dropped());
   // The last record is never overwritable once the producer stopped.
   ASSERT_FALSE(drained.empty());
   EXPECT_EQ(drained.back().payload, kTotal - 1);

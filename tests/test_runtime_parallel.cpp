@@ -2,34 +2,16 @@
 // threads must be bitwise-identical to single-threaded execute(), the
 // sharded queues must honour one-worker-per-queue draining, and warmed
 // worker loops must perform zero steady-state heap allocations (counted by
-// replacing global new/delete with a thread-safe counter; this binary is
-// its own test executable so the replacement cannot leak into others).
+// tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/builder.hpp"
 #include "runtime/runtime.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_gen.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {

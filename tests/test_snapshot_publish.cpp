@@ -3,33 +3,16 @@
 // lost, none duplicated) under concurrent readers, consecutive publishes
 // must converge the two replicas to identical behaviour, and — the O(delta)
 // publish property — the cost of a publish must not scale with table size
-// (checked via allocation counting: this binary replaces global new/delete
-// with a thread-safe counter, so it is its own test executable). Run under
+// (checked by counting allocations with tests/alloc_counter.hpp). Run under
 // -fsanitize=thread as well (no test changes needed).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "runtime/snapshot.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {

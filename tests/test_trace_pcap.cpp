@@ -2,14 +2,20 @@
 // microsecond/nanosecond) round-trip records bit-exactly, file save/open
 // round-trips the buffer, a truncated final record is skipped gracefully
 // (every complete record still served, truncated() raised), and corrupt
-// captures are rejected rather than walked.
+// captures are rejected rather than walked. parse_capture is swept over
+// truncations and byte mutations: it never throws, and every record the
+// reader yields comes out as a header or a malformed count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "trace/pcap.hpp"
+#include "trace/wire_parse.hpp"
 
 namespace ofmtl::trace {
 namespace {
@@ -166,6 +172,76 @@ TEST(Pcap, ReadAllCollectsEveryRecord) {
   ASSERT_EQ(all.size(), 5U);
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].bytes[0], i);
+  }
+}
+
+/// A small capture of well-formed frames over the layers the parser walks:
+/// VLAN, MPLS, IPv4 and IPv6, TCP and UDP.
+std::vector<std::uint8_t> layered_capture() {
+  PacketSpec spec;
+  spec.eth_src = MacAddress{0x020000000001ULL};
+  spec.eth_dst = MacAddress{0x020000000002ULL};
+  spec.vlan_id = 100;
+  spec.eth_type = static_cast<std::uint16_t>(EtherType::kIpv4);
+  spec.ipv4_src = Ipv4Address{10, 0, 0, 1};
+  spec.ipv4_dst = Ipv4Address{10, 0, 0, 2};
+  spec.ip_proto = static_cast<std::uint8_t>(IpProto::kTcp);
+  spec.src_port = 1234;
+  spec.dst_port = 80;
+  PcapWriter writer;
+  writer.append(1'000, serialize_packet(spec));
+  spec.vlan_id.reset();
+  spec.mpls_label = 77;
+  spec.ip_proto = static_cast<std::uint8_t>(IpProto::kUdp);
+  writer.append(2'000, serialize_packet(spec));
+  spec.mpls_label.reset();
+  spec.eth_type = static_cast<std::uint16_t>(EtherType::kIpv6);
+  spec.ipv4_src.reset();
+  spec.ipv4_dst.reset();
+  spec.ipv6_src = Ipv6Address{U128{0x20010DB800000000ULL, 1}};
+  spec.ipv6_dst = Ipv6Address{U128{0x20010DB800000000ULL, 2}};
+  writer.append(3'000, serialize_packet(spec));
+  return writer.take_buffer();
+}
+
+/// parse_capture over `bytes` never throws and accounts for every record
+/// the reader yields. A global header the reader rejects is the reader's
+/// case (RejectsShortOrUnknownHeader), not parse_capture's.
+void expect_capture_accounted(std::span<const std::uint8_t> bytes,
+                              const std::string& what) {
+  std::optional<PcapReader> reader;
+  try {
+    reader.emplace(bytes);
+  } catch (const std::invalid_argument&) {
+    return;
+  }
+  ParsedCapture capture;
+  EXPECT_NO_THROW(capture = parse_capture(*reader, 0)) << what;
+  EXPECT_EQ(capture.headers.size() + capture.malformed, capture.frames)
+      << what;
+  EXPECT_EQ(capture.frames, reader->read_all().size()) << what;
+}
+
+TEST(ParseCaptureHostile, TruncationAtEveryCutPoint) {
+  const auto full = layered_capture();
+  PcapReader reader{std::span<const std::uint8_t>(full)};
+  const auto whole = parse_capture(reader, 0);
+  ASSERT_EQ(whole.frames, 3U);
+  ASSERT_EQ(whole.malformed, 0U);
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    expect_capture_accounted({full.data(), cut}, "cut " + std::to_string(cut));
+  }
+}
+
+TEST(ParseCaptureHostile, ByteMutationSweep) {
+  const auto base = layered_capture();
+  for (std::size_t offset = 0; offset < base.size(); ++offset) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      auto bytes = base;
+      bytes[offset] ^= mask;
+      expect_capture_accounted(bytes, "offset " + std::to_string(offset) +
+                                          " mask " + std::to_string(mask));
+    }
   }
 }
 

@@ -1,20 +1,15 @@
 // The trace I/O loop end to end: the batched wire parse must be
 // bitwise-identical to scalar parse_packet (shared core, but the property
 // is what CI relies on) and allocation-free once its scratch is warm
-// (counted by replacing global new/delete — this binary is its own test
-// executable so the replacement cannot leak into others); exported
-// captures must parse back to exactly canonical_wire_header() of every
-// synthetic lane; and replaying a capture through TraceReplayer +
-// ParallelRuntime must produce results bitwise-identical to submitting the
-// same parsed headers directly — across two apps, cache off and on, and
-// multiple loops.
+// (counted by tests/alloc_counter.hpp); exported captures must parse back
+// to exactly canonical_wire_header() of every synthetic lane; parse_capture
+// must count and drop malformed frames; and a capture replayed through
+// ParallelRuntime's submit/ticket API must classify bitwise-identically to
+// the sequential pipeline — across two apps, cache off and on, with tracing
+// on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -23,41 +18,12 @@
 #include "obs/tracer.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/pcap.hpp"
-#include "trace/replay.hpp"
 #include "trace/wire_parse.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_export.hpp"
 #include "workload/trace_gen.hpp"
 #include "workload/zipf.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-// The nothrow forms must be replaced too: libstdc++'s stable_sort buffer
-// allocates through them, and a mismatched real-new/replaced-delete pair
-// trips ASan's alloc-dealloc-mismatch check.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "alloc_counter.hpp"
 
 namespace ofmtl {
 namespace {
@@ -103,13 +69,21 @@ std::vector<trace::WireFrame> wire_frames(
   return frames;
 }
 
-void classify_all(ParallelRuntime& rt, const std::vector<PacketHeader>& stream,
-                  std::vector<ExecutionResult>& results,
-                  std::size_t batch = 64) {
-  for (std::size_t base = 0; base < stream.size(); base += batch) {
-    const std::size_t n = std::min(batch, stream.size() - base);
-    rt.classify(0, {stream.data() + base, n}, {results.data() + base, n});
+/// Submit `headers` to queue 0 of `rt` in `batch`-sized slices, `loops`
+/// passes on one ticket, waiting before the next pass rewrites `results`.
+void replay(ParallelRuntime& rt, const std::vector<PacketHeader>& headers,
+            std::vector<ExecutionResult>& results, std::size_t batch,
+            std::size_t loops = 1) {
+  runtime::BatchTicket ticket;
+  for (std::size_t pass = 0; pass < loops; ++pass) {
+    for (std::size_t base = 0; base < headers.size(); base += batch) {
+      const std::size_t n = std::min(batch, headers.size() - base);
+      (void)rt.submit(0, {headers.data() + base, n},
+                      {results.data() + base, n}, &ticket);
+    }
+    ticket.wait();
   }
+  ASSERT_FALSE(ticket.failed());
 }
 
 TEST(WireParseBatch, BitwiseIdenticalToScalarWithBadLanesFlagged) {
@@ -191,11 +165,11 @@ TEST(TraceExport, CaptureParsesBackToCanonicalHeaders) {
           << app.tag << " lane " << i;
     }
 
-    // TraceReplayer ingests the same lanes (none malformed).
+    // parse_capture ingests the same lanes (none malformed).
     reader.rewind();
-    trace::TraceReplayer replayer(reader, app.in_port);
-    EXPECT_EQ(replayer.malformed_frames(), 0U);
-    EXPECT_EQ(replayer.headers(), canonical);
+    const auto capture = trace::parse_capture(reader, app.in_port);
+    EXPECT_EQ(capture.malformed, 0U);
+    EXPECT_EQ(capture.headers, canonical);
   }
 }
 
@@ -237,12 +211,12 @@ TEST(TraceExport, SnapLengthCappedCapturesReplayGracefully) {
   EXPECT_FALSE(snapped.has(FieldId::kSrcPort));
   EXPECT_FALSE(snapped.has(FieldId::kDstPort));
 
-  // The replayer ingests the snapped capture with zero malformed frames.
+  // parse_capture ingests the snapped capture with zero malformed frames.
   reader.rewind();
-  trace::TraceReplayer replayer(reader, 7);
-  EXPECT_EQ(replayer.malformed_frames(), 0U);
-  ASSERT_EQ(replayer.headers().size(), 1U);
-  EXPECT_EQ(replayer.headers()[0], snapped);
+  const auto capture = trace::parse_capture(reader, 7);
+  EXPECT_EQ(capture.malformed, 0U);
+  ASSERT_EQ(capture.headers.size(), 1U);
+  EXPECT_EQ(capture.headers[0], snapped);
 
   // A length claiming bytes beyond even the wire stays malformed.
   std::vector<std::uint8_t> overrun(frame);
@@ -253,9 +227,10 @@ TEST(TraceExport, SnapLengthCappedCapturesReplayGracefully) {
       parse_packet_header(overrun, 7, rejected, /*wire_len=*/overrun.size()));
 }
 
-TEST(TraceReplay, MatchesDirectSubmissionBitwise) {
-  // The acceptance property: pcap-ingested classification equals direct
-  // header submission, across two apps and cache off/on.
+TEST(TraceReplay, CaptureThroughRuntimeMatchesSequentialOracle) {
+  // The acceptance property: a capture parsed by parse_capture and replayed
+  // through the runtime classifies exactly as the sequential pipeline does,
+  // across two apps and cache off/on.
   for (const auto& [filter_app, name] :
        {std::pair{FilterApp::kRouting, "yoza"},
         std::pair{FilterApp::kMacLearning, "gozb"}}) {
@@ -263,25 +238,16 @@ TEST(TraceReplay, MatchesDirectSubmissionBitwise) {
     const auto stream = make_stream(app, 256, 2048, 11);
     const auto writer = workload::export_trace(stream);
     trace::PcapReader reader{std::span<const std::uint8_t>(writer.buffer())};
-    trace::TraceReplayer replayer(reader, app.in_port);
-    ASSERT_EQ(replayer.headers().size(), stream.size());
+    const auto capture = trace::parse_capture(reader, app.in_port);
+    ASSERT_EQ(capture.headers.size(), stream.size());
 
     for (const std::size_t cache : {std::size_t{0}, std::size_t{512}}) {
-      ParallelRuntime replay_rt(app.tables.clone(),
-                                {.workers = 1, .flow_cache_capacity = cache});
+      ParallelRuntime rt(app.tables.clone(),
+                         {.workers = 1, .flow_cache_capacity = cache});
       std::vector<ExecutionResult> replayed(stream.size());
-      const auto stats = replayer.run(replay_rt, replayed,
-                                      {.batch = 128, .in_flight = 4});
-      EXPECT_EQ(stats.packets, stream.size());
-      EXPECT_EQ(stats.malformed_frames, 0U);
-
-      ParallelRuntime direct_rt(app.tables.clone(),
-                                {.workers = 1, .flow_cache_capacity = cache});
-      std::vector<ExecutionResult> expected(stream.size());
-      classify_all(direct_rt, replayer.headers(), expected);
-
+      replay(rt, capture.headers, replayed, 128);
       for (std::size_t i = 0; i < stream.size(); ++i) {
-        ASSERT_EQ(replayed[i], expected[i])
+        ASSERT_EQ(replayed[i], app.tables.execute(capture.headers[i]))
             << app.tag << " cache=" << cache << " packet " << i;
       }
     }
@@ -292,29 +258,25 @@ TEST(TraceReplay, TracedRunIsBitwiseIdenticalToUntraced) {
   // Observability must be free of observer effects: the same replay with
   // the trace rings live classifies every packet bitwise-identically, and
   // (when the instrumentation is compiled in) yields a non-empty event
-  // stream whose decoded timestamps are monotone per thread.
+  // stream whose decoded timestamps are monotone per thread. Two workers,
+  // all 16 batches of a pass in flight at once, two passes over the same
+  // result lanes.
   const auto app = make_app(FilterApp::kMacLearning, "gozb");
   const auto stream = make_stream(app, 256, 2048, 23);
   const auto writer = workload::export_trace(stream);
   trace::PcapReader reader{std::span<const std::uint8_t>(writer.buffer())};
-  trace::TraceReplayer replayer(reader, app.in_port);
-  const trace::ReplayConfig config{.batch = 128, .in_flight = 4, .loops = 2};
+  const auto capture = trace::parse_capture(reader, app.in_port);
 
+  const auto run = [&](std::vector<ExecutionResult>& results) {
+    ParallelRuntime rt(app.tables.clone(),
+                       {.workers = 2, .flow_cache_capacity = 512});
+    replay(rt, capture.headers, results, 128, /*loops=*/2);
+  };
+  std::vector<ExecutionResult> untraced(stream.size()), traced(stream.size());
   obs::stop_tracing();
-  std::vector<ExecutionResult> untraced(stream.size());
-  {
-    ParallelRuntime rt(app.tables.clone(),
-                       {.workers = 2, .flow_cache_capacity = 512});
-    (void)replayer.run(rt, untraced, config);
-  }
-
+  run(untraced);
   obs::start_tracing();
-  std::vector<ExecutionResult> traced(stream.size());
-  {
-    ParallelRuntime rt(app.tables.clone(),
-                       {.workers = 2, .flow_cache_capacity = 512});
-    (void)replayer.run(rt, traced, config);
-  }
+  run(traced);
   obs::stop_tracing();
   const auto dump = obs::collect_tracing();
 
@@ -340,29 +302,7 @@ TEST(TraceReplay, TracedRunIsBitwiseIdenticalToUntraced) {
   EXPECT_GE(batch_begins, 2 * ((stream.size() + 127) / 128));
 }
 
-TEST(TraceReplay, LoopsRewriteResultsInPlaceAndCountStats) {
-  const auto app = make_app(FilterApp::kMacLearning, "gozb");
-  const auto stream = make_stream(app, 64, 500, 13);
-  const auto writer = workload::export_trace(stream);
-  trace::PcapReader reader{std::span<const std::uint8_t>(writer.buffer())};
-  trace::TraceReplayer replayer(reader, app.in_port);
-
-  ParallelRuntime rt(app.tables.clone(), {.workers = 1});
-  std::vector<ExecutionResult> once(stream.size());
-  (void)replayer.run(rt, once, {.batch = 64, .in_flight = 2});
-
-  std::vector<ExecutionResult> looped(stream.size());
-  const auto stats = replayer.run(rt, looped, {.batch = 64, .in_flight = 2,
-                                               .loops = 3});
-  EXPECT_EQ(stats.packets, 3 * stream.size());
-  EXPECT_EQ(stats.batches, 3 * ((stream.size() + 63) / 64));
-  EXPECT_EQ(stats.frames, stream.size());
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_EQ(looped[i], once[i]) << "packet " << i;
-  }
-}
-
-TEST(TraceReplay, MalformedFramesAreDroppedNotSubmitted) {
+TEST(ParseCapture, MalformedFramesAreCountedAndDropped) {
   const auto app = make_app(FilterApp::kMacLearning, "gozb");
   const auto stream = make_stream(app, 64, 200, 17);
   auto writer = workload::export_trace(stream);
@@ -370,33 +310,11 @@ TEST(TraceReplay, MalformedFramesAreDroppedNotSubmitted) {
   const std::vector<std::uint8_t> runt = {1, 2, 3, 4};
   writer.append(99, runt);
   trace::PcapReader reader{std::span<const std::uint8_t>(writer.buffer())};
-  trace::TraceReplayer replayer(reader, app.in_port);
-  EXPECT_EQ(replayer.frames(), stream.size() + 1);
-  EXPECT_EQ(replayer.malformed_frames(), 1U);
-  EXPECT_EQ(replayer.headers().size(), stream.size());
-
-  ParallelRuntime rt(app.tables.clone(), {.workers = 1});
-  std::vector<ExecutionResult> results(replayer.headers().size());
-  const auto stats = replayer.run(rt, results, {.batch = 64});
-  EXPECT_EQ(stats.packets, stream.size());
-  EXPECT_EQ(stats.malformed_frames, 1U);
-}
-
-TEST(TraceReplay, OpenLoopPacingHoldsTheTargetRate) {
-  const auto app = make_app(FilterApp::kMacLearning, "gozb");
-  const auto stream = make_stream(app, 64, 2048, 19);
-  const auto writer = workload::export_trace(stream);
-  trace::PcapReader reader{std::span<const std::uint8_t>(writer.buffer())};
-  trace::TraceReplayer replayer(reader, app.in_port);
-
-  ParallelRuntime rt(app.tables.clone(),
-                     {.workers = 1, .flow_cache_capacity = 4096});
-  std::vector<ExecutionResult> results(stream.size());
-  // 1 Mpps over 2048 packets ≈ 2.0 ms; an unpaced cache-warm replay runs
-  // far faster, so the elapsed time observing the schedule is the pacer.
-  const auto stats =
-      replayer.run(rt, results, {.batch = 128, .pace_pps = 1e6});
-  EXPECT_GE(stats.elapsed_ns, 1.5e6);
+  const auto capture = trace::parse_capture(reader, app.in_port);
+  EXPECT_EQ(capture.frames, stream.size() + 1);
+  EXPECT_EQ(capture.malformed, 1U);
+  EXPECT_EQ(capture.headers,
+            workload::replayed_headers(stream, app.in_port));
 }
 
 }  // namespace

@@ -7,14 +7,14 @@
 //     classic pcap capture.
 //
 //   trace_replay run trace.pcap --app mac_gozb [--in-port auto|N]
-//       [--workers 1] [--cache 0] [--loops 1] [--batch 256]
-//       [--in-flight 4] [--pace PPS] [--verify]
+//       [--workers 1] [--cache 0] [--loops 1] [--batch 256] [--verify]
 //       [--trace FILE.json] [--trace-raw FILE.oftrace]
-//     Build the app's tables, ingest the capture through the batched wire
-//     parser, replay it into the parallel runtime, and report ns/packet,
-//     throughput, verdict mix, and the flow-cache hit rate. --verify
-//     re-classifies every parsed header through the sequential pipeline
-//     oracle and demands bitwise-identical results (exit 1 on mismatch).
+//     Build the app's tables, parse the capture (trace::parse_capture),
+//     submit it --loops times in --batch slices to the parallel runtime on
+//     one ticket per pass, and report ns/packet, throughput, verdict mix,
+//     and the flow-cache hit rate. --verify re-classifies every parsed
+//     header through the sequential pipeline oracle and demands
+//     bitwise-identical results (exit 1 on mismatch).
 //     --trace records the run through the per-worker trace rings and writes
 //     chrome://tracing / Perfetto JSON (open in ui.perfetto.dev);
 //     --trace-raw writes the compact OFTRACE1 binary for tools/trace_export
@@ -24,6 +24,8 @@
 // routing_yoza or mac_gozb. --in-port auto (the default) picks the first
 // ingress port the filter set matches on, so routing traces walk the full
 // two-table pipeline instead of missing at table 0.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -39,7 +41,7 @@
 #include "obs/tracer.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/pcap.hpp"
-#include "trace/replay.hpp"
+#include "trace/wire_parse.hpp"
 #include "workload/stanford_synth.hpp"
 #include "workload/trace_export.hpp"
 #include "workload/trace_gen.hpp"
@@ -57,8 +59,7 @@ using namespace ofmtl;
       "      [--flows N] [--packets N] [--zipf S] [--seed N] [--nsec]"
       " [--swapped]\n"
       "  trace_replay run FILE.pcap --app <app>_<router> [--in-port auto|N]\n"
-      "      [--workers N] [--cache SLOTS] [--loops N] [--batch N]\n"
-      "      [--in-flight N] [--pace PPS] [--verify]\n"
+      "      [--workers N] [--cache SLOTS] [--loops N] [--batch N] [--verify]\n"
       "      [--trace FILE.json] [--trace-raw FILE.oftrace]\n"
       "apps: routing_<router> | mac_<router>  (router: bbra ... yozb)\n";
   std::exit(2);
@@ -154,7 +155,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::string pcap_path, app_tag, in_port_text = "auto";
   std::string trace_json_path, trace_raw_path;
   runtime::RuntimeConfig rt_config;
-  trace::ReplayConfig replay_config;
+  std::size_t loops = 1, batch = 256;
   bool verify = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const auto& arg = args[i];
@@ -167,11 +168,8 @@ int cmd_run(const std::vector<std::string>& args) {
     else if (arg == "--workers") rt_config.workers = parse_u64(value(), "--workers");
     else if (arg == "--cache")
       rt_config.flow_cache_capacity = parse_u64(value(), "--cache");
-    else if (arg == "--loops") replay_config.loops = parse_u64(value(), "--loops");
-    else if (arg == "--batch") replay_config.batch = parse_u64(value(), "--batch");
-    else if (arg == "--in-flight")
-      replay_config.in_flight = parse_u64(value(), "--in-flight");
-    else if (arg == "--pace") replay_config.pace_pps = parse_double(value(), "--pace");
+    else if (arg == "--loops") loops = parse_u64(value(), "--loops");
+    else if (arg == "--batch") batch = parse_u64(value(), "--batch");
     else if (arg == "--verify") verify = true;
     else if (arg == "--trace") trace_json_path = value();
     else if (arg == "--trace-raw") trace_raw_path = value();
@@ -179,24 +177,24 @@ int cmd_run(const std::vector<std::string>& args) {
     else usage("unknown run flag '" + arg + "'");
   }
   if (pcap_path.empty() || app_tag.empty()) usage("run needs FILE.pcap and --app");
+  if (loops == 0 || batch == 0) usage("--loops/--batch must be nonzero");
 
   App app = make_app(app_tag);
-  std::uint32_t in_port = 0;
-  if (in_port_text == "auto") {
-    in_port = workload::capture_in_port(app.set);
-  } else {
-    in_port = static_cast<std::uint32_t>(parse_u64(in_port_text, "--in-port"));
-  }
+  const auto in_port =
+      in_port_text == "auto"
+          ? workload::capture_in_port(app.set)
+          : static_cast<std::uint32_t>(parse_u64(in_port_text, "--in-port"));
 
   auto reader = trace::PcapReader::open(pcap_path);
-  trace::TraceReplayer replayer(reader, in_port);
-  std::cout << pcap_path << ": " << replayer.frames() << " frames ("
+  const auto capture = trace::parse_capture(reader, in_port);
+  const auto& headers = capture.headers;
+  std::cout << pcap_path << ": " << capture.frames << " frames ("
             << (reader.nanosecond() ? "nsec" : "usec")
             << (reader.byte_swapped() ? ", byte-swapped" : "") << "), "
-            << replayer.malformed_frames() << " malformed"
+            << capture.malformed << " malformed"
             << (reader.truncated() ? ", truncated tail skipped" : "")
             << "; in_port " << in_port << "\n";
-  if (replayer.headers().empty()) {
+  if (headers.empty()) {
     std::cerr << "error: no replayable packets\n";
     return 1;
   }
@@ -205,21 +203,35 @@ int cmd_run(const std::vector<std::string>& args) {
   // tables (a full table clone — skip it when nothing will execute it).
   std::optional<MultiTableLookup> oracle;
   if (verify) oracle = app.tables.clone();
-  rt_config.queue_capacity = 2 * replay_config.in_flight;
   const bool tracing = !trace_json_path.empty() || !trace_raw_path.empty();
   if (tracing) {
     if (!obs::kInstrumentationCompiled) {
       std::cerr << "warning: built with -DOFMTL_TRACE=OFF -- the trace "
                    "will be empty\n";
     }
-    obs::set_thread_name("replay_driver");
     obs::start_tracing();
   }
   runtime::ParallelRuntime rt(std::move(app.tables), rt_config);
-  std::vector<ExecutionResult> results(replayer.headers().size());
-  const auto stats = replayer.run(rt, results, replay_config);
+  std::vector<ExecutionResult> results(headers.size());
+  runtime::BatchTicket ticket;
+  std::uint64_t spins = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t pass = 0; pass < loops; ++pass) {
+    for (std::size_t base = 0; base < headers.size(); base += batch) {
+      const std::size_t n = std::min(batch, headers.size() - base);
+      spins += rt.submit(0, {headers.data() + base, n},
+                         {results.data() + base, n}, &ticket);
+    }
+    ticket.wait();  // the next pass rewrites the same result lanes
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
   const auto worker_stats = rt.aggregate_stats();
   rt.stop();
+  if (ticket.failed()) {
+    std::cerr << "error: a batch lookup threw in a worker\n";
+    return 1;
+  }
   if (tracing) {
     obs::stop_tracing();
     const auto dump = obs::collect_tracing();
@@ -234,13 +246,9 @@ int cmd_run(const std::vector<std::string>& args) {
     }
     if (!trace_json_path.empty()) {
       std::ofstream out(trace_json_path);
-      if (!out) {
-        std::cerr << "error: cannot open " << trace_json_path << "\n";
-        return 1;
-      }
       obs::write_perfetto_json(out, dump);
-      if (out.flush(); !out) {
-        std::cerr << "error: write failed: " << trace_json_path << "\n";
+      if (!out.flush()) {
+        std::cerr << "error: cannot write " << trace_json_path << "\n";
         return 1;
       }
       std::cout << "trace: wrote " << trace_json_path
@@ -250,30 +258,22 @@ int cmd_run(const std::vector<std::string>& args) {
               << " records, " << dropped << " overwritten\n";
   }
 
-  std::uint64_t forwarded = 0, dropped = 0, to_controller = 0;
-  for (const auto& result : results) {
-    switch (result.verdict) {
-      case Verdict::kForwarded: ++forwarded; break;
-      case Verdict::kDropped: ++dropped; break;
-      case Verdict::kToController: ++to_controller; break;
-    }
-  }
-  std::cout << "replayed " << stats.packets << " packets ("
-            << replay_config.loops << " loop(s), " << stats.batches
-            << " batches) in " << stats.elapsed_ns / 1e6 << " ms\n"
-            << "  " << stats.ns_per_packet() << " ns/packet, "
-            << stats.packets_per_sec() / 1e6 << " Mpps ("
-            << rt_config.workers << " worker(s), backpressure spins "
-            << stats.backpressure_spins << ", pace misses "
-            << stats.pace_misses << ")\n"
-            << "  verdicts per pass: " << forwarded << " forwarded, "
-            << dropped << " dropped, " << to_controller << " to-controller\n";
+  std::uint64_t verdicts[3] = {};  // indexed by Verdict
+  for (const auto& r : results) ++verdicts[static_cast<int>(r.verdict)];
+  const std::size_t packets = loops * headers.size();
+  std::cout << "replayed " << packets << " packets (" << loops << " loop(s), "
+            << loops * ((headers.size() + batch - 1) / batch) << " batches) in "
+            << elapsed.count() / 1e6 << " ms\n"
+            << "  " << elapsed.count() / packets << " ns/packet, "
+            << packets * 1e3 / elapsed.count() << " Mpps (" << rt_config.workers
+            << " worker(s), backpressure spins " << spins << ")\n"
+            << "  verdicts per pass: " << verdicts[0] << " forwarded, "
+            << verdicts[1] << " dropped, " << verdicts[2] << " to-controller\n";
   if (rt_config.flow_cache_capacity > 0) {
     const auto probes = worker_stats.cache_hits + worker_stats.cache_misses;
     std::cout << "  flow cache: "
-              << (probes > 0 ? 100.0 * static_cast<double>(worker_stats.cache_hits) /
-                                   static_cast<double>(probes)
-                             : 0.0)
+              << 100.0 * static_cast<double>(worker_stats.cache_hits) /
+                     static_cast<double>(std::max<std::uint64_t>(probes, 1))
               << "% hit rate (" << worker_stats.cache_hits << " hits, "
               << worker_stats.cache_misses << " misses, "
               << worker_stats.cache_evictions << " evictions, "
@@ -284,10 +284,9 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   if (verify) {
-    const auto& headers = replayer.headers();
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < headers.size(); ++i) {
-      if (results[i] != oracle->execute(headers[i])) ++mismatches;
+      mismatches += results[i] != oracle->execute(headers[i]);
     }
     if (mismatches != 0) {
       std::cerr << "VERIFY FAIL: " << mismatches << " of " << headers.size()
