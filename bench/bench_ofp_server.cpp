@@ -202,8 +202,7 @@ int main() {
     std::cerr << "bench_ofp_server: a measurement failed\n";
     return 1;
   }
-  if (obs::kInstrumentationCompiled &&
-      (decode_hist.total() == 0 || apply_hist.total() == 0)) {
+  if (decode_hist.total() == 0 || apply_hist.total() == 0) {
     std::cerr << "bench_ofp_server: trace slices missing\n";
     return 1;
   }

@@ -22,8 +22,7 @@
 // the flows in play, so the pair bounds what its probe and refill cost when
 // it helps least; CI gates cache-on no slower than cache-off within the run.
 //
-// Two observability metrics ride on the same harness when the trace
-// instrumentation is compiled in (OFMTL_TRACE, the default):
+// Two observability metrics ride on the same harness:
 //   - trace/overhead_percent: throughput cost of live tracing — minimum
 //     over four order-alternating (tracing-off, tracing-on) pairs of the
 //     mac_bbra 1-worker scenario, clamped at 0. CI ceilings this at 5%.
@@ -316,10 +315,6 @@ double run_publish_latency(std::size_t n) {
 /// OFTRACE1 dump reloads through the hardened loader with records in it,
 /// and the JSON report exists.
 int run_flight_recorder_demo() {
-  if (!obs::kInstrumentationCompiled) {
-    std::cout << "flight-recorder demo skipped: built without OFMTL_TRACE\n";
-    return 0;
-  }
   bench::print_heading("flight recorder forced-breach demo");
   const App app = make_app(workload::FilterApp::kMacLearning, "bbra");
 
@@ -447,13 +442,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Tracing overhead + tail quantiles (instrumented builds only). Four
-  // order-alternating off/on pairs, minimum overhead: the minimum is a
+  // Tracing overhead + tail quantiles. Four order-alternating off/on
+  // pairs, minimum overhead: the minimum is a
   // lower bound on the SYSTEMATIC cost (a real regression shows up in every
   // pair), while a median would still ingest one-sided scheduling noise —
   // on a shared 1-core runner individual pairs swing by several percent
   // when the true per-batch emit cost is ~100 ns against a ~60 us batch.
-  if (obs::kInstrumentationCompiled) {
+  {
     const App& app = apps.front();  // mac_bbra
     obs::LogHistogram tail;
     double overhead = 100.0;

@@ -131,9 +131,10 @@ int main(int argc, char** argv) {
     if (now % 25 == 0) {
       const auto evicted = sw.sweep_timeouts(now);
       expired_total += evicted.size();
-      for (const auto id : evicted) {
-        std::erase_if(station_macs,
-                      [id](const auto& pair) { return pair.second == id; });
+      for (const FlowRef& flow : evicted) {
+        std::erase_if(station_macs, [&flow](const auto& pair) {
+          return pair.second == flow.id;
+        });
       }
     }
   }

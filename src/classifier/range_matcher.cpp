@@ -134,13 +134,6 @@ const std::vector<std::uint32_t>& RangeMatcher::lookup(std::uint64_t key) const 
   return intervals_[rank_index(key)].labels;
 }
 
-std::optional<std::uint32_t> RangeMatcher::lookup_narrowest(
-    std::uint64_t key) const {
-  const auto& labels = lookup(key);
-  if (labels.empty()) return std::nullopt;
-  return labels.front();
-}
-
 std::uint64_t RangeMatcher::storage_bits(unsigned label_bits) const {
   // One boundary (width bits) per elementary interval.
   std::uint64_t bits = intervals_.size() * static_cast<std::uint64_t>(width_);

@@ -44,13 +44,11 @@ class RangeMatcher {
   /// Label of a live range, if registered.
   [[nodiscard]] std::optional<std::uint32_t> find(const ValueRange& range) const;
 
-  /// Labels of all ranges containing `key`, narrowest first (a reference
-  /// into the interval index, valid until the next add/remove). Throws
-  /// std::invalid_argument for a key wider than the field.
+  /// Labels of all ranges containing `key`, narrowest first, so the front is
+  /// RM's answer (a reference into the interval index, valid until the next
+  /// add/remove). Throws std::invalid_argument for a key wider than the
+  /// field.
   [[nodiscard]] const std::vector<std::uint32_t>& lookup(std::uint64_t key) const;
-
-  /// Narrowest matching range label (RM semantics).
-  [[nodiscard]] std::optional<std::uint32_t> lookup_narrowest(std::uint64_t key) const;
 
   /// Live (reference-held) unique ranges.
   [[nodiscard]] std::size_t unique_ranges() const;

@@ -65,12 +65,11 @@ std::uint32_t LookupTable::insert_entry(FlowEntry entry) {
     free_slots_.pop_back();
   }
   index_->add_rule(signature, slot);
-  actions_.set(slot, entry.instructions);
+  action_bits_ = std::max(action_bits_, entry.instructions.bits());
   for (const auto& action : entry.instructions.apply_actions) {
     if (std::holds_alternative<SetFieldAction>(action)) rewrites_header_ = true;
   }
   id_to_slot_.emplace(entry.id, slot);
-  slots_[slot].signature = std::move(signature);
   slots_[slot].seq = next_seq_++;
   slots_[slot].entry = std::move(entry);
   ++live_entries_;
@@ -82,14 +81,17 @@ bool LookupTable::remove_entry(FlowEntryId id) {
   if (it == id_to_slot_.end()) return false;
   const std::uint32_t slot = it->second;
   Slot& s = slots_[slot];
+  // The labels each field hands back are the ones insert_entry concatenated,
+  // in the same field/partition order: the rule's index signature.
+  std::vector<Label> signature;
+  signature.reserve(index_->algorithm_count());
   for (std::size_t f = 0; f < fields_.size(); ++f) {
-    (void)searches_[f].remove_rule(s.entry->match.get(fields_[f]));
+    const auto labels = searches_[f].remove_rule(s.entry->match.get(fields_[f]));
+    signature.insert(signature.end(), labels.begin(), labels.end());
   }
-  index_->remove_rule(s.signature, slot);
-  actions_.clear(slot);
+  index_->remove_rule(signature, slot);
   id_to_slot_.erase(it);
   s.entry.reset();
-  s.signature.clear();
   free_slots_.push_back(slot);
   --live_entries_;
   return true;
@@ -174,7 +176,7 @@ mem::MemoryReport LookupTable::memory_report(const std::string& prefix) const {
                  "");
   }
   report.merge(index_->memory_report(prefix + ".index"), "");
-  report.merge(actions_.memory_report(prefix + ".actions"), "");
+  report.add(prefix + ".actions", slots_.size(), action_bits_);
   return report;
 }
 
@@ -182,7 +184,7 @@ std::uint64_t LookupTable::update_words() const {
   std::uint64_t words = 0;
   for (const auto& search : searches_) words += search.update_words();
   words += index_->update_words();
-  words += actions_.update_words();
+  words += action_words();
   return words;
 }
 

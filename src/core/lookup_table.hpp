@@ -1,6 +1,8 @@
 // One OpenFlow lookup table of the proposed architecture: the parallel
 // per-field searches, the index calculation, and the action table, built
 // from the table's flow entries (Fig. 1 end-to-end for a single table).
+// Each rule is stored once, in its slot; the action table is the slot
+// array as the memory model costs it (one fixed-width word per slot).
 //
 // Entries can be added and removed incrementally: unique field values are
 // reference-counted by the field searches, index pairs by the index
@@ -16,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/action_table.hpp"
 #include "core/field_search.hpp"
 #include "core/index_table.hpp"
 #include "flow/flow_table.hpp"
@@ -82,7 +83,6 @@ class LookupTable {
     return searches_;
   }
   [[nodiscard]] const IndexCalculator& index() const { return *index_; }
-  [[nodiscard]] const ActionTable& actions() const { return actions_; }
   /// Sticky: whether any entry this table (or the table it was cloned from)
   /// ever held rewrites the header with an Apply-Actions Set-Field, so later
   /// tables may match on a key that differs from the packet's.
@@ -92,6 +92,9 @@ class LookupTable {
 
   /// Update words written while building (label method).
   [[nodiscard]] std::uint64_t update_words() const;
+  /// The action table's share of update_words(): one word per slot ever
+  /// used (the slot high-water mark).
+  [[nodiscard]] std::uint64_t action_words() const { return slots_.size(); }
 
  private:
   [[nodiscard]] const FlowEntry* best_match(
@@ -99,7 +102,6 @@ class LookupTable {
 
   struct Slot {
     std::optional<FlowEntry> entry;
-    std::vector<Label> signature;
     std::uint64_t seq = 0;  // insertion order, for stable tie-breaks
   };
 
@@ -111,9 +113,11 @@ class LookupTable {
   std::size_t live_entries_ = 0;
   std::uint64_t next_seq_ = 0;
   bool rewrites_header_ = false;
+  // Action-table word width: the widest InstructionSet::bits() ever
+  // inserted. Sticky like the slot count; a clone recomputes it.
+  unsigned action_bits_ = 0;
   std::vector<FieldSearch> searches_;
   std::optional<IndexCalculator> index_;
-  ActionTable actions_;
 };
 
 }  // namespace ofmtl

@@ -206,23 +206,6 @@ bool MultibitTrie::remove(const Prefix& prefix) {
   return true;
 }
 
-std::optional<Label> MultibitTrie::lookup(std::uint64_t key) const {
-  const Level* found = nullptr;
-  std::int32_t best = -1;
-  std::size_t block = 0;
-  for (const Level& level : levels_) {
-    const Entry& entry = level.entries[key_cell(level, block, key)];
-    if (entry.prefix >= 0) {
-      found = &level;
-      best = entry.prefix;
-    }
-    if (entry.child < 0) break;
-    block = static_cast<std::size_t>(entry.child);
-  }
-  if (found == nullptr) return std::nullopt;
-  return found->nodes[static_cast<std::size_t>(best)].label;
-}
-
 void MultibitTrie::lookup_all(std::uint64_t key, std::vector<Label>& out) const {
   out.clear();
   append_matches(0, 0, key, out);

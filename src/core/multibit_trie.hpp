@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,11 +73,9 @@ class MultibitTrie {
   /// the prefix was present.
   bool remove(const Prefix& prefix);
 
-  /// Longest-prefix match.
-  [[nodiscard]] std::optional<Label> lookup(std::uint64_t key) const;
-
   /// Labels of all stored prefixes matching `key`, longest first (the label
-  /// set the index-calculation stage consumes).
+  /// set the index-calculation stage consumes; its front is the longest
+  /// match).
   void lookup_all(std::uint64_t key, std::vector<Label>& out) const;
 
   [[nodiscard]] unsigned width() const { return width_; }

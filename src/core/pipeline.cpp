@@ -8,11 +8,14 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
                                       std::size_t table,
                                       const FlowEntry& entry) {
   if (table >= tables_.size()) return FlowModStatus::kBadTable;
+  LookupTable& target = tables_[table];
+  const DeltaRecord removal{.removed = entry.id,
+                            .table = static_cast<std::uint8_t>(table)};
   if (command == FlowModCommand::kDelete) {
-    return remove_entry(table, entry.id) ? FlowModStatus::kOk
-                                         : FlowModStatus::kUnknownEntry;
+    if (!target.remove_entry(entry.id)) return FlowModStatus::kUnknownEntry;
+    append(removal);
+    return FlowModStatus::kOk;
   }
-  const LookupTable& target = tables_[table];
   const bool live = target.contains(entry.id);
   if (command == FlowModCommand::kAdd && live) {
     return FlowModStatus::kDuplicateEntry;
@@ -39,17 +42,16 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
       std::ranges::any_of(ins.write_actions, overwide)) {
     return FlowModStatus::kBadAction;
   }
-  if (command == FlowModCommand::kModify) (void)remove_entry(table, entry.id);
-  insert_entry(table, entry);
-  return FlowModStatus::kOk;
-}
 
-void MultiTableLookup::insert_entry(std::size_t table, FlowEntry entry) {
-  LookupTable& target = tables_.at(table);
+  // Every check passed: mutate, logging each step for the flow cache.
+  if (command == FlowModCommand::kModify) {
+    (void)target.remove_entry(entry.id);
+    append(removal);
+  }
   DeltaRecord record;
   record.table = static_cast<std::uint8_t>(table);
   record.inserted = true;
-  // Only the table's own fields: the lookup ignores constraints on others.
+  // Only the table's own fields: accepts() rejected constraints on others.
   for (const FieldId id : target.fields()) {
     if (record.tests == kMaxKeyTests) break;
     const FieldMatch& match = entry.match.get(id);
@@ -81,17 +83,9 @@ void MultiTableLookup::insert_entry(std::size_t table, FlowEntry entry) {
         break;
     }
   }
-  (void)target.insert_entry(std::move(entry));
+  (void)target.insert_entry(entry);
   append(record);
-}
-
-bool MultiTableLookup::remove_entry(std::size_t table, FlowEntryId id) {
-  if (!tables_.at(table).remove_entry(id)) return false;
-  DeltaRecord record;
-  record.table = static_cast<std::uint8_t>(table);
-  record.removed = id;
-  append(record);
-  return true;
+  return FlowModStatus::kOk;
 }
 
 void MultiTableLookup::append(const DeltaRecord& record) {

@@ -69,19 +69,14 @@ class MultiTableLookup : public TableLookupSource {
     return tables_.at(index);
   }
 
-  /// The controller channel of Section V.B: validate one flow-mod, then
-  /// apply it. Every check runs before any mutation, so anything but kOk
-  /// leaves the tables and the delta log as they were. Delete and Modify
-  /// name the entry by id; Modify replaces it whole. Never throws on the
-  /// mod's content.
+  /// The controller channel of Section V.B, and the only way a live
+  /// pipeline's entries change: validate one flow-mod, then apply it. Every
+  /// check runs before any mutation, so anything but kOk leaves the tables
+  /// and the delta log as they were; a kOk mod logs its remove and/or insert
+  /// under the current log epoch. Delete and Modify name the entry by id;
+  /// Modify replaces it whole. Never throws on the mod's content.
   [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
                                     const FlowEntry& entry);
-
-  /// Programmatic add/remove of one entry of one table on the live pipeline,
-  /// unvalidated: insert_entry throws on a duplicate id or a match a field
-  /// search cannot hold. Both log the mutation under the current log epoch.
-  void insert_entry(std::size_t table, FlowEntry entry);
-  bool remove_entry(std::size_t table, FlowEntryId id);
   [[nodiscard]] bool contains_entry(std::size_t table, FlowEntryId id) const {
     return tables_.at(table).contains(id);
   }

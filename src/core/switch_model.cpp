@@ -18,11 +18,11 @@ FlowModStatus SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
   const auto status = pipeline_.apply(mod.command, mod.table, mod.entry);
   if (status != FlowModStatus::kOk) return status;
   FlowTable& reference = reference_.table(mod.table);
+  const FlowRef flow{mod.table, mod.entry.id};
   switch (mod.command) {
     case FlowModCommand::kAdd:
       reference.insert(mod.entry);
-      stats_.install(mod.entry.id, mod.timeouts, now);
-      table_of_[mod.entry.id] = mod.table;
+      stats_.install(flow, mod.timeouts, now);
       break;
     case FlowModCommand::kModify:
       // Modify = delete + add, preserving counters (OpenFlow keeps counters
@@ -32,8 +32,7 @@ FlowModStatus SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
       break;
     case FlowModCommand::kDelete:
       reference.remove(mod.entry.id);
-      stats_.erase(mod.entry.id);
-      table_of_.erase(mod.entry.id);
+      stats_.erase(flow);
       break;
   }
   return status;
@@ -46,15 +45,14 @@ ExecutionResult SwitchModel::process(const PacketHeader& header,
   return result;
 }
 
-std::vector<FlowEntryId> SwitchModel::sweep_timeouts(std::uint64_t now) {
+std::vector<FlowRef> SwitchModel::sweep_timeouts(std::uint64_t now) {
   const auto victims = stats_.expired(now);
-  for (const auto id : victims) {
-    const auto it = table_of_.find(id);
-    if (it == table_of_.end()) continue;
-    (void)pipeline_.remove_entry(it->second, id);
-    (void)reference_.table(it->second).remove(id);
-    stats_.erase(id);
-    table_of_.erase(it);
+  for (const FlowRef& flow : victims) {
+    FlowMod del;
+    del.command = FlowModCommand::kDelete;
+    del.table = flow.table;
+    del.entry.id = flow.id;
+    (void)apply(del, now);
   }
   return victims;
 }

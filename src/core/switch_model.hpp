@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -50,13 +49,13 @@ class SwitchModel {
     return reference_.execute(header);
   }
 
-  /// Remove all expired entries; returns the evicted ids.
-  std::vector<FlowEntryId> sweep_timeouts(std::uint64_t now);
+  /// Remove all expired entries, each through a Delete apply(); returns
+  /// them.
+  std::vector<FlowRef> sweep_timeouts(std::uint64_t now);
 
   /// Group-table configuration (shared by both pipelines).
   void add_group(Group group) { groups_.add(std::move(group)); }
   void modify_group(Group group) { groups_.modify(std::move(group)); }
-  bool remove_group(GroupId id) { return groups_.remove(id); }
   [[nodiscard]] const GroupTable& groups() const { return groups_; }
 
   [[nodiscard]] const MultiTableLookup& pipeline() const { return pipeline_; }
@@ -69,7 +68,6 @@ class SwitchModel {
   MultiTableLookup pipeline_;
   GroupTable groups_;
   FlowStatsTracker stats_;
-  std::unordered_map<FlowEntryId, std::uint8_t> table_of_;
 };
 
 }  // namespace ofmtl

@@ -110,7 +110,7 @@ UpdateScript optimized_script(const LookupTable& table, UpdateScope scope) {
   }
   if (scope == UpdateScope::kAll) {
     emit("t.index", table.index().update_words());
-    emit("t.actions", table.actions().update_words());
+    emit("t.actions", table.action_words());
   }
   return script;
 }

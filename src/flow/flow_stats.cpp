@@ -2,35 +2,37 @@
 
 namespace ofmtl {
 
-void FlowStatsTracker::install(FlowEntryId id, TimeoutConfig timeouts,
+void FlowStatsTracker::install(FlowRef flow, TimeoutConfig timeouts,
                                std::uint64_t now) {
   FlowStats stats;
   stats.installed_at = now;
   stats.last_used = now;
-  stats_[id] = stats;
-  timeouts_[id] = timeouts;
+  flows_[flow] = {stats, timeouts};
 }
 
 void FlowStatsTracker::record(const ExecutionResult& result,
                               std::uint64_t bytes, std::uint64_t now) {
-  for (const auto id : result.matched_entries) {
-    const auto it = stats_.find(id);
-    if (it == stats_.end()) continue;  // untracked (e.g. static) entry
-    it->second.packets += 1;
-    it->second.bytes += bytes;
-    it->second.last_used = now;
+  const auto& matched = result.matched_entries;
+  for (std::size_t k = 0; k < matched.size(); ++k) {
+    const auto it = flows_.find({result.visited_tables[k], matched[k]});
+    if (it == flows_.end()) continue;  // untracked (e.g. static) entry
+    FlowStats& stats = it->second.stats;
+    stats.packets += 1;
+    stats.bytes += bytes;
+    stats.last_used = now;
   }
 }
 
-std::vector<FlowEntryId> FlowStatsTracker::expired(std::uint64_t now) const {
-  std::vector<FlowEntryId> result;
-  for (const auto& [id, stats] : stats_) {
-    const auto config = timeouts_.at(id);
+std::vector<FlowRef> FlowStatsTracker::expired(std::uint64_t now) const {
+  std::vector<FlowRef> result;
+  for (const auto& [flow, tracked] : flows_) {
+    const FlowStats& stats = tracked.stats;
+    const TimeoutConfig& config = tracked.timeouts;
     const bool hard =
         config.hard_timeout != 0 && now >= stats.installed_at + config.hard_timeout;
     const bool idle =
         config.idle_timeout != 0 && now >= stats.last_used + config.idle_timeout;
-    if (hard || idle) result.push_back(id);
+    if (hard || idle) result.push_back(flow);
   }
   return result;
 }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,36 +25,51 @@ struct TimeoutConfig {
   friend bool operator==(const TimeoutConfig&, const TimeoutConfig&) = default;
 };
 
+/// One flow entry of a pipeline. Entry ids are unique only within a table,
+/// so per-flow state is keyed by both.
+struct FlowRef {
+  std::uint8_t table = 0;
+  FlowEntryId id = 0;
+  friend bool operator==(const FlowRef&, const FlowRef&) = default;
+};
+
+struct FlowRefHash {
+  [[nodiscard]] std::size_t operator()(const FlowRef& flow) const noexcept {
+    return std::hash<std::uint64_t>{}(std::uint64_t{flow.table} << 32 | flow.id);
+  }
+};
+
 class FlowStatsTracker {
  public:
   /// Register an installed entry at virtual time `now`.
-  void install(FlowEntryId id, TimeoutConfig timeouts, std::uint64_t now);
+  void install(FlowRef flow, TimeoutConfig timeouts, std::uint64_t now);
 
   /// Forget an entry (after eviction/deletion).
-  void erase(FlowEntryId id) {
-    stats_.erase(id);
-    timeouts_.erase(id);
-  }
+  void erase(FlowRef flow) { flows_.erase(flow); }
 
   /// Account one processed packet: every matched entry on the execution
-  /// path counts the packet and refreshes its idle timer.
+  /// path (matched_entries[k] in table visited_tables[k]) counts the packet
+  /// and refreshes its idle timer.
   void record(const ExecutionResult& result, std::uint64_t bytes,
               std::uint64_t now);
 
-  [[nodiscard]] const FlowStats* find(FlowEntryId id) const {
-    const auto it = stats_.find(id);
-    return it == stats_.end() ? nullptr : &it->second;
+  [[nodiscard]] const FlowStats* find(FlowRef flow) const {
+    const auto it = flows_.find(flow);
+    return it == flows_.end() ? nullptr : &it->second.stats;
   }
 
   /// Entries whose idle or hard timeout has fired by `now` (the controller
   /// removes them from the tables and calls erase()).
-  [[nodiscard]] std::vector<FlowEntryId> expired(std::uint64_t now) const;
+  [[nodiscard]] std::vector<FlowRef> expired(std::uint64_t now) const;
 
-  [[nodiscard]] std::size_t tracked() const { return stats_.size(); }
+  [[nodiscard]] std::size_t tracked() const { return flows_.size(); }
 
  private:
-  std::unordered_map<FlowEntryId, FlowStats> stats_;
-  std::unordered_map<FlowEntryId, TimeoutConfig> timeouts_;
+  struct Tracked {
+    FlowStats stats;
+    TimeoutConfig timeouts;
+  };
+  std::unordered_map<FlowRef, Tracked, FlowRefHash> flows_;
 };
 
 }  // namespace ofmtl

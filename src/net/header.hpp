@@ -6,7 +6,8 @@
 // `set` on a field of at most 64 bits stores the value's low word only. A
 // wider value for such a field is out of its range; the control plane
 // rejects it at install (`MultiTableLookup::apply`, kBadAction for a
-// Set-Field), so only an unvalidated `insert_entry` can present one.
+// Set-Field), so only a `LookupTable` built or edited directly, outside
+// `apply`, can present one.
 #pragma once
 
 #include <array>

@@ -113,11 +113,6 @@ struct ValueRange {
     return lo <= key && key <= hi;
   }
   [[nodiscard]] constexpr std::uint64_t span() const { return hi - lo; }
-  /// Narrower ranges win RM ties (Section III.A: "the narrowest range is
-  /// selected").
-  [[nodiscard]] constexpr bool narrower_than(const ValueRange& other) const {
-    return span() < other.span();
-  }
   friend constexpr auto operator<=>(const ValueRange&, const ValueRange&) = default;
 };
 

@@ -26,10 +26,9 @@ struct Registry {
   std::vector<std::shared_ptr<RingEntry>> entries;
   TraceOptions options;
   std::uint64_t next_tid = 0;
-  std::string process_name;  // empty = derive lazily at first collect
 };
 
-/// Kernel-reported executable name — the default process label on dumps.
+/// Kernel-reported executable name — the process label on dumps.
 std::string default_process_name() {
   std::ifstream comm("/proc/self/comm");
   std::string name;
@@ -90,10 +89,6 @@ void start_tracing(const TraceOptions& options) {
 
 void stop_tracing() { g_enabled.store(false, std::memory_order_release); }
 
-bool tracing_enabled() {
-  return g_enabled.load(std::memory_order_acquire);
-}
-
 void set_thread_name(std::string_view name) {
   tls_name.assign(name);
   if (tls_entry != nullptr &&
@@ -104,28 +99,19 @@ void set_thread_name(std::string_view name) {
   }
 }
 
-void set_process_name(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.process_name.assign(name);
-}
-
 TraceDump collect_tracing() {
   // Snapshot the entry list under the lock, drain outside it: drain is
   // lock-free against producers, and holding the registry mutex across it
   // would stall late thread registrations for no reason.
   std::vector<std::shared_ptr<RingEntry>> entries;
-  std::string process_name;
   {
     Registry& reg = registry();
     const std::lock_guard<std::mutex> lock(reg.mutex);
     entries = reg.entries;
-    if (reg.process_name.empty()) reg.process_name = default_process_name();
-    process_name = reg.process_name;
   }
   TraceDump dump;
   dump.pid = static_cast<std::uint64_t>(::getpid());
-  dump.process_name = std::move(process_name);
+  dump.process_name = default_process_name();
   dump.threads.reserve(entries.size());
   for (const auto& entry : entries) {
     ThreadTrace thread;

@@ -6,14 +6,11 @@
 // runtime's workers, the snapshot writer and the OFP event loop all
 // emit through the same two thread-local loads.
 //
-// Cost model, by configuration:
-//   - OFMTL_TRACE off (CMake -DOFMTL_TRACE=OFF): the OFMTL_OBS_EMIT macro
-//     expands to nothing — zero instructions, zero bytes, provably zero
-//     cost on every hot path.
-//   - compiled in, tracing stopped: one relaxed atomic bool load and a
+// Cost model (the instrumentation sites are always compiled in):
+//   - tracing stopped: one relaxed atomic bool load and a
 //     predicted-not-taken branch per site (~1 ns).
-//   - compiled in, tracing started: one steady-clock read plus three
-//     atomic stores per event (~25 ns). Instrumentation sites are BATCH
+//   - tracing started: one steady-clock read plus three atomic stores per
+//     event (~25 ns). Instrumentation sites are BATCH
 //     granular (batch dequeue, table stage, publish, flow-mod batch), so
 //     the amortized cost is a couple of nanoseconds per packet at worst —
 //     gated <5% on bench_parallel via trace/overhead_percent in CI.
@@ -34,14 +31,6 @@
 #include "obs/trace_ring.hpp"
 
 namespace ofmtl::obs {
-
-/// True when the hot-path instrumentation sites were compiled in (CMake
-/// option OFMTL_TRACE). The obs classes themselves always exist.
-#if defined(OFMTL_TRACE_ENABLED)
-inline constexpr bool kInstrumentationCompiled = true;
-#else
-inline constexpr bool kInstrumentationCompiled = false;
-#endif
 
 struct TraceOptions {
   /// Per-thread ring capacity in records (rounded up to a power of two).
@@ -74,16 +63,9 @@ void start_tracing(const TraceOptions& options = {});
 /// until the next start_tracing().
 void stop_tracing();
 
-[[nodiscard]] bool tracing_enabled();
-
 /// Sticky display name for the calling thread's ring (current and future
 /// sessions). Allocates; call at thread setup, not in steady state.
 void set_thread_name(std::string_view name);
-
-/// Display name collect_tracing() stamps on dumps (defaults to the
-/// executable's /proc/self/comm, or "process" when unreadable). Set it in
-/// tools that produce dumps destined for a cross-process merge.
-void set_process_name(std::string_view name);
 
 /// Snapshot every ring of the current (or just-stopped) session: drains
 /// each ring from its cursor, so records appear exactly once across
@@ -114,12 +96,8 @@ void emit(TraceEvent event, std::uint16_t arg, std::uint64_t payload) noexcept;
 
 }  // namespace ofmtl::obs
 
-/// Hot-path instrumentation sites use this macro so -DOFMTL_TRACE=OFF
-/// compiles them out entirely (zero cost when off).
-#if defined(OFMTL_TRACE_ENABLED)
+/// The hot-path instrumentation sites' spelling of emit(): narrows the
+/// argument and widens the payload at the call site.
 #define OFMTL_OBS_EMIT(event, arg, payload)                          \
   ::ofmtl::obs::emit((event), static_cast<std::uint16_t>(arg),       \
                      static_cast<std::uint64_t>(payload))
-#else
-#define OFMTL_OBS_EMIT(event, arg, payload) ((void)0)
-#endif

@@ -32,10 +32,10 @@ std::vector<std::vector<std::uint8_t>> SwitchAgent::handle_control(
   return responses;
 }
 
-FlowRemovedMsg SwitchAgent::flow_removed(FlowEntryId id, std::uint8_t table,
+FlowRemovedMsg SwitchAgent::flow_removed(FlowRef flow,
                                          FlowRemovedReason reason) const {
-  FlowRemovedMsg removed{id, table, reason};
-  if (const auto* stats = model_.stats().find(id)) {
+  FlowRemovedMsg removed{flow.id, flow.table, reason};
+  if (const auto* stats = model_.stats().find(flow)) {
     removed.packets = stats->packets;
     removed.bytes = stats->bytes;
   }
@@ -43,20 +43,20 @@ FlowRemovedMsg SwitchAgent::flow_removed(FlowEntryId id, std::uint8_t table,
 }
 
 ErrorCode SwitchAgent::apply(const FlowModMsg& mod) {
-  const FlowEntryId id = mod.entry.id;
+  const FlowRef flow{mod.table_id, mod.entry.id};
   std::optional<FlowRemovedMsg> removed;
-  if (mod.command == FlowModCommand::kDelete && notify_removed_.contains(id)) {
+  if (mod.command == FlowModCommand::kDelete && notify_removed_.contains(flow)) {
     // Stats snapshot must precede the apply, which erases them.
-    removed = flow_removed(id, mod.table_id, FlowRemovedReason::kDelete);
+    removed = flow_removed(flow, FlowRemovedReason::kDelete);
   }
   const auto code = server::error_code(model_.apply(
       {mod.command, mod.table_id, mod.entry, mod.timeouts}, now_));
   if (code != ErrorCode::kNone) return code;
   if (removed) {
     session_.send(encode({next_xid(), *removed}), now_);
-    notify_removed_.erase(id);
+    notify_removed_.erase(flow);
   } else if (mod.command != FlowModCommand::kDelete && mod.send_flow_removed) {
-    notify_removed_[id] = mod.table_id;
+    notify_removed_.insert(flow);
   }
   return code;
 }
@@ -82,12 +82,9 @@ SwitchAgent::DataResult SwitchAgent::handle_frame(
 std::vector<std::vector<std::uint8_t>> SwitchAgent::sweep(std::uint64_t now) {
   // Stats snapshots must be taken before the sweep erases them.
   std::vector<FlowRemovedMsg> removed;
-  for (const auto id : model_.stats().expired(now)) {
-    const auto notify = notify_removed_.find(id);
-    if (notify == notify_removed_.end()) continue;
-    removed.push_back(
-        flow_removed(id, notify->second, FlowRemovedReason::kIdleTimeout));
-    notify_removed_.erase(notify);
+  for (const FlowRef& flow : model_.stats().expired(now)) {
+    if (notify_removed_.erase(flow) == 0) continue;
+    removed.push_back(flow_removed(flow, FlowRemovedReason::kIdleTimeout));
   }
   (void)model_.sweep_timeouts(now);
   std::vector<std::vector<std::uint8_t>> notifications;

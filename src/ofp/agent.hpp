@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -60,14 +60,14 @@ class SwitchAgent {
   /// The session's sink, one mod at a time.
   ErrorCode apply(const FlowModMsg& mod);
   /// FLOW_REMOVED for a live flow, carrying its counters.
-  [[nodiscard]] FlowRemovedMsg flow_removed(FlowEntryId id, std::uint8_t table,
+  [[nodiscard]] FlowRemovedMsg flow_removed(FlowRef flow,
                                             FlowRemovedReason reason) const;
 
   SwitchModel model_;
   std::uint32_t next_xid_ = 1;
   std::uint64_t now_ = 0;  ///< virtual time of the bytes being handled
-  // Flows that requested FLOW_REMOVED notification: id -> table.
-  std::unordered_map<FlowEntryId, std::uint8_t> notify_removed_;
+  // Flows that requested FLOW_REMOVED notification.
+  std::unordered_set<FlowRef, FlowRefHash> notify_removed_;
   server::Session session_;
 };
 

@@ -22,7 +22,8 @@
 // one 64-byte line apart from the 392-byte key/result payloads, so a miss
 // reads one line, not four payloads.
 //
-// Ownership rules (mirrors the SearchContext rules in README):
+// Ownership rules (mirror the "Scratch contexts" rules in
+// docs/ARCHITECTURE.md):
 //   - one FlowCache per worker thread, never shared — per-worker caches
 //     need no coherence because each is consulted and refilled only under
 //     that worker's own pinned guard

@@ -9,7 +9,8 @@
 // cross-thread synchronization on the data plane is one snapshot guard per
 // batch, the queue cursors, and the completion ticket.
 //
-// Ownership rules (mirrors the SearchContext rules in README):
+// Ownership rules (mirror the "Scratch contexts" rules in
+// docs/ARCHITECTURE.md):
 //   - one queue <-> one *producer* thread; batches may be DRAINED by any
 //     worker (work stealing), so same-queue batches can complete out of
 //     order — tickets, not queue position, signal completion

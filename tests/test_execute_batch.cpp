@@ -135,10 +135,13 @@ TEST(ExecuteBatch, MatchesScalarAfterIncrementalUpdate) {
   extra.id = 999999;
   extra.priority = 60000;
   extra.instructions = output_instruction(42);
-  app.accelerated.insert_entry(1, extra);  // table 1 catch-all at top priority
+  // Table 1 catch-all at top priority.
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kAdd, 1, extra),
+            FlowModStatus::kOk);
   app.reference.table(1).insert(extra);
   expect_batch_matches_scalar(app);
-  ASSERT_TRUE(app.accelerated.remove_entry(1, 999999));
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kDelete, 1, extra),
+            FlowModStatus::kOk);
   ASSERT_TRUE(app.reference.table(1).remove(999999));
   expect_batch_matches_scalar(app);
 }

@@ -119,30 +119,31 @@ TEST(Actions, BitsAndPrinting) {
 
 TEST(FlowStatsTracker, Lifecycle) {
   FlowStatsTracker tracker;
-  tracker.install(1, {.idle_timeout = 10, .hard_timeout = 100}, 5);
+  tracker.install({0, 1}, {.idle_timeout = 10, .hard_timeout = 100}, 5);
   EXPECT_EQ(tracker.tracked(), 1U);
 
   ExecutionResult result;
   result.matched_entries = {1, 2};  // entry 2 untracked: ignored
+  result.visited_tables = {0, 1};
   tracker.record(result, 64, 8);
-  const FlowStats* stats = tracker.find(1);
+  const FlowStats* stats = tracker.find({0, 1});
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->packets, 1U);
   EXPECT_EQ(stats->bytes, 64U);
   EXPECT_EQ(stats->installed_at, 5U);
   EXPECT_EQ(stats->last_used, 8U);
-  EXPECT_EQ(tracker.find(2), nullptr);
+  EXPECT_EQ(tracker.find({1, 2}), nullptr);
 
   EXPECT_TRUE(tracker.expired(17).empty());          // 8 + 10 = 18 > 17
   EXPECT_EQ(tracker.expired(18).size(), 1U);         // idle fires
   EXPECT_EQ(tracker.expired(105).size(), 1U);        // hard fires regardless
-  tracker.erase(1);
+  tracker.erase({0, 1});
   EXPECT_EQ(tracker.tracked(), 0U);
 }
 
 TEST(FlowStatsTracker, ZeroTimeoutsNeverExpire) {
   FlowStatsTracker tracker;
-  tracker.install(1, {}, 0);
+  tracker.install({0, 1}, {}, 0);
   EXPECT_TRUE(tracker.expired(1'000'000).empty());
 }
 

@@ -227,11 +227,13 @@ TEST(FlowCacheRuntime, PublishNeverServesStaleAction) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     before_oracle[i] = app.accelerated.execute(stream[i]);
   }
-  app.accelerated.insert_entry(1, takeover);
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kAdd, 1, takeover),
+            FlowModStatus::kOk);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     after_oracle[i] = app.accelerated.execute(stream[i]);
   }
-  ASSERT_TRUE(app.accelerated.remove_entry(1, takeover.id));
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kDelete, 1, takeover),
+            FlowModStatus::kOk);
 
   ParallelRuntime rt(app.accelerated.clone(),
                      {.workers = 1, .flow_cache_capacity = 1024});
@@ -277,11 +279,13 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     without[i] = app.accelerated.execute(stream[i]);
   }
-  app.accelerated.insert_entry(1, takeover);
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kAdd, 1, takeover),
+            FlowModStatus::kOk);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     with[i] = app.accelerated.execute(stream[i]);
   }
-  ASSERT_TRUE(app.accelerated.remove_entry(1, takeover.id));
+  ASSERT_EQ(app.accelerated.apply(FlowModCommand::kDelete, 1, takeover),
+            FlowModStatus::kOk);
 
   constexpr std::size_t kWorkers = 2;
   constexpr std::size_t kToggles = 16;
@@ -477,8 +481,6 @@ enum class ChurnMod {
   kDelete,        // the entry a walk matched
   kModify,        // the entry a walk matched, new action
   kMetadata,      // a rule scoped by the metadata table 0 wrote
-  kForeignField,  // above the matched priority, also constraining a field
-                  // the table does not look up, so its lookup ignores it
   kRewritten,     // a route for the Set-Field's rewritten destination
   kOversized,     // one update() logging more records than the log keeps
 };
@@ -487,7 +489,7 @@ struct ChurnStep {
   std::function<void(MultiTableLookup&)> mutate;
   std::function<void(ChurnMirror&)> mirror;
   /// How the runtime publishes it: through update(mutate) unless set, so
-  /// single adds and deletes also take the validated apply() path.
+  /// single adds and deletes also take the runtime's own apply().
   std::function<void(ParallelRuntime&)> publish;
   bool found = false;
 };
@@ -501,7 +503,8 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
   ChurnStep step;
   const auto add = [&step](std::size_t table, FlowEntry entry) {
     step.mutate = [table, entry](MultiTableLookup& tables) {
-      tables.insert_entry(table, entry);
+      EXPECT_EQ(tables.apply(FlowModCommand::kAdd, table, entry),
+                FlowModStatus::kOk);
     };
     step.mirror = [table, entry](ChurnMirror& m) { m[table][entry.id] = entry; };
     step.publish = [table, entry](ParallelRuntime& rt) {
@@ -520,10 +523,12 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
         FlowEntry entry = churn_rule(base + k, 1, output_instruction(99));
         entry.match.set(FieldId::kIpv4Src, FieldMatch::exact(std::uint64_t{
                                                0xCB007100u + k}));
-        tables.insert_entry(3, entry);
+        EXPECT_EQ(tables.apply(FlowModCommand::kAdd, 3, entry),
+                  FlowModStatus::kOk);
       }
       for (FlowEntryId k = 0; k < MultiTableLookup::kDeltaLogRecords; ++k) {
-        (void)tables.remove_entry(3, base + k);
+        EXPECT_EQ(tables.apply(FlowModCommand::kDelete, 3, {.id = base + k}),
+                  FlowModStatus::kOk);
       }
     };
     step.mirror = [](ChurnMirror&) {};
@@ -569,22 +574,6 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
         add(table, rule_for(table, key_at(header, k), next_id++, at, port));
         break;
       }
-      case ChurnMod::kForeignField: {
-        // Table 0 looks up in_port only, so a copy of the walk's table-0
-        // entry one priority up, also constraining dst_port, takes over
-        // every flow of that port: same walk, new matched id.
-        if (matched.empty()) break;
-        FlowEntry entry = mirror[0].at(matched[0]);
-        entry.id = next_id++;
-        ++entry.priority;
-        entry.match.set(FieldId::kDstPort,
-                        FieldMatch::exact(header.get64(FieldId::kDstPort) + 1));
-        add(0, entry);
-        // apply() rejects a constraint off the table's fields (kBadMatch),
-        // so only the unvalidated update() path can install this one.
-        step.publish = nullptr;
-        break;
-      }
       case ChurnMod::kAddMissed:
         if (walk.verdict != Verdict::kToController) break;
         add(visited.back(), rule_for(visited.back(),
@@ -608,7 +597,8 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
         const FlowEntryId id = matched[k];
         if (kind == ChurnMod::kDelete) {
           step.mutate = [table, id](MultiTableLookup& tables) {
-            (void)tables.remove_entry(table, id);
+            EXPECT_EQ(tables.apply(FlowModCommand::kDelete, table, {.id = id}),
+                      FlowModStatus::kOk);
           };
           step.mirror = [table, id](ChurnMirror& m) { m[table].erase(id); };
           step.publish = [table, id](ParallelRuntime& rt) {
@@ -619,8 +609,8 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
           FlowEntry entry = mirror[table].at(id);
           entry.instructions = output_instruction(port);
           step.mutate = [table, entry](MultiTableLookup& tables) {
-            (void)tables.remove_entry(table, entry.id);
-            tables.insert_entry(table, entry);
+            EXPECT_EQ(tables.apply(FlowModCommand::kModify, table, entry),
+                      FlowModStatus::kOk);
           };
           step.mirror = [table, entry](ChurnMirror& m) {
             m[table][entry.id] = entry;
@@ -648,8 +638,7 @@ TEST(FlowCacheRuntime, RevalidationMatchesCacheOffOracleUnderOverlappingChurn) {
       ChurnMod::kAddUnreached, ChurnMod::kAddAbove,  ChurnMod::kAddBelow,
       ChurnMod::kAddMissed,    ChurnMod::kDelete,    ChurnMod::kAddUnreached,
       ChurnMod::kModify,       ChurnMod::kMetadata,  ChurnMod::kRewritten,
-      ChurnMod::kDelete,       ChurnMod::kForeignField,
-      ChurnMod::kOversized,    ChurnMod::kAddUnreached};
+      ChurnMod::kDelete,       ChurnMod::kOversized,    ChurnMod::kAddUnreached};
   for (const std::size_t workers : {1u, 2u}) {
     for (const std::uint64_t seed : {3u, 41u}) {
       SCOPED_TRACE(testing::Message() << "workers=" << workers << " seed=" << seed);

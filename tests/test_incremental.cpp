@@ -115,6 +115,63 @@ TEST(IncrementalLookupTable, SlotReuseKeepsCorrectActions) {
   EXPECT_EQ(table.lookup(h), nullptr);
 }
 
+TEST(IncrementalLookupTable, ActionsRowKeepsHighWaterSlotsAndWidestBits) {
+  // The action table the memory model costs is the slot array: one word
+  // per slot ever used, each as wide as the widest instruction set ever
+  // inserted. A remove frees a slot for reuse but shrinks neither.
+  const auto actions_row = [](const LookupTable& table) {
+    const mem::MemoryReport report = table.memory_report("t");
+    for (const auto& component : report.components()) {
+      if (component.name == "t.actions") return component;
+    }
+    ADD_FAILURE() << "no t.actions row";
+    return mem::MemoryComponent{};
+  };
+  const auto vlan = [](std::uint64_t value) {
+    FlowMatch match;
+    match.set(FieldId::kVlanId, FieldMatch::exact(value));
+    return match;
+  };
+  FlowEntry wide = simple_entry(2, 1, vlan(2), 20);
+  wide.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kEthDst, U128{0xAB}});
+  const unsigned narrow_bits = output_instruction(1).bits();
+  const unsigned wide_bits = wide.instructions.bits();
+  ASSERT_GT(wide_bits, narrow_bits);
+
+  LookupTable table({FieldId::kVlanId}, {});
+  table.insert_entry(simple_entry(1, 1, vlan(1), 10));
+  EXPECT_EQ(actions_row(table).words, 1U);
+  EXPECT_EQ(actions_row(table).word_bits, narrow_bits);
+  table.insert_entry(wide);
+  table.insert_entry(simple_entry(3, 1, vlan(3), 30));
+  EXPECT_EQ(actions_row(table).words, 3U);
+  EXPECT_EQ(actions_row(table).word_bits, wide_bits);
+
+  // The widest rule leaves; its slot is reused by a narrow one.
+  ASSERT_TRUE(table.remove_entry(2));
+  EXPECT_EQ(actions_row(table).words, 3U);
+  EXPECT_EQ(actions_row(table).word_bits, wide_bits);
+  table.insert_entry(simple_entry(4, 1, vlan(4), 40));
+  EXPECT_EQ(actions_row(table).words, 3U);
+  EXPECT_EQ(actions_row(table).word_bits, wide_bits);
+  EXPECT_EQ(table.action_words(), 3U);
+
+  // Removing and re-adding the same rule writes the same words again.
+  const std::uint64_t words = table.update_words();
+  ASSERT_TRUE(table.remove_entry(3));
+  table.insert_entry(simple_entry(3, 1, vlan(3), 30));
+  EXPECT_EQ(table.update_words(), words);
+
+  // Past the high-water mark the row grows; a clone recomputes both terms
+  // from the live entries, none of which is the wide one.
+  table.insert_entry(simple_entry(5, 1, vlan(5), 50));
+  EXPECT_EQ(actions_row(table).words, 4U);
+  const LookupTable copy = table.clone();
+  EXPECT_EQ(actions_row(copy).words, 4U);
+  EXPECT_EQ(actions_row(copy).word_bits, narrow_bits);
+}
+
 TEST(IncrementalLookupTable, WildcardRefcountAcrossRules) {
   // Two rules wildcard the VLAN; the any-label must survive one removal.
   LookupTable table({FieldId::kVlanId, FieldId::kEthDst}, {});
@@ -234,7 +291,8 @@ TEST(IncrementalPipeline, FlowModOnLivePipeline) {
   const auto table1_entries = pipeline.table(1).entries();
   ASSERT_FALSE(table1_entries.empty());
   const FlowEntry victim = table1_entries.front();
-  ASSERT_TRUE(pipeline.remove_entry(1, victim.id));
+  ASSERT_EQ(pipeline.apply(FlowModCommand::kDelete, 1, victim),
+            FlowModStatus::kOk);
   ASSERT_TRUE(spec.reference.table(1).remove(victim.id));
 
   // Add a fresh entry reachable through an existing table-0 metadata label.
@@ -243,7 +301,7 @@ TEST(IncrementalPipeline, FlowModOnLivePipeline) {
   fresh.match.set(FieldId::kEthDst,
                   FieldMatch::exact(std::uint64_t{0x02DEADBEEF01}));
   fresh.instructions = output_instruction(42);
-  pipeline.insert_entry(1, fresh);
+  ASSERT_EQ(pipeline.apply(FlowModCommand::kAdd, 1, fresh), FlowModStatus::kOk);
   spec.reference.table(1).insert(fresh);
 
   const auto trace = workload::generate_trace(

@@ -484,6 +484,43 @@ TEST(SwitchAgent, DeleteWithNotification) {
   EXPECT_EQ(removed.reason, FlowRemovedReason::kDelete);
 }
 
+TEST(SwitchAgent, FlowRemovedKeysByTableAndId) {
+  // Id 8 in both tables: only table 0's flow asked for FLOW_REMOVED, so
+  // deleting table 1's id 8 sends nothing, and table 0's delete still
+  // reports its own table.
+  SwitchAgent agent({{FieldId::kVlanId}, {FieldId::kEthDst}});
+  handshake(agent);
+  FlowModMsg t0;
+  t0.entry.id = 8;
+  t0.entry.priority = 1;
+  t0.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{11}));
+  t0.entry.instructions = goto_table_instruction(1);
+  t0.send_flow_removed = true;
+  EXPECT_TRUE(agent.handle_control(encode({14, t0}), 0).empty());
+  FlowModMsg t1;
+  t1.table_id = 1;
+  t1.entry.id = 8;
+  t1.entry.priority = 1;
+  t1.entry.match.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{0x0B}));
+  t1.entry.instructions = output_instruction(2);
+  EXPECT_TRUE(agent.handle_control(encode({15, t1}), 0).empty());
+
+  FlowModMsg del;
+  del.command = FlowModCommand::kDelete;
+  del.table_id = 1;
+  del.entry.id = 8;
+  EXPECT_TRUE(agent.handle_control(encode({16, del}), 5).empty());
+  del.table_id = 0;
+  const auto responses = agent.handle_control(encode({17, del}), 6);
+  ASSERT_EQ(responses.size(), 1U);
+  const auto envelope = decode(responses[0]);
+  const auto& removed = std::get<FlowRemovedMsg>(envelope.message);
+  EXPECT_EQ(removed.entry_id, 8U);
+  EXPECT_EQ(removed.table_id, 0U);
+  EXPECT_EQ(removed.reason, FlowRemovedReason::kDelete);
+  EXPECT_EQ(agent.model().entry_count(), 0U);
+}
+
 // --- Robustness regressions: malformed control bytes answer with ERROR ---
 
 // Pull the ErrorMsg out of an encoded response, failing the test otherwise.

@@ -296,17 +296,19 @@ TEST(TrieMonotonicity, RemoveThenReinsertRestoresLookup) {
     inserted.emplace_back(prefix, static_cast<Label>(i));
   }
   // Capture, remove all, reinsert in reverse, and compare lookups.
-  std::vector<std::optional<Label>> snapshot;
+  std::vector<std::vector<Label>> snapshot;
   for (std::uint64_t key = 0; key < 0x10000; key += 97) {
-    snapshot.push_back(trie.lookup(key));
+    trie.lookup_all(key, snapshot.emplace_back());
   }
   for (const auto& [prefix, label] : inserted) (void)trie.remove(prefix);
   for (auto it = inserted.rbegin(); it != inserted.rend(); ++it) {
     trie.insert(it->first, it->second);
   }
   std::size_t i = 0;
+  std::vector<Label> labels;
   for (std::uint64_t key = 0; key < 0x10000; key += 97) {
-    EXPECT_EQ(trie.lookup(key), snapshot[i++]) << key;
+    trie.lookup_all(key, labels);
+    EXPECT_EQ(labels, snapshot[i++]) << key;
   }
 }
 

@@ -36,10 +36,12 @@ TEST(RuntimeConcurrent, ResultsMatchPreOrPostUpdateSnapshot) {
   // Oracles for both table states, computed single-threaded up front.
   std::vector<ExecutionResult> without;
   for (const auto& header : trace) without.push_back(accelerated.execute(header));
-  accelerated.insert_entry(1, takeover);
+  ASSERT_EQ(accelerated.apply(FlowModCommand::kAdd, 1, takeover),
+            FlowModStatus::kOk);
   std::vector<ExecutionResult> with;
   for (const auto& header : trace) with.push_back(accelerated.execute(header));
-  ASSERT_TRUE(accelerated.remove_entry(1, 424242));
+  ASSERT_EQ(accelerated.apply(FlowModCommand::kDelete, 1, takeover),
+            FlowModStatus::kOk);
 
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kToggles = 24;

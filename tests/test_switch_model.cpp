@@ -55,7 +55,7 @@ TEST(SwitchModel, CountersAccumulate) {
   h.set_vlan_id(5);
   (void)sw.process(h, 100, 1);
   (void)sw.process(h, 250, 2);
-  const FlowStats* stats = sw.stats().find(1);
+  const FlowStats* stats = sw.stats().find({0, 1});
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->packets, 2U);
   EXPECT_EQ(stats->bytes, 350U);
@@ -75,7 +75,7 @@ TEST(SwitchModel, ModifyKeepsCounters) {
 
   const auto result = sw.process(h, 64, 3);
   EXPECT_EQ(result.output_ports, (std::vector<std::uint32_t>{12}));
-  const FlowStats* stats = sw.stats().find(1);
+  const FlowStats* stats = sw.stats().find({0, 1});
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->packets, 2U);  // counter survived the modify
 }
@@ -92,7 +92,7 @@ TEST(SwitchModel, IdleTimeoutRefreshedByTraffic) {
   EXPECT_TRUE(sw.sweep_timeouts(12).empty());   // 12 < 8 + 10
   const auto evicted = sw.sweep_timeouts(18);   // 18 >= 8 + 10
   ASSERT_EQ(evicted.size(), 1U);
-  EXPECT_EQ(evicted[0], 1U);
+  EXPECT_EQ(evicted[0], (FlowRef{0, 1}));
   EXPECT_EQ(sw.entry_count(), 0U);
 }
 
@@ -107,6 +107,41 @@ TEST(SwitchModel, HardTimeoutIgnoresTraffic) {
   for (std::uint64_t t = 1; t < 10; ++t) (void)sw.process(h, 64, t);
   const auto evicted = sw.sweep_timeouts(10);
   ASSERT_EQ(evicted.size(), 1U);
+}
+
+TEST(SwitchModel, SameIdInTwoTablesKeepsSeparateStateAndTimeouts) {
+  // Entry ids are unique per table only: id 7 lives in both tables, and
+  // each keeps its own counters and timeout.
+  SwitchModel sw({{FieldId::kVlanId}, {FieldId::kEthDst}});
+  FlowMod t0 = add_mod(0, 7, 1, vlan_match(5), 0,
+                       TimeoutConfig{.hard_timeout = 5});
+  t0.entry.instructions = goto_table_instruction(1);
+  ASSERT_EQ(sw.apply(t0, 0), FlowModStatus::kOk);
+  FlowMatch dst;
+  dst.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{0xAB}));
+  ASSERT_EQ(sw.apply(add_mod(1, 7, 1, dst, 4), 0), FlowModStatus::kOk);
+
+  PacketHeader h;
+  h.set_vlan_id(5);
+  h.set_eth_dst(MacAddress{0xAB});
+  const auto result = sw.process(h, 64, 1);
+  EXPECT_EQ(result.matched_entries, (std::vector<FlowEntryId>{7, 7}));
+  for (const std::uint8_t table : {0, 1}) {
+    const FlowStats* stats = sw.stats().find({table, 7});
+    ASSERT_NE(stats, nullptr) << "table " << int{table};
+    EXPECT_EQ(stats->packets, 1U) << "table " << int{table};
+  }
+
+  // Only table 0's id 7 has a timeout, and only it expires.
+  const auto evicted = sw.sweep_timeouts(10);
+  EXPECT_EQ(evicted, (std::vector<FlowRef>{{0, 7}}));
+  EXPECT_FALSE(sw.pipeline().contains_entry(0, 7));
+  EXPECT_TRUE(sw.pipeline().contains_entry(1, 7));
+  EXPECT_EQ(sw.reference().table(0).size(), 0U);
+  EXPECT_EQ(sw.reference().table(1).size(), 1U);
+  EXPECT_EQ(sw.stats().find({0, 7}), nullptr);
+  EXPECT_NE(sw.stats().find({1, 7}), nullptr);
+  EXPECT_TRUE(sw.sweep_timeouts(20).empty());
 }
 
 TEST(SwitchModel, MalformedModsAreRejected) {
@@ -133,7 +168,7 @@ TEST(SwitchModel, MalformedModsAreRejected) {
   // Only the one accepted add reached either pipeline or the counters.
   EXPECT_EQ(sw.entry_count(), 1U);
   EXPECT_EQ(sw.reference().table(0).size(), 1U);
-  EXPECT_EQ(sw.stats().find(8), nullptr);
+  EXPECT_EQ(sw.stats().find({0, 8}), nullptr);
 }
 
 TEST(SwitchModel, ConstraintOutsideTheTableIsRejected) {

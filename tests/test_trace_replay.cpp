@@ -284,7 +284,6 @@ TEST(TraceReplay, TracedRunIsBitwiseIdenticalToUntraced) {
     ASSERT_EQ(traced[i], untraced[i]) << "packet " << i;
   }
 
-  if (!obs::kInstrumentationCompiled) return;
   std::uint64_t total_events = 0, batch_begins = 0;
   for (const auto& thread : dump.threads) {
     const auto events = obs::decode_thread(thread);

@@ -81,8 +81,7 @@ TEST(RangeMatcher, NarrowestFirst) {
   EXPECT_EQ(labels[0], tight);
   EXPECT_EQ(labels[1], mid);
   EXPECT_EQ(labels[2], wide);
-  EXPECT_EQ(matcher.lookup_narrowest(1505), tight);
-  EXPECT_EQ(matcher.lookup_narrowest(500), wide);
+  EXPECT_EQ(matcher.lookup(500), std::vector<std::uint32_t>{wide});
 }
 
 /// Brute force over the whole 10-bit key space after every add and every

@@ -204,13 +204,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::optional<MultiTableLookup> oracle;
   if (verify) oracle = app.tables.clone();
   const bool tracing = !trace_json_path.empty() || !trace_raw_path.empty();
-  if (tracing) {
-    if (!obs::kInstrumentationCompiled) {
-      std::cerr << "warning: built with -DOFMTL_TRACE=OFF -- the trace "
-                   "will be empty\n";
-    }
-    obs::start_tracing();
-  }
+  if (tracing) obs::start_tracing();
   runtime::ParallelRuntime rt(std::move(app.tables), rt_config);
   std::vector<ExecutionResult> results(headers.size());
   runtime::BatchTicket ticket;
