@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     if (now % 25 == 0) {
       const auto evicted = sw.sweep_timeouts(now);
       expired_total += evicted.size();
-      for (const FlowRef& flow : evicted) {
+      for (const auto& [flow, timeout] : evicted) {
         std::erase_if(station_macs, [&flow](const auto& pair) {
           return pair.second == flow.id;
         });

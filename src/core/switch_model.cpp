@@ -25,8 +25,8 @@ FlowModStatus SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
       stats_.install(flow, mod.timeouts, now);
       break;
     case FlowModCommand::kModify:
-      // Modify = delete + add, preserving counters (OpenFlow keeps counters
-      // on modify unless a reset flag is set; we keep them).
+      // Modify = delete + add in the reference; the tracked timeouts and
+      // counters stay as the Add set them (OpenFlow 1.3 section 6.4).
       reference.remove(mod.entry.id);
       reference.insert(mod.entry);
       break;
@@ -45,9 +45,9 @@ ExecutionResult SwitchModel::process(const PacketHeader& header,
   return result;
 }
 
-std::vector<FlowRef> SwitchModel::sweep_timeouts(std::uint64_t now) {
+std::vector<Expiry> SwitchModel::sweep_timeouts(std::uint64_t now) {
   const auto victims = stats_.expired(now);
-  for (const FlowRef& flow : victims) {
+  for (const auto& [flow, timeout] : victims) {
     FlowMod del;
     del.command = FlowModCommand::kDelete;
     del.table = flow.table;

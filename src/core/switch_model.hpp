@@ -21,7 +21,9 @@ struct FlowMod {
   FlowModCommand command = FlowModCommand::kAdd;
   std::uint8_t table = 0;
   FlowEntry entry;            ///< full entry for Add/Modify; id only for Delete
-  TimeoutConfig timeouts{};   ///< tracked for Add/Modify
+  /// Tracked from the Add. A Modify keeps the entry's timeouts and counters
+  /// (OpenFlow 1.3 section 6.4), so its own are ignored.
+  TimeoutConfig timeouts{};
 };
 
 /// A switch with a control channel: reference tables (linear, the oracle)
@@ -50,8 +52,8 @@ class SwitchModel {
   }
 
   /// Remove all expired entries, each through a Delete apply(); returns
-  /// them.
-  std::vector<FlowRef> sweep_timeouts(std::uint64_t now);
+  /// them with the timeout that fired.
+  std::vector<Expiry> sweep_timeouts(std::uint64_t now);
 
   /// Group-table configuration (shared by both pipelines).
   void add_group(Group group) { groups_.add(std::move(group)); }

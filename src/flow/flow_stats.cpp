@@ -23,8 +23,8 @@ void FlowStatsTracker::record(const ExecutionResult& result,
   }
 }
 
-std::vector<FlowRef> FlowStatsTracker::expired(std::uint64_t now) const {
-  std::vector<FlowRef> result;
+std::vector<Expiry> FlowStatsTracker::expired(std::uint64_t now) const {
+  std::vector<Expiry> result;
   for (const auto& [flow, tracked] : flows_) {
     const FlowStats& stats = tracked.stats;
     const TimeoutConfig& config = tracked.timeouts;
@@ -32,7 +32,11 @@ std::vector<FlowRef> FlowStatsTracker::expired(std::uint64_t now) const {
         config.hard_timeout != 0 && now >= stats.installed_at + config.hard_timeout;
     const bool idle =
         config.idle_timeout != 0 && now >= stats.last_used + config.idle_timeout;
-    if (hard || idle) result.push_back(flow);
+    if (hard) {
+      result.push_back({flow, Timeout::kHard});
+    } else if (idle) {
+      result.push_back({flow, Timeout::kIdle});
+    }
   }
   return result;
 }

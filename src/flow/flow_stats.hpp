@@ -33,6 +33,16 @@ struct FlowRef {
   friend bool operator==(const FlowRef&, const FlowRef&) = default;
 };
 
+/// Which timeout expired an entry.
+enum class Timeout : std::uint8_t { kIdle, kHard };
+
+/// One expired entry and the timeout that fired (kHard when both did).
+struct Expiry {
+  FlowRef flow;
+  Timeout timeout = Timeout::kIdle;
+  friend bool operator==(const Expiry&, const Expiry&) = default;
+};
+
 struct FlowRefHash {
   [[nodiscard]] std::size_t operator()(const FlowRef& flow) const noexcept {
     return std::hash<std::uint64_t>{}(std::uint64_t{flow.table} << 32 | flow.id);
@@ -58,9 +68,10 @@ class FlowStatsTracker {
     return it == flows_.end() ? nullptr : &it->second.stats;
   }
 
-  /// Entries whose idle or hard timeout has fired by `now` (the controller
-  /// removes them from the tables and calls erase()).
-  [[nodiscard]] std::vector<FlowRef> expired(std::uint64_t now) const;
+  /// Entries whose idle or hard timeout has fired by `now`, each with the
+  /// timeout that fired (the controller removes them from the tables and
+  /// calls erase()).
+  [[nodiscard]] std::vector<Expiry> expired(std::uint64_t now) const;
 
   [[nodiscard]] std::size_t tracked() const { return flows_.size(); }
 

@@ -4,9 +4,9 @@
 // demand — the read side of the stats endpoint src/ofp/server serves.
 //
 // Design:
-//   - Instruments (Counter/Gauge) are plain atomics the OWNING subsystem
-//     updates on its own cadence; nothing on a hot path ever touches the
-//     registry. A scrape is the only place values are read.
+//   - The values are the OWNING subsystem's own atomics, updated on its
+//     own cadence; nothing on a hot path ever touches the registry. A
+//     scrape is the only place values are read.
 //   - Providers are callbacks registered by subsystems (the runtime, the
 //     OFP server, the flight recorder); each scrape invokes every provider
 //     with a MetricsBuilder and renders whatever it emitted. RAII handles
@@ -15,8 +15,7 @@
 //     registries.
 //   - Thread-safety: register/unregister/scrape serialize on one mutex;
 //     provider callbacks run under it (scrapes are rare and read atomics,
-//     so the critical section is microseconds). Instruments themselves are
-//     wait-free from any thread, which is what the TSan suite drives.
+//     so the critical section is microseconds).
 //
 // Exposition: render_prometheus() emits the text format (one # HELP/# TYPE
 // pair per family, samples with optional pre-rendered labels);
@@ -25,7 +24,6 @@
 // already answers quantile()), so the registry needs no histogram type.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -34,41 +32,6 @@
 #include <vector>
 
 namespace ofmtl::obs {
-
-/// Monotonically increasing value (wait-free add from any thread).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Point-in-time value (wait-free set from any thread). Stored as a double
-/// bit-pattern in a u64 atomic — no atomic<double> portability caveats.
-class Gauge {
- public:
-  void set(double v) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    bits_.store(bits, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    const std::uint64_t bits = bits_.load(std::memory_order_relaxed);
-    double v;
-    __builtin_memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
- private:
-  std::atomic<std::uint64_t> bits_{0};
-};
 
 /// What one provider emits during a scrape. `labels` is the pre-rendered
 /// Prometheus label body WITHOUT braces (e.g. `worker="3"`), empty for an

@@ -55,7 +55,9 @@ ErrorCode SwitchAgent::apply(const FlowModMsg& mod) {
   if (removed) {
     session_.send(encode({next_xid(), *removed}), now_);
     notify_removed_.erase(flow);
-  } else if (mod.command != FlowModCommand::kDelete && mod.send_flow_removed) {
+  } else if (mod.command == FlowModCommand::kAdd && mod.send_flow_removed) {
+    // Only an Add sets the flag: a Modify leaves the entry's flags as they
+    // were (OpenFlow 1.3 section 6.4).
     notify_removed_.insert(flow);
   }
   return code;
@@ -64,8 +66,9 @@ ErrorCode SwitchAgent::apply(const FlowModMsg& mod) {
 SwitchAgent::DataResult SwitchAgent::handle_frame(
     const std::vector<std::uint8_t>& frame, std::uint32_t in_port,
     std::uint64_t now) {
-  const auto parsed = parse_packet(frame, in_port);
-  DataResult result{model_.process(parsed.header, frame.size(), now), {}};
+  PacketHeader header;
+  if (!parse_packet_header(frame, in_port, header)) return {};
+  DataResult result{model_.process(header, frame.size(), now), {}};
   if (result.execution.verdict == Verdict::kToController) {
     PacketIn packet_in;
     packet_in.table_id = result.execution.visited_tables.empty()
@@ -82,9 +85,11 @@ SwitchAgent::DataResult SwitchAgent::handle_frame(
 std::vector<std::vector<std::uint8_t>> SwitchAgent::sweep(std::uint64_t now) {
   // Stats snapshots must be taken before the sweep erases them.
   std::vector<FlowRemovedMsg> removed;
-  for (const FlowRef& flow : model_.stats().expired(now)) {
+  for (const auto& [flow, timeout] : model_.stats().expired(now)) {
     if (notify_removed_.erase(flow) == 0) continue;
-    removed.push_back(flow_removed(flow, FlowRemovedReason::kIdleTimeout));
+    removed.push_back(flow_removed(flow, timeout == Timeout::kHard
+                                             ? FlowRemovedReason::kHardTimeout
+                                             : FlowRemovedReason::kIdleTimeout));
   }
   (void)model_.sweep_timeouts(now);
   std::vector<std::vector<std::uint8_t>> notifications;

@@ -41,7 +41,9 @@ class SwitchAgent {
     std::optional<std::vector<std::uint8_t>> packet_in;
   };
 
-  /// Process a raw frame received on `in_port` at virtual time `now`.
+  /// Process a raw frame received on `in_port` at virtual time `now`. A
+  /// frame the parser rejects is dropped: no PACKET_IN, counters untouched.
+  /// Never throws on frame bytes.
   [[nodiscard]] DataResult handle_frame(const std::vector<std::uint8_t>& frame,
                                         std::uint32_t in_port,
                                         std::uint64_t now = 0);

@@ -16,23 +16,21 @@ const char* to_string(AdmissionState state) {
 void AdmissionController::on_pressure_sample(double pressure,
                                              std::uint64_t now_ms) {
   pressure_ = std::clamp(pressure, 0.0, 1.0);
-  if (transitioned_ && now_ms - last_transition_ms_ < config_.min_dwell_ms) {
-    return;
-  }
+  if (transitioned_ && now_ms - last_transition_ms_ < kMinDwellMs) return;
   AdmissionState next = state_;
   switch (state_) {
     case AdmissionState::kNormal:
-      if (pressure_ >= config_.throttle_enter) next = AdmissionState::kThrottle;
+      if (pressure_ >= kThrottleEnter) next = AdmissionState::kThrottle;
       break;
     case AdmissionState::kThrottle:
-      if (pressure_ >= config_.shed_enter) {
+      if (pressure_ >= kShedEnter) {
         next = AdmissionState::kShed;
-      } else if (pressure_ <= config_.throttle_exit) {
+      } else if (pressure_ <= kThrottleExit) {
         next = AdmissionState::kNormal;
       }
       break;
     case AdmissionState::kShed:
-      if (pressure_ <= config_.shed_exit) next = AdmissionState::kThrottle;
+      if (pressure_ <= kShedExit) next = AdmissionState::kThrottle;
       break;
   }
   if (next != state_) {
@@ -40,62 +38,6 @@ void AdmissionController::on_pressure_sample(double pressure,
     last_transition_ms_ = now_ms;
     transitioned_ = true;
   }
-}
-
-std::uint32_t AdmissionController::effective_rate(bool is_master) const {
-  switch (state_) {
-    case AdmissionState::kNormal:
-      return config_.session_rate_cap;
-    case AdmissionState::kThrottle:
-      if (is_master || config_.session_rate_cap == 0) {
-        return config_.session_rate_cap;
-      }
-      return std::max(1U, config_.session_rate_cap /
-                              std::max(1U, config_.throttle_divisor));
-    case AdmissionState::kShed:
-      return config_.session_rate_cap;  // masters only reach here (see admit)
-  }
-  return 0;
-}
-
-AdmissionController::Verdict AdmissionController::admit(
-    std::uint64_t session_id, bool is_master, std::size_t mods,
-    std::uint64_t now_ms) {
-  Verdict verdict;
-  auto& bucket = buckets_[session_id];
-
-  const auto reject = [&] {
-    verdict.admit = false;
-    verdict.backoff_hint_ms = config_.backoff_hint_ms;
-    rejected_mods_ += mods;
-    bucket.consecutive_rejects = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::uint64_t{bucket.consecutive_rejects} + mods, 0xFFFFFFFFULL));
-    verdict.drain = bucket.consecutive_rejects >= config_.max_consecutive_rejects;
-    return verdict;
-  };
-
-  if (state_ == AdmissionState::kShed && !is_master) return reject();
-
-  const std::uint32_t rate = effective_rate(is_master);
-  if (rate == 0) {  // unmetered
-    bucket.consecutive_rejects = 0;
-    return verdict;
-  }
-
-  if (!bucket.primed) {
-    bucket.tokens = rate;  // one second of burst to start
-    bucket.refilled_ms = now_ms;
-    bucket.primed = true;
-  } else {
-    const auto elapsed = now_ms - bucket.refilled_ms;
-    bucket.tokens = std::min<double>(
-        rate, bucket.tokens + static_cast<double>(elapsed) * rate / 1000.0);
-    bucket.refilled_ms = now_ms;
-  }
-  if (bucket.tokens < static_cast<double>(mods)) return reject();
-  bucket.tokens -= static_cast<double>(mods);
-  bucket.consecutive_rejects = 0;
-  return verdict;
 }
 
 }  // namespace ofmtl::ofp::server

@@ -15,10 +15,6 @@ struct ControlPlane {
   RoleManager roles;
   FlowJournal journal;
   AdmissionController admission;
-
-  ControlPlane() = default;
-  explicit ControlPlane(AdmissionConfig admission_config)
-      : admission(admission_config) {}
 };
 
 }  // namespace ofmtl::ofp::server

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -20,13 +19,19 @@ namespace {
 // Level-triggered interest masks; EPOLLRDHUP so a peer's half-close wakes
 // the loop even when no payload bytes follow.
 constexpr std::uint32_t kReadMask = EPOLLIN | EPOLLRDHUP;
+/// Bytes per read() call on the loop's stack buffer.
+constexpr std::size_t kReadChunk = 16 * 1024;
+/// Reads per EPOLLIN wake before yielding to other sessions (fairness under
+/// a firehosing peer; level-triggered epoll re-arms the rest).
+constexpr std::size_t kMaxReadsPerEvent = 4;
+/// Sink (publish) latency that maps to pressure 1.0: the EWMA of per-batch
+/// latency is normalized against this budget.
+constexpr double kPublishLatencyBudgetUs = 20000;
 
 }  // namespace
 
 OfpServer::OfpServer(FlowModSink sink, ServerConfig config)
-    : sink_(std::move(sink)),
-      config_(std::move(config)),
-      control_(config_.admission) {}
+    : sink_(std::move(sink)), config_(std::move(config)) {}
 
 OfpServer::~OfpServer() { stop(); }
 
@@ -62,84 +67,57 @@ obs::MetricsRegistry& OfpServer::metrics_registry() {
                                     : obs::default_registry();
 }
 
+int OfpServer::open_listener(std::uint16_t port, int backlog,
+                             std::uint16_t& bound_port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1 ||
+      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, backlog) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  socklen_t len = sizeof addr;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    bound_port = ntohs(addr.sin_port);
+  }
+  return fd;
+}
+
 bool OfpServer::start() {
   if (running_.load(std::memory_order_acquire)) return false;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return false;
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1 ||
-      ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    stop_fds();
-    return false;
-  }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-    stop_fds();
-    return false;
-  }
   ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
     stop_fds();
     return false;
   }
-
+  listen_fd_ = open_listener(config_.port, config_.backlog, port_);
+  if (listen_fd_ < 0) {
+    stop_fds();
+    return false;
+  }
   // Optional stats endpoint: a second listener in the SAME epoll loop, so
   // scrapes serialize with session work and need no extra synchronization.
   if (config_.stats_port >= 0) {
-    stats_listen_fd_ =
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    stats_listen_fd_ = open_listener(
+        static_cast<std::uint16_t>(config_.stats_port), 16, stats_port_);
     if (stats_listen_fd_ < 0) {
-      stop_fds();
-      return false;
-    }
-    (void)::setsockopt(stats_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof one);
-    sockaddr_in stats_addr{};
-    stats_addr.sin_family = AF_INET;
-    stats_addr.sin_port = htons(static_cast<std::uint16_t>(config_.stats_port));
-    if (::inet_pton(AF_INET, config_.bind_address.c_str(),
-                    &stats_addr.sin_addr) != 1 ||
-        ::bind(stats_listen_fd_,
-               reinterpret_cast<const sockaddr*>(&stats_addr),
-               sizeof stats_addr) != 0 ||
-        ::listen(stats_listen_fd_, 16) != 0) {
-      stop_fds();
-      return false;
-    }
-    sockaddr_in stats_bound{};
-    socklen_t stats_bound_len = sizeof stats_bound;
-    if (::getsockname(stats_listen_fd_,
-                      reinterpret_cast<sockaddr*>(&stats_bound),
-                      &stats_bound_len) == 0) {
-      stats_port_ = ntohs(stats_bound.sin_port);
-    }
-    ev.events = EPOLLIN;
-    ev.data.fd = stats_listen_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stats_listen_fd_, &ev) != 0) {
       stop_fds();
       return false;
     }
@@ -180,7 +158,7 @@ bool OfpServer::start() {
         b.gauge("ofmtl_ofp_active_sessions", "currently open sessions",
                 static_cast<double>(active_sessions()));
         b.gauge("ofmtl_ofp_admission_state",
-                "admission state (0 normal, 1 shedding, 2 rejecting)",
+                "admission state (0 normal, 1 throttle, 2 shed)",
                 static_cast<double>(static_cast<int>(admission_state())));
       });
 
@@ -478,12 +456,12 @@ void OfpServer::resume_accept() {
 }
 
 void OfpServer::connection_readable(int fd, Connection& conn) {
-  std::uint8_t buf[16 * 1024];
-  const std::size_t chunk = std::min(config_.read_chunk, sizeof buf);
+  std::uint8_t buf[kReadChunk];
   bool peer_closed = false;
-  for (std::size_t round = 0; round < config_.max_reads_per_event; ++round) {
-    const ssize_t n = config_.hooks.read ? config_.hooks.read(fd, buf, chunk)
-                                         : ::read(fd, buf, chunk);
+  for (std::size_t round = 0; round < kMaxReadsPerEvent; ++round) {
+    const ssize_t n = config_.hooks.read
+                          ? config_.hooks.read(fd, buf, kReadChunk)
+                          : ::read(fd, buf, kReadChunk);
     if (n > 0) {
       stats_.bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
                                 std::memory_order_relaxed);
@@ -494,7 +472,7 @@ void OfpServer::connection_readable(int fd, Connection& conn) {
           conn.session.state() == Session::State::kSteady) {
         stats_.handshakes.fetch_add(1, std::memory_order_relaxed);
       }
-      if (static_cast<std::size_t>(n) < chunk) break;  // drained
+      if (static_cast<std::size_t>(n) < kReadChunk) break;  // drained
       continue;
     }
     if (n == 0) {
@@ -587,7 +565,6 @@ void OfpServer::close_connection(int fd, CloseReason fallback) {
 
   // Failover: when the master died, the lowest-id surviving slave is
   // promoted and learns it via an unsolicited ROLE_REPLY.
-  control_.admission.on_session_closed(dead_id);
   if (const auto promoted = control_.roles.on_session_closed(dead_id)) {
     for (auto& [pfd, pconn] : connections_) {
       if (pconn->session.id() != *promoted) continue;
@@ -602,12 +579,8 @@ void OfpServer::close_connection(int fd, CloseReason fallback) {
 }
 
 void OfpServer::sample_pressure(std::uint64_t now) {
-  const double pressure =
-      config_.publish_latency_budget_us > 0
-          ? publish_ewma_us_ /
-                static_cast<double>(config_.publish_latency_budget_us)
-          : 0.0;
-  control_.admission.on_pressure_sample(pressure, now);
+  control_.admission.on_pressure_sample(
+      publish_ewma_us_ / kPublishLatencyBudgetUs, now);
   admission_state_.store(static_cast<std::uint8_t>(control_.admission.state()),
                          std::memory_order_relaxed);
 }

@@ -51,20 +51,10 @@ struct ServerConfig {
   std::size_t max_sessions = 64;
   /// Per-session protocol tuning (buffers, liveness, batching).
   SessionConfig session{};
-  /// Bytes per read() call on the loop's stack buffer.
-  std::size_t read_chunk = 16 * 1024;
-  /// Reads per EPOLLIN wake before yielding to other sessions (fairness
-  /// under a firehosing peer; level-triggered epoll re-arms the rest).
-  std::size_t max_reads_per_event = 4;
   /// Pause before re-arming accept after fd exhaustion (EMFILE/ENFILE):
   /// level-triggered epoll would otherwise re-report the pending accept
   /// every wake and spin the loop at 100% doing nothing.
   std::uint64_t accept_backoff_ms = 100;
-  /// Overload admission tuning (thresholds, rate caps, backoff hints).
-  AdmissionConfig admission{};
-  /// Sink (publish) latency that maps to pressure 1.0; the EWMA of per-batch
-  /// latency is normalized against this budget.
-  std::uint64_t publish_latency_budget_us = 20000;
   /// Injectable clock + syscalls; defaults are the real thing.
   IoHooks hooks{};
   /// Read-only stats endpoint, served from the SAME epoll loop: -1 keeps
@@ -157,6 +147,10 @@ class OfpServer {
 
   void loop();
   void accept_ready(std::uint64_t now);
+  /// socket/bind/listen on bind_address:`port`, registered for EPOLLIN;
+  /// the listening fd (its bound port in `bound_port`), or -1.
+  [[nodiscard]] int open_listener(std::uint16_t port, int backlog,
+                                  std::uint16_t& bound_port);
   void stats_accept_ready();
   void stats_event(int fd, std::uint32_t events);
   void stats_close(int fd);
@@ -172,7 +166,7 @@ class OfpServer {
   void update_interest(int fd, Connection& conn);
   /// Fold a session's counter deltas into the server-wide atomics.
   void sync_counters(Connection& conn);
-  /// Sample pressure (external source + sink-latency EWMA) into admission.
+  /// Feed the sink-latency EWMA, over its budget, to admission control.
   void sample_pressure(std::uint64_t now);
   /// Close every fd this server owns (post-join / failed-start cleanup).
   void stop_fds();

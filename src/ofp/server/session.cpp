@@ -22,37 +22,34 @@ const char* to_string(CloseReason reason) {
 
 namespace {
 
-/// kOverload ERROR data payload: a big-endian u16 backoff hint in ms.
-std::vector<std::uint8_t> backoff_hint_bytes(std::uint16_t backoff_ms) {
-  return {static_cast<std::uint8_t>(backoff_ms >> 8),
-          static_cast<std::uint8_t>(backoff_ms)};
-}
+/// kOverload ERROR data payload: the big-endian u16 backoff hint in ms.
+constexpr std::uint8_t kBackoffHint[] = {
+    static_cast<std::uint8_t>(kBackoffHintMs >> 8),
+    static_cast<std::uint8_t>(kBackoffHintMs)};
 
 }  // namespace
 
 Session::Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
                  std::uint64_t now_ms)
+    : Session(id, config, std::move(sink), std::make_unique<ControlPlane>(),
+              nullptr, now_ms) {}
+
+Session::Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
+                 ControlPlane& control, std::uint64_t now_ms)
+    : Session(id, config, std::move(sink), nullptr, &control, now_ms) {}
+
+Session::Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
+                 std::unique_ptr<ControlPlane> owned, ControlPlane* shared,
+                 std::uint64_t now_ms)
     : id_(id),
       config_(config),
       sink_(std::move(sink)),
-      owned_control_(std::make_unique<ControlPlane>()),
-      control_(owned_control_.get()),
+      owned_control_(std::move(owned)),
+      control_(owned_control_ ? owned_control_.get() : shared),
       assembler_(config.read_buffer_cap),
       last_rx_ms_(now_ms) {
   control_->roles.on_session_open(id_);
   // Both sides open with HELLO; ours goes out immediately.
-  queue_output(encode({next_xid_++, Hello{}}), now_ms);
-}
-
-Session::Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
-                 ControlPlane& control, std::uint64_t now_ms)
-    : id_(id),
-      config_(config),
-      sink_(std::move(sink)),
-      control_(&control),
-      assembler_(config.read_buffer_cap),
-      last_rx_ms_(now_ms) {
-  control_->roles.on_session_open(id_);
   queue_output(encode({next_xid_++, Hello{}}), now_ms);
 }
 
@@ -110,14 +107,11 @@ void Session::handle_frame(const std::vector<std::uint8_t>& frame,
       return;
     }
     // A malformed body still answers in frame order: flush pending mods so
-    // the ERROR cannot overtake them.
+    // the ERROR cannot overtake them. The session keeps serving.
     flush_mods(now_ms);
     queue_output(encode_error(peek_xid(frame), ErrorType::kBadRequest,
                               error_code_for(status), frame),
                  now_ms);
-    if (config_.close_on_malformed) {
-      begin_drain(CloseReason::kProtocolError, now_ms);
-    }
     return;
   }
   handle_message(envelope, frame, now_ms);
@@ -227,7 +221,6 @@ void Session::handle_resync_request(const Envelope& envelope,
       config_.resync_digest_cap) {
     // A digest that cannot fit is a protocol violation, not a memory leak.
     resync_digest_.clear();
-    resync_open_ = false;
     queue_output(encode_error(envelope.xid, ErrorType::kBadRequest,
                               ErrorCode::kBufferOverflow),
                  now_ms);
@@ -236,14 +229,12 @@ void Session::handle_resync_request(const Envelope& envelope,
   }
   resync_digest_.insert(resync_digest_.end(), request.entries.begin(),
                         request.entries.end());
-  resync_open_ = true;
   if (request.done) finish_resync(envelope.xid, now_ms);
 }
 
 void Session::finish_resync(std::uint32_t xid, std::uint64_t now_ms) {
   const auto outcome = compute_resync(control_->journal, resync_digest_);
   resync_digest_.clear();
-  resync_open_ = false;
   counters_.resyncs++;
 
   // GC stale entries through the ordinary sink path: one batch, one
@@ -278,26 +269,26 @@ void Session::finish_resync(std::uint32_t xid, std::uint64_t now_ms) {
 
 void Session::flush_mods(std::uint64_t now_ms) {
   if (mods_.empty()) return;
-  const bool is_master = role() == Role::kMaster;
-  const auto verdict =
-      control_->admission.admit(id_, is_master, mods_.size(), now_ms);
-  if (!verdict.admit) {
+  if (control_->admission.sheds(role() == Role::kMaster)) {
     // Shed the whole batch: every xid still gets an answer — an ERROR with
     // a backoff hint — so the controller can retry after the hint, and a
     // controller that never backs off exhausts its rejection budget and is
     // drained (bounded retry).
     counters_.flow_mods_shed += mods_.size();
-    const auto hint = backoff_hint_bytes(verdict.backoff_hint_ms);
+    consecutive_rejects_ += mods_.size();
     for (const auto& mod : mods_) {
       queue_output(encode_error(mod.xid, ErrorType::kFlowModFailed,
-                                ErrorCode::kOverload, hint),
+                                ErrorCode::kOverload, kBackoffHint),
                    now_ms);
       if (state_ != State::kSteady) break;  // backpressure drain kicked in
     }
     mods_.clear();
-    if (verdict.drain) begin_drain(CloseReason::kOverload, now_ms);
+    if (consecutive_rejects_ >= kMaxConsecutiveRejects) {
+      begin_drain(CloseReason::kOverload, now_ms);
+    }
     return;
   }
+  consecutive_rejects_ = 0;
   mod_results_.assign(mods_.size(), ErrorCode::kNone);
   OFMTL_OBS_EMIT(obs::TraceEvent::kOfpApplyBegin, id_, mods_.size());
   sink_(mods_, mod_results_);

@@ -9,8 +9,9 @@
 //
 // Robustness contract (the tentpole property): no peer input — truncated,
 // oversized, corrupt, or mis-sequenced — ever surfaces as an exception or
-// crash. Malformed frames answer with OFP ERROR; unrecoverable streams
-// (framing desync, buffer overflow, liveness loss) drain and close.
+// crash. A malformed frame answers with OFP ERROR and the session keeps
+// serving; unrecoverable streams (framing desync, buffer overflow, liveness
+// loss) drain and close.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,6 @@ struct SessionConfig {
   /// Grace (ms) for any inbound byte after a probe before the session is
   /// declared dead and closed.
   std::uint64_t echo_timeout_ms = 2000;
-  /// Close (after the ERROR reply) on any malformed frame instead of
-  /// tolerating it. Framing-desync errors always close regardless.
-  bool close_on_malformed = false;
   /// Flow-mods accumulated before the sink is forced mid-feed: bounds the
   /// latency between a mod arriving and it being published.
   std::size_t max_mods_per_batch = 256;
@@ -60,12 +58,12 @@ enum class CloseReason : std::uint8_t {
   kNone = 0,
   kPeerClosed,     ///< orderly EOF from the controller
   kHandshakeFailed,///< first frame was not a valid HELLO
-  kProtocolError,  ///< framing desync / malformed with close_on_malformed
+  kProtocolError,  ///< framing desync / resync digest over its cap
   kReadOverflow,   ///< reassembly buffer cap exceeded
   kBackpressure,   ///< write buffer cap exceeded (slow reader)
   kEchoTimeout,    ///< liveness probe unanswered
   kServerShutdown,
-  kOverload,       ///< rejection budget exhausted under admission control
+  kOverload,       ///< kMaxConsecutiveRejects shed mods in a row
 };
 
 [[nodiscard]] const char* to_string(CloseReason reason);
@@ -167,7 +165,8 @@ class Session {
   void handle_message(const Envelope& envelope,
                       const std::vector<std::uint8_t>& frame,
                       std::uint64_t now_ms);
-  /// Push one batch through the sink and queue ERROR replies for failures.
+  /// Push one batch through the sink and queue ERROR replies for failures,
+  /// or shed it whole when admission control sheds this session.
   void flush_mods(std::uint64_t now_ms);
   void handle_role_request(const Envelope& envelope, std::uint64_t now_ms);
   void handle_resync_request(const Envelope& envelope, std::uint64_t now_ms);
@@ -177,6 +176,12 @@ class Session {
   /// Queue an encoded frame; on cap overflow switches to backpressure drain.
   void queue_output(std::vector<std::uint8_t> frame, std::uint64_t now_ms);
   void begin_drain(CloseReason reason, std::uint64_t now_ms);
+
+  /// The one constructor body: `owned` is the standalone ControlPlane, or
+  /// null when `shared` is the server's.
+  Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
+          std::unique_ptr<ControlPlane> owned, ControlPlane* shared,
+          std::uint64_t now_ms);
 
   std::uint64_t id_;
   SessionConfig config_;
@@ -197,7 +202,9 @@ class Session {
   std::vector<ErrorCode> mod_results_;   // sink scratch, reused
 
   std::vector<ResyncEntry> resync_digest_;  // accumulated across chunks
-  bool resync_open_ = false;
+  // Shed mods since this session's last admitted batch; draining at
+  // kMaxConsecutiveRejects bounds a controller that ignores backoff.
+  std::uint64_t consecutive_rejects_ = 0;
 
   std::uint64_t last_rx_ms_ = 0;
   std::optional<std::uint64_t> probe_deadline_ms_;  // set while a probe is out

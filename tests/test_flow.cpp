@@ -134,9 +134,11 @@ TEST(FlowStatsTracker, Lifecycle) {
   EXPECT_EQ(stats->last_used, 8U);
   EXPECT_EQ(tracker.find({1, 2}), nullptr);
 
-  EXPECT_TRUE(tracker.expired(17).empty());          // 8 + 10 = 18 > 17
-  EXPECT_EQ(tracker.expired(18).size(), 1U);         // idle fires
-  EXPECT_EQ(tracker.expired(105).size(), 1U);        // hard fires regardless
+  EXPECT_TRUE(tracker.expired(17).empty());  // 8 + 10 = 18 > 17
+  EXPECT_EQ(tracker.expired(18),             // idle fires
+            (std::vector<Expiry>{{{0, 1}, Timeout::kIdle}}));
+  EXPECT_EQ(tracker.expired(105),            // both fire: hard wins
+            (std::vector<Expiry>{{{0, 1}, Timeout::kHard}}));
   tracker.erase({0, 1});
   EXPECT_EQ(tracker.tracked(), 0U);
 }

@@ -1,10 +1,10 @@
-// Metrics-plane tests: instrument semantics, provider registration RAII
+// Metrics-plane tests: provider registration RAII
 // (the dangling-callback crash mode a dying runtime must never hit),
 // Prometheus/JSON rendering shape, and a concurrent scrape-vs-update-vs-
 // register storm. The concurrency test runs under TSan in CI (.github/
-// workflows/ci.yml tsan job) — instruments claim wait-free cross-thread
-// safety and the registry claims mutex-serialized scrapes; TSan holds both
-// to it.
+// workflows/ci.yml tsan job) — the registry claims mutex-serialized
+// scrapes against concurrent registration and provider-owned atomics; TSan
+// holds it to that.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,23 +18,8 @@
 namespace {
 
 using namespace ofmtl;
-using obs::Counter;
-using obs::Gauge;
 using obs::MetricsBuilder;
 using obs::MetricsRegistry;
-
-TEST(MetricsInstrumentTest, CounterAccumulatesAndGaugeOverwrites) {
-  Counter counter;
-  counter.add();
-  counter.add(41);
-  EXPECT_EQ(counter.value(), 42u);
-  Gauge gauge;
-  EXPECT_EQ(gauge.value(), 0.0);
-  gauge.set(2.5);
-  EXPECT_EQ(gauge.value(), 2.5);
-  gauge.set(-1e18);
-  EXPECT_EQ(gauge.value(), -1e18);
-}
 
 TEST(MetricsRegistryTest, PrometheusRenderGroupsFamiliesWithOneHeader) {
   MetricsRegistry registry;
@@ -129,20 +114,20 @@ TEST(MetricsRegistryTest, RuntimeProviderExportsWorkerAndCacheFamilies) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentScrapeUpdateRegisterIsRaceFree) {
-  // The TSan target: three writer threads hammering shared instruments,
+  // The TSan target: three writer threads hammering shared atomics,
   // one thread churning provider registration, and the main thread
   // scraping continuously. Nothing here asserts ordering — the assertion
   // IS the absence of data races and lost registrations.
   MetricsRegistry registry;
-  Counter shared_counter;
-  Gauge shared_gauge;
+  std::atomic<std::uint64_t> shared_counter{0};
+  std::atomic<double> shared_gauge{0};
   std::atomic<bool> stop{false};
 
   auto stable = registry.register_provider(
       [&shared_counter, &shared_gauge](MetricsBuilder& builder) {
         builder.counter("ofmtl_storm_total", "h",
-                        static_cast<double>(shared_counter.value()));
-        builder.gauge("ofmtl_storm_gauge", "h", shared_gauge.value());
+                        static_cast<double>(shared_counter.load()));
+        builder.gauge("ofmtl_storm_gauge", "h", shared_gauge.load());
       });
 
   std::vector<std::thread> writers;
@@ -151,8 +136,9 @@ TEST(MetricsRegistryTest, ConcurrentScrapeUpdateRegisterIsRaceFree) {
       std::uint64_t i = 0;
       do {  // do-while: each writer lands at least one update even if the
             // scraper finishes before this thread is first scheduled
-        shared_counter.add(1);
-        shared_gauge.set(static_cast<double>(t) + static_cast<double>(i++));
+        shared_counter.fetch_add(1, std::memory_order_relaxed);
+        shared_gauge.store(static_cast<double>(t) + static_cast<double>(i++),
+                           std::memory_order_relaxed);
       } while (!stop.load(std::memory_order_acquire));
     });
   }
@@ -173,7 +159,7 @@ TEST(MetricsRegistryTest, ConcurrentScrapeUpdateRegisterIsRaceFree) {
   for (auto& w : writers) w.join();
   churner.join();
   EXPECT_EQ(registry.provider_count(), 1u);  // only the stable provider left
-  EXPECT_GT(shared_counter.value(), 0u);
+  EXPECT_GT(shared_counter.load(), 0u);
 }
 
 }  // namespace

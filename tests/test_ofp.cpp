@@ -458,9 +458,77 @@ TEST(SwitchAgent, FlowRemovedOnIdleExpiry) {
   const auto envelope = decode(notifications[0]);
   const auto& removed = std::get<FlowRemovedMsg>(envelope.message);
   EXPECT_EQ(removed.entry_id, 5U);
+  EXPECT_EQ(removed.reason, FlowRemovedReason::kIdleTimeout);
   EXPECT_EQ(removed.packets, 1U);
   EXPECT_EQ(removed.bytes, frame.size());
   EXPECT_EQ(agent.model().entry_count(), 0U);
+}
+
+TEST(SwitchAgent, FlowRemovedOnHardExpiryReportsHardTimeout) {
+  SwitchAgent agent({{FieldId::kVlanId}});
+  handshake(agent);
+  FlowModMsg mod;
+  mod.entry.id = 6;
+  mod.entry.priority = 1;
+  mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{10}));
+  mod.entry.instructions = output_instruction(1);
+  mod.timeouts.hard_timeout = 5;
+  mod.send_flow_removed = true;
+  EXPECT_TRUE(agent.handle_control(encode({11, mod}), 0).empty());
+
+  const auto notifications = agent.sweep(10);
+  ASSERT_EQ(notifications.size(), 1U);
+  const auto envelope = decode(notifications[0]);
+  const auto& removed = std::get<FlowRemovedMsg>(envelope.message);
+  EXPECT_EQ(removed.entry_id, 6U);
+  EXPECT_EQ(removed.reason, FlowRemovedReason::kHardTimeout);
+  EXPECT_EQ(agent.model().entry_count(), 0U);
+}
+
+TEST(SwitchAgent, ModifyKeepsFlagsAndTimeoutsOfTheAdd) {
+  // OpenFlow 1.3 section 6.4: a Modify changes the instructions only; the
+  // entry's flags, timeouts and counters stay as the Add set them.
+  SwitchAgent agent({{FieldId::kVlanId}});
+  handshake(agent);
+  const auto flow = [](FlowEntryId id, std::uint32_t port) {
+    FlowModMsg mod;
+    mod.entry.id = id;
+    mod.entry.priority = 1;
+    mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{id}));
+    mod.entry.instructions = output_instruction(port);
+    return mod;
+  };
+
+  // Added without the flag or a timeout: a Modify asking for both sets
+  // neither, so nothing expires and the delete sends no FLOW_REMOVED.
+  EXPECT_TRUE(agent.handle_control(encode({20, flow(1, 1)}), 0).empty());
+  auto modify = flow(1, 2);
+  modify.command = FlowModCommand::kModify;
+  modify.send_flow_removed = true;
+  modify.timeouts.hard_timeout = 5;
+  EXPECT_TRUE(agent.handle_control(encode({21, modify}), 1).empty());
+  EXPECT_TRUE(agent.sweep(10).empty());
+  EXPECT_EQ(agent.model().entry_count(), 1U);
+  FlowModMsg del;
+  del.command = FlowModCommand::kDelete;
+  del.entry.id = 1;
+  EXPECT_TRUE(agent.handle_control(encode({22, del}), 11).empty());
+
+  // Added with the flag and a hard timeout: a Modify without either keeps
+  // both, so the timeout still fires and still notifies.
+  auto add = flow(2, 1);
+  add.send_flow_removed = true;
+  add.timeouts.hard_timeout = 5;
+  EXPECT_TRUE(agent.handle_control(encode({23, add}), 20).empty());
+  modify = flow(2, 3);
+  modify.command = FlowModCommand::kModify;
+  EXPECT_TRUE(agent.handle_control(encode({24, modify}), 21).empty());
+  const auto notifications = agent.sweep(30);
+  ASSERT_EQ(notifications.size(), 1U);
+  const auto envelope = decode(notifications[0]);
+  const auto& removed = std::get<FlowRemovedMsg>(envelope.message);
+  EXPECT_EQ(removed.entry_id, 2U);
+  EXPECT_EQ(removed.reason, FlowRemovedReason::kHardTimeout);
 }
 
 TEST(SwitchAgent, DeleteWithNotification) {
@@ -622,6 +690,49 @@ TEST(SwitchAgent, UnexpectedInboundTypeAnswersError) {
       encode({50, PacketIn{0xFFFFFFFF, 0, PacketInReason::kNoMatch, 1, {}}})));
   EXPECT_EQ(error.type, ErrorType::kBadRequest);
   EXPECT_EQ(error.code, ErrorCode::kBadType);
+}
+
+TEST(SwitchAgent, MalformedDataFramesAreDroppedWithoutSideEffects) {
+  // Every truncation and a seeded byte-mutation sweep of a frame the
+  // installed flow matches: no frame throws, and each one the parser
+  // rejects comes back dropped, with no PACKET_IN and no counter moved.
+  SwitchAgent agent({{FieldId::kVlanId}});
+  handshake(agent);
+  FlowModMsg mod;
+  mod.entry.id = 1;
+  mod.entry.priority = 1;
+  mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{10}));
+  mod.entry.instructions = output_instruction(1);
+  EXPECT_TRUE(agent.handle_control(encode({70, mod}), 0).empty());
+  const auto frame = test_frame(10, 0x020000000009ULL);
+
+  std::size_t rejected = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& bytes) {
+    PacketHeader header;
+    const bool parses = parse_packet_header(bytes, 1, header);
+    const auto before = agent.model().stats().find({0, 1})->packets;
+    SwitchAgent::DataResult result;
+    EXPECT_NO_THROW(result = agent.handle_frame(bytes, 1, 1));
+    if (parses) return;
+    rejected++;
+    EXPECT_EQ(result.execution.verdict, Verdict::kDropped);
+    EXPECT_TRUE(result.execution.visited_tables.empty());
+    EXPECT_FALSE(result.packet_in.has_value());
+    EXPECT_EQ(agent.model().stats().find({0, 1})->packets, before);
+  };
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    check({frame.begin(), frame.begin() + static_cast<long>(cut)});
+  }
+  workload::Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto bytes = frame;
+    const int flips = 1 + static_cast<int>(rng.below(4));
+    for (int i = 0; i < flips; ++i) {
+      bytes[rng.below(bytes.size())] = static_cast<std::uint8_t>(rng.next());
+    }
+    check(bytes);
+  }
+  EXPECT_GT(rejected, frame.size() / 2);
 }
 
 TEST(SwitchAgent, PacketOutWithUnparseableFrameAnswersError) {

@@ -1,7 +1,7 @@
 // Control-plane failover and overload resilience, bottom-up: RoleManager
 // generation fencing and deterministic promotion, the FlowJournal /
 // compute_resync diff and its convergence contract, the AdmissionController
-// overload state machine (hysteresis, dwell, token buckets, bounded retry),
+// overload state machine (hysteresis, dwell, shedding, bounded retry),
 // the Session-level wiring of all three (sans-io, virtual clock), and the
 // live OfpServer paths that only exist under chaos: EMFILE accept backoff,
 // SIGPIPE-free writes to RST'd peers, virtual-clock liveness timeouts, and a
@@ -255,79 +255,51 @@ TEST(Resync, ConvergesAfterApplyingTheDiff) {
   EXPECT_TRUE(again.missing.empty());
 }
 
-// --- AdmissionController: hysteresis, dwell, buckets, bounded retry ---
+// --- AdmissionController: hysteresis, dwell, shedding ---
+
+/// NORMAL -> THROTTLE at t=0, THROTTLE -> SHED once the dwell has passed.
+void force_shed(AdmissionController& admission) {
+  admission.on_pressure_sample(0.80, 0);
+  admission.on_pressure_sample(0.95, kMinDwellMs);
+  ASSERT_EQ(admission.state(), AdmissionState::kShed);
+}
 
 TEST(Admission, HysteresisWithDwellNeverFlaps) {
-  AdmissionConfig config;
-  config.min_dwell_ms = 100;
-  AdmissionController admission(config);
+  AdmissionController admission;
   EXPECT_EQ(admission.state(), AdmissionState::kNormal);
 
   admission.on_pressure_sample(0.80, 0);
   EXPECT_EQ(admission.state(), AdmissionState::kThrottle);
-  // Above shed_enter but inside the dwell: no transition yet.
-  admission.on_pressure_sample(0.95, 50);
+  // Above kShedEnter but inside the dwell: no transition yet.
+  admission.on_pressure_sample(0.95, kMinDwellMs - 1);
   EXPECT_EQ(admission.state(), AdmissionState::kThrottle);
-  admission.on_pressure_sample(0.95, 150);
+  admission.on_pressure_sample(0.95, kMinDwellMs);
   EXPECT_EQ(admission.state(), AdmissionState::kShed);
 
-  // 0.55 is under shed_exit but over throttle_exit: SHED unwinds one level
+  // 0.55 is under kShedExit but over kThrottleExit: SHED unwinds one level
   // and then PARKS in THROTTLE — the hysteresis band between 0.50 and 0.75.
-  admission.on_pressure_sample(0.55, 300);
+  admission.on_pressure_sample(0.55, 2 * kMinDwellMs);
   EXPECT_EQ(admission.state(), AdmissionState::kThrottle);
-  admission.on_pressure_sample(0.55, 450);
+  admission.on_pressure_sample(0.55, 4 * kMinDwellMs);
   EXPECT_EQ(admission.state(), AdmissionState::kThrottle);
-  // Only dropping through throttle_exit reaches NORMAL again.
-  admission.on_pressure_sample(0.45, 600);
+  // Only dropping through kThrottleExit reaches NORMAL again.
+  admission.on_pressure_sample(0.45, 6 * kMinDwellMs);
   EXPECT_EQ(admission.state(), AdmissionState::kNormal);
 }
 
-TEST(Admission, TokenBucketMetersAndThrottleShavesNonMasters) {
-  AdmissionConfig config;
-  config.session_rate_cap = 40;  // 40 mods/s, one-second burst
-  config.throttle_divisor = 4;
-  config.min_dwell_ms = 0;
-  AdmissionController admission(config);
-
-  // NORMAL: burst of the full cap admits, the next mod does not.
-  EXPECT_TRUE(admission.admit(1, false, 40, 0).admit);
-  const auto rejected = admission.admit(1, false, 1, 0);
-  EXPECT_FALSE(rejected.admit);
-  EXPECT_EQ(rejected.backoff_hint_ms, config.backoff_hint_ms);
-
-  // THROTTLE: a fresh non-master bucket is primed at cap/4; the master's at
-  // the full cap.
-  admission.on_pressure_sample(0.80, 10);
-  ASSERT_EQ(admission.state(), AdmissionState::kThrottle);
-  EXPECT_TRUE(admission.admit(2, false, 10, 10).admit);
-  EXPECT_FALSE(admission.admit(2, false, 10, 10).admit);
-  EXPECT_TRUE(admission.admit(3, true, 40, 10).admit);
-
-  // Refill: a second later the non-master may spend cap/4 again.
-  EXPECT_TRUE(admission.admit(2, false, 10, 1010).admit);
-}
-
-TEST(Admission, ShedRejectsNonMastersOutrightAndDrainsAfterBudget) {
-  AdmissionConfig config;
-  config.min_dwell_ms = 0;
-  config.max_consecutive_rejects = 8;
-  AdmissionController admission(config);
+TEST(Admission, OnlyShedRejectsAndNeverTheMaster) {
+  AdmissionController admission;
+  EXPECT_FALSE(admission.sheds(false));
+  EXPECT_FALSE(admission.sheds(true));
+  // THROTTLE is the middle rung: it admits exactly as NORMAL does.
   admission.on_pressure_sample(0.80, 0);
-  admission.on_pressure_sample(0.95, 1);
+  ASSERT_EQ(admission.state(), AdmissionState::kThrottle);
+  EXPECT_FALSE(admission.sheds(false));
+  EXPECT_FALSE(admission.sheds(true));
+  admission.on_pressure_sample(0.95, kMinDwellMs);
   ASSERT_EQ(admission.state(), AdmissionState::kShed);
-
-  // No rate cap configured, yet SHED still rejects non-masters.
-  auto verdict = admission.admit(1, false, 4, 2);
-  EXPECT_FALSE(verdict.admit);
-  EXPECT_FALSE(verdict.drain);
-  EXPECT_TRUE(admission.admit(2, true, 1000, 2).admit);  // master unharmed
-
-  // Bounded retry: the rejection budget exhausts and orders a drain.
-  verdict = admission.admit(1, false, 3, 3);
-  EXPECT_FALSE(verdict.drain);  // 7 consecutive rejects: still under budget
-  verdict = admission.admit(1, false, 1, 4);
-  EXPECT_TRUE(verdict.drain);  // the 8th trips it
-  EXPECT_EQ(admission.rejected_mods(), 8U);
+  EXPECT_TRUE(admission.sheds(false));
+  EXPECT_FALSE(admission.sheds(true));  // the master keeps publishing
 }
 
 // --- Session: role, resync, and overload wiring (sans-io) ---
@@ -507,19 +479,41 @@ TEST(SessionResync, DigestOverCapDrainsTheSession) {
   EXPECT_NE(session.state(), Session::State::kSteady);
 }
 
+/// Feed `count` flow-mods from xid `first_xid` on, in chunks the read
+/// buffer holds, and drain the replies; returns how many were kOverload
+/// ERRORs carrying the backoff hint.
+std::size_t feed_mods(Session& session, std::uint32_t first_xid,
+                      std::size_t count, std::uint64_t now) {
+  std::size_t overload_errors = 0;
+  for (std::size_t sent = 0; sent < count;) {
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i < 256 && sent < count; ++i, ++sent) {
+      const auto xid = first_xid + static_cast<std::uint32_t>(sent);
+      const auto frame = encode({xid, make_mod(xid)});
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    session.on_bytes(bytes, now);
+    for (const auto& envelope : drain_frames(session)) {
+      const auto* error = std::get_if<ErrorMsg>(&envelope.message);
+      if (error == nullptr || error->code != ErrorCode::kOverload) continue;
+      // The reply data carries the 16-bit big-endian backoff hint.
+      EXPECT_EQ(error->type, ErrorType::kFlowModFailed);
+      EXPECT_EQ(error->data.size(), 2U);
+      if (error->data.size() == 2 &&
+          ((error->data[0] << 8) | error->data[1]) == kBackoffHintMs) {
+        overload_errors++;
+      }
+    }
+  }
+  return overload_errors;
+}
+
 TEST(SessionOverload, ShedModsEarnBackoffHintedErrorsThenDrain) {
-  AdmissionConfig admission;
-  admission.min_dwell_ms = 0;
-  admission.backoff_hint_ms = 77;
-  admission.max_consecutive_rejects = 3;
-  ControlPlane control{admission};
+  ControlPlane control;
   CountingSink sink;
   auto session = steady_session(1, sink.make(), control);
-
   // Force SHED; the session holds no role, so its mods are rejected.
-  control.admission.on_pressure_sample(0.80, 0);
-  control.admission.on_pressure_sample(0.95, 1);
-  ASSERT_EQ(control.admission.state(), AdmissionState::kShed);
+  force_shed(control.admission);
 
   session.on_bytes(encode({1, make_mod(1)}), 10);
   session.on_bytes(encode({2, EchoRequest{{0}}}), 10);
@@ -529,33 +523,61 @@ TEST(SessionOverload, ShedModsEarnBackoffHintedErrorsThenDrain) {
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->type, ErrorType::kFlowModFailed);
   EXPECT_EQ(error->code, ErrorCode::kOverload);
-  // The reply data carries the 16-bit big-endian backoff hint.
-  ASSERT_GE(error->data.size(), 2U);
-  const auto hint_off = error->data.size() - 2;
-  EXPECT_EQ((error->data[hint_off] << 8) | error->data[hint_off + 1], 77);
+  ASSERT_EQ(error->data.size(), 2U);
+  EXPECT_EQ((error->data[0] << 8) | error->data[1], kBackoffHintMs);
   EXPECT_TRUE(sink.batches.empty());
   EXPECT_EQ(session.counters().flow_mods_shed, 1U);
 
-  // Two more rejected mods exhaust max_consecutive_rejects: drained.
-  session.on_bytes(encode({3, make_mod(2)}), 11);
-  session.on_bytes(encode({4, make_mod(3)}), 11);
-  session.on_bytes(encode({5, EchoRequest{{0}}}), 11);
-  drain_frames(session);
+  // One short of the budget: still serving.
+  EXPECT_EQ(feed_mods(session, 10, kMaxConsecutiveRejects - 2, 11),
+            kMaxConsecutiveRejects - 2);
+  EXPECT_EQ(session.state(), Session::State::kSteady);
+  // The budget's last mod drains the session.
+  EXPECT_EQ(feed_mods(session, 10'000, 1, 12), 1U);
   EXPECT_NE(session.state(), Session::State::kSteady);
   EXPECT_EQ(session.close_reason(), CloseReason::kOverload);
+  EXPECT_EQ(session.counters().flow_mods_shed, kMaxConsecutiveRejects);
+  EXPECT_TRUE(sink.batches.empty());
+}
+
+TEST(SessionOverload, RejectBudgetIsPerSessionAndResetsOnAdmit) {
+  ControlPlane control;
+  CountingSink sink_a, sink_b;
+  auto a = steady_session(1, sink_a.make(), control);
+  auto b = steady_session(2, sink_b.make(), control);
+  force_shed(control.admission);
+
+  // B sheds one short of the budget; A then spends its whole budget and is
+  // drained. The count is per session: B keeps serving.
+  feed_mods(b, 1, kMaxConsecutiveRejects - 1, 10);
+  feed_mods(a, 1, kMaxConsecutiveRejects, 10);
+  EXPECT_EQ(a.close_reason(), CloseReason::kOverload);
+  EXPECT_EQ(b.state(), Session::State::kSteady);
+
+  // Pressure eases to THROTTLE, which admits non-masters: B's next batch is
+  // applied, and that resets its count.
+  control.admission.on_pressure_sample(0.55, 2 * kMinDwellMs);
+  ASSERT_EQ(control.admission.state(), AdmissionState::kThrottle);
+  EXPECT_EQ(feed_mods(b, 20'000, 1, 20), 0U);
+  EXPECT_EQ(sink_b.batches.size(), 1U);
+
+  // Back in SHED, B again gets a full budget less one before it would
+  // drain, though its total shed count is past the budget.
+  control.admission.on_pressure_sample(0.95, 3 * kMinDwellMs);
+  ASSERT_EQ(control.admission.state(), AdmissionState::kShed);
+  feed_mods(b, 30'000, kMaxConsecutiveRejects - 1, 30);
+  EXPECT_EQ(b.state(), Session::State::kSteady);
+  EXPECT_EQ(b.counters().flow_mods_shed, 2 * (kMaxConsecutiveRejects - 1));
+  EXPECT_TRUE(sink_a.batches.empty());
 }
 
 TEST(SessionOverload, MasterKeepsPublishingUnderShed) {
-  AdmissionConfig admission;
-  admission.min_dwell_ms = 0;
-  ControlPlane control{admission};
+  ControlPlane control;
   CountingSink sink;
   auto master = steady_session(1, sink.make(), control);
   master.on_bytes(encode({1, RoleRequestMsg{Role::kMaster, 1}}), 0);
   drain_frames(master);
-  control.admission.on_pressure_sample(0.80, 0);
-  control.admission.on_pressure_sample(0.95, 1);
-  ASSERT_EQ(control.admission.state(), AdmissionState::kShed);
+  force_shed(control.admission);
 
   master.on_bytes(encode({2, make_mod(1)}), 10);
   master.on_bytes(encode({3, EchoRequest{{0}}}), 10);

@@ -294,7 +294,7 @@ TEST(Session, MalformedSteadyFrameAnswersErrorAndTolerates) {
   auto bad = encode({30, EchoRequest{{1, 2}}});
   bad[1] = 250;  // unknown type
   session.on_bytes(bad, 1);
-  EXPECT_EQ(session.state(), Session::State::kSteady);  // tolerant by default
+  EXPECT_EQ(session.state(), Session::State::kSteady);  // tolerated
   const auto out = drain_frames(session);
   ASSERT_EQ(out.size(), 1U);
   EXPECT_EQ(out[0].xid, 30U);
@@ -306,18 +306,6 @@ TEST(Session, MalformedSteadyFrameAnswersErrorAndTolerates) {
   const auto next = drain_frames(session);
   ASSERT_EQ(next.size(), 1U);
   EXPECT_EQ(next[0].xid, 31U);
-}
-
-TEST(Session, CloseOnMalformedConfigDrains) {
-  RecordingSink sink;
-  SessionConfig config;
-  config.close_on_malformed = true;
-  auto session = steady_session(sink.make(), config);
-  auto bad = encode({30, Hello{}});
-  bad[1] = 250;
-  session.on_bytes(bad, 1);
-  EXPECT_EQ(session.state(), Session::State::kDraining);
-  EXPECT_EQ(session.close_reason(), CloseReason::kProtocolError);
 }
 
 TEST(Session, FramingDesyncClosesAfterBestEffortError) {

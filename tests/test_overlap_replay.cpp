@@ -1,133 +1,14 @@
-// Overlap detection (OFPFF_CHECK_OVERLAP semantics) and update-file
-// replay (the Section V.B two-file mechanism, round-tripped).
+// Update-file replay (the Section V.B two-file mechanism, round-tripped).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/builder.hpp"
 #include "core/update_engine.hpp"
-#include "flow/overlap.hpp"
-#include "workload/rng.hpp"
 #include "workload/stanford_synth.hpp"
-#include "workload/trace_gen.hpp"
 
 namespace ofmtl {
 namespace {
-
-// ---- field-constraint intersection ----
-
-TEST(Overlap, ExactVsExact) {
-  EXPECT_TRUE(field_constraints_intersect(FieldMatch::exact(std::uint64_t{5}),
-                                          FieldMatch::exact(std::uint64_t{5}), 16));
-  EXPECT_FALSE(field_constraints_intersect(FieldMatch::exact(std::uint64_t{5}),
-                                           FieldMatch::exact(std::uint64_t{6}), 16));
-}
-
-TEST(Overlap, PrefixNesting) {
-  const auto wide = FieldMatch::of_prefix(Prefix::from_value(0x0A000000, 8, 32));
-  const auto narrow =
-      FieldMatch::of_prefix(Prefix::from_value(0x0A010000, 16, 32));
-  const auto disjoint =
-      FieldMatch::of_prefix(Prefix::from_value(0x0B000000, 8, 32));
-  EXPECT_TRUE(field_constraints_intersect(wide, narrow, 32));
-  EXPECT_FALSE(field_constraints_intersect(narrow, disjoint, 32));
-  EXPECT_TRUE(field_constraints_intersect(wide, FieldMatch::any(), 32));
-}
-
-TEST(Overlap, RangeVsPrefix) {
-  const auto range = FieldMatch::of_range(100, 200);
-  const auto inside = FieldMatch::of_prefix(Prefix::from_value(128, 10, 16));
-  const auto outside = FieldMatch::of_prefix(Prefix::from_value(0x4000, 2, 16));
-  EXPECT_TRUE(field_constraints_intersect(range, inside, 16));
-  EXPECT_FALSE(field_constraints_intersect(range, outside, 16));
-}
-
-TEST(Overlap, MaskedPairs) {
-  const auto a = FieldMatch::masked(U128{0x10}, U128{0xF0});
-  const auto b = FieldMatch::masked(U128{0x01}, U128{0x0F});  // disjoint bits
-  const auto c = FieldMatch::masked(U128{0x20}, U128{0xF0});  // conflicts with a
-  EXPECT_TRUE(field_constraints_intersect(a, b, 8));
-  EXPECT_FALSE(field_constraints_intersect(a, c, 8));
-  EXPECT_TRUE(field_constraints_intersect(a, FieldMatch::exact(std::uint64_t{0x1A}), 8));
-  EXPECT_FALSE(field_constraints_intersect(a, FieldMatch::exact(std::uint64_t{0x2A}), 8));
-}
-
-TEST(Overlap, WideIpv6Prefixes) {
-  const auto a = FieldMatch::of_prefix(
-      Prefix{U128{0x20010DB800000000ULL, 0}, 32, 128});
-  const auto b = FieldMatch::of_prefix(
-      Prefix{U128{0x20010DB8AAAA0000ULL, 0}, 48, 128});
-  const auto c = FieldMatch::of_prefix(
-      Prefix{U128{0x2002000000000000ULL, 0}, 16, 128});
-  EXPECT_TRUE(field_constraints_intersect(a, b, 128));
-  EXPECT_FALSE(field_constraints_intersect(a, c, 128));
-}
-
-// Property: intersection result agrees with a witness search over a small
-// field (8 bits: exhaustive).
-TEST(Overlap, ExhaustiveWitnessAgreement) {
-  workload::Rng rng(81);
-  const auto random_constraint = [&rng]() -> FieldMatch {
-    switch (rng.below(4)) {
-      case 0: return FieldMatch::exact(rng.below(256));
-      case 1: {
-        const unsigned len = static_cast<unsigned>(rng.below(9));
-        return FieldMatch::of_prefix(Prefix::from_value(rng.below(256), len, 8));
-      }
-      case 2: {
-        const std::uint64_t lo = rng.below(256);
-        return FieldMatch::of_range(lo, std::min<std::uint64_t>(255, lo + rng.below(64)));
-      }
-      default: return FieldMatch::any();
-    }
-  };
-  for (int trial = 0; trial < 500; ++trial) {
-    const auto a = random_constraint();
-    const auto b = random_constraint();
-    bool witness = false;
-    for (std::uint64_t value = 0; value < 256; ++value) {
-      if (a.matches(U128{value}) && b.matches(U128{value})) {
-        witness = true;
-        break;
-      }
-    }
-    EXPECT_EQ(field_constraints_intersect(a, b, 8), witness)
-        << "trial " << trial;
-  }
-}
-
-TEST(Overlap, FlowLevelAndFind) {
-  FlowEntry a;
-  a.id = 1;
-  a.priority = 5;
-  a.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{10}));
-  a.match.set(FieldId::kIpv4Dst,
-              FieldMatch::of_prefix(Prefix::from_value(0x0A000000, 8, 32)));
-
-  FlowEntry overlapping = a;
-  overlapping.id = 2;
-  overlapping.match.set(
-      FieldId::kIpv4Dst,
-      FieldMatch::of_prefix(Prefix::from_value(0x0A010000, 16, 32)));
-
-  FlowEntry different_vlan = a;
-  different_vlan.id = 3;
-  different_vlan.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{20}));
-
-  FlowEntry other_priority = overlapping;
-  other_priority.id = 4;
-  other_priority.priority = 9;
-
-  EXPECT_TRUE(matches_overlap(a.match, overlapping.match));
-  EXPECT_FALSE(matches_overlap(a.match, different_vlan.match));
-
-  const std::vector<FlowEntry> table = {a};
-  EXPECT_EQ(find_overlap(table, overlapping), &table[0]);
-  EXPECT_EQ(find_overlap(table, different_vlan), nullptr);
-  EXPECT_EQ(find_overlap(table, other_priority), nullptr);  // priority differs
-}
-
-// ---- update-file replay ----
 
 TEST(UpdateReplay, ScriptRoundTripsThroughText) {
   const auto set = workload::generate_mac_filterset(workload::mac_target("bbrb"));

@@ -92,7 +92,7 @@ TEST(SwitchModel, IdleTimeoutRefreshedByTraffic) {
   EXPECT_TRUE(sw.sweep_timeouts(12).empty());   // 12 < 8 + 10
   const auto evicted = sw.sweep_timeouts(18);   // 18 >= 8 + 10
   ASSERT_EQ(evicted.size(), 1U);
-  EXPECT_EQ(evicted[0], (FlowRef{0, 1}));
+  EXPECT_EQ(evicted[0], (Expiry{{0, 1}, Timeout::kIdle}));
   EXPECT_EQ(sw.entry_count(), 0U);
 }
 
@@ -107,6 +107,7 @@ TEST(SwitchModel, HardTimeoutIgnoresTraffic) {
   for (std::uint64_t t = 1; t < 10; ++t) (void)sw.process(h, 64, t);
   const auto evicted = sw.sweep_timeouts(10);
   ASSERT_EQ(evicted.size(), 1U);
+  EXPECT_EQ(evicted[0].timeout, Timeout::kHard);
 }
 
 TEST(SwitchModel, SameIdInTwoTablesKeepsSeparateStateAndTimeouts) {
@@ -134,7 +135,7 @@ TEST(SwitchModel, SameIdInTwoTablesKeepsSeparateStateAndTimeouts) {
 
   // Only table 0's id 7 has a timeout, and only it expires.
   const auto evicted = sw.sweep_timeouts(10);
-  EXPECT_EQ(evicted, (std::vector<FlowRef>{{0, 7}}));
+  EXPECT_EQ(evicted, (std::vector<Expiry>{{{0, 7}, Timeout::kHard}}));
   EXPECT_FALSE(sw.pipeline().contains_entry(0, 7));
   EXPECT_TRUE(sw.pipeline().contains_entry(1, 7));
   EXPECT_EQ(sw.reference().table(0).size(), 0U);
