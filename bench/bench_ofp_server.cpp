@@ -32,8 +32,8 @@
 #include "obs/tracer.hpp"
 #include "ofp/server/flow_mod_sink.hpp"
 #include "ofp/server/server.hpp"
-#include "ofp/testing/fault_injection.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/ofp/fault_injection.hpp"
 
 namespace {
 

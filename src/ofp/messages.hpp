@@ -68,6 +68,12 @@ enum class ErrorCode : std::uint16_t {
   kStale = 10,          ///< generation_id older than the fenced maximum
   kIsSlave = 11,        ///< state-mutating request from a slave session
   kOverload = 12,       ///< shed under pressure; data carries a backoff hint
+  // Why MultiTableLookup::apply rejected a flow-mod, one code per cause
+  // (OpenFlow 1.3 names in parentheses):
+  kBadTableId = 13,      ///< no table with that id (OFPFMFC_BAD_TABLE_ID)
+  kBadField = 14,        ///< a match the table cannot hold (OFPBMC_BAD_FIELD)
+  kBadGotoTable = 15,    ///< Goto not to a later table (OFPBIC_BAD_TABLE_ID)
+  kBadSetArgument = 16,  ///< Set-Field too wide (OFPBAC_BAD_SET_ARGUMENT)
 };
 
 /// Error reply carrying the failure class plus (a prefix of) the offending

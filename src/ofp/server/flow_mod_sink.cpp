@@ -5,12 +5,12 @@ namespace ofmtl::ofp::server {
 ErrorCode error_code(FlowModStatus status) {
   switch (status) {
     case FlowModStatus::kOk: return ErrorCode::kNone;
+    case FlowModStatus::kBadTable: return ErrorCode::kBadTableId;
+    case FlowModStatus::kBadMatch: return ErrorCode::kBadField;
+    case FlowModStatus::kBadGoto: return ErrorCode::kBadGotoTable;
+    case FlowModStatus::kBadAction: return ErrorCode::kBadSetArgument;
     case FlowModStatus::kDuplicateEntry: return ErrorCode::kDuplicateEntry;
     case FlowModStatus::kUnknownEntry: return ErrorCode::kUnknownEntry;
-    case FlowModStatus::kBadTable:
-    case FlowModStatus::kBadMatch:
-    case FlowModStatus::kBadGoto:
-    case FlowModStatus::kBadAction: break;
   }
   return ErrorCode::kBadValue;
 }

@@ -20,8 +20,9 @@
 namespace ofmtl::ofp::server {
 
 /// The OFP error code a flow-mod's apply status answers with: kNone on
-/// kOk, kDuplicateEntry / kUnknownEntry for id conflicts, kBadValue for a
-/// bad table, match, Goto or Set-Field value.
+/// kOk, kDuplicateEntry / kUnknownEntry for id conflicts, and kBadTableId,
+/// kBadField, kBadGotoTable or kBadSetArgument for a bad table, match, Goto
+/// or Set-Field value.
 [[nodiscard]] ErrorCode error_code(FlowModStatus status);
 
 /// Sink over the left-right publisher. `classifier` must outlive the server.

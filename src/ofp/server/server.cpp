@@ -21,6 +21,15 @@ namespace {
 constexpr std::uint32_t kReadMask = EPOLLIN | EPOLLRDHUP;
 /// Bytes per read() call on the loop's stack buffer.
 constexpr std::size_t kReadChunk = 16 * 1024;
+// A partial maximal frame (64 KiB less a byte) plus one full read must fit
+// the session's reassembly buffer, or a legal stream would overflow it.
+static_assert(Session::kReadBufferCap > 0xFFFF + kReadChunk);
+/// Pending connections the kernel queues on the listening socket.
+constexpr int kListenBacklog = 64;
+/// Pause before re-arming accept after fd exhaustion (EMFILE/ENFILE):
+/// level-triggered epoll would otherwise re-report the pending accept every
+/// wake and spin the loop at 100% doing nothing.
+constexpr std::uint64_t kAcceptBackoffMs = 100;
 /// Reads per EPOLLIN wake before yielding to other sessions (fairness under
 /// a firehosing peer; level-triggered epoll re-arms the rest).
 constexpr std::size_t kMaxReadsPerEvent = 4;
@@ -67,7 +76,7 @@ obs::MetricsRegistry& OfpServer::metrics_registry() {
                                     : obs::default_registry();
 }
 
-int OfpServer::open_listener(std::uint16_t port, int backlog,
+int OfpServer::open_listener(std::uint16_t port, int max_pending,
                              std::uint16_t& bound_port) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -82,7 +91,7 @@ int OfpServer::open_listener(std::uint16_t port, int backlog,
   ev.data.fd = fd;
   if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1 ||
       ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, backlog) != 0 ||
+      ::listen(fd, max_pending) != 0 ||
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     ::close(fd);
     return -1;
@@ -107,7 +116,7 @@ bool OfpServer::start() {
     stop_fds();
     return false;
   }
-  listen_fd_ = open_listener(config_.port, config_.backlog, port_);
+  listen_fd_ = open_listener(config_.port, kListenBacklog, port_);
   if (listen_fd_ < 0) {
     stop_fds();
     return false;
@@ -442,7 +451,7 @@ void OfpServer::stats_close(int fd) {
 void OfpServer::pause_accept(std::uint64_t now) {
   if (accept_paused_) return;
   accept_paused_ = true;
-  accept_resume_ms_ = now + config_.accept_backoff_ms;
+  accept_resume_ms_ = now + kAcceptBackoffMs;
   stats_.accept_pauses.fetch_add(1, std::memory_order_relaxed);
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
 }

@@ -46,15 +46,11 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  int backlog = 64;
   /// Accepted sessions beyond this are immediately closed (bounded state).
   std::size_t max_sessions = 64;
-  /// Per-session protocol tuning (buffers, liveness, batching).
+  /// Per-session liveness probing; the buffer caps, timeouts and batch
+  /// bound are Session's constants.
   SessionConfig session{};
-  /// Pause before re-arming accept after fd exhaustion (EMFILE/ENFILE):
-  /// level-triggered epoll would otherwise re-report the pending accept
-  /// every wake and spin the loop at 100% doing nothing.
-  std::uint64_t accept_backoff_ms = 100;
   /// Injectable clock + syscalls; defaults are the real thing.
   IoHooks hooks{};
   /// Read-only stats endpoint, served from the SAME epoll loop: -1 keeps
@@ -149,7 +145,7 @@ class OfpServer {
   void accept_ready(std::uint64_t now);
   /// socket/bind/listen on bind_address:`port`, registered for EPOLLIN;
   /// the listening fd (its bound port in `bound_port`), or -1.
-  [[nodiscard]] int open_listener(std::uint16_t port, int backlog,
+  [[nodiscard]] int open_listener(std::uint16_t port, int max_pending,
                                   std::uint16_t& bound_port);
   void stats_accept_ready();
   void stats_event(int fd, std::uint32_t events);

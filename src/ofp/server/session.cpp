@@ -46,7 +46,7 @@ Session::Session(std::uint64_t id, SessionConfig config, FlowModSink sink,
       sink_(std::move(sink)),
       owned_control_(std::move(owned)),
       control_(owned_control_ ? owned_control_.get() : shared),
-      assembler_(config.read_buffer_cap),
+      assembler_(kReadBufferCap),
       last_rx_ms_(now_ms) {
   control_->roles.on_session_open(id_);
   // Both sides open with HELLO; ours goes out immediately.
@@ -144,7 +144,7 @@ void Session::handle_message(const Envelope& envelope,
       return;
     }
     mods_.push_back({envelope.xid, *mod});
-    if (mods_.size() >= config_.max_mods_per_batch) flush_mods(now_ms);
+    if (mods_.size() >= kMaxModsPerBatch) flush_mods(now_ms);
     return;
   }
   // Every non-flow-mod message is a barrier: earlier mods must be applied
@@ -217,8 +217,7 @@ void Session::handle_resync_request(const Envelope& envelope,
     return;
   }
   const auto& request = std::get<ResyncRequestMsg>(envelope.message);
-  if (resync_digest_.size() + request.entries.size() >
-      config_.resync_digest_cap) {
+  if (resync_digest_.size() + request.entries.size() > kMaxResyncDigest) {
     // A digest that cannot fit is a protocol violation, not a memory leak.
     resync_digest_.clear();
     queue_output(encode_error(envelope.xid, ErrorType::kBadRequest,
@@ -311,7 +310,7 @@ void Session::flush_mods(std::uint64_t now_ms) {
 void Session::queue_output(std::vector<std::uint8_t> frame,
                            std::uint64_t now_ms) {
   if (state_ == State::kDraining || state_ == State::kClosed) return;
-  if (output_buffered() + frame.size() > config_.write_buffer_cap) {
+  if (output_buffered() + frame.size() > kWriteBufferCap) {
     // Slow reader at the cap: stop queuing (this frame is dropped along
     // with everything after it) and drain what the peer already earned.
     begin_drain(CloseReason::kBackpressure, now_ms);
@@ -332,7 +331,7 @@ void Session::begin_drain(CloseReason reason, std::uint64_t now_ms) {
   probe_deadline_ms_.reset();
   // Bound the drain: a peer that never reads its flushed output cannot park
   // the session (and its buffers) forever.
-  drain_deadline_ms_ = now_ms + config_.drain_timeout_ms;
+  drain_deadline_ms_ = now_ms + kDrainTimeoutMs;
   mods_.clear();
 }
 
@@ -359,7 +358,7 @@ void Session::on_tick(std::uint64_t now_ms) {
   if (now_ms - last_rx_ms_ >= config_.echo_interval_ms) {
     counters_.echo_probes++;
     queue_output(encode({next_xid_++, EchoRequest{}}), now_ms);
-    probe_deadline_ms_ = now_ms + config_.echo_timeout_ms;
+    probe_deadline_ms_ = now_ms + kEchoTimeoutMs;
   }
 }
 

@@ -28,29 +28,9 @@
 namespace ofmtl::ofp::server {
 
 struct SessionConfig {
-  /// Caps the unconsumed inbound bytes buffered for reassembly. Must exceed
-  /// the 64 KiB maximum frame size.
-  std::size_t read_buffer_cap = FrameAssembler::kDefaultBufferCap;
-  /// Caps the outbound bytes queued for a peer that reads slower than the
-  /// server writes. At the cap the session stops queuing and drains to a
-  /// graceful close — queued memory per session is bounded by construction.
-  std::size_t write_buffer_cap = 256 * 1024;
   /// Inbound silence (ms) before the session probes with an ECHO request.
   /// 0 disables liveness probing.
   std::uint64_t echo_interval_ms = 5000;
-  /// Grace (ms) for any inbound byte after a probe before the session is
-  /// declared dead and closed.
-  std::uint64_t echo_timeout_ms = 2000;
-  /// Flow-mods accumulated before the sink is forced mid-feed: bounds the
-  /// latency between a mod arriving and it being published.
-  std::size_t max_mods_per_batch = 256;
-  /// Grace (ms) for a draining session to flush its queued output before it
-  /// is closed regardless — a stalled peer cannot park a drain forever.
-  std::uint64_t drain_timeout_ms = 5000;
-  /// Caps the accumulated resync digest entries across chunks; a controller
-  /// streaming endless not-done chunks is a protocol error, not a memory
-  /// leak.
-  std::size_t resync_digest_cap = 1 << 20;
 };
 
 /// Why a session ended (for stats and tests).
@@ -104,6 +84,29 @@ class Session {
     std::uint64_t role_changes = 0;  ///< accepted mutating role requests
     std::uint64_t resyncs = 0;       ///< completed resync diffs
   };
+
+  /// Caps the unconsumed inbound bytes buffered for reassembly. It exceeds
+  /// a partial 64-KiB frame plus one server read (asserted in server.cpp),
+  /// so a legal stream fed one read at a time never overflows it.
+  static constexpr std::size_t kReadBufferCap =
+      FrameAssembler::kDefaultBufferCap;
+  /// Caps the outbound bytes queued for a peer that reads slower than the
+  /// server writes. At the cap the session stops queuing and drains to a
+  /// graceful close: queued memory per session is bounded by construction.
+  static constexpr std::size_t kWriteBufferCap = 256 * 1024;
+  /// Grace (ms) for any inbound byte after a probe before the session is
+  /// declared dead and closed.
+  static constexpr std::uint64_t kEchoTimeoutMs = 2000;
+  /// Flow-mods accumulated before the sink is forced mid-read: bounds the
+  /// latency between a mod arriving and it being published.
+  static constexpr std::size_t kMaxModsPerBatch = 256;
+  /// Grace (ms) for a draining session to flush its queued output before it
+  /// is closed regardless: a stalled peer cannot park a drain forever.
+  static constexpr std::uint64_t kDrainTimeoutMs = 5000;
+  /// Caps the resync digest entries accumulated across chunks: a controller
+  /// streaming endless not-done chunks is a protocol error, not a memory
+  /// leak.
+  static constexpr std::size_t kMaxResyncDigest = std::size_t{1} << 20;
 
   /// Standalone session owning a private ControlPlane — the sans-io unit
   /// test shape, and correct for single-session embedders.

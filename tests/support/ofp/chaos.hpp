@@ -18,7 +18,9 @@
 //    choice flows from the seed, a failing scenario is a repro command, not
 //    a flake.
 //
-// Header-only test infrastructure: production targets never link it.
+// Header-only test infrastructure: only the tests, bench_ofp_server and
+// ofp_soak have tests/support/ on their include path (CMake target
+// ofmtl_test_support), so the library cannot include it.
 #pragma once
 
 #include <sys/socket.h>

@@ -12,8 +12,9 @@
 //    and adds the protocol helpers (handshake, echo barrier) controllers
 //    need to make convergence assertions exact.
 //
-// This is test infrastructure, header-only by design: production targets
-// never link any of it in unless a test/tool includes it.
+// Header-only test infrastructure: only the tests, bench_ofp_server and
+// ofp_soak have tests/support/ on their include path (CMake target
+// ofmtl_test_support), so the library cannot include it.
 #pragma once
 
 #include <netinet/in.h>

@@ -18,9 +18,9 @@
 #include "ofp/server/roles.hpp"
 #include "ofp/server/server.hpp"
 #include "ofp/server/session.hpp"
-#include "ofp/testing/chaos.hpp"
-#include "ofp/testing/fault_injection.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/ofp/chaos.hpp"
+#include "support/ofp/fault_injection.hpp"
 #include "workload/rng.hpp"
 
 namespace ofmtl::ofp::server {
@@ -68,8 +68,8 @@ std::vector<Envelope> drain_frames(Session& session) {
 
 /// A steady session bound to a shared control plane, handshake drained.
 Session steady_session(std::uint64_t id, FlowModSink sink,
-                       ControlPlane& control, SessionConfig config = {}) {
-  Session session(id, config, std::move(sink), control, 0);
+                       ControlPlane& control) {
+  Session session(id, {}, std::move(sink), control, 0);
   session.on_bytes(encode({1, Hello{}}), 0);
   EXPECT_EQ(drain_frames(session).size(), 1U);
   EXPECT_EQ(session.state(), Session::State::kSteady);
@@ -464,19 +464,35 @@ TEST(SessionResync, SlaveMayNotResyncAndChunksAccumulate) {
 TEST(SessionResync, DigestOverCapDrainsTheSession) {
   ControlPlane control;
   CountingSink sink;
-  SessionConfig config;
-  config.resync_digest_cap = 4;
-  auto session = steady_session(1, sink.make(), control, config);
-  ResyncRequestMsg request;
-  request.done = false;
-  request.entries = {{0, 1, 1}, {0, 2, 2}, {0, 3, 3}, {0, 4, 4}, {0, 5, 5}};
-  session.on_bytes(encode({1, request}), 0);
+  auto session = steady_session(1, sink.make(), control);
+  // Not-done chunks of up to 5040 entries (13 bytes each, so one chunk
+  // fills a maximum-size frame) up to exactly the cap: still serving.
+  constexpr std::size_t kChunk = 5040;
+  auto chunk_of = [](std::size_t first, std::size_t count) {
+    ResyncRequestMsg request;
+    request.done = false;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto id = static_cast<FlowEntryId>(first + i);
+      request.entries.push_back({0, id, id});
+    }
+    return encode({1, request});
+  };
+  for (std::size_t sent = 0; sent < Session::kMaxResyncDigest;) {
+    const auto count = std::min(kChunk, Session::kMaxResyncDigest - sent);
+    session.on_bytes(chunk_of(sent, count), 0);
+    sent += count;
+  }
+  ASSERT_EQ(session.state(), Session::State::kSteady);
+  EXPECT_TRUE(drain_frames(session).empty());
+
+  // One entry past the cap is a protocol error.
+  session.on_bytes(chunk_of(Session::kMaxResyncDigest, 1), 0);
   const auto frames = drain_frames(session);
   ASSERT_FALSE(frames.empty());
   const auto* error = std::get_if<ErrorMsg>(&frames[0].message);
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->code, ErrorCode::kBufferOverflow);
-  EXPECT_NE(session.state(), Session::State::kSteady);
+  EXPECT_EQ(session.close_reason(), CloseReason::kProtocolError);
 }
 
 /// Feed `count` flow-mods from xid `first_xid` on, in chunks the read
@@ -591,24 +607,20 @@ TEST(SessionOverload, MasterKeepsPublishingUnderShed) {
 TEST(SessionDrain, StalledDrainClosesAtTheDeadline) {
   ControlPlane control;
   CountingSink sink;
-  SessionConfig config;
-  config.write_buffer_cap = 64;  // absurdly small: first reply overflows
-  config.drain_timeout_ms = 500;
-  auto session = steady_session(1, sink.make(), control, config);
+  auto session = steady_session(1, sink.make(), control);
 
-  // Echo floods push the write buffer past its cap: backpressure drain.
-  for (int i = 0; i < 8; ++i) {
-    session.on_bytes(encode({static_cast<std::uint32_t>(10 + i),
-                             EchoRequest{{1, 2, 3, 4, 5, 6, 7, 8}}}),
-                     100);
-  }
+  // An echo reply is queued, then the peer half-closes: the session drains.
+  session.on_bytes(encode({10, EchoRequest{{1, 2, 3}}}), 100);
+  session.on_peer_closed(100);
   ASSERT_EQ(session.state(), Session::State::kDraining);
-  ASSERT_TRUE(session.next_deadline_ms().has_value());
+  ASSERT_FALSE(session.wants_close());  // the reply is still queued
+  constexpr auto kDeadline = 100 + Session::kDrainTimeoutMs;
+  EXPECT_EQ(session.next_deadline_ms(), kDeadline);
 
-  // The peer never reads. Before the deadline: still draining. After: gone.
-  session.on_tick(100 + config.drain_timeout_ms - 1);
+  // The peer never reads. Before the deadline: still draining. At it: gone.
+  session.on_tick(kDeadline - 1);
   EXPECT_EQ(session.state(), Session::State::kDraining);
-  session.on_tick(100 + config.drain_timeout_ms + 1);
+  session.on_tick(kDeadline);
   EXPECT_EQ(session.state(), Session::State::kClosed);
 }
 
@@ -713,7 +725,6 @@ TEST(OfpServerChaos, VirtualClockDrivesEchoTimeoutWithoutSleeps) {
   VirtualClock clock;
   ServerConfig config;
   config.session.echo_interval_ms = 5000;
-  config.session.echo_timeout_ms = 2000;
   config.hooks.now_ms = clock.hook();
   runtime::SnapshotClassifier classifier(one_table());
   OfpServer server(make_classifier_sink(classifier), config);
@@ -742,7 +753,6 @@ TEST(OfpServerChaos, VirtualClockDrivesEchoTimeoutWithoutSleeps) {
 TEST(OfpServerChaos, EmfileStormPausesAcceptThenRecovers) {
   SyscallFaultInjector faults(7);
   ServerConfig config;
-  config.accept_backoff_ms = 50;
   config.hooks = faults.hooks();
   runtime::SnapshotClassifier classifier(one_table());
   OfpServer server(make_classifier_sink(classifier), config);
@@ -750,7 +760,7 @@ TEST(OfpServerChaos, EmfileStormPausesAcceptThenRecovers) {
 
   faults.arm_accept_failures(2, EMFILE);
   ScriptedController first;
-  // The first connect lands while accept is failing: TCP connects (backlog)
+  // The first connect lands while accept is failing: TCP connects (queued)
   // but the server-side accept is deferred until the backoff elapses, so the
   // handshake simply takes one backoff longer.
   ASSERT_TRUE(first.connect(server.port()));

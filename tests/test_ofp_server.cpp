@@ -29,8 +29,9 @@
 #include "ofp/server/frame_assembler.hpp"
 #include "ofp/server/server.hpp"
 #include "ofp/server/session.hpp"
-#include "ofp/testing/fault_injection.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/ofp/chaos.hpp"
+#include "support/ofp/fault_injection.hpp"
 #include "workload/rng.hpp"
 
 namespace ofmtl::ofp::server {
@@ -57,6 +58,15 @@ std::vector<std::uint8_t> flow_mod_frame(std::uint32_t xid, std::uint32_t id,
   mod.entry.match.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{id}));
   mod.entry.instructions = output_instruction(id % 1024);
   return encode({xid, mod});
+}
+
+/// An ECHO_REQUEST of the maximum frame size (64 KiB less a byte): the
+/// header, the payload's u16 length, the payload.
+std::vector<std::uint8_t> max_size_echo(std::uint32_t xid) {
+  auto frame = encode({xid, EchoRequest{std::vector<std::uint8_t>(
+                                0xFFFF - kHeaderSize - 2, 0xEE)}});
+  EXPECT_EQ(frame.size(), 0xFFFFU);
+  return frame;
 }
 
 /// Sink that records batch sizes and answers with scripted codes (kNone when
@@ -96,8 +106,8 @@ std::vector<Envelope> drain_frames(Session& session) {
 }
 
 /// A steady-state session: HELLO handshake done, server HELLO drained.
-Session steady_session(FlowModSink sink, SessionConfig config = {}) {
-  Session session(1, config, std::move(sink), 0);
+Session steady_session(FlowModSink sink) {
+  Session session(1, {}, std::move(sink), 0);
   session.on_bytes(encode({1, Hello{}}), 0);
   const auto hello = drain_frames(session);
   EXPECT_EQ(hello.size(), 1U);
@@ -253,16 +263,16 @@ TEST(Session, PendingModsFlushAtEndOfRead) {
 
 TEST(Session, MaxModsPerBatchForcesFlush) {
   RecordingSink sink;
-  SessionConfig config;
-  config.max_mods_per_batch = 2;
-  auto session = steady_session(sink.make(), config);
+  auto session = steady_session(sink.make());
+  constexpr auto kCap = Session::kMaxModsPerBatch;
   std::vector<std::uint8_t> stream;
-  for (std::uint32_t i = 0; i < 5; ++i) {
+  for (std::uint32_t i = 0; i < 2 * kCap + 1; ++i) {
     const auto f = flow_mod_frame(10 + i, 100 + i);
     stream.insert(stream.end(), f.begin(), f.end());
   }
+  ASSERT_LE(stream.size(), Session::kReadBufferCap);  // one legal read
   session.on_bytes(stream, 1);
-  ASSERT_EQ(sink.batches, (std::vector<std::size_t>{2, 2, 1}));
+  ASSERT_EQ(sink.batches, (std::vector<std::size_t>{kCap, kCap, 1}));
 }
 
 TEST(Session, FailedModsEarnErrorRepliesBeforeTheBarrierReply) {
@@ -323,32 +333,33 @@ TEST(Session, FramingDesyncClosesAfterBestEffortError) {
 
 TEST(Session, ReadOverflowCloses) {
   RecordingSink sink;
-  SessionConfig config;
-  config.read_buffer_cap = 32;
-  auto session = steady_session(sink.make(), config);
-  // A frame claiming 16 KiB parks partial bytes past the tiny cap.
-  std::vector<std::uint8_t> header = {kProtocolVersion, 0, 0x40, 0, 0, 0, 0, 1};
-  header.resize(64, 0);
-  session.on_bytes(header, 1);
+  auto session = steady_session(sink.make());
+  // A maximal frame header, then more bytes in one read than the cap holds.
+  std::vector<std::uint8_t> bytes = {kProtocolVersion, 0, 0xFF, 0xFF,
+                                     0, 0, 0, 1};
+  bytes.resize(Session::kReadBufferCap + 1, 0);
+  session.on_bytes(bytes, 1);
+  EXPECT_EQ(session.state(), Session::State::kDraining);
   EXPECT_EQ(session.close_reason(), CloseReason::kReadOverflow);
+  EXPECT_EQ(session.counters().frames_rx, 1U);  // the HELLO only
 }
 
 TEST(Session, BackpressureDrainsSlowReader) {
   RecordingSink sink;
-  SessionConfig config;
-  config.write_buffer_cap = 256;
-  auto session = steady_session(sink.make(), config);
-  // Echo requests whose replies the "peer" never reads: the write buffer
-  // fills to the cap, then the session drains instead of growing.
-  const std::vector<std::uint8_t> payload(100, 0xEE);
-  std::uint32_t xid = 50;
-  for (int i = 0; i < 10 &&
-                  session.state() == Session::State::kSteady; ++i) {
-    session.on_bytes(encode({xid++, EchoRequest{payload}}), 1);
-  }
+  auto session = steady_session(sink.make());
+  // Maximum-size echo requests whose replies the "peer" never reads: the
+  // write buffer fills to the cap, then the session drains instead of
+  // growing. Four 64-KiB replies fit in 256 KiB; the fifth trips the cap.
+  const auto echo = max_size_echo(50);
+  const auto fits = Session::kWriteBufferCap / echo.size();
+  ASSERT_EQ(fits, 4U);
+  for (std::size_t i = 0; i < fits; ++i) session.on_bytes(echo, 1);
+  EXPECT_EQ(session.state(), Session::State::kSteady);
+  EXPECT_EQ(session.output_buffered(), fits * echo.size());
+  session.on_bytes(echo, 1);
   EXPECT_EQ(session.state(), Session::State::kDraining);
   EXPECT_EQ(session.close_reason(), CloseReason::kBackpressure);
-  EXPECT_LE(session.output_buffered(), config.write_buffer_cap);
+  EXPECT_EQ(session.output_buffered(), fits * echo.size());
   // The drain flushes what the peer already earned, then wants the close.
   session.consume_output(session.pending_output().size());
   EXPECT_TRUE(session.wants_close());
@@ -356,41 +367,40 @@ TEST(Session, BackpressureDrainsSlowReader) {
 
 TEST(Session, EchoProbeThenTimeoutCloses) {
   RecordingSink sink;
-  SessionConfig config;
-  config.echo_interval_ms = 100;
-  config.echo_timeout_ms = 50;
-  auto session = steady_session(sink.make(), config);
+  auto session = steady_session(sink.make());
+  constexpr auto kInterval = SessionConfig{}.echo_interval_ms;
+  constexpr auto kDeadline = kInterval + Session::kEchoTimeoutMs;
 
   ASSERT_TRUE(session.next_deadline_ms().has_value());
-  EXPECT_EQ(*session.next_deadline_ms(), 100U);
-  session.on_tick(99);
+  EXPECT_EQ(*session.next_deadline_ms(), kInterval);
+  session.on_tick(kInterval - 1);
   EXPECT_EQ(session.counters().echo_probes, 0U);
-  session.on_tick(100);  // idle hit the interval: probe goes out
+  session.on_tick(kInterval);  // idle hit the interval: probe goes out
   EXPECT_EQ(session.counters().echo_probes, 1U);
   const auto out = drain_frames(session);
   ASSERT_EQ(out.size(), 1U);
   EXPECT_TRUE(std::holds_alternative<EchoRequest>(out[0].message));
-  EXPECT_EQ(*session.next_deadline_ms(), 150U);
+  EXPECT_EQ(*session.next_deadline_ms(), kDeadline);
 
-  session.on_tick(149);
+  session.on_tick(kDeadline - 1);
   EXPECT_EQ(session.state(), Session::State::kSteady);
-  session.on_tick(150);  // probe unanswered past the grace
+  session.on_tick(kDeadline);  // probe unanswered past the grace
   EXPECT_EQ(session.close_reason(), CloseReason::kEchoTimeout);
   EXPECT_TRUE(session.wants_close());
 }
 
 TEST(Session, AnyInboundByteAnswersProbe) {
   RecordingSink sink;
-  SessionConfig config;
-  config.echo_interval_ms = 100;
-  config.echo_timeout_ms = 50;
-  auto session = steady_session(sink.make(), config);
-  session.on_tick(100);
+  auto session = steady_session(sink.make());
+  constexpr auto kInterval = SessionConfig{}.echo_interval_ms;
+  session.on_tick(kInterval);
   EXPECT_EQ(session.counters().echo_probes, 1U);
-  session.on_bytes(encode({77, EchoReply{{}}}), 120);  // peer answered
-  session.on_tick(150);
+  session.on_bytes(encode({77, EchoReply{{}}}), kInterval + 20);  // answered
+  session.on_tick(kInterval + Session::kEchoTimeoutMs);  // the old deadline
   EXPECT_EQ(session.state(), Session::State::kSteady);
-  EXPECT_EQ(*session.next_deadline_ms(), 220U);  // idle clock restarted
+  EXPECT_EQ(session.counters().echo_probes, 1U);
+  // The idle clock restarted at the answer.
+  EXPECT_EQ(*session.next_deadline_ms(), kInterval + 20 + kInterval);
 }
 
 TEST(Session, PeerCloseFlushesPendingMods) {
@@ -491,15 +501,17 @@ TEST(FlowModSinks, ApplyModsValidatesPerMod) {
   };
   std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
   apply_mods(tables, mods, results);
+  // Each cause answers with its own code, so a controller can tell a bad
+  // table id from a bad match, Goto or Set-Field.
   using E = ErrorCode;
   EXPECT_EQ(results,
-            (std::vector<ErrorCode>{E::kNone, E::kDuplicateEntry,
-                                    E::kUnknownEntry, E::kUnknownEntry,
-                                    E::kBadValue, E::kBadValue, E::kBadValue,
-                                    E::kBadValue, E::kBadValue, E::kBadValue,
-                                    E::kBadValue, E::kBadValue, E::kBadValue,
-                                    E::kBadValue, E::kNone, E::kBadValue,
-                                    E::kBadValue, E::kNone, E::kBadValue}));
+            (std::vector<ErrorCode>{
+                E::kNone, E::kDuplicateEntry, E::kUnknownEntry,
+                E::kUnknownEntry, E::kBadTableId, E::kBadField, E::kBadField,
+                E::kBadField, E::kBadField, E::kBadField, E::kBadField,
+                E::kBadField, E::kBadGotoTable, E::kBadGotoTable, E::kNone,
+                E::kBadSetArgument, E::kBadSetArgument, E::kNone,
+                E::kBadField}));
   EXPECT_EQ(tables.table(0).entry_count(), 3U);
   EXPECT_TRUE(tables.contains_entry(0, 21));
   EXPECT_TRUE(tables.contains_entry(0, 25));
@@ -536,8 +548,8 @@ TEST(FlowModSinks, RejectedModsLeaveTheDeltaLogUntouched) {
   };
   results.assign(hostile.size(), ErrorCode::kNone);
   apply_mods(tables, hostile, results);
-  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kBadValue,
-                                             ErrorCode::kBadValue}));
+  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kBadField,
+                                             ErrorCode::kBadGotoTable}));
   EXPECT_TRUE(tables.still_valid(probe, cached, 1));
 }
 
@@ -682,49 +694,43 @@ TEST(OfpServer, TrafficBeforeHelloIsRejectedGracefully) {
   server.stop();
 }
 
-TEST(OfpServer, EchoTimeoutClosesSilentPeer) {
-  RecordingSink sink;
-  ServerConfig config;
-  config.session.echo_interval_ms = 50;
-  config.session.echo_timeout_ms = 50;
-  OfpServer server(sink.make(), config);
-  ASSERT_TRUE(server.start());
-
-  ScriptedController controller;
-  ASSERT_TRUE(controller.connect(server.port()));
-  // Never answer the probe: the server must declare the peer dead.
-  ASSERT_TRUE(
-      wait_until([&] { return server.stats().echo_timeouts >= 1; }, 3000));
-  EXPECT_EQ(server.active_sessions(), 0U);
-  server.stop();
-}
-
 TEST(OfpServer, SlowReaderIsClosedUnderBackpressure) {
+  // A peer that never reads: every send() would block, so nothing leaves
+  // the session's write queue. The queue hits its cap, the session drains,
+  // and the drain closes it at its deadline on the virtual clock.
   RecordingSink sink;
-  ServerConfig config;
-  config.session.echo_interval_ms = 60'000;
-  config.session.write_buffer_cap = 4 * 1024;
+  testing::VirtualClock clock;
+  ServerConfig config = quick_config();
+  config.hooks.now_ms = clock.hook();
+  config.hooks.send = [](int, const void*, std::size_t) -> long {
+    errno = EAGAIN;
+    return -1;
+  };
   OfpServer server(sink.make(), config);
   ASSERT_TRUE(server.start());
 
   auto sock = FaultySocket::connect(server.port());
   ASSERT_TRUE(sock.has_value());
-  ASSERT_TRUE(sock->send_all(encode({1, Hello{}})));
-  // Firehose echo requests without reading any replies: once the kernel
-  // socket buffers fill, the session's write queue hits its cap and the
-  // session must switch to a bounded drain instead of queuing unboundedly.
-  const std::vector<std::uint8_t> payload(8192, 0xCD);
-  for (int i = 0; i < 1500; ++i) {
-    if (!sock->send_all(encode(
-            {static_cast<std::uint32_t>(100 + i), EchoRequest{payload}}))) {
-      break;  // server already hung up on us
-    }
+  const auto hello = encode({1, Hello{}});
+  ASSERT_TRUE(sock->send_all(hello));
+  std::uint64_t sent = hello.size();
+  // One maximum-size echo more than the write cap holds replies for.
+  for (std::uint32_t i = 0; i <= Session::kWriteBufferCap / 0xFFFF; ++i) {
+    const auto echo = max_size_echo(100 + i);
+    ASSERT_TRUE(sock->send_all(echo));
+    sent += echo.size();
   }
-  // Now read: the server flushes what we earned, then closes on us.
-  while (sock->read_frame().has_value()) {
-  }
+  // Once the server has read every byte, the session is draining.
   ASSERT_TRUE(
-      wait_until([&] { return server.stats().backpressure_closes >= 1; }, 5000));
+      wait_until([&] { return server.stats().bytes_rx == sent; }, 5000));
+  EXPECT_EQ(server.stats().backpressure_closes, 0U);  // draining, still open
+  EXPECT_EQ(server.active_sessions(), 1U);
+
+  clock.advance(Session::kDrainTimeoutMs);
+  ASSERT_TRUE(wait_until(
+      [&] { return server.stats().backpressure_closes == 1; }, 5000));
+  EXPECT_EQ(server.active_sessions(), 0U);
+  EXPECT_EQ(server.stats().bytes_tx, 0U);
   server.stop();
 }
 
@@ -815,7 +821,7 @@ TEST(Session, HostileFlowModEarnsErrorThenServingContinues) {
   EXPECT_EQ(replies[0].xid, 7U);
   const auto& error = std::get<ErrorMsg>(replies[0].message);
   EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
-  EXPECT_EQ(error.code, ErrorCode::kBadValue);
+  EXPECT_EQ(error.code, ErrorCode::kBadField);
   EXPECT_EQ(session.state(), Session::State::kSteady);
 
   session.on_bytes(flow_mod_frame(8, 2), 2);

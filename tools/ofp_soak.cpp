@@ -47,9 +47,9 @@
 #include "../bench/bench_common.hpp"
 #include "ofp/server/flow_mod_sink.hpp"
 #include "ofp/server/server.hpp"
-#include "ofp/testing/chaos.hpp"
-#include "ofp/testing/fault_injection.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/ofp/chaos.hpp"
+#include "support/ofp/fault_injection.hpp"
 #include "workload/rng.hpp"
 
 namespace {
