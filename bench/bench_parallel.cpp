@@ -11,8 +11,9 @@
 //
 // A second output, BENCH_parallel_publish.json (ns_per_publish), measures
 // flow-mod publish latency against table size: with the left-right pair the
-// writer applies each mod in place on both replicas, so the 1k-entry and
-// 100k-entry latencies must sit within noise of each other
+// writer applies each mod in place on one replica and replays it onto the
+// other at the next publish, so the 1k-entry and 100k-entry latencies must
+// sit within noise of each other
 // (scripts/check_bench.py --flat-pair gates exactly that in CI).
 //
 // A uniform-overflow pair rides on the same harness: routing_yoza over a

@@ -14,6 +14,7 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
   if (command == FlowModCommand::kDelete) {
     if (!target.remove_entry(entry.id)) return FlowModStatus::kUnknownEntry;
     append(removal);
+    record_op(command, table, entry);
     return FlowModStatus::kOk;
   }
   const bool live = target.contains(entry.id);
@@ -85,7 +86,45 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
   }
   (void)target.insert_entry(entry);
   append(record);
+  record_op(command, table, entry);
   return FlowModStatus::kOk;
+}
+
+void MultiTableLookup::set_group_table(const GroupTable* groups) {
+  groups_ = groups;
+  raise_log_floor();
+  if (recorder_ == nullptr) return;
+  OpLog::Op& op = recorder_->next_slot();
+  op.groups = true;
+  op.group_table = groups;
+}
+
+void MultiTableLookup::record_op(FlowModCommand command, std::size_t table,
+                                 const FlowEntry& entry) {
+  if (recorder_ == nullptr) return;
+  // Assigning into a reused slot reuses its entry's buffers.
+  OpLog::Op& op = recorder_->next_slot();
+  op.groups = false;
+  op.command = command;
+  op.table = table;
+  op.entry = entry;
+}
+
+MultiTableLookup::OpLog::Op& MultiTableLookup::OpLog::next_slot() {
+  if (size_ == ops_.size()) ops_.emplace_back();
+  return ops_[size_++];
+}
+
+bool MultiTableLookup::replay(const OpLog& log) {
+  for (std::size_t i = 0; i < log.size_; ++i) {
+    const OpLog::Op& op = log.ops_[i];
+    if (op.groups) {
+      set_group_table(op.group_table);
+    } else if (apply(op.command, op.table, op.entry) != FlowModStatus::kOk) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void MultiTableLookup::append(const DeltaRecord& record) {

@@ -8,12 +8,16 @@
 // Each pipeline also keeps a bounded delta log of its own mutations, stamped
 // with the left-right publish epoch that made them; the flow cache asks
 // still_valid() whether a result cached under an older epoch survives them.
+// While an OpLog is attached, the pipeline also records its mutations as
+// data, so the left-right publisher can replay one publish onto the other
+// side.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lookup_table.hpp"
@@ -45,18 +49,20 @@ class MultiTableLookup : public TableLookupSource {
   [[nodiscard]] static MultiTableLookup compile(const ReferencePipeline& reference,
                                                 FieldSearchConfig config = {});
 
-  /// Append a table. Cached results from before it are not revalidated.
+  /// Append a table. Cached results from before it are not revalidated,
+  /// and an attached op log cannot describe it.
   void add_table(LookupTable table) {
     tables_.push_back(std::move(table));
     raise_log_floor();
+    if (recorder_ != nullptr) recorder_->mark_incomplete();
   }
 
   /// Deep copy (table-by-table recompile): independent lookup structures,
-  /// identical lookup behaviour, and the same delta log. The parallel
-  /// runtime replicates its snapshot instances through this. Exception: the
-  /// group table is externally owned and only pointer-copied — it is NOT
-  /// snapshot-isolated, so keep it immutable while clones (or the runtime)
-  /// are live.
+  /// identical lookup behaviour, and the same delta log; no op log is
+  /// attached to the copy. The parallel runtime replicates its snapshot
+  /// instances through this. Exception: the group table is externally
+  /// owned and only pointer-copied — it is NOT snapshot-isolated, so keep
+  /// it immutable while clones (or the runtime) are live.
   [[nodiscard]] MultiTableLookup clone() const {
     MultiTableLookup copy;
     for (const auto& table : tables_) copy.add_table(table.clone());
@@ -73,8 +79,9 @@ class MultiTableLookup : public TableLookupSource {
   /// pipeline's entries change: validate one flow-mod, then apply it. Every
   /// check runs before any mutation, so anything but kOk leaves the tables
   /// and the delta log as they were; a kOk mod logs its remove and/or insert
-  /// under the current log epoch. Delete and Modify name the entry by id;
-  /// Modify replaces it whole. Never throws on the mod's content.
+  /// under the current log epoch, and into the attached op log. Delete and
+  /// Modify name the entry by id; Modify replaces it whole. Never throws on
+  /// the mod's content.
   [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
                                     const FlowEntry& entry);
   [[nodiscard]] bool contains_entry(std::size_t table, FlowEntryId id) const {
@@ -125,10 +132,50 @@ class MultiTableLookup : public TableLookupSource {
 
   /// Attach a group table (not owned) for resolving Group actions. Cached
   /// results from before it are not revalidated.
-  void set_group_table(const GroupTable* groups) {
-    groups_ = groups;
-    raise_log_floor();
-  }
+  void set_group_table(const GroupTable* groups);
+
+  /// --- Op log (left-right catch-up) ---
+  /// The mutations of one publish as data, in order: every kOk apply and
+  /// every set_group_table made while the log is attached. Slots are
+  /// reused, so recording a publish no larger than an earlier one copies
+  /// into warmed slots and does not allocate.
+  class OpLog {
+   public:
+    /// Forget the ops (keeping the slots) and become complete again.
+    void clear() {
+      size_ = 0;
+      complete_ = true;
+    }
+    /// Record that a mutation the log cannot describe was made (add_table,
+    /// a whole-pipeline assignment): replaying it would not reproduce it.
+    void mark_incomplete() { complete_ = false; }
+    [[nodiscard]] bool complete() const { return complete_; }
+
+   private:
+    friend class MultiTableLookup;
+    struct Op {
+      bool groups = false;  ///< set_group_table(group_table), not an apply
+      FlowModCommand command = FlowModCommand::kAdd;
+      std::size_t table = 0;
+      FlowEntry entry;
+      const GroupTable* group_table = nullptr;
+    };
+    Op& next_slot();
+
+    std::vector<Op> ops_;
+    std::size_t size_ = 0;
+    bool complete_ = true;
+  };
+
+  /// Attach `log` (null detaches): later mutations are recorded into it.
+  /// Returns the log attached until now, so a caller can tell whether the
+  /// pipeline was replaced wholesale in between.
+  OpLog* record_into(OpLog* log) { return std::exchange(recorder_, log); }
+  /// Re-run a complete log's ops here, under the current log epoch, so the
+  /// delta log gets the records the recording pipeline got. False when an
+  /// apply does not return kOk: this pipeline has then run only part of
+  /// the log. Records nothing itself.
+  [[nodiscard]] bool replay(const OpLog& log);
 
   /// Aggregate memory report across tables (the Section V.A total).
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& prefix) const;
@@ -194,11 +241,15 @@ class MultiTableLookup : public TableLookupSource {
   };
 
   void append(const DeltaRecord& record);
+  /// Copy a kOk apply into the attached op log, if any.
+  void record_op(FlowModCommand command, std::size_t table,
+                 const FlowEntry& entry);
   void raise_log_floor() { log_.floor = log_.epoch; }
 
   std::vector<LookupTable> tables_;
   const GroupTable* groups_ = nullptr;
   DeltaLog log_;
+  OpLog* recorder_ = nullptr;
 };
 
 }  // namespace ofmtl

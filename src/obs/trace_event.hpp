@@ -56,6 +56,10 @@ enum class TraceEvent : std::uint16_t {
                           ///< payload = observed p99 ns
   kRingGap = 27,  ///< written by TraceRing::drain, never emitted: the ring
                   ///< lapped here; payload = records lost
+  kPublishCatchUpBegin = 28,  ///< inside a publish: wait for the lagging
+                              ///< side's readers, then replay the previous
+                              ///< publish onto it; payload = its epoch
+  kPublishCatchUpEnd = 29,    ///< lagging side level; payload = its epoch
   kEventCount           ///< sentinel — not a real event
 };
 
@@ -126,6 +130,8 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kOfpBarrierEnd: return "ofp_barrier";
     case TraceEvent::kRecorderBreach: return "recorder_breach";
     case TraceEvent::kRingGap: return "ring_gap";
+    case TraceEvent::kPublishCatchUpBegin:
+    case TraceEvent::kPublishCatchUpEnd: return "publish_catchup";
     case TraceEvent::kEventCount: break;
   }
   return "unknown";
@@ -136,6 +142,7 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kBatchBegin:
     case TraceEvent::kStageBegin:
     case TraceEvent::kPublishBegin:
+    case TraceEvent::kPublishCatchUpBegin:
     case TraceEvent::kOfpApplyBegin:
     case TraceEvent::kOfpReadBegin:
     case TraceEvent::kOfpDecodeBegin:
@@ -143,6 +150,7 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kBatchEnd:
     case TraceEvent::kStageEnd:
     case TraceEvent::kPublishEnd:
+    case TraceEvent::kPublishCatchUpEnd:
     case TraceEvent::kOfpApplyEnd:
     case TraceEvent::kOfpReadEnd:
     case TraceEvent::kOfpDecodeEnd:

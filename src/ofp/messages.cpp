@@ -390,6 +390,15 @@ ErrorCode error_code_for(DecodeStatus status) {
   return ErrorCode::kNone;
 }
 
+ErrorType flow_mod_error_type(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kBadField: return ErrorType::kBadMatch;
+    case ErrorCode::kBadGotoTable: return ErrorType::kBadInstruction;
+    case ErrorCode::kBadSetArgument: return ErrorType::kBadAction;
+    default: return ErrorType::kFlowModFailed;
+  }
+}
+
 std::vector<std::uint8_t> encode(const Envelope& envelope) {
   std::vector<std::uint8_t> bytes;
   Writer w{bytes};

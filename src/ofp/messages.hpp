@@ -49,6 +49,8 @@ struct Hello {
 enum class ErrorType : std::uint16_t {
   kHelloFailed = 0,         ///< handshake violation (e.g. traffic before HELLO)
   kBadRequest = 1,          ///< malformed frame / unknown or unexpected type
+  kBadAction = 2,           ///< a flow-mod action is invalid (Set-Field)
+  kBadInstruction = 3,      ///< a flow-mod instruction is invalid (Goto)
   kBadMatch = 4,            ///< flow-mod match rejected
   kFlowModFailed = 5,       ///< flow-mod could not be applied (dup add, ...)
   kRoleRequestFailed = 11,  ///< role change rejected (stale generation, ...)
@@ -241,6 +243,11 @@ enum class DecodeStatus : std::uint8_t {
 
 /// The ERROR envelope a server replies with for a given decode failure.
 [[nodiscard]] ErrorCode error_code_for(DecodeStatus status);
+
+/// The ERROR type a rejected flow-mod answers with, by its code, as in
+/// OpenFlow 1.3: kBadField is a bad match, kBadGotoTable a bad instruction,
+/// kBadSetArgument a bad action; anything else failed the flow-mod itself.
+[[nodiscard]] ErrorType flow_mod_error_type(ErrorCode code);
 
 /// Cap on the offending-frame prefix echoed back inside ERROR replies, so a
 /// hostile 64 KiB frame never reflects into a 64 KiB error.

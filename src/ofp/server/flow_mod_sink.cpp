@@ -26,10 +26,9 @@ void apply_mods(MultiTableLookup& tables, std::span<const PendingFlowMod> mods,
 FlowModSink make_classifier_sink(runtime::SnapshotClassifier& classifier) {
   return [&classifier](std::span<const PendingFlowMod> mods,
                        std::span<ErrorCode> results) {
-    // One publish per batch. update() invokes the mutate twice (once per
-    // side); apply_mods is deterministic over identical logical content, so
-    // both sides make identical decisions — results are simply written
-    // twice with the same values.
+    // One publish per batch. update() runs the mutate once; the other side
+    // replays its kOk applies at the next publish, so each result is
+    // written once.
     classifier.update([mods, results](MultiTableLookup& tables) {
       apply_mods(tables, mods, results);
     });

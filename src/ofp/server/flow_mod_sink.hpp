@@ -1,10 +1,11 @@
 // FlowModSink adapters: where a session's decoded flow-mod batches land.
 //
 // The production sink funnels each batch through the left-right
-// SnapshotClassifier as ONE coalesced update() — one publish (two O(delta)
-// side-applies) per batch, not per mod — so sustained control churn from
-// many controllers costs the data path at most one epoch bump per batch and
-// readers stay wait-free throughout (the publisher never blocks them; see
+// SnapshotClassifier as ONE coalesced update() — one publish (one O(delta)
+// apply, plus the replay of the previous batch onto the other side) per
+// batch, not per mod — so sustained control churn from many controllers
+// costs the data path at most one epoch bump per batch and readers stay
+// lock-free throughout (the publisher never blocks them; see
 // docs/ARCHITECTURE.md "Left-right snapshot publish").
 //
 // Every sink decides per mod through MultiTableLookup::apply, directly or

@@ -21,9 +21,10 @@ namespace {
 constexpr std::uint32_t kReadMask = EPOLLIN | EPOLLRDHUP;
 /// Bytes per read() call on the loop's stack buffer.
 constexpr std::size_t kReadChunk = 16 * 1024;
-// A partial maximal frame (64 KiB less a byte) plus one full read must fit
-// the session's reassembly buffer, or a legal stream would overflow it.
-static_assert(Session::kReadBufferCap > 0xFFFF + kReadChunk);
+// A partial maximal frame (64 KiB less a byte) must leave the session's
+// reassembly buffer room for more bytes, or a legal stream would overflow
+// it; Session::on_bytes splits a read of any size to fit.
+static_assert(Session::kReadBufferCap > 0xFFFF);
 /// Pending connections the kernel queues on the listening socket.
 constexpr int kListenBacklog = 64;
 /// Pause before re-arming accept after fd exhaustion (EMFILE/ENFILE):

@@ -3,7 +3,7 @@
 // One loop thread owns every socket and every Session state machine; flow-mod
 // batches are applied inline through the FlowModSink (for the production
 // sink, one left-right publish per batch — writers serialize on the
-// publisher's mutex, data-plane readers stay wait-free, so control churn
+// publisher's mutex, data-plane readers stay lock-free, so control churn
 // never stalls classification). All peer-facing failure modes — partial
 // frames, slow readers, mid-message disconnects, malformed bytes — degrade
 // to ERROR replies or graceful per-session closes; no input crosses the

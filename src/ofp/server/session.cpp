@@ -1,5 +1,7 @@
 #include "ofp/server/session.hpp"
 
+#include <algorithm>
+
 #include "net/packet.hpp"
 #include "obs/tracer.hpp"
 
@@ -64,11 +66,24 @@ void Session::on_bytes(std::span<const std::uint8_t> bytes,
   last_rx_ms_ = now_ms;
   probe_deadline_ms_.reset();
 
-  const auto push_status = assembler_.push(bytes);
-  // Drain the frames that completed (even when the push poisoned the
-  // stream: frames before the poison point are intact and must count).
-  while (state_ != State::kDraining && assembler_.next(frame_)) {
-    handle_frame(frame_, now_ms);
+  // Feed the assembler no more than its cap has room for and drain the
+  // frames that completed between pieces, so one span may carry any number
+  // of frames: only a partial frame stays buffered.
+  auto push_status = FrameAssembler::Status::kOk;
+  auto rest = bytes;
+  while (!rest.empty() && push_status == FrameAssembler::Status::kOk &&
+         state_ != State::kDraining) {
+    // A full buffer with no complete frame in it overflows on one more byte.
+    const std::size_t room =
+        std::max<std::size_t>(kReadBufferCap - assembler_.buffered(), 1);
+    const auto piece = rest.first(std::min(rest.size(), room));
+    rest = rest.subspan(piece.size());
+    push_status = assembler_.push(piece);
+    // Drain the frames that completed (even when the push poisoned the
+    // stream: frames before the poison point are intact and must count).
+    while (state_ != State::kDraining && assembler_.next(frame_)) {
+      handle_frame(frame_, now_ms);
+    }
   }
   if (state_ == State::kDraining || state_ == State::kClosed) {
     mods_.clear();
@@ -299,7 +314,8 @@ void Session::flush_mods(std::uint64_t now_ms) {
       continue;
     }
     counters_.flow_mods_failed++;
-    queue_output(encode_error(mods_[i].xid, ErrorType::kFlowModFailed,
+    queue_output(encode_error(mods_[i].xid,
+                              flow_mod_error_type(mod_results_[i]),
                               mod_results_[i]),
                  now_ms);
     if (state_ != State::kSteady) break;  // backpressure drain kicked in

@@ -85,9 +85,10 @@ class Session {
     std::uint64_t resyncs = 0;       ///< completed resync diffs
   };
 
-  /// Caps the unconsumed inbound bytes buffered for reassembly. It exceeds
-  /// a partial 64-KiB frame plus one server read (asserted in server.cpp),
-  /// so a legal stream fed one read at a time never overflows it.
+  /// Caps the unconsumed inbound bytes buffered for reassembly. on_bytes
+  /// feeds a read in pieces that fit and drains complete frames between
+  /// them, so only a partial frame (under 64 KiB) stays buffered and a
+  /// legal stream never overflows it, whatever the size of one read.
   static constexpr std::size_t kReadBufferCap =
       FrameAssembler::kDefaultBufferCap;
   /// Caps the outbound bytes queued for a peer that reads slower than the

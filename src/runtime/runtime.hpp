@@ -17,7 +17,7 @@
 //   - headers/results of a submitted batch are caller-owned and must stay
 //     alive until the ticket completes; results are rewritten in place
 //   - worker loops are allocation-free in steady state (warmed contexts,
-//     lock-free rings, wait-free snapshot guards, warmed flow-cache slots)
+//     lock-free rings, lock-free snapshot guards, warmed flow-cache slots)
 //   - an optional per-worker epoch-keyed flow cache
 //     (RuntimeConfig::flow_cache_capacity, off by default) short-circuits
 //     repeat flows in front of the full pipeline; cached results are
@@ -140,13 +140,13 @@ class ParallelRuntime {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   /// --- control plane (serialized writers, left-right publish) ---
-  /// One validated flow-mod on both sides; publishes one epoch on kOk only.
+  /// One validated flow-mod; publishes one epoch on kOk only.
   [[nodiscard]] FlowModStatus apply(FlowModCommand command, std::size_t table,
                                     const FlowEntry& entry) {
     return classifier_.apply(command, table, entry);
   }
-  /// Coalesced mutation: `mutate` runs once per snapshot side (twice) and
-  /// must be deterministic; publishes one epoch.
+  /// Coalesced mutation: `mutate` runs once and publishes one epoch (see
+  /// SnapshotClassifier::update).
   void update(const std::function<void(MultiTableLookup&)>& mutate) {
     classifier_.update(mutate);
   }

@@ -1,6 +1,5 @@
 #include "runtime/snapshot.hpp"
 
-#include <optional>
 #include <thread>
 
 #include "obs/tracer.hpp"
@@ -13,6 +12,8 @@ SnapshotClassifier::SnapshotClassifier(MultiTableLookup initial)
   // Side epochs start at 0; a log carried over from elsewhere would not
   // describe them.
   sides_[0].restart_log(0);
+  // Only a publish attaches an op log to a side, and only its own.
+  (void)sides_[0].record_into(nullptr);
   // clone() replays entries in insertion order, so both sides tie-break
   // equal priorities identically; from here on the sides only ever receive
   // the same op sequence and stay behaviourally identical.
@@ -20,17 +21,22 @@ SnapshotClassifier::SnapshotClassifier(MultiTableLookup initial)
 }
 
 SnapshotClassifier::ReadGuard SnapshotClassifier::acquire() const {
-  // Arrive on the current indicator BEFORE reading the active side: the
-  // writer drains this indicator before touching the side the load below
-  // can return, so the side stays frozen for the guard's lifetime.
-  const std::size_t vi = version_index_.load(std::memory_order_seq_cst);
-  readers_[vi].count.fetch_add(1, std::memory_order_seq_cst);
-  const std::size_t side = active_side_.load(std::memory_order_seq_cst);
-  return ReadGuard{this, vi, &sides_[side], side_epoch_[side]};
+  // Arrive on the indicator of the side read, then check that the side is
+  // still active. Once it is, the writer cannot touch it before swapping
+  // away and then seeing this arrival in its wait (see docs/ARCHITECTURE.md);
+  // if a swap landed in between, leave and pin the new side instead.
+  for (;;) {
+    const std::size_t side = active_side_.load(std::memory_order_seq_cst);
+    readers_[side].count.fetch_add(1, std::memory_order_seq_cst);
+    if (active_side_.load(std::memory_order_seq_cst) == side) {
+      return ReadGuard{this, side, &sides_[side], side_epoch_[side]};
+    }
+    readers_[side].count.fetch_sub(1, std::memory_order_release);
+  }
 }
 
-void SnapshotClassifier::wait_for_readers(std::size_t indicator) const {
-  while (readers_[indicator].count.load(std::memory_order_seq_cst) != 0) {
+void SnapshotClassifier::wait_for_readers(std::size_t side) const {
+  while (readers_[side].count.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
 }
@@ -40,63 +46,76 @@ void SnapshotClassifier::resync_side(std::size_t side) {
   side_epoch_[side] = side_epoch_[1 - side];
 }
 
+void SnapshotClassifier::catch_up(std::size_t side) {
+  // (a) Readers pinned this side before the last swap, a data window ago;
+  // normally they are long gone.
+  wait_for_readers(side);
+  const std::size_t ahead = 1 - side;
+  if (side_epoch_[side] == side_epoch_[ahead]) return;
+  // (b) Replay the last publish under its own epoch, so this side's delta
+  // log gets the stamps the other side's got. A log that cannot describe
+  // it, or a replay that fails part-way, falls back to the clone.
+  sides_[side].set_log_epoch(side_epoch_[ahead]);
+  bool replayed = false;
+  if (op_log_.complete()) {
+    try {
+      replayed = sides_[side].replay(op_log_);
+    } catch (...) {
+      replayed = false;
+    }
+  }
+  if (!replayed) {
+    // Should the clone throw, the next publish must not replay onto a side
+    // that ran part of the log.
+    op_log_.mark_incomplete();
+    resync_side(side);
+  }
+  side_epoch_[side] = side_epoch_[ahead];
+}
+
 template <typename Op>
 bool SnapshotClassifier::publish(Op&& op) {
   const std::size_t active = active_side_.load(std::memory_order_relaxed);
   const std::size_t inactive = 1 - active;
-  // Each side logs the mutations of this publish under the epoch it is
-  // about to carry, on a side no reader holds, so a pinned side and its
-  // delta log are frozen together.
-  const auto apply = [&](MultiTableLookup& side) {
-    side.set_log_epoch(next_epoch_);
-    const bool changed = op(side);
-    // A whole-side assignment inside update() brought a log that never saw
-    // this publish: nothing cached before it revalidates.
-    if (side.log_epoch() != next_epoch_) side.restart_log(next_epoch_);
-    return changed;
-  };
   OFMTL_OBS_EMIT(obs::TraceEvent::kPublishBegin, 0, next_epoch_);
-  // 1. Apply to the inactive side — no reader can hold it (the previous
-  // publish drained them). A throwing op may leave the side half-mutated;
-  // resync it from the untouched active side so the pair cannot diverge.
+  // (a) + (b): level the inactive side with the active one.
+  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpBegin, 0,
+                 side_epoch_[active]);
+  catch_up(inactive);
+  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpEnd, 0, side_epoch_[active]);
+  // (c) Run the op once, on the inactive side, logging it as data for the
+  // next catch-up and stamping its delta-log records with the epoch about
+  // to be published.
+  MultiTableLookup& side = sides_[inactive];
+  op_log_.clear();
+  side.set_log_epoch(next_epoch_);
+  (void)side.record_into(&op_log_);
+  bool changed = false;
   try {
-    if (!apply(sides_[inactive])) {
-      // No-op: close the slice so the trace shows the rejected publish too.
-      OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
-      return false;
-    }
+    changed = op(side);
   } catch (...) {
+    // A throwing op may leave the side half-mutated: rebuild it from the
+    // untouched active side so the pair cannot diverge.
+    op_log_.clear();
     resync_side(inactive);
     throw;
   }
-  side_epoch_[inactive] = next_epoch_;
-  // 2. Swap: new readers now pin the freshly updated side.
-  active_side_.store(inactive, std::memory_order_seq_cst);
-  // 3. Drain both indicators in version-index-toggle order. After the
-  // second wait no reader can still hold the old side: readers arriving
-  // once version_index_ flipped mark the other indicator and (by the
-  // seq_cst total order) observe the new active_side_.
-  const std::size_t vi = version_index_.load(std::memory_order_relaxed);
-  wait_for_readers(1 - vi);
-  version_index_.store(1 - vi, std::memory_order_seq_cst);
-  wait_for_readers(vi);
-  // 4. Apply to the old side (now reader-free), converging the pair. A
-  // deterministic op cannot fail here having succeeded in step 1; if it
-  // somehow does, repair the lagging replica — the publish itself stands.
-  try {
-    if (!apply(sides_[active])) {
-      resync_side(active);
-      ++next_epoch_;
-      OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
-      return true;
-    }
-  } catch (...) {
-    resync_side(active);
-    ++next_epoch_;
+  // A whole-side assignment inside update() replaced the side, the op log
+  // attachment with it, and brought a delta log that never saw this
+  // publish: the log cannot replay it, and nothing cached before it
+  // revalidates.
+  if (side.record_into(nullptr) != &op_log_) op_log_.mark_incomplete();
+  if (side.log_epoch() != next_epoch_) side.restart_log(next_epoch_);
+  if (!changed) {
+    // Nothing recorded, and the sides are level: nothing to publish. Close
+    // the slice so the trace shows the rejected publish too.
     OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
-    return true;
+    return false;
   }
-  side_epoch_[active] = next_epoch_;
+  side_epoch_[inactive] = next_epoch_;
+  // (d) Swap: new readers pin the freshly updated side. The old side's
+  // readers are not waited for; the next publish catches that side up.
+  active_side_.store(inactive, std::memory_order_seq_cst);
   ++next_epoch_;
   OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
   return true;
@@ -106,16 +125,14 @@ FlowModStatus SnapshotClassifier::apply(FlowModCommand command,
                                         std::size_t table,
                                         const FlowEntry& entry) {
   const std::lock_guard<std::mutex> lock(write_mutex_);
-  // apply() checks before it mutates, so a rejection on the first side
-  // leaves it untouched and publish() stops there. Both sides hold the same
-  // content under the write lock, so the first side's status is the mod's.
-  std::optional<FlowModStatus> status;
+  // apply() checks before it mutates, so a rejection leaves the side
+  // untouched and publish() stops there.
+  FlowModStatus status = FlowModStatus::kOk;
   (void)publish([&](MultiTableLookup& side) {
-    const FlowModStatus side_status = side.apply(command, table, entry);
-    if (!status) status = side_status;
-    return side_status == FlowModStatus::kOk;
+    status = side.apply(command, table, entry);
+    return status == FlowModStatus::kOk;
   });
-  return *status;
+  return status;
 }
 
 void SnapshotClassifier::update(

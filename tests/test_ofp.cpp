@@ -199,9 +199,10 @@ Envelope random_envelope(workload::Rng& rng) {
     case 0: envelope.message = Hello{}; break;
     case 1: {
       static constexpr ErrorType kTypes[] = {
-          ErrorType::kHelloFailed, ErrorType::kBadRequest, ErrorType::kBadMatch,
-          ErrorType::kFlowModFailed};
-      envelope.message = ErrorMsg{kTypes[rng.below(4)],
+          ErrorType::kHelloFailed,   ErrorType::kBadRequest,
+          ErrorType::kBadAction,     ErrorType::kBadInstruction,
+          ErrorType::kBadMatch,      ErrorType::kFlowModFailed};
+      envelope.message = ErrorMsg{kTypes[rng.below(std::size(kTypes))],
                                   static_cast<ErrorCode>(rng.below(10)),
                                   random_bytes(rng, 32)};
       break;
@@ -378,6 +379,28 @@ TEST(SwitchAgent, HelloAndEcho) {
   EXPECT_EQ(reply.xid, 6U);
   EXPECT_EQ(std::get<EchoReply>(reply.message).payload,
             (std::vector<std::uint8_t>{9, 9}));
+}
+
+TEST(SwitchAgent, ThreeThousandFlowModsInOneCallAllApply) {
+  // 168,000 bytes in one handle_control call, more than the session's read
+  // buffer holds at once: the session frames it in pieces.
+  SwitchAgent agent({{FieldId::kVlanId}});
+  handshake(agent);
+  constexpr std::uint32_t kMods = 3000;
+  std::vector<std::uint8_t> stream;
+  for (std::uint32_t i = 0; i < kMods; ++i) {
+    FlowModMsg mod;
+    mod.entry.id = i + 1;
+    mod.entry.priority = 1;
+    mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{i}));
+    mod.entry.instructions = output_instruction(1);
+    const auto frame = encode({100 + i, mod});
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_GT(stream.size(), server::Session::kReadBufferCap);
+  EXPECT_TRUE(agent.handle_control(stream, 1).empty());
+  EXPECT_EQ(agent.model().entry_count(), kMods);
+  EXPECT_EQ(agent.session().state(), server::Session::State::kSteady);
 }
 
 TEST(SwitchAgent, FrameSplitAcrossCallsIsAnsweredWhenComplete) {

@@ -331,17 +331,34 @@ TEST(Session, FramingDesyncClosesAfterBestEffortError) {
   EXPECT_TRUE(session.wants_close());
 }
 
-TEST(Session, ReadOverflowCloses) {
+TEST(Session, ReadOverTheCapIsFramedInPieces) {
+  // One read of 3000 FLOW_MODs (168,000 bytes, more than kReadBufferCap)
+  // and the head of a maximal echo: the session feeds the assembler in
+  // pieces and drains complete frames between them, so every mod applies
+  // and only the partial echo stays buffered until its tail arrives.
   RecordingSink sink;
   auto session = steady_session(sink.make());
-  // A maximal frame header, then more bytes in one read than the cap holds.
-  std::vector<std::uint8_t> bytes = {kProtocolVersion, 0, 0xFF, 0xFF,
-                                     0, 0, 0, 1};
-  bytes.resize(Session::kReadBufferCap + 1, 0);
-  session.on_bytes(bytes, 1);
-  EXPECT_EQ(session.state(), Session::State::kDraining);
-  EXPECT_EQ(session.close_reason(), CloseReason::kReadOverflow);
-  EXPECT_EQ(session.counters().frames_rx, 1U);  // the HELLO only
+  constexpr std::uint32_t kMods = 3000;
+  std::vector<std::uint8_t> stream;
+  for (std::uint32_t i = 0; i < kMods; ++i) {
+    const auto f = flow_mod_frame(10 + i, 100 + i);
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  const auto echo = max_size_echo(9);
+  const auto cut = echo.begin() + 1000;
+  stream.insert(stream.end(), echo.begin(), cut);
+  ASSERT_GT(stream.size(), Session::kReadBufferCap);
+  session.on_bytes(stream, 1);
+  EXPECT_EQ(session.state(), Session::State::kSteady);
+  EXPECT_EQ(sink.xids.size(), kMods);
+  EXPECT_EQ(session.counters().flow_mods_ok, kMods);
+  EXPECT_TRUE(drain_frames(session).empty());
+
+  session.on_bytes(std::vector<std::uint8_t>(cut, echo.end()), 2);
+  const auto replies = drain_frames(session);
+  ASSERT_EQ(replies.size(), 1U);
+  EXPECT_EQ(replies[0].xid, 9U);
+  EXPECT_TRUE(std::holds_alternative<EchoReply>(replies[0].message));
 }
 
 TEST(Session, BackpressureDrainsSlowReader) {
@@ -820,7 +837,7 @@ TEST(Session, HostileFlowModEarnsErrorThenServingContinues) {
   ASSERT_EQ(replies.size(), 1U);
   EXPECT_EQ(replies[0].xid, 7U);
   const auto& error = std::get<ErrorMsg>(replies[0].message);
-  EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
+  EXPECT_EQ(error.type, ErrorType::kBadMatch);
   EXPECT_EQ(error.code, ErrorCode::kBadField);
   EXPECT_EQ(session.state(), Session::State::kSteady);
 
@@ -829,6 +846,43 @@ TEST(Session, HostileFlowModEarnsErrorThenServingContinues) {
   const auto guard = classifier.acquire();
   EXPECT_FALSE(guard.tables().contains_entry(0, 1));
   EXPECT_TRUE(guard.tables().contains_entry(0, 2));
+}
+
+TEST(Session, RejectedFlowModsAnswerTheirOpenFlowErrorType) {
+  // OpenFlow 1.3 sorts a bad Goto under OFPET_BAD_INSTRUCTION and a bad
+  // Set-Field under OFPET_BAD_ACTION; an id conflict or a bad table id is
+  // OFPET_FLOW_MOD_FAILED.
+  runtime::SnapshotClassifier classifier(two_tables());
+  auto session = steady_session(make_classifier_sink(classifier));
+  const std::vector<PendingFlowMod> mods = {
+      with_goto(pending(1, 10), 0),
+      with_set_field(pending(2, 11), FieldId::kSrcPort, U128{70000}),
+      pending(3, 12),
+      pending(4, 12),
+      pending(5, 13, FlowModCommand::kAdd, 9),
+  };
+  std::vector<std::uint8_t> stream;
+  for (const auto& mod : mods) {
+    const auto frame = encode({mod.xid, mod.mod});
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  session.on_bytes(stream, 1);
+  const auto replies = drain_frames(session);
+  ASSERT_EQ(replies.size(), 4U);
+  const std::vector<std::pair<ErrorType, ErrorCode>> expected = {
+      {ErrorType::kBadInstruction, ErrorCode::kBadGotoTable},
+      {ErrorType::kBadAction, ErrorCode::kBadSetArgument},
+      {ErrorType::kFlowModFailed, ErrorCode::kDuplicateEntry},
+      {ErrorType::kFlowModFailed, ErrorCode::kBadTableId},
+  };
+  const std::uint32_t xids[] = {1, 2, 4, 5};
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].xid, xids[i]);
+    const auto& error = std::get<ErrorMsg>(replies[i].message);
+    EXPECT_EQ(error.type, expected[i].first) << "reply " << i;
+    EXPECT_EQ(error.code, expected[i].second) << "reply " << i;
+  }
+  EXPECT_EQ(session.state(), Session::State::kSteady);
 }
 
 TEST(OfpServer, HostileFlowModLeavesTheServerRunning) {

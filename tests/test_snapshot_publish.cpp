@@ -1,14 +1,20 @@
-// The left-right SnapshotClassifier: read guards must pin one side while
-// the writer waits, flow-mods must land on both sides exactly once (none
-// lost, none duplicated) under concurrent readers, consecutive publishes
-// must converge the two replicas to identical behaviour, and — the O(delta)
+// The left-right SnapshotClassifier: a publish returns while a read guard
+// pins the old side, and the next publish waits for that guard before it
+// catches the side up; flow-mods must land on both sides exactly once (none
+// lost, none duplicated) under concurrent readers; update() runs its
+// closure once, and what the op log cannot replay converges by clone; each
+// side serves what a fresh compile serves under churn; and — the O(delta)
 // publish property — the cost of a publish must not scale with table size
 // (checked by counting allocations with tests/alloc_counter.hpp). Run under
 // -fsanitize=thread as well (no test changes needed).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <map>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/snapshot.hpp"
@@ -51,6 +57,7 @@ PacketHeader mac_header(std::uint64_t mac) {
 TEST(SnapshotClassifier, ReadGuardPinsSideWhileWriterWaits) {
   SnapshotClassifier classifier(make_em_tables(16));
   const PacketHeader probe = mac_header(9999);
+  const PacketHeader second_probe = mac_header(8888);
 
   std::atomic<bool> published{false};
   std::thread writer;
@@ -59,34 +66,234 @@ TEST(SnapshotClassifier, ReadGuardPinsSideWhileWriterWaits) {
     EXPECT_EQ(guard.epoch(), 0u);
     EXPECT_EQ(guard.tables().execute(probe).verdict, Verdict::kToController);
 
-    // The writer must block on the held guard: it may swap the active side,
-    // but it cannot complete the publish (and must never touch the pinned
-    // replica) until the guard departs.
+    // Publish 1 runs on the other side and swaps: it returns although the
+    // guard still pins the pre-publish side. (It waits only for readers of
+    // the side it writes, so calling it here cannot self-deadlock.)
+    ASSERT_EQ(classifier.apply(FlowModCommand::kAdd, 0, em_entry(500, 9999, 7)),
+              FlowModStatus::kOk);
+    EXPECT_EQ(classifier.epoch(), 1u);
+    EXPECT_EQ(classifier.acquire().tables().execute(probe).verdict,
+              Verdict::kForwarded);
+    // The pinned side still serves epoch 0.
+    EXPECT_EQ(guard.tables().execute(probe).verdict, Verdict::kToController);
+    EXPECT_EQ(guard.epoch(), 0u);
+
+    // Publish 2 must first catch the pinned side up, so it blocks until the
+    // guard departs, and never touches the pinned replica meanwhile.
     writer = std::thread([&] {
       EXPECT_EQ(classifier.apply(FlowModCommand::kAdd, 0,
-                                 em_entry(500, 9999, 7)),
+                                 em_entry(501, 8888, 8)),
                 FlowModStatus::kOk);
       published.store(true, std::memory_order_release);
     });
-    // Give the writer ample time to reach the reader drain.
+    // Give the writer ample time to reach the wait.
     for (int i = 0; i < 50 && !published.load(std::memory_order_acquire);
          ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_FALSE(published.load(std::memory_order_acquire))
-        << "apply returned while a read guard pinned a side";
-    // The pinned replica still serves the pre-publish state.
+        << "publish 2 returned while a read guard pinned the side it writes";
     EXPECT_EQ(guard.tables().execute(probe).verdict, Verdict::kToController);
+    EXPECT_EQ(guard.tables().execute(second_probe).verdict,
+              Verdict::kToController);
     EXPECT_EQ(guard.epoch(), 0u);
-  }  // guard departs: the writer may now finish the publish
+  }  // guard departs: publish 2 may now catch up and finish
   writer.join();
   EXPECT_TRUE(published.load(std::memory_order_acquire));
   const auto fresh = classifier.acquire();
-  EXPECT_EQ(fresh.epoch(), 1u);
-  const auto result = fresh.tables().execute(probe);
-  ASSERT_EQ(result.verdict, Verdict::kForwarded);
-  ASSERT_EQ(result.output_ports.size(), 1u);
-  EXPECT_EQ(result.output_ports[0], 7u);
+  EXPECT_EQ(fresh.epoch(), 2u);
+  for (const auto& [header, port] :
+       {std::pair{probe, 7u}, std::pair{second_probe, 8u}}) {
+    const auto result = fresh.tables().execute(header);
+    ASSERT_EQ(result.verdict, Verdict::kForwarded);
+    ASSERT_EQ(result.output_ports.size(), 1u);
+    EXPECT_EQ(result.output_ports[0], port);
+  }
+}
+
+TEST(SnapshotClassifier, UpdateRunsItsClosureOnce) {
+  SnapshotClassifier classifier(make_em_tables(8));
+  int calls = 0;
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    classifier.update([&](MultiTableLookup& tables) {
+      ++calls;
+      EXPECT_EQ(tables.apply(FlowModCommand::kAdd, 0,
+                             em_entry(100 + k, 5000 + k, 1)),
+                FlowModStatus::kOk);
+    });
+    EXPECT_EQ(calls, static_cast<int>(k)) << "update " << k;
+  }
+  // Each side ran some of the updates and replayed the rest: the side that
+  // ran the last one, then (after an empty publish) the other side, hold
+  // all three.
+  for (int publish = 0; publish < 2; ++publish) {
+    const auto guard = classifier.acquire();
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+      EXPECT_TRUE(guard.tables().contains_entry(0, 100 + k))
+          << "publish " << publish << " entry " << k;
+    }
+    classifier.update([](MultiTableLookup&) {});
+  }
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(classifier.epoch(), 5u);
+}
+
+TEST(SnapshotClassifier, UnloggableUpdatesConvergeThroughClone) {
+  SnapshotClassifier classifier(make_em_tables(8));
+  // add_table cannot be replayed: the next publish levels the other side
+  // by clone, so an apply to the new table succeeds on either side.
+  classifier.update([](MultiTableLookup& tables) {
+    tables.add_table(LookupTable({FieldId::kEthDst}, {em_entry(1, 42, 3)}));
+  });
+  ASSERT_EQ(classifier.apply(FlowModCommand::kAdd, 1, em_entry(2, 43, 4)),
+            FlowModStatus::kOk);
+  classifier.update([](MultiTableLookup&) {});
+  for (int publish = 0; publish < 2; ++publish) {
+    const auto guard = classifier.acquire();
+    ASSERT_EQ(guard.tables().table_count(), 2u) << "publish " << publish;
+    EXPECT_TRUE(guard.tables().contains_entry(1, 1));
+    EXPECT_TRUE(guard.tables().contains_entry(1, 2));
+    classifier.update([](MultiTableLookup&) {});
+  }
+
+  // A whole-side assignment replaces the content outright; later mods
+  // recorded by the same callable still reach both sides.
+  classifier.update([](MultiTableLookup& tables) {
+    tables = make_em_tables(4);
+    EXPECT_EQ(tables.apply(FlowModCommand::kAdd, 0, em_entry(77, 7700, 5)),
+              FlowModStatus::kOk);
+  });
+  ASSERT_EQ(classifier.apply(FlowModCommand::kDelete, 0, {.id = 2}),
+            FlowModStatus::kOk);
+  const MultiTableLookup expected = [] {
+    auto tables = make_em_tables(4);
+    EXPECT_EQ(tables.apply(FlowModCommand::kAdd, 0, em_entry(77, 7700, 5)),
+              FlowModStatus::kOk);
+    EXPECT_EQ(tables.apply(FlowModCommand::kDelete, 0, {.id = 2}),
+              FlowModStatus::kOk);
+    return tables;
+  }();
+  for (int publish = 0; publish < 2; ++publish) {
+    classifier.update([](MultiTableLookup&) {});
+    const auto guard = classifier.acquire();
+    ASSERT_EQ(guard.tables().table_count(), 1u) << "publish " << publish;
+    for (std::uint64_t mac = 0; mac <= 16; ++mac) {
+      EXPECT_EQ(guard.tables().execute(mac_header(mac)),
+                expected.execute(mac_header(mac)))
+          << "publish " << publish << " mac " << mac;
+    }
+    EXPECT_EQ(guard.tables().execute(mac_header(7700)),
+              expected.execute(mac_header(7700)));
+  }
+}
+
+TEST(SnapshotClassifier, EachSideServesAFreshCompileUnderChurn) {
+  // Random batches of adds, modifies and deletes, one publish each, while
+  // readers churn guards. Consecutive publishes write alternate sides, so
+  // comparing every epoch with a fresh compile of the same rules checks
+  // both the side that ran each batch and the side that replayed it.
+  constexpr std::size_t kPublishes = 120;
+  constexpr std::size_t kMacs = 48;
+  std::vector<PacketHeader> probes;
+  for (std::uint64_t mac = 0; mac < kMacs; ++mac) {
+    probes.push_back(mac_header(mac));
+  }
+  std::map<FlowEntryId, FlowEntry> live;
+  const auto fresh_results = [&] {
+    std::vector<FlowEntry> entries;
+    for (const auto& [id, entry] : live) entries.push_back(entry);
+    MultiTableLookup tables;
+    tables.add_table(LookupTable({FieldId::kEthDst}, std::move(entries)));
+    std::vector<ExecutionResult> results;
+    for (const auto& probe : probes) results.push_back(tables.execute(probe));
+    return results;
+  };
+  MultiTableLookup initial;
+  initial.add_table(LookupTable({FieldId::kEthDst}, {}));
+  SnapshotClassifier classifier(std::move(initial));
+  // expected[e] is written before epoch e is published, and a reader sees
+  // epoch e only through the swap that publishes it.
+  std::vector<std::vector<ExecutionResult>> expected(kPublishes + 1);
+  expected[0] = fresh_results();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto guard = classifier.acquire();
+        const auto& want = expected[guard.epoch()];
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          if (guard.tables().execute(probes[i]) != want[i]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+
+  // A failed ASSERT leaves the lambda, so the readers are always joined.
+  const auto churn = [&] {
+    std::mt19937_64 rng(7);
+    FlowEntryId next_id = 1;
+    for (std::size_t epoch = 1; epoch <= kPublishes; ++epoch) {
+      struct Mod {
+        FlowModCommand command;
+        FlowEntry entry;
+      };
+      std::vector<Mod> batch;
+      const std::size_t mods = 1 + rng() % 6;
+      for (std::size_t m = 0; m < mods; ++m) {
+        const auto roll = rng() % 3;
+        const auto fresh_entry = [&](FlowEntryId id) {
+          // Distinct priorities: the winner never depends on insertion order.
+          return em_entry(id, rng() % kMacs,
+                          static_cast<std::uint32_t>(rng() % 64),
+                          static_cast<std::uint16_t>(id));
+        };
+        if (roll == 0 || live.empty()) {
+          batch.push_back({FlowModCommand::kAdd, fresh_entry(next_id++)});
+        } else {
+          auto it = live.begin();
+          std::advance(it, static_cast<long>(rng() % live.size()));
+          if (roll == 1) {
+            batch.push_back({FlowModCommand::kModify, fresh_entry(it->first)});
+          } else {
+            batch.push_back({FlowModCommand::kDelete, {.id = it->first}});
+          }
+        }
+        const auto& mod = batch.back();
+        if (mod.command == FlowModCommand::kDelete) {
+          live.erase(mod.entry.id);
+        } else {
+          live[mod.entry.id] = mod.entry;
+        }
+      }
+      expected[epoch] = fresh_results();
+      if (epoch % 5 == 0 && batch.size() == 1) {
+        ASSERT_EQ(classifier.apply(batch[0].command, 0, batch[0].entry),
+                  FlowModStatus::kOk);
+      } else {
+        classifier.update([&](MultiTableLookup& tables) {
+          for (const auto& mod : batch) {
+            EXPECT_EQ(tables.apply(mod.command, 0, mod.entry),
+                      FlowModStatus::kOk);
+          }
+        });
+      }
+      const auto guard = classifier.acquire();
+      ASSERT_EQ(guard.epoch(), epoch);
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        ASSERT_EQ(guard.tables().execute(probes[i]), expected[epoch][i])
+            << "epoch " << epoch << " mac " << i;
+      }
+    }
+  };
+  churn();
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(SnapshotClassifier, NoLostOrDuplicatedFlowModsUnderChurn) {

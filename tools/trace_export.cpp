@@ -7,7 +7,9 @@
 //     distributions (count, p50/p99/p99.9, mean) derived through
 //     obs::LogHistogram — with -o, both are produced. The summary also
 //     surfaces per-ring overwrite loss (`dropped`) and the decode-skipped
-//     prefix, so silent history truncation is never invisible.
+//     prefix, so silent history truncation is never invisible. When the
+//     trace holds publishes, it also splits their mean into the catch-up
+//     of the lagging side and the apply of the publish's own mods.
 //
 //   trace_export --merge A.oftrace B.oftrace [...] [-o FILE.json]
 //     Render several dumps — typically a controller process and a switch
@@ -83,6 +85,17 @@ void print_summary(std::ostream& out, const obs::TraceDump& dump) {
         << " p99=" << histogram.quantile(0.99)
         << " p99.9=" << histogram.quantile(0.999)
         << " mean=" << histogram.mean() << "\n";
+  }
+  // A publish nests its catch-up (waiting for the lagging side's readers
+  // and replaying the previous publish) in its slice; the rest is the
+  // apply of its own mods and the swap.
+  const auto publish = obs::slice_latency_histogram(
+      dump, obs::TraceEvent::kPublishBegin, obs::SliceFold::kPerSlice);
+  const auto catch_up = obs::slice_latency_histogram(
+      dump, obs::TraceEvent::kPublishCatchUpBegin, obs::SliceFold::kPerSlice);
+  if (publish.total() != 0 && catch_up.total() == publish.total()) {
+    out << "publish split (mean ns): catch-up=" << catch_up.mean()
+        << " apply=" << publish.mean() - catch_up.mean() << "\n";
   }
 }
 
