@@ -1,19 +1,50 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
+
+#include "core/flat_hash.hpp"
 
 namespace ofmtl {
+
+namespace {
+
+// Keys of a generation's epoch map. A collision only makes still_valid
+// see a newer epoch than some key holds, so it can only answer false.
+constexpr std::uint64_t kRemovalSeed = 0x72656D6F76616C00ULL;
+constexpr std::uint64_t kInsertSeed = 0x696E736572740000ULL;
+
+std::uint64_t fold(std::uint64_t seed, std::uint64_t word) {
+  return detail::mix64(seed ^ word);
+}
+
+std::uint64_t removal_key(std::uint8_t table, FlowEntryId id) {
+  return fold(fold(kRemovalSeed, table), id);
+}
+
+std::uint64_t shape_seed(std::uint8_t table, FieldId field, U128 mask) {
+  const std::uint64_t place =
+      (std::uint64_t{table} << 8) | static_cast<std::uint64_t>(field);
+  return fold(fold(fold(kInsertSeed, place), mask.hi), mask.lo);
+}
+
+std::uint64_t insert_key(std::uint64_t seed, U128 masked_value) {
+  return fold(fold(seed, masked_value.hi), masked_value.lo);
+}
+
+/// Low `bits` bits set: the mask of an exact match on a `bits`-wide field.
+U128 width_mask(unsigned bits) { return high_mask128(bits) >> (128 - bits); }
+
+}  // namespace
 
 FlowModStatus MultiTableLookup::apply(FlowModCommand command,
                                       std::size_t table,
                                       const FlowEntry& entry) {
   if (table >= tables_.size()) return FlowModStatus::kBadTable;
   LookupTable& target = tables_[table];
-  const DeltaRecord removal{.removed = entry.id,
-                            .table = static_cast<std::uint8_t>(table)};
   if (command == FlowModCommand::kDelete) {
     if (!target.remove_entry(entry.id)) return FlowModStatus::kUnknownEntry;
-    append(removal);
+    log_removal(table, entry.id);
     record_op(command, table, entry);
     return FlowModStatus::kOk;
   }
@@ -47,45 +78,10 @@ FlowModStatus MultiTableLookup::apply(FlowModCommand command,
   // Every check passed: mutate, logging each step for the flow cache.
   if (command == FlowModCommand::kModify) {
     (void)target.remove_entry(entry.id);
-    append(removal);
-  }
-  DeltaRecord record;
-  record.table = static_cast<std::uint8_t>(table);
-  record.inserted = true;
-  // Only the table's own fields: accepts() rejected constraints on others.
-  for (const FieldId id : target.fields()) {
-    if (record.tests == kMaxKeyTests) break;
-    const FieldMatch& match = entry.match.get(id);
-    // Metadata is rewritten between tables by Write-Metadata, so a test on
-    // the packet's own metadata would say nothing: leave it wildcarded.
-    if (id == FieldId::kMetadata || match.kind == MatchKind::kAny) continue;
-    KeyTest& test = record.key[record.tests++];
-    test.field = id;
-    switch (match.kind) {
-      case MatchKind::kExact:
-        test.lo = match.value;
-        test.hi = ~U128{};
-        break;
-      case MatchKind::kPrefix:
-        test.lo = match.prefix.value();
-        test.hi = high_mask128(match.prefix.length()) >>
-                  (128 - match.prefix.width());
-        break;
-      case MatchKind::kRange:
-        test.range = true;
-        test.lo = U128{match.range.lo};
-        test.hi = U128{match.range.hi};
-        break;
-      case MatchKind::kMasked:
-        test.lo = match.value;
-        test.hi = match.mask;
-        break;
-      case MatchKind::kAny:
-        break;
-    }
+    log_removal(table, entry.id);
   }
   (void)target.insert_entry(entry);
-  append(record);
+  log_insert(table, entry);
   record_op(command, table, entry);
   return FlowModStatus::kOk;
 }
@@ -127,25 +123,189 @@ bool MultiTableLookup::replay(const OpLog& log) {
   return true;
 }
 
-void MultiTableLookup::append(const DeltaRecord& record) {
-  if (log_.ring.empty()) log_.ring.resize(kDeltaLogRecords);
-  DeltaRecord& slot = log_.ring[log_.next];
-  if (log_.size == kDeltaLogRecords) {
-    // Overwriting the oldest record: stamps before it lose their history.
-    log_.floor = std::max(log_.floor, slot.epoch);
-  } else {
-    ++log_.size;
+void MultiTableLookup::Generation::clear() {
+  std::ranges::fill(tags, detail::kTagEmpty);
+  shapes.clear();
+  unindexed.clear();
+  std::ranges::fill(newest_insert, 0);
+  records = 0;
+  newest = 0;
+}
+
+void MultiTableLookup::Generation::note(std::uint64_t key,
+                                        std::uint64_t epoch) {
+  if (tags.empty()) {
+    // At most one key per record keeps the map at most half full.
+    const std::size_t capacity = detail::flat_tag_capacity(kGenerationRecords);
+    tags.assign(capacity, detail::kTagEmpty);
+    slots.resize(capacity);
   }
-  slot = record;
-  slot.epoch = log_.epoch;
-  log_.next = (log_.next + 1) % kDeltaLogRecords;
+  const std::size_t mask = tags.size() - 1;
+  std::size_t slot = detail::tag_find(
+      tags.data(), mask, key,
+      [this, key](std::size_t s) { return slots[s].key == key; });
+  if (slot == SIZE_MAX) {
+    slot = detail::tag_insert_slot(tags.data(), mask, key);
+    tags[slot] = detail::tag_of(key);
+    slots[slot] = {.key = key, .epoch = epoch};
+    return;
+  }
+  slots[slot].epoch = std::max(slots[slot].epoch, epoch);
+}
+
+std::uint64_t MultiTableLookup::Generation::epoch_of(std::uint64_t key) const {
+  if (tags.empty()) return 0;
+  const std::size_t slot = detail::tag_find(
+      tags.data(), tags.size() - 1, key,
+      [this, key](std::size_t s) { return slots[s].key == key; });
+  return slot == SIZE_MAX ? 0 : slots[slot].epoch;
+}
+
+MultiTableLookup::Generation& MultiTableLookup::generation_for(
+    bool indexes_more) {
+  Generation* generation = &log_.generations[log_.current];
+  if (generation->records == kGenerationRecords ||
+      (indexes_more && generation->shapes.size() +
+                               generation->unindexed.size() ==
+                           kGenerationShapes)) {
+    // Drop the older generation: stamps before its newest record lose
+    // their history.
+    log_.current ^= 1;
+    generation = &log_.generations[log_.current];
+    log_.floor = std::max(log_.floor, generation->newest);
+    generation->clear();
+  }
+  ++generation->records;
+  generation->newest = std::max(generation->newest, log_.epoch);
+  return *generation;
+}
+
+void MultiTableLookup::log_removal(std::size_t table, FlowEntryId id) {
+  generation_for(false).note(removal_key(static_cast<std::uint8_t>(table), id),
+                             log_.epoch);
+}
+
+void MultiTableLookup::log_insert(std::size_t table, const FlowEntry& entry) {
+  // The lead is the rule's most selective masked test (exact, prefix or
+  // masked) on the table's own fields: apply() rejected constraints on
+  // others. A key the rule matches passes every test, the lead included.
+  const auto table8 = static_cast<std::uint8_t>(table);
+  LeadShape lead;
+  lead.table = table8;
+  U128 lead_value;
+  int lead_bits = 0;
+  RangeInsert ranges{.epoch = log_.epoch, .table = table8};
+  for (const FieldId id : tables_[table].fields()) {
+    const FieldMatch& match = entry.match.get(id);
+    // Metadata is rewritten between tables by Write-Metadata, so a test on
+    // the packet's own metadata would say nothing: leave it wildcarded.
+    if (id == FieldId::kMetadata) continue;
+    U128 value;
+    U128 mask;
+    switch (match.kind) {
+      case MatchKind::kAny:
+        continue;
+      case MatchKind::kRange:
+        if (ranges.tests < kMaxRangeTests) {
+          ranges.range[ranges.tests++] = {.lo = match.range.lo,
+                                          .hi = match.range.hi,
+                                          .field = id};
+        }
+        continue;
+      case MatchKind::kExact:
+        value = match.value;
+        mask = width_mask(field_bits(id));
+        break;
+      case MatchKind::kPrefix:
+        value = match.prefix.value();
+        mask = high_mask128(match.prefix.length()) >>
+               (128 - match.prefix.width());
+        break;
+      case MatchKind::kMasked:
+        value = match.value;
+        mask = match.mask;
+        break;
+    }
+    const int bits = std::popcount(mask.hi) + std::popcount(mask.lo);
+    if (bits > lead_bits) {
+      lead_bits = bits;
+      lead.field = id;
+      lead.mask = mask;
+      lead_value = value & mask;
+    }
+  }
+  const bool indexed = lead_bits != 0;
+  if (indexed) lead.seed = shape_seed(table8, lead.field, lead.mask);
+  const auto same_shape = [&lead](const LeadShape& shape) {
+    return shape.seed == lead.seed && shape.table == lead.table &&
+           shape.field == lead.field && shape.mask == lead.mask;
+  };
+  Generation& generation = generation_for(
+      !indexed ||
+      std::ranges::none_of(log_.generations[log_.current].shapes, same_shape));
+  if (generation.newest_insert.size() <= table) {
+    generation.newest_insert.resize(table + 1, 0);
+  }
+  generation.newest_insert[table] = log_.epoch;
+  if (!indexed) {
+    generation.unindexed.push_back(ranges);
+    return;
+  }
+  if (std::ranges::none_of(generation.shapes, same_shape)) {
+    generation.shapes.push_back(lead);
+  }
+  generation.note(insert_key(lead.seed, lead_value), log_.epoch);
 }
 
 void MultiTableLookup::restart_log(std::uint64_t epoch) {
-  log_.next = 0;
-  log_.size = 0;
+  for (Generation& generation : log_.generations) generation.clear();
+  log_.current = 0;
   log_.epoch = epoch;
   log_.floor = epoch;
+}
+
+bool MultiTableLookup::changes_walk(const Generation& generation,
+                                    const PacketHeader& key,
+                                    const ExecutionResult& result,
+                                    std::size_t rewritten_from,
+                                    std::uint64_t stamp) {
+  const auto& visited = result.visited_tables;
+  const auto& matched = result.matched_entries;
+  // Removing an entry the walk did not pick cannot change its pick.
+  for (std::size_t k = 0; k < matched.size() && k < visited.size(); ++k) {
+    if (generation.epoch_of(removal_key(visited[k], matched[k])) > stamp) {
+      return true;
+    }
+  }
+  // A table after a rewriter may have looked up another key than `key`, so
+  // any rule inserted there might match it.
+  for (std::size_t k = rewritten_from; k < visited.size(); ++k) {
+    if (generation.newest_insert_of(visited[k]) > stamp) return true;
+  }
+  // The rest: a new rule in a table the walk looked `key` itself up in,
+  // matching it, may outrank the walk's pick or fill its miss. Tables the
+  // walk never reached cannot change it.
+  const auto looked_up = [&](std::uint8_t table) {
+    const auto end = visited.begin() + static_cast<std::ptrdiff_t>(rewritten_from);
+    return generation.newest_insert_of(table) > stamp &&
+           std::find(visited.begin(), end, table) != end;
+  };
+  for (const RangeInsert& insert : generation.unindexed) {
+    if (insert.epoch <= stamp || !looked_up(insert.table)) continue;
+    bool matches = true;
+    for (std::size_t t = 0; t < insert.tests && matches; ++t) {
+      const RangeTest& test = insert.range[t];
+      const U128 value = key.get(test.field);
+      matches = value.hi == 0 && test.lo <= value.lo && value.lo <= test.hi;
+    }
+    if (matches) return true;
+  }
+  for (const LeadShape& shape : generation.shapes) {
+    if (!looked_up(shape.table)) continue;
+    const U128 value = key.get(shape.field) & shape.mask;
+    if (generation.epoch_of(insert_key(shape.seed, value)) > stamp) return true;
+  }
+  return false;
 }
 
 bool MultiTableLookup::still_valid(const PacketHeader& key,
@@ -153,7 +313,6 @@ bool MultiTableLookup::still_valid(const PacketHeader& key,
                                    std::uint64_t stamp) const {
   if (stamp < log_.floor) return false;
   const auto& visited = result.visited_tables;
-  const auto& matched = result.matched_entries;
   // Visited tables from this position on may have matched a key that an
   // earlier table's Apply-Actions Set-Field rewrote.
   std::size_t rewritten_from = visited.size();
@@ -163,32 +322,12 @@ bool MultiTableLookup::still_valid(const PacketHeader& key,
       break;
     }
   }
-  std::size_t slot = log_.next;
-  for (std::size_t n = 0; n < log_.size; ++n) {
-    slot = (slot == 0 ? kDeltaLogRecords : slot) - 1;
-    const DeltaRecord& record = log_.ring[slot];
-    if (record.epoch <= stamp) break;  // the result already saw the rest
-    const auto at = std::find(visited.begin(), visited.end(), record.table);
-    if (at == visited.end()) continue;  // a table the walk never reached
-    const auto position = static_cast<std::size_t>(at - visited.begin());
-    if (!record.inserted) {
-      // Removing an entry the walk did not pick cannot change its pick.
-      if (position < matched.size() && matched[position] == record.removed) {
-        return false;
-      }
-      continue;
+  for (const Generation& generation : log_.generations) {
+    // A generation with nothing newer than the stamp cannot change it.
+    if (generation.newest > stamp &&
+        changes_walk(generation, key, result, rewritten_from, stamp)) {
+      return false;
     }
-    if (position >= rewritten_from) return false;
-    bool matches = true;
-    for (std::size_t t = 0; t < record.tests && matches; ++t) {
-      const KeyTest& test = record.key[t];
-      const U128 value = key.get(test.field);
-      matches = test.range ? value.hi == 0 && test.lo.lo <= value.lo &&
-                                 value.lo <= test.hi.lo
-                           : (value & test.hi) == test.lo;
-    }
-    // The new rule may outrank the walk's pick, or fill its miss.
-    if (matches) return false;
   }
   return true;
 }

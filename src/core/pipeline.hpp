@@ -6,8 +6,10 @@
 // search.
 //
 // Each pipeline also keeps a bounded delta log of its own mutations, stamped
-// with the left-right publish epoch that made them; the flow cache asks
-// still_valid() whether a result cached under an older epoch survives them.
+// with the left-right publish epoch that made them and indexed by hash (the
+// removed entry, or the inserted rule's most selective masked test), so the
+// flow cache can ask still_valid() in a few probes whether a result cached
+// under an older epoch survives them.
 // While an OpLog is attached, the pipeline also records its mutations as
 // data, so the left-right publisher can replay one publish onto the other
 // side.
@@ -184,15 +186,24 @@ class MultiTableLookup : public TableLookupSource {
   [[nodiscard]] std::uint64_t update_words() const;
 
   /// --- Delta log (flow-cache revalidation) ---
-  /// Records kept; the oldest is dropped (raising the floor) past this.
-  static constexpr std::size_t kDeltaLogRecords = 256;
-  /// Constrained fields an insert record keeps. Testing a subset of a rule's
-  /// fields over-approximates its matches, so fewer is still conservative.
-  static constexpr std::size_t kMaxKeyTests = 4;
+  /// Records one generation of the log holds. The log keeps two: when the
+  /// newer is full, the older is dropped, raising the floor to its newest
+  /// epoch, and an empty one takes the newer's place.
+  static constexpr std::size_t kGenerationRecords = 2048;
+  /// The most records the log remembers: every stamp older than the last
+  /// kDeltaLogRecords records has fallen below the floor.
+  static constexpr std::size_t kDeltaLogRecords = 2 * kGenerationRecords;
+  /// Lead shapes plus unindexed inserts (those without a masked test) a
+  /// generation holds before it is closed early: bounds the probes and
+  /// scans of one still_valid.
+  static constexpr std::size_t kGenerationShapes = 64;
+  /// Range tests an insert without a masked test keeps. Testing a subset
+  /// of a rule's fields over-approximates its matches, so fewer is still
+  /// conservative.
+  static constexpr std::size_t kMaxRangeTests = 4;
 
-  /// Epoch that records appended from now on carry. The left-right
-  /// publisher sets it to the epoch it is about to publish before each
-  /// side-apply.
+  /// Epoch that records logged from now on carry. The left-right publisher
+  /// sets it to the epoch it is about to publish before each side-apply.
   void set_log_epoch(std::uint64_t epoch) { log_.epoch = epoch; }
   [[nodiscard]] std::uint64_t log_epoch() const { return log_.epoch; }
   /// Drop every record and move the log to `epoch`: results stamped before
@@ -200,47 +211,87 @@ class MultiTableLookup : public TableLookupSource {
   void restart_log(std::uint64_t epoch);
 
   /// Whether `result`, produced for `key` by this pipeline as it stood at
-  /// log epoch `stamp`, is still what execute(key) returns now. Walks the
-  /// records newer than `stamp`, newest first, and answers false when one
-  /// might have changed the walk: a removed entry the walk matched, or an
-  /// inserted rule matching the key in a table the walk visited. False
-  /// (conservatively) also when `stamp` is below the log's floor, or when
-  /// the inserted rule's table saw a key rewritten by an earlier table's
-  /// Apply-Actions Set-Field. Never answers true wrongly; see "The flow
-  /// cache" in docs/ARCHITECTURE.md for the argument.
+  /// log epoch `stamp`, is still what execute(key) returns now. Answers
+  /// false when a mutation logged after `stamp` might have changed the
+  /// walk: a removed entry the walk matched, or an inserted rule whose
+  /// lead test matches the key in a table the walk visited. Each check is
+  /// a probe of a generation's epoch map, so the cost is one probe per
+  /// visited table and per lead shape of a visited table, not one per
+  /// record. False (conservatively) also when `stamp` is below the log's
+  /// floor, or when the inserted rule's table saw a key rewritten by an
+  /// earlier table's Apply-Actions Set-Field. Never answers true wrongly;
+  /// see "The flow cache" in docs/ARCHITECTURE.md for the argument.
   [[nodiscard]] bool still_valid(const PacketHeader& key,
                                  const ExecutionResult& result,
                                  std::uint64_t stamp) const;
 
  private:
-  /// One constrained field of an inserted rule: a masked compare (exact,
-  /// prefix and masked matches) or an inclusive range.
-  struct KeyTest {
-    U128 lo;  ///< masked: value; range: lower bound
-    U128 hi;  ///< masked: mask; range: upper bound
-    FieldId field = FieldId::kInPort;
-    bool range = false;
+  /// One slot of a generation's epoch map: the 64-bit hash of a logged
+  /// key, (table, id) for a removal or (table, field, mask, masked value)
+  /// for an insert's lead test.
+  struct EpochSlot {
+    std::uint64_t key = 0;
+    std::uint64_t epoch = 0;  ///< newest epoch logged under `key`
   };
-  /// One logged mutation: an insert (with up to kMaxKeyTests of the rule's
-  /// constraints on the table's own non-metadata fields) or a remove (with
-  /// the removed id). A modify is a remove followed by an insert.
-  struct DeltaRecord {
+  /// A masked compare of one field in one table that some logged insert
+  /// led with; `seed` hashes (table, field, mask).
+  struct LeadShape {
+    U128 mask;
+    std::uint64_t seed = 0;
+    FieldId field = FieldId::kInPort;
+    std::uint8_t table = 0;
+  };
+  /// An insert with no masked test (range-only or all-wildcard), kept with
+  /// its ranges to be scanned.
+  struct RangeTest {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    FieldId field = FieldId::kInPort;
+  };
+  struct RangeInsert {
     std::uint64_t epoch = 0;
-    FlowEntryId removed = 0;
-    std::uint8_t table = 0;  ///< as ExecutionResult::visited_tables stores it
-    bool inserted = false;
+    std::uint8_t table = 0;
     std::uint8_t tests = 0;
-    std::array<KeyTest, kMaxKeyTests> key{};
+    std::array<RangeTest, kMaxRangeTests> range{};
+  };
+  /// One generation of the log: what it indexes only grows until the
+  /// generation is dropped whole, so nothing is deleted or tombstoned.
+  struct Generation {
+    std::vector<std::uint8_t> tags;  ///< flat_hash.hpp tag per slot
+    std::vector<EpochSlot> slots;    ///< sized on the first record
+    std::vector<LeadShape> shapes;
+    std::vector<RangeInsert> unindexed;
+    std::vector<std::uint64_t> newest_insert;  ///< per table
+    std::size_t records = 0;
+    std::uint64_t newest = 0;  ///< newest epoch logged here
+
+    void clear();
+    void note(std::uint64_t key, std::uint64_t epoch);
+    [[nodiscard]] std::uint64_t epoch_of(std::uint64_t key) const;
+    [[nodiscard]] std::uint64_t newest_insert_of(std::size_t table) const {
+      return table < newest_insert.size() ? newest_insert[table] : 0;
+    }
   };
   struct DeltaLog {
-    std::vector<DeltaRecord> ring;  ///< kDeltaLogRecords, on first append
-    std::size_t next = 0;           ///< ring slot of the next append
-    std::size_t size = 0;           ///< live records
-    std::uint64_t epoch = 0;        ///< stamp of records appended now
-    std::uint64_t floor = 0;        ///< stamps below it do not revalidate
+    std::array<Generation, 2> generations;
+    std::size_t current = 0;  ///< generation records go to
+    std::uint64_t epoch = 0;  ///< stamp of records logged now
+    std::uint64_t floor = 0;  ///< stamps below it do not revalidate
   };
 
-  void append(const DeltaRecord& record);
+  void log_removal(std::size_t table, FlowEntryId id);
+  void log_insert(std::size_t table, const FlowEntry& entry);
+  /// The generation the next record goes to, after dropping the older one
+  /// if the current is full, or if `indexes_more` (a new shape or an
+  /// unindexed insert) would take it past kGenerationShapes.
+  Generation& generation_for(bool indexes_more);
+  /// Whether a record of `generation` newer than `stamp` might change the
+  /// walk; `rewritten_from` as still_valid computes it.
+  [[nodiscard]] static bool changes_walk(const Generation& generation,
+                                         const PacketHeader& key,
+                                         const ExecutionResult& result,
+                                         std::size_t rewritten_from,
+                                         std::uint64_t stamp);
   /// Copy a kOk apply into the attached op log, if any.
   void record_op(FlowModCommand command, std::size_t table,
                  const FlowEntry& entry);

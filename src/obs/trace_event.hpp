@@ -60,6 +60,8 @@ enum class TraceEvent : std::uint16_t {
                               ///< side's readers, then replay the previous
                               ///< publish onto it; payload = its epoch
   kPublishCatchUpEnd = 29,    ///< lagging side level; payload = its epoch
+  kCacheRevalidations = 30,   ///< stale hits revalidated and served (a
+                              ///< share of kCacheHits); payload = count
   kEventCount           ///< sentinel — not a real event
 };
 
@@ -119,6 +121,7 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kCacheHits: return "cache_hits";
     case TraceEvent::kCacheMisses: return "cache_misses";
     case TraceEvent::kCacheEpochInvalidations: return "cache_epoch_inval";
+    case TraceEvent::kCacheRevalidations: return "cache_revalidations";
     case TraceEvent::kOfpApplyBegin:
     case TraceEvent::kOfpApplyEnd: return "ofp_apply";
     case TraceEvent::kWallClockSync: return "wall_clock_sync";
@@ -157,7 +160,8 @@ static_assert(sizeof(TraceRecord) == 16, "records are fixed 16-byte");
     case TraceEvent::kOfpBarrierEnd: return TraceEventKind::kEnd;
     case TraceEvent::kCacheHits:
     case TraceEvent::kCacheMisses:
-    case TraceEvent::kCacheEpochInvalidations: return TraceEventKind::kCounter;
+    case TraceEvent::kCacheEpochInvalidations:
+    case TraceEvent::kCacheRevalidations: return TraceEventKind::kCounter;
     default: return TraceEventKind::kInstant;
   }
 }

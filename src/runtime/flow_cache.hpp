@@ -6,11 +6,13 @@
 //
 // A publish does not void the cache; it makes entries *stale*. An entry
 // stamped with an older epoch than the current batch's guard is handed to
-// the pinned side's MultiTableLookup::still_valid, which replays that
-// side's delta log (the mutations published since the stamp) against the
-// cached walk. If no logged mutation could have changed the walk, the entry
-// is restamped to the batch epoch and served (a revalidation); otherwise it
-// is a miss (an epoch invalidation) and is refilled from the full pipeline.
+// the pinned side's MultiTableLookup::still_valid, which probes that side's
+// delta log, indexed by removed entry and by inserted rules' lead tests,
+// for a mutation published since the stamp that could touch the cached
+// walk: a few hash probes, however many mutations were published. If none
+// could have changed the walk, the entry is restamped to the batch epoch
+// and served (a revalidation); otherwise it is a miss (an epoch
+// invalidation) and is refilled from the full pipeline.
 // An entry older than the log's floor is always a miss, so voiding on every
 // publish is the fallback, not a separate path. Nothing crosses threads:
 // the log is part of the pinned side, frozen while the guard is held.

@@ -125,9 +125,10 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
                                      std::memory_order_relaxed);
     worker.cache_epoch_invalidations.fetch_add(invalidations,
                                                std::memory_order_relaxed);
-    worker.cache_revalidations.fetch_add(
-        after.revalidations - cache_before.revalidations,
-        std::memory_order_relaxed);
+    const std::uint64_t revalidations =
+        after.revalidations - cache_before.revalidations;
+    worker.cache_revalidations.fetch_add(revalidations,
+                                         std::memory_order_relaxed);
     worker.cache_admissions_declined.fetch_add(
         after.admissions_declined - cache_before.admissions_declined,
         std::memory_order_relaxed);
@@ -136,6 +137,9 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
     if (invalidations != 0) {
       OFMTL_OBS_EMIT(obs::TraceEvent::kCacheEpochInvalidations, 0,
                      invalidations);
+    }
+    if (revalidations != 0) {
+      OFMTL_OBS_EMIT(obs::TraceEvent::kCacheRevalidations, 0, revalidations);
     }
   }
   worker.batches.fetch_add(1, std::memory_order_relaxed);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <thread>
@@ -16,6 +17,8 @@
 
 #include "core/builder.hpp"
 #include "core/flow_key.hpp"
+#include "obs/export.hpp"
+#include "obs/tracer.hpp"
 #include "runtime/flow_cache.hpp"
 #include "runtime/runtime.hpp"
 #include "workload/rng.hpp"
@@ -209,6 +212,122 @@ TEST(FlowCacheRuntime, ZipfHitRateFloor) {
   }
 }
 
+/// Publishes route_churn's FLOW_MOD batch shape: 8 /32 routes in `block`
+/// (set `publish % 2`, ids from `first_id`) added to table 1 and, from the
+/// second publish on, the other set's 8 deleted.
+void churn_routes(MultiTableLookup& tables, std::uint32_t block,
+                  FlowEntryId first_id, std::size_t publish) {
+  constexpr std::uint32_t kSet = 8;
+  const auto set = static_cast<std::uint32_t>(publish % 2);
+  for (std::uint32_t k = 0; k < kSet; ++k) {
+    FlowEntry route;
+    route.id = first_id + set * kSet + k;
+    route.priority = 32;
+    route.instructions = output_instruction(1);
+    route.match.set(FieldId::kIpv4Dst, FieldMatch::of_prefix(Prefix::from_value(
+                                           block + set * kSet + k, 32, 32)));
+    EXPECT_EQ(tables.apply(FlowModCommand::kAdd, 1, route), FlowModStatus::kOk);
+    if (publish == 0) continue;
+    const FlowEntryId gone = first_id + (1 - set) * kSet + k;
+    EXPECT_EQ(tables.apply(FlowModCommand::kDelete, 1, {.id = gone}),
+              FlowModStatus::kOk);
+  }
+}
+
+TEST(FlowCacheRuntime, ChurnHitRateFloor) {
+  // route_churn at test scale: ZipfHitRateFloor's route pool and stream
+  // through one worker, with a publish of 16 never-matching /32 routes
+  // after every 4th batch. Those publishes change no verdict, so a stale
+  // entry revalidates unless its stamp fell below the delta log's floor,
+  // which trails the newest record by at least kGenerationRecords (128
+  // such publishes). After a warm-up pass, at least 97% of the packets
+  // must hit, and the sampled results must still be the static pipeline's.
+  constexpr std::size_t kPackets = std::size_t{1} << 17;
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kChurnEvery = 4;
+  constexpr std::uint32_t kBlock = 0xC6336400;  // 198.51.100.0/24
+  constexpr FlowEntryId kFirstId = FlowEntryId{1} << 30;
+  const auto app = make_app(FilterApp::kRouting, "yoza", 4096, 123);
+  for (const auto& header : app.pool) {
+    ASSERT_NE(header.get64(FieldId::kIpv4Dst) >> 8, kBlock >> 8)
+        << "the churn block must be free of pool traffic";
+  }
+  const auto stream = make_stream(app, 1.1, 2 * kPackets, 99);
+  ParallelRuntime rt(app.accelerated.clone(),
+                     {.workers = 1, .flow_cache_capacity = 8192});
+  std::vector<ExecutionResult> results(kBatch);
+  std::size_t publishes = 0;
+  std::uint64_t hits_before = 0;
+  std::uint64_t misses_before = 0;
+  for (std::size_t batch = 0; batch * kBatch < stream.size(); ++batch) {
+    const std::size_t base = batch * kBatch;
+    if (base == kPackets) {
+      const auto warm = rt.aggregate_stats();
+      hits_before = warm.cache_hits;
+      misses_before = warm.cache_misses;
+    }
+    rt.classify(0, {stream.data() + base, kBatch}, results);
+    if (base >= kPackets && batch % 64 == 0) {
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        ASSERT_EQ(results[i], app.accelerated.execute(stream[base + i]))
+            << "packet " << base + i;
+      }
+    }
+    if ((batch + 1) % kChurnEvery == 0) {
+      rt.update([publish = publishes++](MultiTableLookup& tables) {
+        churn_routes(tables, kBlock, kFirstId, publish);
+      });
+    }
+  }
+  const auto stats = rt.aggregate_stats();
+  const auto hits = stats.cache_hits - hits_before;
+  ASSERT_EQ(hits + stats.cache_misses - misses_before, kPackets);
+  EXPECT_GE(100.0 * static_cast<double>(hits) / kPackets, 97.0)
+      << hits << " hits after warm-up, " << publishes << " publishes";
+  EXPECT_GT(stats.cache_revalidations, 0u);
+
+  // A stamp 100 such publishes old still revalidates: 1600 records sit
+  // inside the log's first generation.
+  MultiTableLookup tables = app.accelerated.clone();
+  const PacketHeader& key = app.pool.front();
+  const ExecutionResult cached = tables.execute(key);
+  for (std::size_t publish = 0; publish < 100; ++publish) {
+    tables.set_log_epoch(publish + 1);
+    churn_routes(tables, kBlock, kFirstId, publish);
+  }
+  EXPECT_TRUE(tables.still_valid(key, cached, 0));
+}
+
+TEST(FlowCacheRuntime, RevalidationsReachTheTrace) {
+  // run_item emits each batch's revalidations as a counter event, next to
+  // its hits: after a publish that changes nothing, a replayed stream is
+  // served by revalidation, and the trace counts what the stats count.
+  const auto app = make_app(FilterApp::kRouting, "yoza", 128, 31);
+  const auto stream = make_stream(app, 1.1, 512, 32);
+  ParallelRuntime rt(app.accelerated.clone(),
+                     {.workers = 1, .flow_cache_capacity = 1024});
+  std::vector<ExecutionResult> results(stream.size());
+  classify_all(rt, stream, results);
+  rt.update([](MultiTableLookup&) {});
+  const auto before = rt.aggregate_stats();
+  obs::start_tracing();
+  classify_all(rt, stream, results);
+  obs::stop_tracing();
+  const auto dump = obs::collect_tracing();
+  const auto revalidations =
+      rt.aggregate_stats().cache_revalidations - before.cache_revalidations;
+  std::uint64_t traced = 0;
+  for (const auto& thread : dump.threads) {
+    for (const auto& event : obs::decode_thread(thread)) {
+      if (event.event == obs::TraceEvent::kCacheRevalidations) {
+        traced += event.payload;
+      }
+    }
+  }
+  EXPECT_GT(revalidations, 0u);
+  EXPECT_EQ(traced, revalidations);
+}
+
 TEST(FlowCacheRuntime, PublishNeverServesStaleAction) {
   // Sequential epoch-invalidation: classify a stream (cache warm), publish
   // a takeover flow-mod, classify again — every post-publish result must
@@ -294,7 +413,11 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   ParallelRuntime rt(std::move(app.accelerated),
                      {.workers = kWorkers, .flow_cache_capacity = 256});
 
-  std::thread writer([&rt, &takeover] {
+  // Set once the writer has made every toggle, accepted or not: a rejected
+  // publish never reaches epoch kToggles, and must fail the test below
+  // rather than hang it.
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&rt, &takeover, &writer_done] {
     for (std::size_t toggle = 0; toggle < kToggles; ++toggle) {
       if (toggle % 2 == 0) {
         EXPECT_EQ(rt.apply(FlowModCommand::kAdd, 1, takeover),
@@ -305,6 +428,7 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
       }
       std::this_thread::yield();
     }
+    writer_done.store(true, std::memory_order_release);
   });
 
   std::vector<std::vector<ExecutionResult>> results(kWorkers);
@@ -312,12 +436,12 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   for (auto& r : results) r.resize(kBatch);
   std::size_t mixed = 0;
   std::size_t rounds = 0;
-  // Drain until the churn is over and then 8 publish-free rounds more (each
-  // window twice per queue), so the cache-hit check below holds however
-  // slowly the writer's toggles interleave with the batches.
+  // Drain until the writer has finished and then 8 publish-free rounds more
+  // (each window twice per queue), so the cache-hit check below holds
+  // however slowly the writer's toggles interleave with the batches.
   std::size_t settled = 0;
   while (settled < 8) {
-    const bool churn_done = rt.epoch() == kToggles;
+    const bool churn_done = writer_done.load(std::memory_order_acquire);
     const std::size_t base = (rounds % (stream.size() / kBatch)) * kBatch;
     for (std::size_t q = 0; q < kWorkers; ++q) {
       while (!rt.try_submit(q, {stream.data() + base, kBatch},
@@ -514,8 +638,9 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
     step.found = true;
   };
   if (kind == ChurnMod::kOversized) {
-    // Adds and removes as many never-matching rules as fit twice in the
-    // log: no verdict changes, but every stamp falls below the floor.
+    // Adds and removes as many never-matching rules as the log remembers
+    // records (both generations), so the update logs twice the log's
+    // history: no verdict changes, but every stamp falls below the floor.
     const FlowEntryId base = next_id;
     next_id += MultiTableLookup::kDeltaLogRecords;
     step.mutate = [base](MultiTableLookup& tables) {
@@ -692,6 +817,286 @@ TEST(FlowCacheRuntime, RevalidationMatchesCacheOffOracleUnderOverlappingChurn) {
       EXPECT_GT(stats.cache_revalidations, 0u);
       EXPECT_GT(stats.cache_epoch_invalidations, 0u);
     }
+  }
+}
+
+// --- still_valid soundness: the index against a linear walk -------------
+
+/// One mutation as the delta log saw it, kept whole for the oracle.
+struct LoggedMod {
+  std::uint64_t epoch = 0;
+  std::uint8_t table = 0;
+  bool inserted = false;
+  FlowEntryId removed = 0;
+  FlowMatch match;
+};
+
+/// The revalidation argument as a linear walk, newest first, over every
+/// logged mutation newer than `stamp`, testing each inserted rule on all
+/// of its table's fields but metadata. It has no floor and no hashing, so
+/// it says false only where the argument itself cannot prove the walk
+/// unchanged.
+bool linear_still_valid(const MultiTableLookup& tables,
+                        const std::vector<LoggedMod>& log,
+                        const PacketHeader& key, const ExecutionResult& result,
+                        std::uint64_t stamp) {
+  const auto& visited = result.visited_tables;
+  const auto& matched = result.matched_entries;
+  std::size_t rewritten_from = visited.size();
+  for (std::size_t k = 0; k + 1 < visited.size(); ++k) {
+    if (tables.table(visited[k]).rewrites_header()) {
+      rewritten_from = k + 1;
+      break;
+    }
+  }
+  for (auto mod = log.rbegin(); mod != log.rend() && mod->epoch > stamp;
+       ++mod) {
+    const auto at = std::find(visited.begin(), visited.end(), mod->table);
+    if (at == visited.end()) continue;
+    const auto position = static_cast<std::size_t>(at - visited.begin());
+    if (!mod->inserted) {
+      if (position < matched.size() && matched[position] == mod->removed) {
+        return false;
+      }
+      continue;
+    }
+    if (position >= rewritten_from) return false;
+    bool matches = true;
+    for (const FieldId id : tables.table(mod->table).fields()) {
+      if (id != FieldId::kMetadata) {
+        matches = matches && mod->match.get(id).matches(key.get(id));
+      }
+    }
+    if (matches) return false;
+  }
+  return true;
+}
+
+/// The churn pipeline without table 0's Set-Field, so the later tables
+/// look up the packet's own key until a mod makes table 2 a rewriter.
+std::vector<std::vector<FlowEntry>> unrewritten_churn_tables() {
+  auto tables = churn_tables();
+  for (auto& entry : tables[0]) entry.instructions.apply_actions.clear();
+  return tables;
+}
+
+/// Applies random mods to unrewritten_churn_tables(), many of them aimed
+/// at the walks of pool keys, and logs every accepted one.
+class HostileChurn {
+ public:
+  HostileChurn(MultiTableLookup& tables, const std::vector<PacketHeader>& pool,
+               std::uint64_t seed)
+      : tables_(tables), pool_(pool), rng_(seed), live_(kChurnTables) {
+    const auto initial = unrewritten_churn_tables();
+    for (std::size_t t = 0; t < kChurnTables; ++t) {
+      for (const auto& entry : initial[t]) live_[t][entry.id] = entry;
+    }
+  }
+
+  [[nodiscard]] const std::vector<LoggedMod>& log() const { return log_; }
+
+  /// One random mod under the pipeline's current log epoch.
+  void mod() {
+    const PacketHeader& key = pool_[rng_.below(pool_.size())];
+    const auto table = static_cast<std::size_t>(rng_.below(kChurnTables));
+    const auto priority = static_cast<std::uint16_t>(rng_.below(64));
+    FlowEntry entry = churn_rule(next_id_++, priority, output_instruction(7));
+    switch (rng_.below(10)) {
+      case 0:  // exact, on the key a table's lookup sees
+        entry = rule_for(table, key, entry.id, priority, 7);
+        break;
+      case 1: {  // prefix of any length, destination or source
+        const bool dst = rng_.below(2) == 0;
+        const auto length = static_cast<unsigned>(rng_.below(33));
+        const FieldId field = dst ? FieldId::kIpv4Dst : FieldId::kIpv4Src;
+        entry.match.set(field, FieldMatch::of_prefix(Prefix::from_value(
+                                   key.get64(field), length, 32)));
+        add(dst ? 1 : 3, entry);
+        return;
+      }
+      case 2: {  // masked: no engine takes it, so apply must reject it
+        entry.match.set(FieldId::kIpv4Dst,
+                        FieldMatch::masked(U128{key.get64(FieldId::kIpv4Dst)},
+                                           U128{0xFF00FF00}));
+        EXPECT_NE(tables_.apply(FlowModCommand::kAdd, 1, entry),
+                  FlowModStatus::kOk);
+        return;
+      }
+      case 3: {  // range on the destination port, around the key's or not
+        const auto port = key.get64(FieldId::kDstPort);
+        const std::uint64_t lo = rng_.below(2) == 0 ? port - rng_.below(port + 1)
+                                                    : port + 1;
+        entry.match.set(FieldId::kDstPort,
+                        FieldMatch::of_range(lo, lo + rng_.below(600)));
+        if (rng_.below(2) == 0) {
+          entry.match.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{6}));
+        }
+        add(2, entry);
+        return;
+      }
+      case 4:  // all-wildcard
+        add(table, entry);
+        return;
+      case 5:  // two fields: the lead is the more selective
+        match_dst(entry, static_cast<std::uint32_t>(key.get64(FieldId::kIpv4Dst)),
+                  static_cast<unsigned>(rng_.below(9)));
+        entry.match.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{6}));
+        add(1, entry);
+        return;
+      case 6:  // a Set-Field in table 2 on a field table 3 matches
+        entry.instructions = goto_table_instruction(3);
+        entry.instructions.apply_actions.push_back(SetFieldAction{
+            FieldId::kIpProto, U128{rng_.below(2) == 0 ? 6u : 17u}});
+        entry.match.set(FieldId::kDstPort,
+                        FieldMatch::exact(key.get64(FieldId::kDstPort)));
+        add(2, entry);
+        return;
+      case 7:
+      case 8: {  // delete or modify a live entry, often one a walk matched
+        const ExecutionResult walk = tables_.execute(key);
+        std::size_t at = table;
+        FlowEntryId id = 0;
+        if (!walk.matched_entries.empty() && rng_.below(2) == 0) {
+          const std::size_t k = rng_.below(walk.matched_entries.size());
+          at = walk.visited_tables[k];
+          id = walk.matched_entries[k];
+        } else if (!live_[at].empty()) {
+          auto it = live_[at].begin();
+          std::advance(it, rng_.below(live_[at].size()));
+          id = it->first;
+        }
+        // Keep table 0's port entries, so walks go on past it.
+        if (id == 0 || (at == 0 && id <= kRewritePort)) return;
+        const FlowEntry old = live_[at].at(id);
+        if (rng_.below(2) == 0) {
+          ASSERT_EQ(tables_.apply(FlowModCommand::kDelete, at, {.id = id}),
+                    FlowModStatus::kOk);
+          live_[at].erase(id);
+          log_removal(at, id);
+        } else {
+          FlowEntry changed = old;
+          changed.instructions = output_instruction(next_id_);
+          ASSERT_EQ(tables_.apply(FlowModCommand::kModify, at, changed),
+                    FlowModStatus::kOk);
+          live_[at][id] = changed;
+          log_removal(at, id);
+          log_insert(at, changed);
+        }
+        return;
+      }
+      default:  // a table the key's walk may never reach
+        entry = rule_for(3, key, entry.id, priority, 7);
+        add(3, entry);
+        return;
+    }
+    add(table, entry);
+  }
+
+  /// Adds `count` never-matching rules, then deletes them: 2 * count
+  /// records that push old stamps below the floor.
+  void flood(std::size_t count) {
+    const FlowEntryId base = next_id_;
+    next_id_ += count;
+    for (FlowEntryId k = 0; k < count; ++k) {
+      FlowEntry entry = churn_rule(base + k, 1, output_instruction(99));
+      entry.match.set(FieldId::kIpv4Src,
+                      FieldMatch::exact(std::uint64_t{0xCB007100u + k}));
+      add(3, entry);
+    }
+    for (FlowEntryId k = 0; k < count; ++k) {
+      ASSERT_EQ(tables_.apply(FlowModCommand::kDelete, 3, {.id = base + k}),
+                FlowModStatus::kOk);
+      live_[3].erase(base + k);
+      log_removal(3, base + k);
+    }
+  }
+
+ private:
+  void add(std::size_t table, const FlowEntry& entry) {
+    ASSERT_EQ(tables_.apply(FlowModCommand::kAdd, table, entry),
+              FlowModStatus::kOk);
+    live_[table][entry.id] = entry;
+    log_insert(table, entry);
+  }
+  void log_removal(std::size_t table, FlowEntryId id) {
+    log_.push_back({.epoch = tables_.log_epoch(),
+                    .table = static_cast<std::uint8_t>(table),
+                    .removed = id});
+  }
+  void log_insert(std::size_t table, const FlowEntry& entry) {
+    log_.push_back({.epoch = tables_.log_epoch(),
+                    .table = static_cast<std::uint8_t>(table),
+                    .inserted = true,
+                    .match = entry.match});
+  }
+
+  MultiTableLookup& tables_;
+  const std::vector<PacketHeader>& pool_;
+  workload::Rng rng_;
+  ChurnMirror live_;
+  std::vector<LoggedMod> log_;
+  FlowEntryId next_id_ = 1000;
+};
+
+TEST(FlowCacheRevalidation, IndexNeverRevalidatesWhatTheLinearWalkVoids) {
+  // Random cached walks of the four-table churn pipeline against hostile
+  // mods: exact, prefix, masked (rejected), range, all-wildcard and
+  // two-field inserts, Set-Field rules, deletes and modifies of matched
+  // entries, and floods that rotate both generations of the log several
+  // times. Each walk is asked about after a third of the publishes, so
+  // stamps of every age meet the floor. Wherever the index revalidates a
+  // walk, the linear walk must too, and the walk must be what execute()
+  // returns now.
+  constexpr std::size_t kPublishes = 320;
+  constexpr std::size_t kWalks = 64;
+  for (const std::uint64_t seed : {5u, 77u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    MultiTableLookup tables = compile_churn_tables(unrewritten_churn_tables());
+    const auto pool = churn_pool(seed);
+    HostileChurn churn(tables, pool, seed);
+    workload::Rng rng(seed + 1);
+    struct Walk {
+      PacketHeader key;
+      ExecutionResult result;
+      std::uint64_t stamp = 0;
+    };
+    std::vector<Walk> walks(kWalks);
+    for (auto& walk : walks) {
+      walk.key = pool[rng.below(pool.size())];
+      walk.result = tables.execute(walk.key);
+    }
+    std::size_t revalidated = 0;
+    std::size_t voided = 0;
+    for (std::uint64_t epoch = 1; epoch <= kPublishes; ++epoch) {
+      tables.set_log_epoch(epoch);
+      if (epoch % 80 == 40) {
+        churn.flood(MultiTableLookup::kGenerationRecords);
+      } else {
+        for (std::size_t n = 1 + rng.below(24); n > 0; --n) churn.mod();
+      }
+      if (HasFatalFailure()) return;
+      for (auto& walk : walks) {
+        if (rng.below(3) != 0) continue;
+        if (tables.still_valid(walk.key, walk.result, walk.stamp)) {
+          ++revalidated;
+          ASSERT_TRUE(linear_still_valid(tables, churn.log(), walk.key,
+                                         walk.result, walk.stamp))
+              << "epoch " << epoch << ", stamp " << walk.stamp;
+          ASSERT_EQ(tables.execute(walk.key), walk.result)
+              << "epoch " << epoch << ", stamp " << walk.stamp;
+          // Served and restamped, like the cache.
+          walk.stamp = epoch;
+        } else {
+          ++voided;
+          if (rng.below(8) == 0) walk.key = pool[rng.below(pool.size())];
+          walk.result = tables.execute(walk.key);
+          walk.stamp = epoch;
+        }
+      }
+    }
+    EXPECT_GT(churn.log().size(), 2 * MultiTableLookup::kDeltaLogRecords);
+    EXPECT_GT(revalidated, kPublishes);
+    EXPECT_GT(voided, kPublishes);
   }
 }
 

@@ -50,7 +50,7 @@ void append_u64(std::vector<unsigned char>& out, std::uint64_t value) {
   }
 }
 
-/// A realistic dump: two threads, anchor pairs, nested slices, a counter.
+/// A realistic dump: two threads, anchor pairs, nested slices, counters.
 TraceDump make_dump() {
   TraceDump dump;
   dump.pid = 4242;
@@ -68,6 +68,7 @@ TraceDump make_dump() {
       {static_cast<std::uint16_t>(TraceEvent::kStageEnd), 1, 200, 0},
       {static_cast<std::uint16_t>(TraceEvent::kBatchEnd), 0, 400, 256},
       {static_cast<std::uint16_t>(TraceEvent::kCacheHits), 0, 10, 3},
+      {static_cast<std::uint16_t>(TraceEvent::kCacheRevalidations), 0, 0, 2},
   };
   ThreadTrace writer;
   writer.name = "writer";
@@ -236,6 +237,10 @@ TEST(PerfettoWriterTest, EmitsProcessAndThreadMetadataAndCounterTracks) {
   EXPECT_NE(json.find(R"("name":"ring_dropped")"), std::string::npos);
   EXPECT_NE(json.find(R"("args":{"value":7})"), std::string::npos);
   EXPECT_NE(json.find(R"("name":"decode_skipped")"), std::string::npos);
+  // Batch counters render as counter tracks, revalidations beside hits.
+  EXPECT_NE(json.find(R"({"ph":"C","name":"cache_hits")"), std::string::npos);
+  EXPECT_NE(json.find(R"({"ph":"C","name":"cache_revalidations")"),
+            std::string::npos);
   // The nested slices paired: batch contains stage_walk.
   EXPECT_NE(json.find(R"("ph":"X","name":"batch")"), std::string::npos);
   EXPECT_NE(json.find(R"("ph":"X","name":"stage_walk")"), std::string::npos);

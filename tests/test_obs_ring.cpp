@@ -67,6 +67,25 @@ TEST(TraceRecordTest, EveryEventHasNameAndBeginEndPairing) {
   }
 }
 
+TEST(TraceRecordTest, FlowCacheCountersKeepTheirIds) {
+  // Dumps store raw ids, so the batch counters run_item emits keep theirs.
+  const struct {
+    TraceEvent event;
+    std::uint16_t id;
+    const char* name;
+  } counters[] = {
+      {TraceEvent::kCacheHits, 9, "cache_hits"},
+      {TraceEvent::kCacheMisses, 10, "cache_misses"},
+      {TraceEvent::kCacheEpochInvalidations, 11, "cache_epoch_inval"},
+      {TraceEvent::kCacheRevalidations, 30, "cache_revalidations"},
+  };
+  for (const auto& [event, id, name] : counters) {
+    EXPECT_EQ(static_cast<std::uint16_t>(event), id) << name;
+    EXPECT_STREQ(trace_event_name(event), name);
+    EXPECT_EQ(trace_event_kind(event), TraceEventKind::kCounter) << name;
+  }
+}
+
 TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(TraceRing(1).capacity(), 4u);
   EXPECT_EQ(TraceRing(4).capacity(), 4u);

@@ -9,7 +9,9 @@
 //     surfaces per-ring overwrite loss (`dropped`) and the decode-skipped
 //     prefix, so silent history truncation is never invisible. When the
 //     trace holds publishes, it also splits their mean into the catch-up
-//     of the lagging side and the apply of the publish's own mods.
+//     of the lagging side and the apply of the publish's own mods; when it
+//     holds flow-cache counters, it prints the share of hits that were
+//     stale entries revalidated after a publish.
 //
 //   trace_export --merge A.oftrace B.oftrace [...] [-o FILE.json]
 //     Render several dumps — typically a controller process and a switch
@@ -50,9 +52,16 @@ using namespace ofmtl;
 
 void print_summary(std::ostream& out, const obs::TraceDump& dump) {
   std::uint64_t records = 0, dropped = 0, skipped = 0;
+  std::uint64_t cache_hits = 0, cache_revalidations = 0;
   std::vector<obs::DecodeStats> stats(dump.threads.size());
   for (std::size_t t = 0; t < dump.threads.size(); ++t) {
-    (void)obs::decode_thread(dump.threads[t], &stats[t]);
+    for (const auto& event : obs::decode_thread(dump.threads[t], &stats[t])) {
+      if (event.event == obs::TraceEvent::kCacheHits) {
+        cache_hits += event.payload;
+      } else if (event.event == obs::TraceEvent::kCacheRevalidations) {
+        cache_revalidations += event.payload;
+      }
+    }
     records += dump.threads[t].records.size();
     dropped += dump.threads[t].dropped;
     skipped += stats[t].skipped_prefix;
@@ -96,6 +105,14 @@ void print_summary(std::ostream& out, const obs::TraceDump& dump) {
   if (publish.total() != 0 && catch_up.total() == publish.total()) {
     out << "publish split (mean ns): catch-up=" << catch_up.mean()
         << " apply=" << publish.mean() - catch_up.mean() << "\n";
+  }
+  // Hits include stale entries the delta log revalidated after a publish.
+  if (cache_hits != 0) {
+    out << "flow cache: " << cache_hits << " hits, " << cache_revalidations
+        << " revalidated ("
+        << 100.0 * static_cast<double>(cache_revalidations) /
+               static_cast<double>(cache_hits)
+        << "% of hits)\n";
   }
 }
 
