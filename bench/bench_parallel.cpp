@@ -3,11 +3,18 @@
 // filter sets, a mixed lookup+flow-mod churn scenario (a writer thread
 // toggling a top-priority entry through the left-right snapshot pair while
 // the workers classify), and a skewed-submit scenario (every batch lands on
-// queue 0 at 4 workers, with work stealing on and off). Writes
+// queue 0 at 4 workers, drained by work stealing). Writes
 // BENCH_parallel.json so the scaling curve is mechanically comparable
 // across PRs; metadata records the hardware thread count — on a 1-core
 // container the curve is flat by construction, compare like hardware with
 // like.
+//
+// The scaling, skew and tracing runs give each worker the smallest flow
+// cache (FlowCache::kProbeWindow slots) against a 4096-packet trace, so
+// nearly every packet misses and walks the pipeline: those rows, and the
+// tracing-overhead and tail gates below, measure the classifier and the
+// trace events it emits per table stage, not the cache. The churn rows use
+// 4096 slots, so publishes have cached flows to void and revalidate.
 //
 // A second output, BENCH_parallel_publish.json (ns_per_publish), measures
 // flow-mod publish latency against table size: with the left-right pair the
@@ -16,12 +23,12 @@
 // sit within noise of each other
 // (scripts/check_bench.py --flat-pair gates exactly that in CI).
 //
-// A uniform-overflow pair rides on the same harness: routing_yoza over a
+// A uniform-overflow row rides on the same harness: routing_yoza over a
 // uniform stream from a 65,536-header pool (30,036 distinct flows, 3.7x the
-// 8192-slot cache) through one worker, flow cache off and on
+// runtime's default 8192-slot cache) through one worker
 // (parallel_overflow/...). Without skew the cache holds only a fraction of
-// the flows in play, so the pair bounds what its probe and refill cost when
-// it helps least; CI gates cache-on no slower than cache-off within the run.
+// the flows in play, so the row shows the runtime where the cache helps
+// least.
 //
 // Two observability metrics ride on the same harness:
 //   - trace/overhead_percent: throughput cost of live tracing — minimum
@@ -74,7 +81,11 @@ constexpr auto kMeasure = std::chrono::milliseconds(400);
 constexpr auto kChurnInterval = std::chrono::milliseconds(5);
 constexpr std::size_t kOverflowFlows = 65536;
 constexpr std::size_t kOverflowPackets = std::size_t{1} << 17;
-constexpr std::size_t kOverflowCache = 8192;  // per-worker slots
+// Per-worker flow-cache slots (see the file comment).
+constexpr std::size_t kWalkCache = runtime::FlowCache::kProbeWindow;
+constexpr std::size_t kChurnCache = 4096;
+constexpr std::size_t kOverflowCache =
+    runtime::RuntimeConfig{}.flow_cache_capacity;
 
 struct App {
   std::string tag;
@@ -111,15 +122,14 @@ App make_app(workload::FilterApp app, const char* name,
 /// Keep every queue saturated with kInFlight outstanding batches for
 /// `warmup + measure`, returning aggregate packets/sec over the measure
 /// window (from the runtime's own per-worker counters, so producer-side
-/// stalls do not flatter the number). With `skewed` every batch is
-/// submitted to queue 0 — the scenario work stealing exists for.
-double run_scaling(const App& app, std::size_t workers, bool churn,
-                   bool skewed = false, bool stealing = true,
-                   std::size_t flow_cache = 0) {
+/// stalls do not flatter the number). Each worker gets `flow_cache`
+/// cache slots. With `skewed` every batch is submitted to queue 0 — the
+/// scenario work stealing exists for.
+double run_scaling(const App& app, std::size_t workers, std::size_t flow_cache,
+                   bool churn = false, bool skewed = false) {
   ParallelRuntime rt(app.accelerated.clone(),
                      {.workers = workers,
                       .queue_capacity = 2 * kInFlight * (skewed ? workers : 1),
-                      .work_stealing = stealing,
                       .flow_cache_capacity = flow_cache});
 
   // Producer-side buffers first: anything that can throw must run before
@@ -201,8 +211,6 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
         writer.join();
         flow_mods = rt.epoch();
         std::cout << "  (" << flow_mods << " snapshot publishes during run)\n";
-      }
-      if (flow_cache > 0 && churn) {
         // Invalidation sanity gate: every publish here inserts or removes
         // a match-all takeover entry in table 1, which overlaps every cached
         // walk through table 1, so delta-log revalidation must reject those
@@ -210,17 +218,18 @@ double run_scaling(const App& app, std::size_t workers, bool churn,
         // means the cache served stale actions (or the churn never
         // happened) and the numbers are meaningless.
         if (final_stats.cache_epoch_invalidations == 0 || flow_mods == 0) {
-          std::cerr << "error: churn ran with the flow cache but no "
-                       "epoch invalidations were counted\n";
+          std::cerr << "error: churn ran but no epoch invalidations were "
+                       "counted\n";
           std::exit(1);
         }
-        std::cout << "  (cache: "
-                  << final_stats.cache_hits << " hits, "
-                  << final_stats.cache_misses << " misses, "
-                  << final_stats.cache_epoch_invalidations
-                  << " epoch invalidations, "
-                  << final_stats.cache_revalidations << " revalidations)\n";
       }
+      const auto probes = final_stats.cache_hits + final_stats.cache_misses;
+      std::cout << "  (cache, " << flow_cache << " slots: "
+                << 100.0 * static_cast<double>(final_stats.cache_hits) /
+                       static_cast<double>(probes > 0 ? probes : 1)
+                << "% hits, " << final_stats.cache_epoch_invalidations
+                << " epoch invalidations, " << final_stats.cache_revalidations
+                << " revalidations)\n";
       rt.stop();
       return static_cast<double>(done - warm_packets) /
              (measured_seconds > 0 ? measured_seconds : 1.0);
@@ -238,7 +247,7 @@ double measure_trace_overhead(const App& app, obs::LogHistogram& tail,
                               bool on_first) {
   const auto run_traced = [&] {
     obs::start_tracing();
-    const double pps = run_scaling(app, /*workers=*/1, /*churn=*/false);
+    const double pps = run_scaling(app, /*workers=*/1, kWalkCache);
     obs::stop_tracing();
     const auto dump = obs::collect_tracing();
     tail.merge(obs::slice_latency_histogram(dump, obs::TraceEvent::kBatchBegin,
@@ -248,9 +257,9 @@ double measure_trace_overhead(const App& app, obs::LogHistogram& tail,
   double on_pps, off_pps;
   if (on_first) {
     on_pps = run_traced();
-    off_pps = run_scaling(app, /*workers=*/1, /*churn=*/false);
+    off_pps = run_scaling(app, /*workers=*/1, kWalkCache);
   } else {
-    off_pps = run_scaling(app, /*workers=*/1, /*churn=*/false);
+    off_pps = run_scaling(app, /*workers=*/1, kWalkCache);
     on_pps = run_traced();
   }
   if (off_pps <= 0.0) return 0.0;
@@ -331,7 +340,7 @@ int run_flight_recorder_demo() {
 
   obs::start_tracing();
   recorder.arm();
-  const double pps = run_scaling(app, /*workers=*/1, /*churn=*/false);
+  const double pps = run_scaling(app, /*workers=*/1, kWalkCache);
   std::vector<obs::BreachInfo> breaches = recorder.poll();
   recorder.disarm();
   obs::stop_tracing();
@@ -390,7 +399,7 @@ int main(int argc, char** argv) {
   apps.push_back(make_app(workload::FilterApp::kRouting, "yoza"));
   for (const auto& app : apps) {
     for (const std::size_t workers : {1, 2, 4, 8}) {
-      const double pps = run_scaling(app, workers, /*churn=*/false);
+      const double pps = run_scaling(app, workers, kWalkCache);
       results.emplace_back(
           "parallel/" + app.tag + "/workers" + std::to_string(workers), pps);
       std::cout << app.tag << " workers=" << workers << ": " << std::fixed
@@ -398,49 +407,33 @@ int main(int argc, char** argv) {
     }
   }
   // Mixed lookup + flow-mod churn: 4 workers classifying while a writer
-  // publishes a snapshot every ~5 ms — once with the per-worker flow cache
-  // off and once on (4096 slots). The cache-on run doubles as an
+  // publishes a snapshot every ~5 ms. Each run doubles as an
   // invalidation-correctness check: it aborts unless epoch invalidations
   // were counted while publishes happened (lazy invalidation engaged).
   for (const auto& app : apps) {
-    for (const std::size_t cache : {std::size_t{0}, std::size_t{4096}}) {
-      const double pps = run_scaling(app, 4, /*churn=*/true, /*skewed=*/false,
-                                     /*stealing=*/true, cache);
-      results.emplace_back("parallel_churn/" + app.tag + "/workers4/cache_" +
-                               (cache > 0 ? "on" : "off"),
-                           pps);
-      std::cout << app.tag << " churn workers=4 cache="
-                << (cache > 0 ? "on" : "off") << ": " << std::fixed
-                << pps / 1e6 << " Mpps\n";
-    }
+    const double pps = run_scaling(app, 4, kChurnCache, /*churn=*/true);
+    results.emplace_back("parallel_churn/" + app.tag + "/workers4", pps);
+    std::cout << app.tag << " churn workers=4: " << std::fixed << pps / 1e6
+              << " Mpps\n";
   }
-  // Uniform overflow: one worker, cache off then on.
+  // Uniform overflow: one worker, 3.7x more flows than cache slots.
   {
     const App overflow =
         make_app(workload::FilterApp::kRouting, "yoza", kOverflowFlows);
-    for (const std::size_t cache : {std::size_t{0}, kOverflowCache}) {
-      const double pps = run_scaling(overflow, 1, /*churn=*/false,
-                                     /*skewed=*/false, /*stealing=*/true, cache);
-      results.emplace_back("parallel_overflow/" + overflow.tag +
-                               "/workers1/cache_" + (cache > 0 ? "on" : "off"),
-                           pps);
-      std::cout << overflow.tag << " overflow workers=1 cache="
-                << (cache > 0 ? "on" : "off") << ": " << std::fixed
-                << pps / 1e6 << " Mpps\n";
-    }
+    const double pps = run_scaling(overflow, 1, kOverflowCache);
+    results.emplace_back("parallel_overflow/" + overflow.tag + "/workers1",
+                         pps);
+    std::cout << overflow.tag << " overflow workers=1: " << std::fixed
+              << pps / 1e6 << " Mpps\n";
   }
-  // Skewed submitter: every batch on queue 0 at 4 workers. With stealing
-  // the three idle workers drain the hot queue; without it they spin.
+  // Skewed submitter: every batch on queue 0 at 4 workers; the three idle
+  // workers drain the hot queue by stealing.
   for (const auto& app : apps) {
-    for (const bool stealing : {true, false}) {
-      const double pps = run_scaling(app, 4, /*churn=*/false, /*skewed=*/true,
-                                     stealing);
-      results.emplace_back("parallel_skew/" + app.tag + "/steal_" +
-                               (stealing ? "on" : "off"),
-                           pps);
-      std::cout << app.tag << " skewed steal=" << (stealing ? "on" : "off")
-                << ": " << std::fixed << pps / 1e6 << " Mpps\n";
-    }
+    const double pps = run_scaling(app, 4, kWalkCache, /*churn=*/false,
+                                   /*skewed=*/true);
+    results.emplace_back("parallel_skew/" + app.tag + "/workers4", pps);
+    std::cout << app.tag << " skewed: " << std::fixed << pps / 1e6
+              << " Mpps\n";
   }
 
   // Tracing overhead + tail quantiles. Four order-alternating off/on
@@ -490,7 +483,8 @@ int main(int argc, char** argv) {
   metadata.emplace_back("measure_ms", std::to_string(kMeasure.count()));
   metadata.emplace_back("churn_interval_ms",
                         std::to_string(kChurnInterval.count()));
-  metadata.emplace_back("churn_cache_capacity", "4096");
+  metadata.emplace_back("walk_cache_capacity", std::to_string(kWalkCache));
+  metadata.emplace_back("churn_cache_capacity", std::to_string(kChurnCache));
   metadata.emplace_back("overflow_flows", std::to_string(kOverflowFlows));
   metadata.emplace_back("overflow_packets", std::to_string(kOverflowPackets));
   metadata.emplace_back("overflow_cache_capacity",

@@ -1,7 +1,7 @@
 // Trace replay end to end: synthesize a Zipf-skewed packet stream for a
 // calibrated MAC-learning filter set, export it to a classic pcap capture,
 // read the capture back, wire-parse it in allocation-free batches, and
-// submit it to the parallel runtime with the flow cache on — the full
+// submit it to the parallel runtime and its flow cache — the full
 // bytes-on-disk → classified-actions loop, verified against the
 // sequential pipeline oracle. (`tools/trace_replay.cpp` is the same loop
 // as a CLI over arbitrary capture files.)
@@ -53,7 +53,7 @@ int main() {
             << capture.malformed << " malformed\n";
 
   // headers → actions: four passes in 128-header batches into a 1-worker
-  // runtime, flow cache on. One ticket tracks a pass; the runtime's queue
+  // runtime with a 1024-slot flow cache. One ticket tracks a pass; the runtime's queue
   // capacity bounds the batches in flight.
   const MultiTableLookup oracle = tables.clone();
   runtime::ParallelRuntime rt(std::move(tables),

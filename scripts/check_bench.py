@@ -50,8 +50,7 @@ machine-independent tail-blowup detector — absolute quantiles shift with
 hardware, but a p99 two orders of magnitude over the median means the tail
 collapsed no matter the machine. Tail ceilings are deliberately
 catastrophic-only: shared runners legitimately wobble small multiples. A
-ceiling of 1.0 orders two rates of one run (cache-off over cache-on
-packets/sec: the cache must not slow the run down).
+ceiling of 1.0 orders two rates of one run.
 
 A bench may also emit such a ratio as its own row, named `*_over_*`
 (ofp/apply_p99_over_p50). Those rows are reported against the baseline but

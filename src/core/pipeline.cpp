@@ -332,12 +332,6 @@ bool MultiTableLookup::still_valid(const PacketHeader& key,
   return true;
 }
 
-void MultiTableLookup::execute_batch(std::span<const PacketHeader> headers,
-                                     std::span<ExecutionResult> results) const {
-  static thread_local ExecBatchContext ctx;
-  execute_tables_batch(*this, headers, results, ctx);
-}
-
 void MultiTableLookup::source_lookup_batch(
     std::size_t table, std::span<const PacketHeader* const> headers,
     std::span<const FlowEntry*> out) const {

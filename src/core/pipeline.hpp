@@ -95,22 +95,12 @@ class MultiTableLookup : public TableLookupSource {
     return execute_tables(*this, header);
   }
 
-  /// Process a batch of packets: results[i] is rewritten in place (vectors
-  /// cleared, capacity kept) and is bitwise-identical to execute(headers[i]).
-  /// Table stages run batched — every packet at a table is looked up with
-  /// one interleaved, prefetching lookup_batch call. Uses an internal
-  /// thread_local context; steady-state calls are allocation-free.
-  void execute_batch(std::span<const PacketHeader> headers,
-                     std::span<ExecutionResult> results) const;
-
-  /// Same through caller-owned scratch (the hot-path form).
-  void execute_batch(std::span<const PacketHeader> headers,
-                     std::span<ExecutionResult> results,
-                     ExecBatchContext& ctx) const {
-    execute_tables_batch(*this, headers, results, ctx);
-  }
-
-  /// Same over the listed lanes only (see execute_tables_batch).
+  /// Process the listed lanes of a batch: results[lanes[j]] is rewritten in
+  /// place (vectors cleared, capacity kept) and is bitwise-identical to
+  /// execute(headers[lanes[j]]); other lanes are left as they are. Table
+  /// stages run batched — every packet at a table is looked up with one
+  /// interleaved, prefetching lookup_batch call. `ctx` is caller-owned
+  /// scratch; steady-state calls are allocation-free.
   void execute_batch(std::span<const PacketHeader> headers,
                      std::span<ExecutionResult> results,
                      std::span<const std::uint32_t> lanes,

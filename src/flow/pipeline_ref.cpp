@@ -70,7 +70,6 @@ void PacketRun::begin(const PacketHeader& header, ExecutionResult& out) {
   out.output_ports.clear();
   out.matched_entries.clear();
   out.visited_tables.clear();
-  out.final_metadata = 0;
   out.final_header = header;
   action_set_.clear();
   out_ = &out;
@@ -121,7 +120,6 @@ void PacketRun::finish(const TableLookupSource& source) {
   if (state_ == State::kMissed) return;  // verdict already kToController
   state_ = State::kEnded;
   ExecutionResult& result = *out_;
-  result.final_metadata = result.final_header.metadata();
 
   // Execute the accumulated action set. A Group action takes precedence
   // over Output (OpenFlow 5.10).

@@ -29,7 +29,6 @@ struct ExecutionResult {
   std::vector<std::uint32_t> output_ports;       ///< from executed Output actions
   std::vector<FlowEntryId> matched_entries;      ///< per visited table
   std::vector<std::uint8_t> visited_tables;
-  std::uint64_t final_metadata = 0;
   PacketHeader final_header;                     ///< after Set-Field rewrites
 
   friend bool operator==(const ExecutionResult&, const ExecutionResult&) = default;

@@ -28,7 +28,7 @@ FlowCache::FlowCache(std::size_t capacity) {
 const ExecutionResult* FlowCache::find(const PacketHeader& header,
                                        std::uint64_t hash,
                                        std::uint64_t epoch,
-                                       const MultiTableLookup* tables) {
+                                       const MultiTableLookup& tables) {
   const std::size_t w = window_of(hash);
   Window& window = windows_[w];
   for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
@@ -42,8 +42,8 @@ const ExecutionResult* FlowCache::find(const PacketHeader& header,
     // Stamped before a publish. Stamps only rise per worker (it acquires
     // its guards in order), so the side pinned now has logged everything
     // published since — unless the stamp fell below its log's floor.
-    if (tables != nullptr && window.epoch[probe] < epoch &&
-        tables->still_valid(header, entry.value, window.epoch[probe])) {
+    if (window.epoch[probe] < epoch &&
+        tables.still_valid(header, entry.value, window.epoch[probe])) {
       window.epoch[probe] = epoch;
       ++stats_.revalidations;
       ++stats_.hits;

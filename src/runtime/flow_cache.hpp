@@ -21,7 +21,7 @@
 // doorkeeper first (the TinyLFU doorkeeper): the first such refill of a flow
 // only writes its tag at the flow's home slot, the second evicts. Empty and
 // stale slots fill at once. Each probe window's {hash, epoch} words sit in
-// one 64-byte line apart from the 392-byte key/result payloads, so a miss
+// one 64-byte line apart from the 384-byte key/result payloads, so a miss
 // reads one line, not four payloads.
 //
 // Ownership rules (mirror the "Scratch contexts" rules in
@@ -73,12 +73,12 @@ class FlowCache {
   /// The result cached for `header` under `epoch`, or nullptr on a miss.
   /// `hash` must be flow_key_hash(header). A key match stamped with an
   /// older epoch is served only if `tables` — the side the batch is pinned
-  /// to — revalidates it; it is then restamped to `epoch`. Without `tables`
-  /// any stale entry is a miss. Either kind of stale miss is counted
-  /// separately; the caller refills via store().
-  [[nodiscard]] const ExecutionResult* find(
-      const PacketHeader& header, std::uint64_t hash, std::uint64_t epoch,
-      const MultiTableLookup* tables = nullptr);
+  /// to — revalidates it; it is then restamped to `epoch`. A stale miss is
+  /// counted separately; the caller refills via store().
+  [[nodiscard]] const ExecutionResult* find(const PacketHeader& header,
+                                            std::uint64_t hash,
+                                            std::uint64_t epoch,
+                                            const MultiTableLookup& tables);
 
   /// Start loading `hash`'s probe window, ahead of a find() for it.
   void prefetch_window(std::uint64_t hash) const {

@@ -9,7 +9,11 @@
 namespace ofmtl::runtime {
 
 ParallelRuntime::ParallelRuntime(MultiTableLookup tables, RuntimeConfig config)
-    : classifier_(std::move(tables)), work_stealing_(config.work_stealing) {
+    : classifier_(std::move(tables)) {
+  if (config.flow_cache_capacity == 0) {
+    throw std::invalid_argument(
+        "ParallelRuntime: flow_cache_capacity must be nonzero");
+  }
   const std::size_t workers = config.workers == 0 ? 1 : config.workers;
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
@@ -90,15 +94,9 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
   // guard's side revalidates them.
   OFMTL_OBS_EMIT(obs::TraceEvent::kBatchBegin, 0, item.count);
   const auto guard = classifier_.acquire();
-  const FlowCacheStats cache_before =
-      worker.cache != nullptr ? worker.cache->stats() : FlowCacheStats{};
+  const FlowCacheStats before = worker.cache.stats();
   try {
-    if (worker.cache != nullptr) {
-      run_item_cached(worker, item, guard);
-    } else {
-      guard.tables().execute_batch({item.headers, item.count},
-                                   {item.results, item.count}, worker.ctx);
-    }
+    classify_batch(worker, item, guard);
     worker.packets.fetch_add(item.count, std::memory_order_relaxed);
   } catch (...) {
     // A malformed packet (e.g. out-of-range field value) throws from the
@@ -109,48 +107,45 @@ void ParallelRuntime::run_item(Worker& worker, const WorkItem& item) {
     worker.errors.fetch_add(1, std::memory_order_relaxed);
     if (item.ticket != nullptr) item.ticket->fail();
   }
-  if (worker.cache != nullptr) {
-    // Publish the batch's cache-counter deltas (errored batches included —
-    // their lookups happened) through the atomics stats() samples. The same
-    // deltas feed the trace as batch-granular counter events — per-packet
-    // cache events would swamp the ring and the overhead budget.
-    const FlowCacheStats& after = worker.cache->stats();
-    const std::uint64_t hits = after.hits - cache_before.hits;
-    const std::uint64_t misses = after.misses - cache_before.misses;
-    const std::uint64_t invalidations =
-        after.epoch_invalidations - cache_before.epoch_invalidations;
-    worker.cache_hits.fetch_add(hits, std::memory_order_relaxed);
-    worker.cache_misses.fetch_add(misses, std::memory_order_relaxed);
-    worker.cache_evictions.fetch_add(after.evictions - cache_before.evictions,
-                                     std::memory_order_relaxed);
-    worker.cache_epoch_invalidations.fetch_add(invalidations,
-                                               std::memory_order_relaxed);
-    const std::uint64_t revalidations =
-        after.revalidations - cache_before.revalidations;
-    worker.cache_revalidations.fetch_add(revalidations,
-                                         std::memory_order_relaxed);
-    worker.cache_admissions_declined.fetch_add(
-        after.admissions_declined - cache_before.admissions_declined,
-        std::memory_order_relaxed);
-    if (hits != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheHits, 0, hits);
-    if (misses != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheMisses, 0, misses);
-    if (invalidations != 0) {
-      OFMTL_OBS_EMIT(obs::TraceEvent::kCacheEpochInvalidations, 0,
-                     invalidations);
-    }
-    if (revalidations != 0) {
-      OFMTL_OBS_EMIT(obs::TraceEvent::kCacheRevalidations, 0, revalidations);
-    }
+  // Publish the batch's cache-counter deltas (errored batches included —
+  // their lookups happened) through the atomics stats() samples. The same
+  // deltas feed the trace as batch-granular counter events — per-packet
+  // cache events would swamp the ring and the overhead budget.
+  const FlowCacheStats& after = worker.cache.stats();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  const std::uint64_t invalidations =
+      after.epoch_invalidations - before.epoch_invalidations;
+  const std::uint64_t revalidations = after.revalidations - before.revalidations;
+  worker.cache_hits.fetch_add(hits, std::memory_order_relaxed);
+  worker.cache_misses.fetch_add(misses, std::memory_order_relaxed);
+  worker.cache_evictions.fetch_add(after.evictions - before.evictions,
+                                   std::memory_order_relaxed);
+  worker.cache_epoch_invalidations.fetch_add(invalidations,
+                                             std::memory_order_relaxed);
+  worker.cache_revalidations.fetch_add(revalidations,
+                                       std::memory_order_relaxed);
+  worker.cache_admissions_declined.fetch_add(
+      after.admissions_declined - before.admissions_declined,
+      std::memory_order_relaxed);
+  if (hits != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheHits, 0, hits);
+  if (misses != 0) OFMTL_OBS_EMIT(obs::TraceEvent::kCacheMisses, 0, misses);
+  if (invalidations != 0) {
+    OFMTL_OBS_EMIT(obs::TraceEvent::kCacheEpochInvalidations, 0,
+                   invalidations);
+  }
+  if (revalidations != 0) {
+    OFMTL_OBS_EMIT(obs::TraceEvent::kCacheRevalidations, 0, revalidations);
   }
   worker.batches.fetch_add(1, std::memory_order_relaxed);
   OFMTL_OBS_EMIT(obs::TraceEvent::kBatchEnd, 0, item.count);
   if (item.ticket != nullptr) item.ticket->complete(guard.epoch());
 }
 
-void ParallelRuntime::run_item_cached(
+void ParallelRuntime::classify_batch(
     Worker& worker, const WorkItem& item,
     const SnapshotClassifier::ReadGuard& guard) {
-  FlowCache& cache = *worker.cache;
+  FlowCache& cache = worker.cache;
   const std::uint64_t epoch = guard.epoch();
   const MultiTableLookup& tables = guard.tables();
   // Pre-pass: serve hits straight from the cache (stale entries
@@ -168,7 +163,7 @@ void ParallelRuntime::run_item_cached(
   worker.miss_lanes.clear();
   for (std::size_t i = 0; i < item.count; ++i) {
     if (const ExecutionResult* hit =
-            cache.find(item.headers[i], worker.hashes[i], epoch, &tables)) {
+            cache.find(item.headers[i], worker.hashes[i], epoch, tables)) {
       item.results[i] = *hit;
     } else {
       worker.miss_lanes.push_back(static_cast<std::uint32_t>(i));
@@ -204,7 +199,7 @@ void ParallelRuntime::worker_loop(std::size_t self) {
     // Own ring dry: steal one batch from the next non-empty sibling (scan
     // starts at self+1 so victims rotate with the worker index instead of
     // every thief hammering queue 0).
-    if (work_stealing_ && siblings > 1) {
+    if (siblings > 1) {
       if (was_working) {
         OFMTL_OBS_EMIT(obs::TraceEvent::kStealAttempt, self, 0);
       }

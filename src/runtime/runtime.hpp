@@ -1,6 +1,6 @@
 // The parallel multi-queue classification runtime: N worker threads, each
-// owning one packet-batch queue plus its own SearchContext /
-// ExecBatchContext scratch, draining batches through
+// owning one packet-batch queue plus its own flow cache and
+// ExecBatchContext scratch, draining batches through the cache and
 // MultiTableLookup::execute_batch against the current left-right snapshot
 // side (SnapshotClassifier). The sharded-queue shape mirrors NIC RSS: a
 // producer hashes flows onto queues, each queue is serviced by its worker —
@@ -18,11 +18,11 @@
 //     alive until the ticket completes; results are rewritten in place
 //   - worker loops are allocation-free in steady state (warmed contexts,
 //     lock-free rings, lock-free snapshot guards, warmed flow-cache slots)
-//   - an optional per-worker epoch-keyed flow cache
-//     (RuntimeConfig::flow_cache_capacity, off by default) short-circuits
-//     repeat flows in front of the full pipeline; cached results are
-//     bitwise-identical, and after a publish an entry is served only if the
-//     pinned side's delta log revalidates it
+//   - a per-worker epoch-keyed flow cache (RuntimeConfig::
+//     flow_cache_capacity slots) short-circuits repeat flows in front of
+//     the full pipeline; cached results are bitwise-identical, and after a
+//     publish an entry is served only if the pinned side's delta log
+//     revalidates it
 //   - flow-mods go through the runtime's writer API; workers pick the new
 //     side up at their next batch boundary
 //   - a GroupTable attached via set_group_table is externally owned and
@@ -50,17 +50,12 @@ namespace ofmtl::runtime {
 struct RuntimeConfig {
   std::size_t workers = 1;          ///< queues == workers
   std::size_t queue_capacity = 64;  ///< in-flight batches per queue
-  /// Allow a worker whose own ring is dry to pop batches from sibling
-  /// queues instead of idling. Disable to pin every batch to its queue's
-  /// worker (strict per-queue FIFO completion, e.g. for per-queue ordering
-  /// experiments).
-  bool work_stealing = true;
   /// Per-worker exact-match flow-cache slots (rounded up to a power of
-  /// two). 0 disables the cache entirely: every packet walks the full
-  /// pipeline, exactly the pre-cache behaviour. Cached results are
+  /// two, at least FlowCache::kProbeWindow; 0 throws
+  /// std::invalid_argument, as the cache cannot be turned off). Cached results are
   /// bitwise-identical to pipeline results; a publish leaves them to be
   /// revalidated or voided lazily (see src/runtime/flow_cache.hpp).
-  std::size_t flow_cache_capacity = 0;
+  std::size_t flow_cache_capacity = 8192;
 };
 
 /// Completion token of one or more submitted batches. The submitter owns it
@@ -112,7 +107,7 @@ struct WorkerStats {
                               ///< those batches are unspecified)
   std::uint64_t steals = 0;   ///< batches this worker popped from a sibling
                               ///< queue (subset of `batches`)
-  /// Flow-cache counters (all zero while the cache is disabled).
+  /// Flow-cache counters.
   std::uint64_t cache_hits = 0;    ///< packets served from the cache
                                    ///< (includes revalidations)
   std::uint64_t cache_misses = 0;  ///< packets refilled from the pipeline
@@ -223,17 +218,13 @@ class ParallelRuntime {
   /// aligned so neighbouring shards never false-share.
   struct alignas(kCacheLine) Worker {
     Worker(std::size_t queue_capacity, std::size_t flow_cache_capacity)
-        : queue(queue_capacity),
-          cache(flow_cache_capacity > 0
-                    ? std::make_unique<FlowCache>(flow_cache_capacity)
-                    : nullptr) {}
+        : queue(queue_capacity), cache(flow_cache_capacity) {}
     StealQueue<WorkItem> queue;
     ExecBatchContext ctx;
-    /// Per-worker flow cache (nullptr when disabled) plus the scratch of
-    /// the batch pre-pass: every lane's flow hash, and the lanes that must
-    /// walk the pipeline. Both only grow, so the cached drain loop stays
-    /// allocation-free in steady state.
-    std::unique_ptr<FlowCache> cache;
+    /// Per-worker flow cache plus the scratch of the batch pre-pass: every
+    /// lane's flow hash, and the lanes that must walk the pipeline. Both
+    /// only grow, so the drain loop stays allocation-free in steady state.
+    FlowCache cache;
     std::vector<std::uint64_t> hashes;
     std::vector<std::uint32_t> miss_lanes;
     std::atomic<std::uint64_t> batches{0};
@@ -252,13 +243,12 @@ class ParallelRuntime {
   void worker_loop(std::size_t self);
   void run_item(Worker& worker, const WorkItem& item);
   /// Cache pre-pass + one in-place pipeline walk of the missed lanes + refill
-  /// for one batch (only called when the worker's cache exists).
-  void run_item_cached(Worker& worker, const WorkItem& item,
-                       const SnapshotClassifier::ReadGuard& guard);
+  /// for one batch.
+  void classify_batch(Worker& worker, const WorkItem& item,
+                      const SnapshotClassifier::ReadGuard& guard);
 
   SnapshotClassifier classifier_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  bool work_stealing_ = true;
   std::atomic<bool> running_{true};
 };
 

@@ -29,7 +29,7 @@ SnapshotClassifier::ReadGuard SnapshotClassifier::acquire() const {
     const std::size_t side = active_side_.load(std::memory_order_seq_cst);
     readers_[side].count.fetch_add(1, std::memory_order_seq_cst);
     if (active_side_.load(std::memory_order_seq_cst) == side) {
-      return ReadGuard{this, side, &sides_[side], side_epoch_[side]};
+      return ReadGuard{this, side, &sides_[side], sides_[side].log_epoch()};
     }
     readers_[side].count.fetch_sub(1, std::memory_order_release);
   }
@@ -43,19 +43,18 @@ void SnapshotClassifier::wait_for_readers(std::size_t side) const {
 
 void SnapshotClassifier::resync_side(std::size_t side) {
   sides_[side] = sides_[1 - side].clone();
-  side_epoch_[side] = side_epoch_[1 - side];
 }
 
 void SnapshotClassifier::catch_up(std::size_t side) {
   // (a) Readers pinned this side before the last swap, a data window ago;
   // normally they are long gone.
   wait_for_readers(side);
-  const std::size_t ahead = 1 - side;
-  if (side_epoch_[side] == side_epoch_[ahead]) return;
+  const std::uint64_t ahead = sides_[1 - side].log_epoch();
+  if (sides_[side].log_epoch() == ahead) return;
   // (b) Replay the last publish under its own epoch, so this side's delta
   // log gets the stamps the other side's got. A log that cannot describe
   // it, or a replay that fails part-way, falls back to the clone.
-  sides_[side].set_log_epoch(side_epoch_[ahead]);
+  sides_[side].set_log_epoch(ahead);
   bool replayed = false;
   if (op_log_.complete()) {
     try {
@@ -70,7 +69,6 @@ void SnapshotClassifier::catch_up(std::size_t side) {
     op_log_.mark_incomplete();
     resync_side(side);
   }
-  side_epoch_[side] = side_epoch_[ahead];
 }
 
 template <typename Op>
@@ -79,10 +77,10 @@ bool SnapshotClassifier::publish(Op&& op) {
   const std::size_t inactive = 1 - active;
   OFMTL_OBS_EMIT(obs::TraceEvent::kPublishBegin, 0, next_epoch_);
   // (a) + (b): level the inactive side with the active one.
-  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpBegin, 0,
-                 side_epoch_[active]);
+  const std::uint64_t published = sides_[active].log_epoch();
+  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpBegin, 0, published);
   catch_up(inactive);
-  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpEnd, 0, side_epoch_[active]);
+  OFMTL_OBS_EMIT(obs::TraceEvent::kPublishCatchUpEnd, 0, published);
   // (c) Run the op once, on the inactive side, logging it as data for the
   // next catch-up and stamping its delta-log records with the epoch about
   // to be published.
@@ -112,7 +110,6 @@ bool SnapshotClassifier::publish(Op&& op) {
     OFMTL_OBS_EMIT(obs::TraceEvent::kPublishEnd, 0, next_epoch_);
     return false;
   }
-  side_epoch_[inactive] = next_epoch_;
   // (d) Swap: new readers pin the freshly updated side. The old side's
   // readers are not waited for; the next publish catches that side up.
   active_side_.store(inactive, std::memory_order_seq_cst);

@@ -143,11 +143,13 @@ class SnapshotClassifier {
   void resync_side(std::size_t side);
 
   mutable std::mutex write_mutex_;  // serializes writers
-  MultiTableLookup sides_[2];       // the replica pair (writer-owned halves)
-  std::uint64_t side_epoch_[2] = {0, 0};  // written only while writer owns
+  // The replica pair (writer-owned halves). Each side's log_epoch() is the
+  // epoch its content was published at, written only while the writer owns
+  // the side.
+  MultiTableLookup sides_[2];
   std::uint64_t next_epoch_ = 1;
   // The last publish's ops: applied to the active side, not yet to the
-  // other (whose side_epoch_ then lags). Writer-only.
+  // other (whose log_epoch() then lags). Writer-only.
   MultiTableLookup::OpLog op_log_;
   // seq_cst throughout: the stale-load race is excluded by the single total
   // order (see docs/ARCHITECTURE.md); these are one RMW and two loads per

@@ -1,9 +1,10 @@
-// Batched-execution properties: execute_batch must be bitwise-identical to
-// the linear-search ReferencePipeline over randomized traces (hit-heavy,
+// Batched-execution properties: execute_tables_batch and its lane form
+// (MultiTableLookup::execute_batch) must be bitwise-identical to the
+// linear-search ReferencePipeline over randomized traces (hit-heavy,
 // miss-heavy, and all-wildcard tables), and the steady-state hot path —
-// single-packet lookup, lookup_batch, execute_batch with reused buffers —
-// must perform zero heap allocations per packet (counted by replacing global
-// new/delete).
+// single-packet lookup, lookup_batch, the batched walk with reused buffers
+// — must perform zero heap allocations per packet (counted by replacing
+// global new/delete).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +41,7 @@ App make_app(FilterApp app, const char* name, double hit_ratio,
                                   .seed = seed})};
 }
 
-/// execute_batch over every window size must reproduce the reference
+/// The batched walk over every window size must reproduce the reference
 /// pipeline's per-packet execute bit for bit (operator== covers the full
 /// ExecutionResult, diagnostics included), and so must its lane-subset form
 /// on the listed lanes, leaving the others untouched. The whole property
@@ -62,8 +63,8 @@ void expect_batch_matches_scalar(const App& app) {
       std::vector<ExecutionResult> results(batch);
       for (std::size_t base = 0; base < app.trace.size(); base += batch) {
         const std::size_t n = std::min(batch, app.trace.size() - base);
-        app.accelerated.execute_batch({app.trace.data() + base, n},
-                                      {results.data(), n}, ctx);
+        execute_tables_batch(app.accelerated, {app.trace.data() + base, n},
+                             {results.data(), n}, ctx);
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(results[i], expected[base + i])
               << "batch=" << batch << " packet=" << base + i;
@@ -119,8 +120,8 @@ TEST(ExecuteBatch, MatchesScalarOnAllWildcardTable) {
                                           .seed = 7});
   std::vector<ExecutionResult> results(trace.size());
   ExecBatchContext ctx;
-  accelerated.execute_batch({trace.data(), trace.size()},
-                            {results.data(), results.size()}, ctx);
+  execute_tables_batch(accelerated, {trace.data(), trace.size()},
+                       {results.data(), results.size()}, ctx);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(results[i], reference.execute(trace[i]));
     EXPECT_EQ(results[i].verdict, Verdict::kForwarded);
@@ -174,8 +175,8 @@ TEST(AllocationFree, SteadyStateExecuteBatch) {
   const auto run_all = [&] {
     for (std::size_t base = 0; base < app.trace.size(); base += kBatch) {
       const std::size_t n = std::min(kBatch, app.trace.size() - base);
-      app.accelerated.execute_batch({app.trace.data() + base, n},
-                                    {results.data(), n}, ctx);
+      execute_tables_batch(app.accelerated, {app.trace.data() + base, n},
+                           {results.data(), n}, ctx);
     }
   };
   run_all();

@@ -1,6 +1,6 @@
-// The per-worker epoch-keyed flow cache: cache-on classification must be
-// bitwise-identical to cache-off on random rule sets and random/Zipf
-// streams, a published flow-mod must never let a stale cached action
+// The per-worker epoch-keyed flow cache: cached classification must be
+// bitwise-identical to MultiTableLookup::execute on random rule sets and
+// random/Zipf streams, a published flow-mod must never let a stale cached action
 // escape (neither through epoch invalidation under concurrent churn — run
 // this binary under -fsanitize=thread too — nor through delta-log
 // revalidation under mods aimed at cached walks), and the hit, revalidated-
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -99,8 +100,19 @@ TEST(FlowCache, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(FlowCache(1024).capacity(), 1024u);
 }
 
+TEST(FlowCacheRuntime, ZeroCapacityIsRejectedNotRounded) {
+  // 0 once meant "cache off"; rounding it up to one probe window would give
+  // a caller still asking for that the opposite of what it asked for.
+  EXPECT_THROW(ParallelRuntime(MultiTableLookup{}, {.flow_cache_capacity = 0}),
+               std::invalid_argument);
+}
+
 TEST(FlowCache, FindStoreEpochAndEvictionSemantics) {
   FlowCache cache(4);  // one probe window: forces eviction on the 5th flow
+  // A side whose delta log starts above every stamp used here: nothing
+  // stale revalidates against it.
+  MultiTableLookup voided;
+  voided.restart_log(1);
   PacketHeader header;
   header.set_vlan_id(1);
   const std::uint64_t hash = flow_key_hash(header);
@@ -108,19 +120,20 @@ TEST(FlowCache, FindStoreEpochAndEvictionSemantics) {
   result.verdict = Verdict::kForwarded;
   result.output_ports = {42};
 
-  EXPECT_EQ(cache.find(header, hash, /*epoch=*/0), nullptr);  // cold miss
+  EXPECT_EQ(cache.find(header, hash, /*epoch=*/0, voided), nullptr);  // cold
   cache.store(header, hash, 0, result);
-  const ExecutionResult* hit = cache.find(header, hash, 0);
+  const ExecutionResult* hit = cache.find(header, hash, 0, voided);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, result);
 
-  // A newer epoch voids the entry: key matches, epoch does not.
-  EXPECT_EQ(cache.find(header, hash, /*epoch=*/1), nullptr);
+  // A newer epoch voids the entry: key matches, epoch does not, and the
+  // stamp is below the side's log floor.
+  EXPECT_EQ(cache.find(header, hash, /*epoch=*/1, voided), nullptr);
   EXPECT_EQ(cache.stats().epoch_invalidations, 1u);
   // The refill refreshes the same slot under the new epoch.
   result.output_ports = {43};
   cache.store(header, hash, 1, result);
-  hit = cache.find(header, hash, 1);
+  hit = cache.find(header, hash, 1, voided);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->output_ports, std::vector<std::uint32_t>{43});
 
@@ -141,15 +154,16 @@ TEST(FlowCache, FindStoreEpochAndEvictionSemantics) {
   cache.store(late, late_hash, 1, result);
   EXPECT_EQ(cache.stats().admissions_declined, 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_NE(cache.find(late, late_hash, 1), nullptr);
+  EXPECT_NE(cache.find(late, late_hash, 1, voided), nullptr);
   EXPECT_EQ(cache.stats().hits, 3u);
   EXPECT_EQ(cache.stats().misses, 2u);  // one cold + one epoch-stale
 }
 
-TEST(FlowCacheRuntime, CacheOnBitwiseIdenticalToCacheOff) {
+TEST(FlowCacheRuntime, CachedResultsBitwiseIdenticalToExecute) {
   // Property: over random rule sets (three apps, several seeds) and both
-  // uniform and Zipf-skewed streams, every cache-on result equals the
-  // cache-off result bitwise — including trace fields and final_header.
+  // uniform and Zipf-skewed streams, every result the runtime returns, hit
+  // or miss, equals MultiTableLookup::execute bitwise — including trace
+  // fields and final_header.
   const struct {
     FilterApp app;
     const char* name;
@@ -161,18 +175,15 @@ TEST(FlowCacheRuntime, CacheOnBitwiseIdenticalToCacheOff) {
       const auto app = make_app(filter_app, name, 256, seed);
       for (const double s : {0.0, 1.1}) {
         const auto stream = make_stream(app, s, 1024, seed + 1);
-        ParallelRuntime off(app.accelerated.clone(), {.workers = 1});
-        ParallelRuntime on(app.accelerated.clone(),
+        ParallelRuntime rt(app.accelerated.clone(),
                            {.workers = 1, .flow_cache_capacity = 128});
-        std::vector<ExecutionResult> expected(stream.size());
         std::vector<ExecutionResult> actual(stream.size());
-        classify_all(off, stream, expected);
-        classify_all(on, stream, actual);
+        classify_all(rt, stream, actual);
         for (std::size_t i = 0; i < stream.size(); ++i) {
-          ASSERT_EQ(actual[i], expected[i])
+          ASSERT_EQ(actual[i], app.accelerated.execute(stream[i]))
               << name << " seed=" << seed << " s=" << s << " packet=" << i;
         }
-        const auto stats = on.aggregate_stats();
+        const auto stats = rt.aggregate_stats();
         EXPECT_EQ(stats.cache_hits + stats.cache_misses, stream.size());
         EXPECT_GT(stats.cache_hits, 0u);  // 256 flows, 1024 packets: repeats
       }
@@ -752,71 +763,104 @@ ChurnStep aim_mod(ChurnMod kind, const MultiTableLookup& oracle,
   return step;
 }
 
-TEST(FlowCacheRuntime, RevalidationMatchesCacheOffOracleUnderOverlappingChurn) {
-  // Every mod is aimed at a cached flow's walk (see ChurnMod), published,
-  // and then the whole stream is classified with the cache on and compared
-  // bitwise with a cache-off oracle that received the same mods. The
-  // runtime must both revalidate (mods beside the walks) and invalidate
+constexpr ChurnMod kChurnScript[] = {
+    ChurnMod::kAddUnreached, ChurnMod::kAddAbove,  ChurnMod::kAddBelow,
+    ChurnMod::kAddMissed,    ChurnMod::kDelete,    ChurnMod::kAddUnreached,
+    ChurnMod::kModify,       ChurnMod::kMetadata,  ChurnMod::kRewritten,
+    ChurnMod::kDelete,       ChurnMod::kOversized, ChurnMod::kAddUnreached};
+
+/// Three rounds of kChurnScript through a runtime built with `config`: each
+/// mod is aimed at a flow's current walk (see ChurnMod) and published, then
+/// the whole stream is classified and compared bitwise with a pipeline that
+/// received the same mods and with a fresh compile of the entries they
+/// leave. Returns the runtime's counters.
+runtime::WorkerStats run_overlapping_churn(const runtime::RuntimeConfig& config,
+                                           std::uint64_t seed) {
+  const auto initial = churn_tables();
+  ChurnMirror mirror(kChurnTables);
+  for (std::size_t t = 0; t < kChurnTables; ++t) {
+    for (const auto& entry : initial[t]) mirror[t][entry.id] = entry;
+  }
+  MultiTableLookup oracle = compile_churn_tables(initial);
+  ParallelRuntime rt(compile_churn_tables(initial), config);
+  const auto pool = churn_pool(seed);
+  workload::Rng rng(seed);
+  std::vector<PacketHeader> stream;
+  for (std::size_t i = 0; i < 384; ++i) {
+    stream.push_back(pool[rng.below(pool.size())]);
+  }
+  std::vector<ExecutionResult> results(stream.size());
+  const auto classify_and_compare = [&](std::size_t step) {
+    constexpr std::size_t kBatch = 32;
+    for (std::size_t base = 0; base < stream.size(); base += kBatch) {
+      rt.classify((base / kBatch) % rt.worker_count(),
+                  {stream.data() + base, kBatch},
+                  {results.data() + base, kBatch});
+    }
+    // Mod ids only grow and a modify keeps its id, so id order is
+    // insertion order and the compile breaks priority ties as the live
+    // tables do.
+    std::vector<std::vector<FlowEntry>> entries(kChurnTables);
+    for (std::size_t t = 0; t < kChurnTables; ++t) {
+      for (const auto& [id, entry] : mirror[t]) entries[t].push_back(entry);
+    }
+    const MultiTableLookup fresh = compile_churn_tables(entries);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_EQ(results[i], oracle.execute(stream[i]))
+          << "after mod " << step << ", packet " << i;
+      ASSERT_EQ(results[i], fresh.execute(stream[i]))
+          << "after mod " << step << ", packet " << i << " (fresh compile)";
+    }
+  };
+  classify_and_compare(0);
+  FlowEntryId next_id = 1000;
+  std::size_t step_index = 0;
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (const ChurnMod kind : kChurnScript) {
+      ++step_index;
+      const ChurnStep step = aim_mod(kind, oracle, mirror, pool, rng, next_id);
+      EXPECT_TRUE(step.found) << "no cached walk for mod " << step_index;
+      if (!step.found) return rt.aggregate_stats();
+      step.mutate(oracle);
+      step.mirror(mirror);
+      if (step.publish) {
+        step.publish(rt);
+      } else {
+        rt.update(step.mutate);
+      }
+      classify_and_compare(step_index);
+      if (testing::Test::HasFatalFailure()) return rt.aggregate_stats();
+    }
+  }
+  return rt.aggregate_stats();
+}
+
+TEST(FlowCacheRuntime, RevalidationMatchesExecuteUnderOverlappingChurn) {
+  // The runtime must both revalidate (mods beside the walks) and invalidate
   // (mods on them); a revalidation check that let one stale walk through
   // fails the comparison.
-  const ChurnMod script[] = {
-      ChurnMod::kAddUnreached, ChurnMod::kAddAbove,  ChurnMod::kAddBelow,
-      ChurnMod::kAddMissed,    ChurnMod::kDelete,    ChurnMod::kAddUnreached,
-      ChurnMod::kModify,       ChurnMod::kMetadata,  ChurnMod::kRewritten,
-      ChurnMod::kDelete,       ChurnMod::kOversized,    ChurnMod::kAddUnreached};
   for (const std::size_t workers : {1u, 2u}) {
     for (const std::uint64_t seed : {3u, 41u}) {
       SCOPED_TRACE(testing::Message() << "workers=" << workers << " seed=" << seed);
-      const auto initial = churn_tables();
-      ChurnMirror mirror(kChurnTables);
-      for (std::size_t t = 0; t < kChurnTables; ++t) {
-        for (const auto& entry : initial[t]) mirror[t][entry.id] = entry;
-      }
-      MultiTableLookup oracle = compile_churn_tables(initial);
-      ParallelRuntime rt(compile_churn_tables(initial),
-                         {.workers = workers, .flow_cache_capacity = 1024});
-      const auto pool = churn_pool(seed);
-      workload::Rng rng(seed);
-      std::vector<PacketHeader> stream;
-      for (std::size_t i = 0; i < 384; ++i) {
-        stream.push_back(pool[rng.below(pool.size())]);
-      }
-      std::vector<ExecutionResult> results(stream.size());
-      const auto classify_and_compare = [&](std::size_t step) {
-        constexpr std::size_t kBatch = 32;
-        for (std::size_t base = 0; base < stream.size(); base += kBatch) {
-          rt.classify((base / kBatch) % workers, {stream.data() + base, kBatch},
-                      {results.data() + base, kBatch});
-        }
-        for (std::size_t i = 0; i < stream.size(); ++i) {
-          ASSERT_EQ(results[i], oracle.execute(stream[i]))
-              << "after mod " << step << ", packet " << i;
-        }
-      };
-      classify_and_compare(0);
-      FlowEntryId next_id = 1000;
-      std::size_t step_index = 0;
-      for (std::size_t round = 0; round < 3; ++round) {
-        for (const ChurnMod kind : script) {
-          ++step_index;
-          const ChurnStep step =
-              aim_mod(kind, oracle, mirror, pool, rng, next_id);
-          ASSERT_TRUE(step.found) << "no cached walk for mod " << step_index;
-          step.mutate(oracle);
-          step.mirror(mirror);
-          if (step.publish) {
-            step.publish(rt);
-          } else {
-            rt.update(step.mutate);
-          }
-          classify_and_compare(step_index);
-          if (HasFatalFailure()) return;
-        }
-      }
-      const auto stats = rt.aggregate_stats();
+      const auto stats = run_overlapping_churn(
+          {.workers = workers, .flow_cache_capacity = 1024}, seed);
+      if (HasFatalFailure()) return;
       EXPECT_GT(stats.cache_revalidations, 0u);
       EXPECT_GT(stats.cache_epoch_invalidations, 0u);
     }
+  }
+}
+
+TEST(FlowCacheRuntime, MinimumCapacityMatchesFreshCompileUnderOverlappingChurn) {
+  // One probe window for a 96-flow pool: nearly every packet misses, so
+  // the pipeline walk and refill, not the cached copy, produce the results
+  // the comparison checks.
+  for (const std::uint64_t seed : {3u, 41u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const auto stats = run_overlapping_churn(
+        {.workers = 2, .flow_cache_capacity = FlowCache::kProbeWindow}, seed);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(stats.cache_misses, 4 * stats.cache_hits);
   }
 }
 

@@ -57,7 +57,7 @@ TEST(ReferencePipeline, GotoTableAndMetadata) {
   EXPECT_EQ(result.verdict, Verdict::kForwarded);
   EXPECT_EQ(result.output_ports, (std::vector<std::uint32_t>{9}));
   EXPECT_EQ(result.matched_entries, (std::vector<FlowEntryId>{0, 1}));
-  EXPECT_EQ(result.final_metadata, 0x55U);
+  EXPECT_EQ(result.final_header.metadata(), 0x55U);
   EXPECT_EQ(result.visited_tables, (std::vector<std::uint8_t>{0, 1}));
 }
 

@@ -1,8 +1,8 @@
 // The steal-able batch queue and the runtime's work stealing: the queue must
 // stay FIFO/bounded single-threaded, deliver each item to exactly one of
 // several concurrent consumers, and the runtime must let idle workers drain
-// a skewed submitter's queue (and must NOT when stealing is disabled). Run
-// under -fsanitize=thread as well (no test changes needed).
+// a skewed submitter's queue. Run under -fsanitize=thread as well (no test
+// changes needed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,30 +147,6 @@ TEST(WorkStealing, SkewedSubmitterKeepsResultsCorrectAndSpreadsWork) {
   EXPECT_EQ(total.packets, rounds * 2 * app.trace.size());
   EXPECT_GT(total.steals, 0u)
       << "no worker ever stole from the hot queue in " << rounds << " rounds";
-}
-
-TEST(WorkStealing, DisabledStealingPinsBatchesToTheirQueue) {
-  const auto app = make_app(256);
-  ParallelRuntime rt(app.accelerated.clone(),
-                     {.workers = 2, .queue_capacity = 4,
-                      .work_stealing = false});
-  constexpr std::size_t kBatch = 32;
-  std::vector<ExecutionResult> results(app.trace.size());
-  BatchTicket ticket;
-  std::size_t batches = 0;
-  for (std::size_t base = 0; base < app.trace.size(); base += kBatch) {
-    const std::size_t n = std::min(kBatch, app.trace.size() - base);
-    while (!rt.try_submit(0, {app.trace.data() + base, n},
-                          {results.data() + base, n}, &ticket)) {
-      std::this_thread::yield();
-    }
-    ++batches;
-  }
-  ticket.wait();
-  EXPECT_EQ(rt.stats(0).batches, batches);
-  EXPECT_EQ(rt.stats(1).batches, 0u)
-      << "a worker drained a sibling queue with stealing disabled";
-  EXPECT_EQ(rt.aggregate_stats().steals, 0u);
 }
 
 }  // namespace

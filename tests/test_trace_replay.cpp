@@ -5,8 +5,8 @@
 // to exactly canonical_wire_header() of every synthetic lane; parse_capture
 // must count and drop malformed frames; and a capture replayed through
 // ParallelRuntime's submit/ticket API must classify bitwise-identically to
-// the sequential pipeline — across two apps, cache off and on, with tracing
-// on or off.
+// the sequential pipeline — across two apps, at the minimum and a larger
+// flow-cache size, with tracing on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,7 +230,8 @@ TEST(TraceExport, SnapLengthCappedCapturesReplayGracefully) {
 TEST(TraceReplay, CaptureThroughRuntimeMatchesSequentialOracle) {
   // The acceptance property: a capture parsed by parse_capture and replayed
   // through the runtime classifies exactly as the sequential pipeline does,
-  // across two apps and cache off/on.
+  // across two apps, with a cache that misses nearly every packet and one
+  // with room for the capture's flows.
   for (const auto& [filter_app, name] :
        {std::pair{FilterApp::kRouting, "yoza"},
         std::pair{FilterApp::kMacLearning, "gozb"}}) {
@@ -241,7 +242,8 @@ TEST(TraceReplay, CaptureThroughRuntimeMatchesSequentialOracle) {
     const auto capture = trace::parse_capture(reader, app.in_port);
     ASSERT_EQ(capture.headers.size(), stream.size());
 
-    for (const std::size_t cache : {std::size_t{0}, std::size_t{512}}) {
+    for (const std::size_t cache : {runtime::FlowCache::kProbeWindow,
+                                    std::size_t{512}}) {
       ParallelRuntime rt(app.tables.clone(),
                          {.workers = 1, .flow_cache_capacity = cache});
       std::vector<ExecutionResult> replayed(stream.size());

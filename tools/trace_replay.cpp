@@ -7,14 +7,15 @@
 //     classic pcap capture.
 //
 //   trace_replay run trace.pcap --app mac_gozb [--in-port auto|N]
-//       [--workers 1] [--cache 0] [--loops 1] [--batch 256] [--verify]
+//       [--workers 1] [--cache 8192] [--loops 1] [--batch 256] [--verify]
 //       [--trace FILE.json] [--trace-raw FILE.oftrace]
 //     Build the app's tables, parse the capture (trace::parse_capture),
 //     submit it --loops times in --batch slices to the parallel runtime on
 //     one ticket per pass, and report ns/packet, throughput, verdict mix,
-//     and the flow-cache hit rate. --verify re-classifies every parsed
-//     header through the sequential pipeline oracle and demands
-//     bitwise-identical results (exit 1 on mismatch).
+//     and the flow-cache hit rate. --cache sizes each worker's flow cache
+//     in slots (nonzero: the cache cannot be turned off). --verify
+//     re-classifies every parsed header through the sequential pipeline
+//     oracle and demands bitwise-identical results (exit 1 on mismatch).
 //     --trace records the run through the per-worker trace rings and writes
 //     chrome://tracing / Perfetto JSON (open in ui.perfetto.dev);
 //     --trace-raw writes the compact OFTRACE1 binary for tools/trace_export
@@ -178,6 +179,7 @@ int cmd_run(const std::vector<std::string>& args) {
   }
   if (pcap_path.empty() || app_tag.empty()) usage("run needs FILE.pcap and --app");
   if (loops == 0 || batch == 0) usage("--loops/--batch must be nonzero");
+  if (rt_config.flow_cache_capacity == 0) usage("--cache must be nonzero");
 
   App app = make_app(app_tag);
   const auto in_port =
@@ -263,19 +265,17 @@ int cmd_run(const std::vector<std::string>& args) {
             << " worker(s), backpressure spins " << spins << ")\n"
             << "  verdicts per pass: " << verdicts[0] << " forwarded, "
             << verdicts[1] << " dropped, " << verdicts[2] << " to-controller\n";
-  if (rt_config.flow_cache_capacity > 0) {
-    const auto probes = worker_stats.cache_hits + worker_stats.cache_misses;
-    std::cout << "  flow cache: "
-              << 100.0 * static_cast<double>(worker_stats.cache_hits) /
-                     static_cast<double>(std::max<std::uint64_t>(probes, 1))
-              << "% hit rate (" << worker_stats.cache_hits << " hits, "
-              << worker_stats.cache_misses << " misses, "
-              << worker_stats.cache_evictions << " evictions, "
-              << worker_stats.cache_epoch_invalidations << " invalidations, "
-              << worker_stats.cache_revalidations << " revalidations, "
-              << worker_stats.cache_admissions_declined
-              << " admissions declined)\n";
-  }
+  const auto probes = worker_stats.cache_hits + worker_stats.cache_misses;
+  std::cout << "  flow cache: "
+            << 100.0 * static_cast<double>(worker_stats.cache_hits) /
+                   static_cast<double>(std::max<std::uint64_t>(probes, 1))
+            << "% hit rate (" << worker_stats.cache_hits << " hits, "
+            << worker_stats.cache_misses << " misses, "
+            << worker_stats.cache_evictions << " evictions, "
+            << worker_stats.cache_epoch_invalidations << " invalidations, "
+            << worker_stats.cache_revalidations << " revalidations, "
+            << worker_stats.cache_admissions_declined
+            << " admissions declined)\n";
 
   if (verify) {
     std::size_t mismatches = 0;
